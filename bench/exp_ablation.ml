@@ -78,10 +78,11 @@ let tolerance (run_paper : Anafault.Simulate.run) =
     (fun (label, tol_v, tol_t) ->
       let config =
         { Cat.Demo.config with
-          Anafault.Simulate.tolerance = { Anafault.Detect.tol_v; tol_t } }
+          Anafault.Simulate.tolerance = { Anafault.Detect.tol_v; tol_t };
+          domains = 8 }
       in
       let r =
-        Cat.run_fault_simulation ~domains:8 config (Cat.Demo.schematic ())
+        Cat.run_fault_simulation config (Cat.Demo.schematic ())
           (Helpers.lift_faults ())
       in
       show label r)
@@ -107,8 +108,9 @@ let domains () =
         if d <= cores then begin
           let t0 = Unix.gettimeofday () in
           let _ =
-            Cat.run_fault_simulation ~domains:d Cat.Demo.config (Cat.Demo.schematic ())
-              faults
+            Cat.run_fault_simulation
+              { Cat.Demo.config with Anafault.Simulate.domains = d }
+              (Cat.Demo.schematic ()) faults
           in
           let t = Unix.gettimeofday () -. t0 in
           if d = 1 then base := t;

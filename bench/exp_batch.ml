@@ -239,7 +239,9 @@ let run () =
   ignore rr_busy;
   let (_, ws_stats), t_ws =
     wall (fun () ->
-        Anafault.Parsim.run_with_stats ~clamp:false ~domains config circuit skewed)
+        Anafault.Parsim.execute ~clamp:false
+          { config with Anafault.Simulate.domains }
+          circuit skewed)
   in
   let ws_indices =
     List.map (fun (d : Anafault.Parsim.domain_stats) -> d.fault_indices) ws_stats

@@ -16,14 +16,16 @@ let run () =
   Helpers.banner "Sec. VI - source model vs resistor model";
   let faults = Helpers.lift_faults () in
   let circuit = Cat.Demo.schematic () in
-  let config model = { Cat.Demo.config with Anafault.Simulate.model } in
+  let config model = { Cat.Demo.config with Anafault.Simulate.model; batch = 1 } in
   let run_source, t_source =
     wall (fun () ->
-        Anafault.Simulate.run (config Faults.Inject.Source) circuit faults)
+        fst (Anafault.Parsim.execute (config Faults.Inject.Source) circuit faults))
   in
   let run_resistor, t_resistor =
     wall (fun () ->
-        Anafault.Simulate.run (config Faults.Inject.default_resistor) circuit faults)
+        fst
+          (Anafault.Parsim.execute (config Faults.Inject.default_resistor) circuit
+             faults))
   in
   Printf.printf "%-28s %12s %12s\n" "" "source" "resistor";
   Printf.printf "%-28s %11.1fs %11.1fs\n" "wall clock (serial)" t_source t_resistor;

@@ -16,8 +16,8 @@ let median xs =
   a.(Array.length a / 2)
 
 let batch ~obs faults =
-  let config = { Cat.Demo.config with Anafault.Simulate.obs } in
-  let run = Anafault.Simulate.run config (Cat.Demo.schematic ()) faults in
+  let config = { Cat.Demo.config with Anafault.Simulate.obs; batch = 1 } in
+  let run, _ = Anafault.Parsim.execute config (Cat.Demo.schematic ()) faults in
   ignore (Anafault.Simulate.tally run)
 
 let measure mk_sink faults =

@@ -25,7 +25,7 @@ let with_vctl_step lo hi circuit =
 
 let run () =
   Helpers.banner "Sec. III - comparison of test preparation (stimulus refinement)";
-  let base = Cat.Demo.config in
+  let base = { Cat.Demo.config with Anafault.Simulate.domains = 8 } in
   let candidates =
     [
       { Anafault.Testprep.label = "Vctl = 2.0 V (slow)"; prepare = with_vctl 2.0;
@@ -39,7 +39,7 @@ let run () =
     ]
   in
   let verdicts =
-    Anafault.Testprep.compare ~domains:8 (Cat.Demo.schematic ())
+    Anafault.Testprep.compare (Cat.Demo.schematic ())
       (Helpers.lift_faults ()) candidates
   in
   Format.printf "%a@." Anafault.Testprep.pp_table verdicts;

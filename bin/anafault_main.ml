@@ -354,8 +354,7 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
       Option.iter Anafault.Journal.close journal;
       Format.printf "%a@.@.%a@." Anafault.Report.pp_table run_result
         Anafault.Report.pp_summary run_result;
-      if domain_stats <> [] then
-        Format.printf "@.%a@." Anafault.Report.pp_domains domain_stats;
+      Format.printf "@.%a@." Anafault.Report.pp_domains domain_stats;
       if plot then print_string (Anafault.Report.coverage_plot run_result);
       Option.iter
         (fun path -> write_csv path run_result.Anafault.Simulate.results)
@@ -604,7 +603,7 @@ let abort_after =
        & info [ "abort-after" ] ~docv:"N"
            ~doc:"Stop the campaign (exit 3) once $(docv) faults completed - \
                  simulates a mid-campaign kill for testing --journal/--resume; \
-                 intended for the serial scheduler.")
+                 exact at one domain with batch width 1.")
 
 let remote =
   Arg.(value & opt (some string) None

@@ -76,11 +76,10 @@ let () =
   banner "Transient fault simulation (step response, paper tolerances)";
   let config =
     { (Anafault.Simulate.default_config ~tran ~observed:"out" ()) with
-      tolerance = { Anafault.Detect.tol_v = 0.5; tol_t = 0.2e-6 } }
+      tolerance = { Anafault.Detect.tol_v = 0.5; tol_t = 0.2e-6 };
+      domains = 4 }
   in
-  let run =
-    Cat.run_fault_simulation ~domains:4 config circuit lift.Defects.Lift.faults
-  in
+  let run = Cat.run_fault_simulation config circuit lift.Defects.Lift.faults in
   Format.printf "%a@." Anafault.Report.pp_summary run;
 
   banner "AC fault simulation (closed-loop magnitude signatures)";

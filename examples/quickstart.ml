@@ -58,7 +58,7 @@ let () =
 
   (* 4. The whole schematic fault universe, in one call. *)
   let universe = Faults.Universe.build circuit in
-  let run = Anafault.Simulate.run config circuit universe in
+  let run, _ = Anafault.Parsim.execute config circuit universe in
   Printf.printf "\nuniverse of %d faults:\n" (List.length universe);
   Format.printf "%a@." Anafault.Report.pp_summary run;
   print_newline ();

@@ -213,8 +213,8 @@ type local = {
 }
 
 (** [run_local compiled] executes the campaign in-process through
-    {!Parsim.execute} (serial, parallel and lock-step batched paths
-    dispatch on the compiled options).  [progress] and [journal] are
+    {!Parsim.execute}, on the compiled options' domain count and batch
+    width.  [progress] and [journal] are
     passed through; exceptions of the nominal simulation propagate
     ({!Sim.Engine.Sim_error}). *)
 val run_local :

@@ -20,6 +20,16 @@
 
 type t
 
+(** [fsync_channel oc] flushes [oc] and fsyncs its file descriptor, so a
+    line is on disk before anyone depends on it.  Best-effort: an fsync
+    error is ignored. *)
+val fsync_channel : out_channel -> unit
+
+(** [fsync_dir dir] fsyncs the directory itself, persisting a fresh entry
+    or rename target in it.  Best-effort: some filesystems refuse
+    directory fsync. *)
+val fsync_dir : string -> unit
+
 (** [fingerprint pieces] is a stable hex digest of the given strings
     (circuit deck, config summary, fault list - see
     {!Simulate.fingerprint}). *)

@@ -1,18 +1,19 @@
-(* Work-stealing parallel fault simulation on OCaml 5 domains.
+(* The campaign loop, on the shared work-stealing pool.
 
    Per-fault Newton costs vary wildly (a stuck-open fault converges far
-   slower than a low-ohmic bridge), so instead of static chunking every
-   domain pulls the next chunk of fault indices from a shared atomic
-   counter.  The chunk width is the lock-step batch width: a chunk of
-   width > 1 is simulated as one batch through Simulate.run_batch, so
-   batches are the unit of work stealing.  Each domain owns one engine
-   session (sessions are single-threaded), writes results into its own
-   slots of a shared buffer, and keeps its own load counters.  A fault
-   whose simulation raises is recorded as Sim_failed through
-   Simulate.guard, so one bad fault never aborts the run; a domain that
-   dies outright (e.g. session setup fails) marks the faults it had
-   claimed with a typed failure and reports itself in [died], so the
-   campaign can never silently succeed with holes. *)
+   slower than a low-ohmic bridge), so every domain pulls the next chunk
+   of fault indices from the pool's shared counter.  The chunk width is
+   the lock-step batch width: each chunk is simulated as one batch
+   through Simulate.run_batch (a one-fault batch is the per-fault
+   run_one_in cycle), so batches are the unit of work stealing.  Each
+   domain owns one engine session (sessions are single-threaded), writes
+   results into its own slots of a shared buffer, and keeps its own load
+   counters.  A fault whose simulation raises is recorded as Sim_failed
+   through Simulate.guard, so one bad fault never aborts the run; a
+   domain that dies outright (session setup or an unclassifiable error
+   mid-chunk) marks the faults it had claimed with a typed failure and
+   reports itself in [died], so the campaign can never silently succeed
+   with holes. *)
 
 type domain_stats = {
   domain : int;
@@ -24,247 +25,201 @@ type domain_stats = {
   died : bool;
 }
 
-(* Test hook: when it returns true for a domain index, that domain's
-   session setup raises - the only way to exercise the domain-death path
-   deterministically. *)
-let chaos_session_failure : (int -> bool) ref = ref (fun _ -> false)
+(* One domain's private state: its session and its load counters. *)
+type slot = {
+  d : int;
+  mutable sess : Sim.Engine.Session.t;
+  mutable ndone : int;
+  mutable iters : int;
+  mutable indices : int list;  (* completion order, newest first *)
+}
 
-let worker ~config ~circuit ~nominal ~faults ~batch ~next ~results ~journal
-    ~completed ~progress ~progress_lock ~abort ~stop ~total d () =
-  let obs = config.Simulate.obs in
-  let t0 = Unix.gettimeofday () in
-  let ndone = ref 0 and iters = ref 0 and indices = ref [] in
-  let steal_acc = ref 0.0 in
-  let died = ref false in
-  let n = Array.length faults in
-  (* Any domain may drive the progress callback; the CAS lock keeps it
-     single-flight, and the completed counter is read inside the locked
-     region, so consecutive callbacks see non-decreasing counts.  A
-     callback that raises (the CLI's abort knob) stops every domain; the
-     exception is re-raised by [run_with_stats] after the join. *)
-  let report () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      if Atomic.compare_and_set progress_lock false true then begin
-        (match f (Atomic.get completed) total with
-        | () -> ()
-        | exception exn ->
-          ignore (Atomic.compare_and_set abort None (Some exn));
-          Atomic.set stop true);
-        Atomic.set progress_lock false
-      end
-  in
-  (* The domain is dying: give every fault it claimed but did not finish
-     a typed failure (never a silent hole), count the death, and stop
-     stealing.  Unclaimed faults drain through the other domains. *)
-  let mark_died i0 hi exn =
-    died := true;
-    Obs.count obs "parsim.domain_died" 1;
-    let detail = Printf.sprintf "domain %d died: %s" d (Printexc.to_string exn) in
-    for i = i0 to hi - 1 do
-      if results.(i) = None then begin
-        results.(i) <-
-          Some
-            {
-              Simulate.fault = faults.(i);
-              outcome = Simulate.Sim_failed (Simulate.Crashed detail);
-              attempts = [];
-              stats = Simulate.zero_stats;
-              cpu_seconds = 0.0;
-            };
-        ignore (Atomic.fetch_and_add completed 1)
-      end
-    done;
-    report ()
-  in
-  (match
-     if !chaos_session_failure d then
-       failwith "chaos: injected session-setup failure";
-     Simulate.session config circuit
-   with
-  | exception exn -> mark_died 0 0 exn
-  | session ->
-    let sess = ref session in
-    let bw = max 1 batch in
-    let cancel = config.Simulate.sim_options.Sim.Engine.cancel in
-    let rec steal () =
-      (* A cancelled token stops the domain claiming new chunks; the
-         chunk in flight drains through the engine's own polls, so the
-         domain exits cleanly instead of via an abort exception. *)
-      if (not (Atomic.get stop)) && not (Cancel.cancelled cancel) then begin
-        let t_steal = Unix.gettimeofday () in
-        let i0 = Atomic.fetch_and_add next bw in
-        let dt = Unix.gettimeofday () -. t_steal in
-        (* Every steal is accounted, including the final unsuccessful
-           one: the scheduler's overhead does not vanish at the end of
-           the list. *)
-        steal_acc := !steal_acc +. dt;
-        Obs.sample obs "parsim.steal_seconds" dt;
-        if i0 < n then begin
-          let hi = min n (i0 + bw) in
-          match
-            (* Journal-restored results were prefilled before the spawn
-               and already counted in [completed]; skip those indices. *)
-            let todo = ref [] in
-            for i = hi - 1 downto i0 do
-              if results.(i) = None then todo := (i, faults.(i)) :: !todo
-            done;
-            let todo = !todo in
-            if todo <> [] then begin
-              let rs =
-                match todo with
-                | [ (_, fault) ] ->
-                  (* A width-1 chunk takes the serial per-fault path
-                     directly - no batch machinery in the way. *)
-                  [
-                    Simulate.guard fault (fun () ->
-                        Simulate.run_one_in config !sess ~nominal fault);
-                  ]
-                | _ -> Simulate.run_batch config !sess ~nominal (List.map snd todo)
-              in
-              let poisoned = ref false in
-              List.iter2
-                (fun (i, _) r ->
-                  results.(i) <- Some r;
-                  (* Cancelled results never reach the journal: resume
-                     must re-run exactly the interrupted faults. *)
-                  (match r.Simulate.outcome with
-                  | Simulate.Sim_failed (Simulate.Cancelled _) -> ()
-                  | Simulate.Sim_failed _ | Simulate.Detected _
-                  | Simulate.Undetected ->
-                    Option.iter (fun j -> Journal.record j i r) journal);
-                  (match r.Simulate.outcome with
-                  | Simulate.Sim_failed failure
-                    when Outcome.poisons_session failure ->
-                    poisoned := true
-                  | Simulate.Sim_failed _ | Simulate.Detected _
-                  | Simulate.Undetected -> ());
-                  incr ndone;
-                  indices := i :: !indices;
-                  iters := !iters + r.Simulate.stats.Sim.Engine.newton_iterations;
-                  ignore (Atomic.fetch_and_add completed 1);
-                  report ())
-                todo rs;
-              (* Quarantine, as in the serial loop: a kernel failure may
-                 leave device state or an unfinished overlay behind, so
-                 the domain's session is rebuilt before the next chunk. *)
-              if !poisoned then begin
-                Obs.count obs "session.quarantine" 1;
-                sess := Simulate.session config circuit
-              end
-            end
-          with
-          | () -> steal ()
-          | exception exn -> mark_died i0 hi exn
-        end
-      end
-    in
-    steal ());
-  let busy = Unix.gettimeofday () -. t0 in
-  if Obs.enabled obs then
-    Obs.sample obs "parsim.domain_busy_seconds" busy
-      ~attrs:
-        [
-          ("worker", Obs.Int d);
-          ("faults_done", Obs.Int !ndone);
-          ("newton_iterations", Obs.Int !iters);
-          ("steal_seconds", Obs.Float !steal_acc);
-          ("died", Obs.Bool !died);
-        ];
+(* A raising progress callback (the CLI's abort knob) must stop every
+   domain, not just retire the one that called it: the wrapper keeps it
+   apart from the errors that kill a domain. *)
+exception Progress_raised of exn
+
+let crashed fault failure =
   {
-    domain = d;
-    faults_done = !ndone;
-    fault_indices = List.rev !indices;
-    newton_iterations = !iters;
-    busy_seconds = busy;
-    steal_seconds = !steal_acc;
-    died = !died;
+    Simulate.fault;
+    outcome = Simulate.Sim_failed failure;
+    attempts = [];
+    stats = Simulate.zero_stats;
+    cpu_seconds = 0.0;
   }
 
-let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
-    circuit faults =
+let execute ?progress ?journal ?(clamp = true) config circuit faults =
+  let obs = config.Simulate.obs in
   let domains =
-    if clamp then max 1 (min domains (Domain.recommended_domain_count ()))
-    else max 1 domains
+    if clamp then max 1 (min config.Simulate.domains (Domain.recommended_domain_count ()))
+    else max 1 config.Simulate.domains
   in
-  Obs.span config.Simulate.obs "anafault.batch"
+  Obs.span obs "anafault.batch"
     ~attrs:
       [ ("faults", Obs.Int (List.length faults)); ("domains", Obs.Int domains) ]
     (fun _ ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let nominal, nominal_stats = Simulate.nominal config circuit in
-      let faults_arr = Array.of_list faults in
-      let n = Array.length faults_arr in
-      let batch =
-        match batch with
-        | Some b when b > 0 -> b
-        | Some _ | None ->
-          Simulate.effective_batch { config with Simulate.domains } ~total:n
-      in
+      let faults = Array.of_list faults in
+      let n = Array.length faults in
       let results = Array.make n None in
       (* Prefill journal-restored results so no domain re-simulates a
          completed fault. *)
-      let restored = ref 0 in
-      (match journal with
-      | Some j ->
-        Array.iteri
-          (fun i fault ->
-            match Journal.find j i fault with
-            | Some r ->
-              results.(i) <- Some r;
-              incr restored;
-              Obs.count config.Simulate.obs "journal.skipped" 1
-            | None -> ())
-          faults_arr
-      | None -> ());
-      let next = Atomic.make 0 in
-      let completed = Atomic.make !restored in
-      let progress_lock = Atomic.make false in
-      let abort = Atomic.make None in
-      let stop = Atomic.make false in
-      let work =
-        worker ~config ~circuit ~nominal ~faults:faults_arr ~batch ~next
-          ~results ~journal ~completed ~progress ~progress_lock ~abort ~stop
-          ~total:n
+      Option.iter
+        (fun j ->
+          Array.iteri
+            (fun i fault ->
+              match Journal.find j i fault with
+              | Some r ->
+                results.(i) <- Some r;
+                Obs.count obs "journal.skipped" 1
+              | None -> ())
+            faults)
+        journal;
+      let completed =
+        Atomic.make (Array.fold_left (fun k r -> if Option.is_some r then k + 1 else k) 0 results)
       in
-      let spawned = List.init (domains - 1) (fun d -> Domain.spawn (work (d + 1))) in
-      let mine = work 0 () in
-      let stats = mine :: List.map Domain.join spawned in
-      (* An aborting progress callback (the CLI's --abort-after) stopped
-         every domain; surface it to the caller exactly as the serial
-         loop would have. *)
-      (match Atomic.get abort with
-      | Some exn -> raise exn
-      | None ->
-        (* Workers only see the counter after their own chunks; guarantee
-           the caller one final (total, total) call once everyone
-           joined. *)
-        (match progress with Some f when n > 0 -> f n n | Some _ | None -> ()));
-      let unclaimed_failure =
-        (* Holes after the join are typed by why the run stopped early:
-           a cancelled campaign leaves [Cancelled] faults (which resume
-           re-runs), an all-domains-dead run leaves [Crashed] ones. *)
+      (* Any domain may drive the progress callback; the CAS lock keeps it
+         single-flight, and the completed counter is read inside the
+         locked region, so consecutive callbacks see non-decreasing
+         counts. *)
+      let progress_lock = Atomic.make false and delivered = ref 0 in
+      let report () =
+        match progress with
+        | Some f when Atomic.compare_and_set progress_lock false true -> (
+          let c = Atomic.get completed in
+          delivered := c;
+          match f c n with
+          | () -> Atomic.set progress_lock false
+          | exception exn ->
+            Atomic.set progress_lock false;
+            raise (Progress_raised exn))
+        | Some _ | None -> ()
+      in
+      let record slot i r =
+        results.(i) <- Some r;
+        (* Cancelled results never reach the journal: resume must re-run
+           exactly the interrupted faults. *)
+        (match r.Simulate.outcome with
+        | Simulate.Sim_failed (Simulate.Cancelled _) -> ()
+        | Simulate.Sim_failed _ | Simulate.Detected _ | Simulate.Undetected ->
+          Option.iter (fun j -> Journal.record j i r) journal);
+        slot.ndone <- slot.ndone + 1;
+        slot.indices <- i :: slot.indices;
+        slot.iters <- slot.iters + r.Simulate.stats.Sim.Engine.newton_iterations;
+        ignore (Atomic.fetch_and_add completed 1);
+        report ()
+      in
+      let slots = Array.make domains None in
+      let setup d =
+        Obs.Failpoint.hit (Printf.sprintf "parsim.session.%d" d);
+        let slot =
+          { d; sess = Simulate.session config circuit; ndone = 0; iters = 0; indices = [] }
+        in
+        slots.(d) <- Some slot;
+        slot
+      in
+      let task slot lo hi =
+        match
+          let todo =
+            List.filter (fun i -> Option.is_none results.(i)) (List.init (hi - lo) (( + ) lo))
+          in
+          if todo <> [] then begin
+            let rs =
+              Simulate.run_batch config slot.sess ~nominal (List.map (Array.get faults) todo)
+            in
+            List.iter2 (record slot) todo rs;
+            (* Quarantine: a kernel failure may leave device state or an
+               unfinished overlay behind, so the domain's session is
+               rebuilt before the next chunk. *)
+            if
+              List.exists
+                (fun r ->
+                  match r.Simulate.outcome with
+                  | Simulate.Sim_failed failure -> Outcome.poisons_session failure
+                  | Simulate.Detected _ | Simulate.Undetected -> false)
+                rs
+            then begin
+              Obs.count obs "session.quarantine" 1;
+              slot.sess <- Simulate.session config circuit
+            end
+          end
+        with
+        | () -> ()
+        | exception (Progress_raised _ as exn) -> raise exn
+        | exception exn ->
+          (* The domain is dying: give every fault it claimed but did not
+             finish a typed failure (never a silent hole) and stop
+             stealing.  Unclaimed faults drain through the other
+             domains. *)
+          let detail = Printf.sprintf "domain %d died: %s" slot.d (Printexc.to_string exn) in
+          for i = lo to hi - 1 do
+            if Option.is_none results.(i) then begin
+              results.(i) <- Some (crashed faults.(i) (Simulate.Crashed detail));
+              ignore (Atomic.fetch_and_add completed 1)
+            end
+          done;
+          report ();
+          raise Pool.Died
+      in
+      let reports =
+        (* A cancelled token stops every domain claiming new chunks; the
+           chunk in flight drains through the engine's own polls. *)
+        let cancel = config.Simulate.sim_options.Sim.Engine.cancel in
+        match
+          Pool.run
+            ~stop:(fun () -> Cancel.cancelled cancel)
+            ~domains
+            ~chunk:(Simulate.effective_batch config ~total:n)
+            ~setup task n
+        with
+        | reports -> reports
+        | exception Progress_raised exn -> raise exn
+      in
+      (* Guarantee the caller a final (total, total) call, unless the last
+         one it saw already said so. *)
+      (match progress with Some f when n > 0 && !delivered < n -> f n n | Some _ | None -> ());
+      let stats =
+        List.map
+          (fun (r : Pool.report) ->
+            let faults_done, fault_indices, newton_iterations =
+              match slots.(r.domain) with
+              | Some s -> (s.ndone, List.rev s.indices, s.iters)
+              | None -> (0, [], 0)
+            in
+            if r.died then Obs.count obs "parsim.domain_died" 1;
+            if Obs.enabled obs then
+              Obs.sample obs "parsim.domain_busy_seconds" r.busy_seconds
+                ~attrs:
+                  [
+                    ("worker", Obs.Int r.domain);
+                    ("faults_done", Obs.Int faults_done);
+                    ("newton_iterations", Obs.Int newton_iterations);
+                    ("steal_seconds", Obs.Float r.steal_seconds);
+                    ("died", Obs.Bool r.died);
+                  ];
+            {
+              domain = r.domain;
+              faults_done;
+              fault_indices;
+              newton_iterations;
+              busy_seconds = r.busy_seconds;
+              steal_seconds = r.steal_seconds;
+              died = r.died;
+            })
+          reports
+      in
+      (* Holes after the join are typed by why the run stopped early: a
+         cancelled campaign leaves [Cancelled] faults (which resume
+         re-runs), an all-domains-dead run leaves [Crashed] ones. *)
+      let unclaimed =
         match Cancel.get config.Simulate.sim_options.Sim.Engine.cancel with
-        | Some reason ->
-          Simulate.Cancelled (Cancel.reason_to_string reason)
+        | Some reason -> Simulate.Cancelled (Cancel.reason_to_string reason)
         | None -> Simulate.Crashed "no domain simulated this fault"
       in
       let results =
-        Array.to_list
-          (Array.mapi
-             (fun i r ->
-               match r with
-               | Some r -> r
-               | None ->
-                 {
-                   Simulate.fault = faults_arr.(i);
-                   outcome = Simulate.Sim_failed unclaimed_failure;
-                   attempts = [];
-                   stats = Simulate.zero_stats;
-                   cpu_seconds = 0.0;
-                 })
-             results)
+        List.init n (fun i ->
+            match results.(i) with Some r -> r | None -> crashed faults.(i) unclaimed)
       in
       ( {
           Simulate.config;
@@ -274,25 +229,4 @@ let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
           wall_seconds = Unix.gettimeofday () -. wall0;
           cpu_seconds = Sys.time () -. cpu0;
         },
-        List.sort (fun a b -> Int.compare a.domain b.domain) stats ))
-
-let run ?clamp ?batch ~domains config circuit faults =
-  fst (run_with_stats ?clamp ?batch ~domains config circuit faults)
-
-let execute ?progress ?journal ?clamp ?domains ?batch config circuit faults =
-  let domains = Option.value ~default:config.Simulate.domains domains in
-  let width =
-    match batch with
-    | Some b when b > 0 -> b
-    | Some _ | None ->
-      Simulate.effective_batch
-        { config with Simulate.domains }
-        ~total:(List.length faults)
-  in
-  if domains <= 1 && width <= 1 then
-    (Simulate.run ?progress ?journal config circuit faults, [])
-  else
-    (* One domain with a wider batch still goes through the worker loop:
-       domain 0 processes every chunk itself, batched. *)
-    run_with_stats ?progress ?journal ?clamp ~batch:width ~domains config
-      circuit faults
+        stats ))

@@ -1,29 +1,34 @@
-(** Work-stealing parallel fault simulation on OCaml 5 domains.
+(** The campaign loop: fault simulation scheduled over OCaml 5 domains
+    by the shared work-stealing {!Pool}.
 
-    The paper notes AnaFAULT was "improved for parallel execution in a
-    workstation cluster environment"; per-fault simulations are
-    independent, so the same structure maps onto shared-memory domains.
-    Per-fault Newton costs vary wildly (stuck-open faults converge far
-    slower than low-ohmic bridges), so the fault list is not chunked
-    statically: every domain pulls the next chunk of fault indices from
-    a shared atomic counter until the list is drained.  The chunk width
-    is the lock-step batch width ({!Simulate.effective_batch}): a chunk
-    wider than one fault is simulated as a single {!Simulate.run_batch},
-    so batches are the unit of work stealing.  Each domain owns one
-    {!Sim.Engine.Session}, so the per-topology setup is paid once per
-    domain rather than once per fault.
+    The paper runs "the nominal simulation plus one simulation per fault
+    (serially or in parallel)", and notes AnaFAULT was "improved for
+    parallel execution in a workstation cluster environment"; per-fault
+    simulations are independent, so the same structure maps onto
+    shared-memory domains.  Serial is not a separate loop: it is this
+    one at one domain, where the pool spawns nothing and the caller's
+    domain takes every chunk in fault order.
+
+    The chunk a domain claims is the lock-step batch width
+    ({!Simulate.effective_batch}) and is simulated as one
+    {!Simulate.run_batch}, so batches are the unit of work stealing; at
+    width 1 every chunk is the per-fault {!Simulate.run_one_in} cycle -
+    the serial reference.  Each domain owns one {!Sim.Engine.Session},
+    so the per-topology setup is paid once per domain rather than once
+    per fault.
 
     A fault whose simulation raises is reported as
     {!Simulate.Sim_failed}; the exception never escapes the domain, and
-    all other results are returned in input order.  Each domain applies
-    the same robustness layers as the serial loop: the retry ladder,
-    per-fault budgets, session quarantine after kernel failures, and
-    journal skip/record when a {!Journal.t} is supplied.  A domain that
-    dies outright (e.g. its session setup fails) records a typed
-    [Crashed] failure for every fault it had claimed, is counted as
+    all results are returned in input order.  Each domain applies the
+    retry ladder, per-fault budgets, session quarantine after kernel
+    failures, and journal skip/record when a {!Journal.t} is supplied.
+    A domain that dies outright (its session setup fails, or an
+    unclassifiable error strikes mid-chunk) records a typed [Crashed]
+    failure for every fault it had claimed, is counted as
     ["parsim.domain_died"], and reports itself through
     {!domain_stats.died} - a campaign can never silently succeed with
-    holes. *)
+    holes.  The failpoint ["parsim.session.<d>"] fires where domain [d]
+    opens its session. *)
 
 (** Per-domain load counters, for judging schedule balance. *)
 type domain_stats = {
@@ -43,68 +48,33 @@ type domain_stats = {
           CLI turns any died domain into a nonzero exit *)
 }
 
-(** Test hook: when the function returns true for a domain index, that
-    domain's session setup raises.  The only way to exercise the
-    domain-death path deterministically; leave untouched otherwise. *)
-val chaos_session_failure : (int -> bool) ref
+(** [execute config circuit faults] is the one campaign entry point
+    every front end uses: the nominal run ({!Simulate.nominal}), then
+    every fault on [config.domains] domains in chunks of
+    {!Simulate.effective_batch}.  Returns the run, with results in input
+    order, and the per-domain load sorted by domain index.
 
-(** [run_with_stats ~domains config circuit faults] behaves like
-    {!Simulate.run} but distributes the per-fault simulations over
-    [domains] domains and also returns the per-domain load, sorted by
-    domain index.  With [clamp] (the default) the domain count is
-    limited to [Domain.recommended_domain_count]; [~clamp:false] takes
-    the request literally, which oversubscribes small machines but keeps
-    scheduling behaviour reproducible.  [batch] overrides the lock-step
-    chunk width (default: {!Simulate.effective_batch} at the effective
-    domain count).  Results keep the input fault order.
+    With [clamp] (the default) the domain count is limited to
+    [Domain.recommended_domain_count]; [~clamp:false] takes the request
+    literally, which oversubscribes small machines but keeps scheduling
+    behaviour reproducible.
 
     [progress] is called with (completed, total): every domain bumps a
     shared atomic completed-counter and any domain may fire the callback
     under a single-flight guard (reads of the counter happen inside the
-    guard, so consecutive calls see non-decreasing counts); one final
-    (total, total) call is guaranteed after all domains join.  A
-    progress callback that raises stops every domain, and the exception
-    is re-raised here after the join - the CLI's [--abort-after] knob.
-    With [journal], completed faults are prefilled before any domain
-    spawns (never re-simulated) and fresh results are recorded as they
-    finish, under the journal's internal lock. *)
-val run_with_stats :
-  ?progress:(int -> int -> unit) ->
-  ?journal:Journal.t ->
-  ?clamp:bool ->
-  ?batch:int ->
-  domains:int ->
-  Simulate.config ->
-  Netlist.Circuit.t ->
-  Faults.Fault.t list ->
-  Simulate.run * domain_stats list
-
-(** [run ~domains config circuit faults] is {!run_with_stats} without the
-    load report. *)
-val run :
-  ?clamp:bool ->
-  ?batch:int ->
-  domains:int ->
-  Simulate.config ->
-  Netlist.Circuit.t ->
-  Faults.Fault.t list ->
-  Simulate.run
-
-(** [execute config circuit faults] is the single dispatch point every
-    front end uses: serial {!Simulate.run} (with an empty load report)
-    when both the effective domain count and the effective batch width
-    are 1, {!run_with_stats} otherwise (a single domain with a wider
-    batch runs the batched loop on the caller's domain).  The domain
-    count comes from [config.domains] unless overridden by [?domains];
-    the batch width from [config.batch] / {!Simulate.effective_batch}
-    unless overridden by [?batch].  [?progress] and [?journal] apply to
-    both paths. *)
+    guard, so consecutive calls see non-decreasing counts).  After the
+    join one final (total, total) call is made unless the last call
+    already delivered it, so a one-domain run reports exactly once per
+    fault.  A progress callback that raises stops every domain, and the
+    exception is re-raised here after the join - the CLI's
+    [--abort-after] knob.  With [journal], completed faults are
+    prefilled before any domain starts (never re-simulated) and fresh
+    results are recorded as they finish, under the journal's internal
+    lock. *)
 val execute :
   ?progress:(int -> int -> unit) ->
   ?journal:Journal.t ->
   ?clamp:bool ->
-  ?domains:int ->
-  ?batch:int ->
   Simulate.config ->
   Netlist.Circuit.t ->
   Faults.Fault.t list ->

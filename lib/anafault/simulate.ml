@@ -465,76 +465,6 @@ let fingerprint config circuit faults =
   in
   Journal.fingerprint [ deck; cfg; Faults.Fault_list.to_string faults ]
 
-(* --- The serial campaign loop ----------------------------------------- *)
-
-let run ?progress ?journal config circuit faults =
-  Obs.span config.obs "anafault.batch"
-    ~attrs:[ ("faults", Obs.Int (List.length faults)); ("domains", Obs.Int 1) ]
-    (fun _ ->
-      let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
-      let sess = ref (session config circuit) in
-      let nominal_wf, nominal_stats =
-        Obs.span config.obs "anafault.nominal" (fun _ ->
-            simulate_session ~options:(nominal_options config) config !sess)
-      in
-      let total = List.length faults in
-      let results =
-        List.mapi
-          (fun i fault ->
-            let r =
-              match Option.bind journal (fun j -> Journal.find j i fault) with
-              | Some r ->
-                Obs.count config.obs "journal.skipped" 1;
-                r
-              | None ->
-                let r =
-                  (* A cancelled campaign stops simulating: faults the
-                     token beat to the start line settle as typed
-                     [Cancelled] without paying session setup. *)
-                  match Cancel.get config.sim_options.Sim.Engine.cancel with
-                  | Some reason ->
-                    {
-                      fault;
-                      outcome =
-                        Sim_failed (Cancelled (Cancel.reason_to_string reason));
-                      attempts = [];
-                      stats = zero_stats;
-                      cpu_seconds = 0.0;
-                    }
-                  | None ->
-                    guard fault (fun () ->
-                        run_one_in config !sess ~nominal:nominal_wf fault)
-                in
-                (* Cancelled results are never journalled: the next
-                   --resume of the same campaign must re-run exactly
-                   the faults cancellation interrupted. *)
-                (match r.outcome with
-                | Sim_failed (Cancelled _) -> ()
-                | Sim_failed _ | Detected _ | Undetected ->
-                  Option.iter (fun j -> Journal.record j i r) journal);
-                (* Quarantine: a kernel failure may leave device state or
-                   an unfinished overlay behind; rebuilding the session
-                   guarantees the next fault starts clean. *)
-                (match r.outcome with
-                | Sim_failed failure when Outcome.poisons_session failure ->
-                  Obs.count config.obs "session.quarantine" 1;
-                  sess := session config circuit
-                | Sim_failed _ | Detected _ | Undetected -> ());
-                r
-            in
-            (match progress with Some f -> f (i + 1) total | None -> ());
-            r)
-          faults
-      in
-      {
-        config;
-        nominal = nominal_wf;
-        nominal_stats;
-        results;
-        wall_seconds = Unix.gettimeofday () -. wall0;
-        cpu_seconds = Sys.time () -. cpu0;
-      })
-
 let tally run =
   List.fold_left
     (fun (d, u, f) r ->

@@ -1,28 +1,28 @@
-(** The automatic fault-simulation loop: nominal run, then one kernel
+(** The per-fault simulation cycle: the nominal run, then one kernel
     simulation per fault with result comparison (the paper's repetitive
-    preprocessing / kernel / post-processing cycle).
+    preprocessing / kernel / post-processing cycle).  {!Parsim.execute}
+    is the loop that drives it over a fault list.
 
-    The loop is batch-shaped: one {!Sim.Engine.Session} carries the node
-    map and solver buffers across the whole fault list, and each fault is
-    a patch-simulate-compare cycle against it.  Per-fault robustness is
-    layered: a typed failure taxonomy ({!Outcome.failure}), a work budget
-    ({!Sim.Engine.budget}, applied per fault - the nominal run is always
-    unbudgeted), a configurable retry ladder ([retries]), session
-    quarantine after kernel failures, and an optional crash-safe
+    The cycle is batch-shaped: one {!Sim.Engine.Session} per domain
+    carries the node map and solver buffers across the fault list, and
+    each fault is a patch-simulate-compare cycle against it.  Per-fault
+    robustness is layered: a typed failure taxonomy ({!Outcome.failure}),
+    a work budget ({!Sim.Engine.budget}, applied per fault - the nominal
+    run is always unbudgeted), a configurable retry ladder ([retries]),
+    session quarantine after kernel failures, and an optional crash-safe
     {!Journal} for resumable campaigns.
 
     This module is the engine room.  Front ends should not call
-    [run_one]/[run_one_in]/[run_batch]/[run] directly any more: describe
-    the campaign as a {!Campaign.spec} and execute it with
-    {!Campaign.run_local} (or submit it to a running [anafaultd]) - one
-    typed entry point instead of four ad-hoc ones.  The migration guide
-    lives in DESIGN.md. *)
+    [run_one]/[run_one_in]/[run_batch] directly: describe the campaign as
+    a {!Campaign.spec} and execute it with {!Campaign.run_local} (or
+    submit it to a running [anafaultd]).  The migration guide lives in
+    DESIGN.md. *)
 
 (** The single place a fault-simulation run is described: fault model,
     stimulus, observation point, detection tolerance, kernel options,
     retry policy, output grid, scheduler width and telemetry sink.
     Every front end (CLI, benches, examples) builds one of these and
-    hands it to {!run} / {!Parsim.execute}. *)
+    hands it to {!Parsim.execute}. *)
 type config = {
   model : Faults.Inject.model;  (** fault simulation model *)
   tran : Netlist.Parser.tran;  (** analysis request *)
@@ -201,23 +201,6 @@ val run_batch :
     The domain count and telemetry sink are excluded (results are
     schedule-independent). *)
 val fingerprint : config -> Netlist.Circuit.t -> Faults.Fault.t list -> string
-
-(** [run config circuit faults] performs the whole loop serially through
-    one shared session, inside an ["anafault.batch"] span.  [progress]
-    (if given) is called after each fault with (done, total).  With
-    [journal], faults the journal already holds are skipped (counted as
-    ["journal.skipped"]) and every freshly simulated result is recorded
-    before the loop advances.  After a result whose failure
-    {!Outcome.poisons_session}, the session is rebuilt (quarantine,
-    counted as ["session.quarantine"]).  [config.domains] is ignored
-    here; {!Parsim.execute} dispatches on it. *)
-val run :
-  ?progress:(int -> int -> unit) ->
-  ?journal:Journal.t ->
-  config ->
-  Netlist.Circuit.t ->
-  Faults.Fault.t list ->
-  run
 
 (** Detected / undetected / failed counts. *)
 val tally : run -> int * int * int

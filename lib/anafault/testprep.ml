@@ -12,12 +12,8 @@ type verdict = {
   test_time : float option;
 }
 
-let judge ?(domains = 1) circuit faults candidate =
-  let prepared = candidate.prepare circuit in
-  let run =
-    if domains <= 1 then Simulate.run candidate.config prepared faults
-    else Parsim.run ~domains candidate.config prepared faults
-  in
+let judge circuit faults candidate =
+  let run, _ = Parsim.execute candidate.config (candidate.prepare circuit) faults in
   let coverage = Coverage.final_percent run in
   {
     candidate;
@@ -27,8 +23,8 @@ let judge ?(domains = 1) circuit faults candidate =
     test_time = Coverage.time_to_percent run coverage;
   }
 
-let compare ?domains circuit faults candidates =
-  List.map (judge ?domains circuit faults) candidates
+let compare circuit faults candidates =
+  List.map (judge circuit faults) candidates
   |> List.sort (fun a b ->
          match Float.compare b.weighted a.weighted with
          | 0 -> Stdlib.compare a.test_time b.test_time

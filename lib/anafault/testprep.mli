@@ -23,11 +23,11 @@ type verdict = {
   test_time : float option;  (** time to reach the final coverage, s *)
 }
 
-(** [compare ?domains circuit faults candidates] runs AnaFAULT once per
-    candidate and ranks the verdicts: higher weighted coverage first,
-    shorter time-to-final-coverage as the tie-breaker. *)
+(** [compare circuit faults candidates] runs AnaFAULT once per candidate
+    (through {!Parsim.execute}, on the candidate config's domains) and
+    ranks the verdicts: higher weighted coverage first, shorter
+    time-to-final-coverage as the tie-breaker. *)
 val compare :
-  ?domains:int ->
   Netlist.Circuit.t ->
   Faults.Fault.t list ->
   candidate list ->

@@ -60,17 +60,6 @@ let valid_key key =
          (String.sub key 0 i)
     && hex (String.sub key (i + 1) (String.length key - i - 1))
 
-let fsync_channel oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 let entry_path t key = Filename.concat t.dir (key ^ ".json")
 
 let key_of_file name =
@@ -295,13 +284,13 @@ let store t key json =
       let oc = open_out_bin tmp in
       (try
          output_string oc body;
-         if durable then fsync_channel oc;
+         if durable then Anafault.Journal.fsync_channel oc;
          close_out oc
        with e ->
          close_out_noerr oc;
          raise e);
       Sys.rename tmp path;
-      if durable then fsync_dir t.dir;
+      if durable then Anafault.Journal.fsync_dir t.dir;
       forget t key;
       Hashtbl.replace t.sizes key (String.length body);
       t.clock <- t.clock + 1;

@@ -44,17 +44,6 @@ let compact_after = 128
 
 let header = J.Obj [ ("queue", J.String "anafaultd"); ("version", J.Int 1) ]
 
-let fsync_channel oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 let entry_to_json e =
   J.Obj
     [
@@ -137,13 +126,13 @@ let compact_to path entries =
   (try
      write_line oc header;
      List.iter (fun e -> write_line oc (entry_to_json e)) entries;
-     fsync_channel oc;
+     Anafault.Journal.fsync_channel oc;
      close_out oc
    with e ->
      close_out_noerr oc;
      raise e);
   Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
+  Anafault.Journal.fsync_dir (Filename.dirname path)
 
 let open_ ~path =
   match
@@ -168,7 +157,7 @@ let push t entry =
     match
       Obs.Failpoint.hit "queue.append";
       write_line t.oc (entry_to_json entry);
-      fsync_channel t.oc;
+      Anafault.Journal.fsync_channel t.oc;
       Obs.Failpoint.hit "queue.appended"
     with
     | () ->
@@ -192,7 +181,7 @@ let mark_done t fp =
       end
       else begin
         write_line t.oc (done_to_json fp);
-        fsync_channel t.oc
+        Anafault.Journal.fsync_channel t.oc
       end
     with Sys_error _ -> ()
     (* a failed done record costs one re-run into a cache hit at the

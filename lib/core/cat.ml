@@ -12,8 +12,8 @@ let run_glrfm ?lift_options ?extractor_options ~golden mask =
   let lift = Defects.Lift.run ?options:lift_options extraction in
   { extraction; lvs; lift }
 
-let run_fault_simulation ?domains config circuit faults =
-  fst (Anafault.Parsim.execute ?domains config circuit faults)
+let run_fault_simulation config circuit faults =
+  fst (Anafault.Parsim.execute config circuit faults)
 
 module Demo = struct
   let schematic () = Vco.Schematic.schematic ()

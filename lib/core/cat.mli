@@ -30,10 +30,9 @@ val run_glrfm :
   Layout.Mask.t ->
   glrfm
 
-(** [run_fault_simulation ?domains config circuit faults] runs AnaFAULT
-    serially ([domains] absent or 1) or on that many domains. *)
+(** [run_fault_simulation config circuit faults] runs AnaFAULT on
+    [config.domains] domains ({!Anafault.Parsim.execute}). *)
 val run_fault_simulation :
-  ?domains:int ->
   Anafault.Simulate.config ->
   Netlist.Circuit.t ->
   Faults.Fault.t list ->

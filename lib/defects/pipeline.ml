@@ -88,9 +88,10 @@ let counters_to_json c =
    Entries are Marshal payloads framed by a magic string and an MD5
    checksum; anything that fails to frame, checksum or unmarshal is a
    cache miss, never an error (the artefact is recomputed and the entry
-   rewritten).  Writes go through a per-domain temporary file and a
-   rename, so concurrent writers of the same key (identical tiles of a
-   regular array) race benignly: last rename wins, both contents equal. *)
+   rewritten).  Every write goes through its own fresh temporary file
+   and a rename, so concurrent writers of the same key - identical tiles
+   of a regular array, or two threads of one domain extracting the same
+   layout - race benignly: last rename wins, both contents equal. *)
 module Store = struct
   type t = { dir : string }
 
@@ -124,9 +125,7 @@ module Store = struct
 
   let save t key v =
     let payload = Marshal.to_string v [] in
-    let tmp =
-      path t (Printf.sprintf "%s.tmp.%d" key (Domain.self () :> int))
-    in
+    let tmp = Filename.temp_file ~temp_dir:t.dir (key ^ ".") ".tmp" in
     Out_channel.with_open_bin tmp (fun oc ->
         output_string oc magic;
         output_string oc (Digest.to_hex (Digest.string payload));
@@ -296,7 +295,7 @@ let run ?(config = default_config) mask =
     (* Connectivity stage (parallel, cached per tile). *)
     let conn_arts =
       Obs.span obs "pipeline.connectivity" (fun _ ->
-          Pool.map ~obs ~name:"pipeline.connectivity" ~domains:config.domains
+          Pool.map ~domains:config.domains
             (fun ti ->
               staged ~stage:"conn" ~computed:conn_computed ~cached:conn_cached
                 ~key:wdigest.(ti)
@@ -410,7 +409,7 @@ let run ?(config = default_config) mask =
     let sp = Sites.splitter ext in
     let tile_sites =
       Obs.span obs "pipeline.sites" (fun _ ->
-          Pool.map ~obs ~name:"pipeline.sites" ~domains:config.domains
+          Pool.map ~domains:config.domains
             (fun ti ->
               let skey =
                 let nets_touched =

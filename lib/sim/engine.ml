@@ -1305,20 +1305,3 @@ let run ?(options = default_options) ?(obs = Obs.null) circuit analysis =
         Analysis.Sweep_result (dc_sweep_impl ~opts ~obs circuit ~source ~values)
       | Analysis.Ac { source; freqs } ->
         Analysis.Ac_result (ac_impl ~opts ~obs circuit ~source ~freqs))
-
-(* --- Deprecated pre-Analysis entry points ----------------------------- *)
-
-let dc_operating_point ?(options = default_options) circuit =
-  op_impl ~opts:options ~obs:Obs.null circuit
-
-let transient_with_stats ?(options = default_options) circuit ~tstep ~tstop ~uic =
-  transient_impl ~opts:options ~obs:Obs.null circuit ~tstep ~tstop ~uic
-
-let transient ?options circuit ~tstep ~tstop ~uic =
-  fst (transient_with_stats ?options circuit ~tstep ~tstop ~uic)
-
-let dc_sweep ?(options = default_options) circuit ~source ~values =
-  dc_sweep_impl ~opts:options ~obs:Obs.null circuit ~source ~values
-
-let ac ?(options = default_options) circuit ~source ~freqs =
-  ac_impl ~opts:options ~obs:Obs.null circuit ~source ~freqs

@@ -115,11 +115,20 @@ module Analysis : sig
         (** transient from 0 to [tstop]; [tstep] is the suggested output
             resolution and maximum internal step; with [uic] the initial
             state is zero node voltages overridden by capacitor [IC=]
-            values instead of the DC operating point *)
+            values (SPICE "use initial conditions") instead of the DC
+            operating point.  The waveform carries every node voltage
+            plus ["I(name)"] for each branch device *)
     | Dc_sweep of { source : string; values : float list }
-        (** DC transfer characteristic over the named V or I source *)
+        (** DC transfer characteristic: the operating point re-solved for
+            each value of the named V or I source, warm-starting from the
+            previous point (continuation) *)
     | Ac of { source : string; freqs : float list }
-        (** small-signal analysis, unit drive on the named source *)
+        (** small-signal analysis: every device is linearised around the
+            DC operating point and the complex MNA system is solved at
+            each frequency (Hz, increasing).  The named V or I source
+            drives with unit magnitude and all other independent sources
+            are quenched, so each node's phasor is the transfer function
+            to that node *)
 
   type result =
     | Op_result of solution
@@ -150,48 +159,16 @@ end
     time, dv-clamp hits, gmin/source-stepping fallbacks, step
     accept/reject) flows into [obs] (default {!Obs.null}, which is
     free); the whole analysis is additionally wrapped in an
-    ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises like
-    the analysis-specific entry points it replaces: {!Sim_error},
-    [Invalid_argument]. *)
+    ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises
+    {!Sim_error} when the kernel gives up, and [Invalid_argument] for a
+    malformed request ([tstep] outside [(0, tstop]], a sweep or AC
+    source that names no independent source). *)
 val run :
   ?options:options ->
   ?obs:Obs.sink ->
   Netlist.Circuit.t ->
   Analysis.t ->
   Analysis.result
-
-(** {1 Deprecated pre-{!Analysis} entry points}
-
-    Thin wrappers over {!run} kept for source compatibility; they run
-    without telemetry. *)
-
-val dc_operating_point : ?options:options -> Netlist.Circuit.t -> solution
-[@@deprecated "use Engine.run _ Analysis.Op"]
-
-(** [transient circuit ~tstep ~tstop ~uic] integrates from 0 to [tstop].
-    [tstep] is the suggested output resolution and the maximum internal
-    step.  With [uic] the initial state is zero node voltages overridden
-    by capacitor [IC=] values (SPICE "use initial conditions"); otherwise
-    the DC operating point is computed first.  The waveform carries every
-    node voltage plus ["I(name)"] for each branch device. *)
-val transient :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  tstep:float ->
-  tstop:float ->
-  uic:bool ->
-  Waveform.t
-[@@deprecated "use Engine.run _ (Analysis.Tran _)"]
-
-(** Like {!transient}, also returning work counters. *)
-val transient_with_stats :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  tstep:float ->
-  tstop:float ->
-  uic:bool ->
-  Waveform.t * stats
-[@@deprecated "use Engine.run _ (Analysis.Tran _)"]
 
 (** Batch solving of one circuit topology.
 
@@ -223,14 +200,14 @@ module Session : sig
   val options : t -> options
 
   (** DC operating point of the session's active circuit, reusing the
-      session buffers.  Raises {!Sim_error} like {!dc_operating_point}.
+      session buffers.  Raises {!Sim_error} like {!run} of {!Analysis.Op}.
       [?options] overrides the session's solver options for this one
       solve (the buffers depend only on the topology) - retry ladders
       use it to relax tolerances without rebuilding the session. *)
   val solve_dc : ?options:options -> t -> solution
 
   (** Transient analysis of the session's active circuit, reusing the
-      session buffers; same semantics as {!transient_with_stats}, same
+      session buffers; same semantics as {!run} of {!Analysis.Tran}, same
       [?options] override as {!solve_dc}. *)
   val transient :
     ?options:options ->
@@ -308,31 +285,3 @@ module Session : sig
     batch_result array
 end
 
-(** [dc_sweep circuit ~source ~values] computes the DC transfer
-    characteristic: the operating point is re-solved for each value of
-    the named V or I source, warm-starting from the previous point
-    (continuation).  Raises [Invalid_argument] when [source] names no
-    independent source. *)
-val dc_sweep :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  source:string ->
-  values:float list ->
-  (float * solution) list
-[@@deprecated "use Engine.run _ (Analysis.Dc_sweep _)"]
-
-(** [ac circuit ~source ~freqs] performs small-signal AC analysis: the DC
-    operating point is computed, every device is linearised around it,
-    and the complex MNA system is solved at each frequency of [freqs]
-    (Hz, increasing).  The V or I source called [source] drives with unit
-    magnitude; all other independent sources are quenched, so each node's
-    phasor IS the transfer function to that node.  Raises
-    [Invalid_argument] when [source] names no independent source and
-    {!Sim_error} if the operating point fails. *)
-val ac :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  source:string ->
-  freqs:float list ->
-  Spectrum.t
-[@@deprecated "use Engine.run _ (Analysis.Ac _)"]

@@ -306,18 +306,38 @@ let benign_bridge =
 
 let faults = [ bridge_out_vdd; open_gate; benign_bridge ]
 
+(* Detection outcomes keyed per fault with full float precision, for
+   bit-for-bit comparisons across runs and journal round-trips. *)
+let key (run : Anafault.Simulate.run) =
+  List.map
+    (fun (r : Anafault.Simulate.fault_result) ->
+      ( r.fault.Faults.Fault.id,
+        match r.outcome with
+        | Anafault.Simulate.Detected t -> Printf.sprintf "d%.17g" t
+        | Anafault.Simulate.Undetected -> "u"
+        | Anafault.Simulate.Sim_failed f -> "f:" ^ Anafault.Outcome.failure_kind f ))
+    run.Anafault.Simulate.results
+
+(* The serial reference: the campaign loop at one domain and width-1
+   chunks, i.e. the per-fault run_one_in cycle in fault order. *)
+let run_serial ?progress ?journal config circuit faults =
+  fst
+    (Anafault.Parsim.execute ?progress ?journal
+       { config with Anafault.Simulate.domains = 1; batch = 1 }
+       circuit faults)
+
 let simulate_tests =
   [
     Alcotest.test_case "run detects the hard faults" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         let detected, undetected, failed = Anafault.Simulate.tally run in
         check_int "detected" 2 detected;
         check_int "undetected" 1 undetected;
         check_int "failed" 0 failed);
     Alcotest.test_case "resistor model agrees with source model" `Quick (fun () ->
-        let run_src = Anafault.Simulate.run config inverter faults in
+        let run_src = run_serial config inverter faults in
         let run_res =
-          Anafault.Simulate.run
+          run_serial
             { config with model = Faults.Inject.default_resistor }
             inverter faults
         in
@@ -334,26 +354,19 @@ let simulate_tests =
     Alcotest.test_case "progress callback fires per fault" `Quick (fun () ->
         let calls = ref [] in
         let _ =
-          Anafault.Simulate.run
+          run_serial
             ~progress:(fun d t -> calls := (d, t) :: !calls)
             config inverter faults
         in
         check_int "three calls" 3 (List.length !calls);
         check_bool "totals right" true (List.for_all (fun (_, t) -> t = 3) !calls));
     Alcotest.test_case "parallel run equals serial run" `Quick (fun () ->
-        let serial = Anafault.Simulate.run config inverter faults in
-        let parallel = Anafault.Parsim.run ~domains:4 config inverter faults in
-        let key run =
-          List.map
-            (fun (r : Anafault.Simulate.fault_result) ->
-              ( r.fault.Faults.Fault.id,
-                match r.outcome with
-                | Anafault.Simulate.Detected t -> Printf.sprintf "d%.9f" t
-                | Anafault.Simulate.Undetected -> "u"
-                | Anafault.Simulate.Sim_failed _ -> "f" ))
-            run.Anafault.Simulate.results
+        let serial = run_serial config inverter faults in
+        let parallel =
+          fst (Anafault.Parsim.execute { config with domains = 4 } inverter faults)
         in
-        check_bool "same" true (key serial = key parallel));
+        Alcotest.(check (list (pair string string)))
+          "same outcomes" (key serial) (key parallel));
   ]
 
 let parsim_tests =
@@ -369,7 +382,7 @@ let parsim_tests =
             model = Faults.Inject.Resistor { r_short = 0.0; r_open = 100e6 } }
         in
         let run, stats =
-          Anafault.Parsim.run_with_stats ~clamp:false ~domains:2 poison inverter
+          Anafault.Parsim.execute ~clamp:false { poison with domains = 2 } inverter
             faults
         in
         let outcomes =
@@ -395,7 +408,7 @@ let parsim_tests =
              0 stats));
     Alcotest.test_case "domain stats cover the whole fault list" `Quick (fun () ->
         let _, stats =
-          Anafault.Parsim.run_with_stats ~clamp:false ~domains:2 config inverter
+          Anafault.Parsim.execute ~clamp:false { config with domains = 2 } inverter
             faults
         in
         check_int "domains" 2 (List.length stats);
@@ -417,7 +430,7 @@ let parsim_tests =
              stats
           |> List.sort Int.compare = [ 0; 1; 2 ]));
     Alcotest.test_case "run reports both wall and cpu time" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         check_bool "wall positive" true (run.Anafault.Simulate.wall_seconds > 0.0);
         check_bool "cpu non-negative" true (run.Anafault.Simulate.cpu_seconds >= 0.0);
         let s = Format.asprintf "%a" Anafault.Report.pp_summary run in
@@ -433,7 +446,7 @@ let parsim_tests =
 let coverage_tests =
   [
     Alcotest.test_case "coverage curve is monotone to the final value" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         let curve = Anafault.Coverage.curve run ~points:50 in
         let values = List.map snd curve in
         let rec monotone = function
@@ -445,18 +458,18 @@ let coverage_tests =
           "final matches" (Anafault.Coverage.final_percent run)
           (List.nth values (List.length values - 1)));
     Alcotest.test_case "final percent counts detections only" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         Alcotest.(check (float 0.1)) "2/3" (200.0 /. 3.0)
           (Anafault.Coverage.final_percent run));
     Alcotest.test_case "weighted percent favours likely faults" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         (* The undetected fault has the smallest probability, so weighted
            coverage exceeds the raw percentage. *)
         check_bool "weighted higher" true
           (Anafault.Coverage.weighted_percent run
           > Anafault.Coverage.final_percent run));
     Alcotest.test_case "time_to_percent" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         match Anafault.Coverage.time_to_percent run 50.0 with
         | Some t -> check_bool "within test" true (t > 0.0 && t <= 4e-6)
         | None -> Alcotest.fail "expected a time");
@@ -465,21 +478,21 @@ let coverage_tests =
 let report_tests =
   [
     Alcotest.test_case "csv has a line per fault plus header" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         let lines =
           String.split_on_char '\n' (Anafault.Report.csv run)
           |> List.filter (fun l -> l <> "")
         in
         check_int "lines" 4 (List.length lines));
     Alcotest.test_case "summary and table render" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         check_bool "summary" true
           (String.length (Format.asprintf "%a" Anafault.Report.pp_summary run) > 0);
         check_bool "table" true
           (String.length (Format.asprintf "%a" Anafault.Report.pp_table run) > 0);
         check_bool "plot" true (String.length (Anafault.Report.coverage_plot run) > 0));
     Alcotest.test_case "overview groups by mechanism" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         let s = Format.asprintf "%a" Anafault.Report.pp_overview run in
         let contains hay needle =
           let nh = String.length hay and nn = String.length needle in
@@ -489,7 +502,7 @@ let report_tests =
         check_bool "mech listed" true (contains s "metal1_short");
         check_bool "header" true (contains s "mean t_detect"));
     Alcotest.test_case "waveform csv export" `Quick (fun () ->
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         let csv = Sim.Waveform.to_csv run.Anafault.Simulate.nominal in
         let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
         Alcotest.(check int) "rows" (1 + Sim.Waveform.length run.Anafault.Simulate.nominal)
@@ -519,18 +532,6 @@ let counter_total events name =
       | Obs.Count { name = n'; n; _ } when n' = name -> acc + n
       | _ -> acc)
     0 events
-
-(* Detection outcomes keyed per fault with full float precision, for
-   bit-for-bit comparisons across runs and journal round-trips. *)
-let key (run : Anafault.Simulate.run) =
-  List.map
-    (fun (r : Anafault.Simulate.fault_result) ->
-      ( r.fault.Faults.Fault.id,
-        match r.outcome with
-        | Anafault.Simulate.Detected t -> Printf.sprintf "d%.17g" t
-        | Anafault.Simulate.Undetected -> "u"
-        | Anafault.Simulate.Sim_failed f -> "f:" ^ Anafault.Outcome.failure_kind f ))
-    run.Anafault.Simulate.results
 
 (* Bridging the pulse input to the supply under the source model closes
    a loop of three ideal voltage sources with inconsistent values while
@@ -703,7 +704,7 @@ let budget_tests =
             ~sim_options:deadline_options ~retries:[] ()
         in
         let t0 = Unix.gettimeofday () in
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         check_all_budget_exceeded run;
         check_bool "terminated promptly" true (Unix.gettimeofday () -. t0 < 60.0));
     Alcotest.test_case "50 ms deadline bounds every fault, 4 domains" `Slow (fun () ->
@@ -730,7 +731,7 @@ let budget_tests =
           Anafault.Simulate.default_config ~tran ~observed:"out" ~sim_options:options
             ~retries:[] ()
         in
-        let run = Anafault.Simulate.run config inverter faults in
+        let run = run_serial config inverter faults in
         check_bool "nominal produced" true
           (Sim.Waveform.length run.Anafault.Simulate.nominal > 0);
         check_all_budget_exceeded run);
@@ -741,7 +742,7 @@ let retry_tests =
     Alcotest.test_case "swap-model retry rescues a singular injection" `Quick
       (fun () ->
         (* Default ladder: [Swap_model]. *)
-        let run = Anafault.Simulate.run config inverter [ singular_bridge ] in
+        let run = run_serial config inverter [ singular_bridge ] in
         let r = List.hd run.Anafault.Simulate.results in
         (match r.outcome with
         | Anafault.Simulate.Sim_failed f ->
@@ -765,7 +766,7 @@ let retry_tests =
         (* Relaxing reltol cannot fix an insoluble system: both rungs
            fail and both failures must be reported. *)
         let config = { config with retries = [ Anafault.Outcome.Relax_reltol 10.0 ] } in
-        let run = Anafault.Simulate.run config inverter [ singular_bridge ] in
+        let run = run_serial config inverter [ singular_bridge ] in
         let r = List.hd run.Anafault.Simulate.results in
         let failure_kind =
           match r.outcome with
@@ -795,7 +796,7 @@ let retry_tests =
                        moved = [ { Faults.Fault.device = "ZZ"; port = 1 } ] })
             ~mechanism:"poly_open" ~prob:1e-8 ()
         in
-        let run = Anafault.Simulate.run config inverter [ ghost ] in
+        let run = run_serial config inverter [ ghost ] in
         let r = List.hd run.Anafault.Simulate.results in
         (match r.outcome with
         | Anafault.Simulate.Sim_failed (Anafault.Simulate.Bad_injection _) -> ()
@@ -806,7 +807,7 @@ let retry_tests =
     Alcotest.test_case "retries are counted in the telemetry" `Quick (fun () ->
         let obs = Obs.memory () in
         let config = { config with obs } in
-        let _ = Anafault.Simulate.run config inverter [ singular_bridge ] in
+        let _ = run_serial config inverter [ singular_bridge ] in
         let events = Obs.drain obs in
         check_bool "anafault.retry counted" true
           (counter_total events "anafault.retry" >= 1));
@@ -850,13 +851,13 @@ let robust_tests =
         let obs = Obs.memory () in
         let config = { config with retries = []; obs } in
         let run =
-          Anafault.Simulate.run config inverter (singular_bridge :: faults)
+          run_serial config inverter (singular_bridge :: faults)
         in
         (match key run with
         | ("#S", first) :: rest ->
           check_bool "poisoning fault failed" true (String.length first > 1 && first.[0] = 'f');
           let clean =
-            Anafault.Simulate.run { config with obs = Obs.null } inverter faults
+            run_serial { config with obs = Obs.null } inverter faults
           in
           Alcotest.(check (list (pair string string)))
             "bit-for-bit with an unpoisoned run" (key clean) rest
@@ -908,9 +909,9 @@ let batch_tests =
              ~total:6));
     Alcotest.test_case "batched run equals serial run bit-for-bit" `Quick
       (fun () ->
-        let serial = Anafault.Simulate.run config inverter faults in
+        let serial = run_serial config inverter faults in
         let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:3 config inverter faults
+          Anafault.Parsim.execute { config with batch = 3 } inverter faults
         in
         Alcotest.(check (list (pair string string)))
           "same outcomes" (key serial) (key batched));
@@ -923,18 +924,18 @@ let batch_tests =
         let tran = { Netlist.Parser.tstep = 1e-7; tstop = 2e-6; uic = false } in
         let observed = Anafault.Simulate.default_observed circuit in
         let config = Anafault.Simulate.default_config ~tran ~observed () in
-        let serial = Anafault.Simulate.run config circuit grid_faults in
+        let serial = run_serial config circuit grid_faults in
         let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:4 config circuit grid_faults
+          Anafault.Parsim.execute { config with batch = 4 } circuit grid_faults
         in
         Alcotest.(check (list (pair string string)))
           "same outcomes" (key serial) (key batched));
     Alcotest.test_case "a decided fault is dropped early" `Quick (fun () ->
         let obs = Obs.memory () in
         let config = { config with obs } in
-        let serial = Anafault.Simulate.run { config with obs = Obs.null } inverter faults in
+        let serial = run_serial { config with obs = Obs.null } inverter faults in
         let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:3 config inverter faults
+          Anafault.Parsim.execute { config with batch = 3 } inverter faults
         in
         let events = Obs.drain obs in
         check_bool "drops counted" true (counter_total events "batch.drops" >= 1);
@@ -958,9 +959,10 @@ let batch_tests =
       (fun () ->
         let calls = ref [] in
         let _ =
-          Anafault.Parsim.execute ~clamp:false ~domains:2 ~batch:2
+          Anafault.Parsim.execute ~clamp:false
             ~progress:(fun d t -> calls := (d, t) :: !calls)
-            config inverter faults
+            { config with domains = 2; batch = 2 }
+            inverter faults
         in
         let calls = List.rev !calls in
         check_bool "at least the final call" true (calls <> []);
@@ -976,12 +978,12 @@ let batch_tests =
       (fun () ->
         let obs = Obs.memory () in
         let config = { config with obs } in
-        Fun.protect
-          ~finally:(fun () -> Anafault.Parsim.chaos_session_failure := fun _ -> false)
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset
           (fun () ->
-            Anafault.Parsim.chaos_session_failure := (fun d -> d = 1);
+            Obs.Failpoint.arm "parsim.session.1" Obs.Failpoint.Fail;
             let run, stats =
-              Anafault.Parsim.run_with_stats ~clamp:false ~domains:2 config
+              Anafault.Parsim.execute ~clamp:false { config with domains = 2 }
                 inverter faults
             in
             check_int "both domains reported" 2 (List.length stats);
@@ -999,12 +1001,13 @@ let batch_tests =
                failed)));
     Alcotest.test_case "every domain dying still completes the campaign" `Quick
       (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Anafault.Parsim.chaos_session_failure := fun _ -> false)
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset
           (fun () ->
-            Anafault.Parsim.chaos_session_failure := (fun _ -> true);
+            Obs.Failpoint.arm "parsim.session.0" Obs.Failpoint.Fail;
+            Obs.Failpoint.arm "parsim.session.1" Obs.Failpoint.Fail;
             let run, stats =
-              Anafault.Parsim.run_with_stats ~clamp:false ~domains:2 config
+              Anafault.Parsim.execute ~clamp:false { config with domains = 2 }
                 inverter faults
             in
             check_bool "all domains died" true
@@ -1042,13 +1045,13 @@ let journal_tests =
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
-        let first = Anafault.Simulate.run ~journal:j config inverter faults in
+        let first = run_serial ~journal:j config inverter faults in
         Anafault.Journal.close j;
         let j2 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
         check_int "all restored" 3 (Anafault.Journal.restored_count j2);
         let obs = Obs.memory () in
         let second =
-          Anafault.Simulate.run ~journal:j2 { config with obs } inverter faults
+          run_serial ~journal:j2 { config with obs } inverter faults
         in
         Anafault.Journal.close j2;
         Alcotest.(check (list (pair string string)))
@@ -1058,12 +1061,12 @@ let journal_tests =
     Alcotest.test_case "killed mid-campaign, resume matches the uninterrupted run"
       `Quick (fun () ->
         with_temp_journal @@ fun path ->
-        let uninterrupted = Anafault.Simulate.run config inverter faults in
+        let uninterrupted = run_serial config inverter faults in
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
         (match
-           Anafault.Simulate.run ~journal:j
+           run_serial ~journal:j
              ~progress:(fun completed _ -> if completed >= 1 then raise Abort)
              config inverter faults
          with
@@ -1074,7 +1077,7 @@ let journal_tests =
         check_int "one fault survived the kill" 1 (Anafault.Journal.restored_count j2);
         let obs = Obs.memory () in
         let resumed =
-          Anafault.Simulate.run ~journal:j2 { config with obs } inverter faults
+          run_serial ~journal:j2 { config with obs } inverter faults
         in
         Anafault.Journal.close j2;
         Alcotest.(check (list (pair string string)))
@@ -1088,7 +1091,7 @@ let journal_tests =
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
-        let _ = Anafault.Simulate.run ~journal:j config inverter faults in
+        let _ = run_serial ~journal:j config inverter faults in
         Anafault.Journal.close j;
         let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
         output_string oc "{\"index\": 2, \"id";
@@ -1116,11 +1119,11 @@ let journal_tests =
         | Ok _ -> Alcotest.fail "fault-count mismatch must be refused");
     Alcotest.test_case "the parallel scheduler honours a journal" `Quick (fun () ->
         with_temp_journal @@ fun path ->
-        let serial = Anafault.Simulate.run config inverter faults in
+        let serial = run_serial config inverter faults in
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
-        let _ = Anafault.Simulate.run ~journal:j config inverter faults in
+        let _ = run_serial ~journal:j config inverter faults in
         Anafault.Journal.close j;
         let j2 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
         let config4 = { config with domains = 4 } in
@@ -1138,7 +1141,7 @@ let journal_tests =
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
         let batched, _ =
-          Anafault.Parsim.execute ~journal:j ~domains:1 ~batch:3 config inverter
+          Anafault.Parsim.execute ~journal:j { config with batch = 3 } inverter
             faults
         in
         Anafault.Journal.close j;
@@ -1146,7 +1149,7 @@ let journal_tests =
         check_int "all restored" 3 (Anafault.Journal.restored_count j2);
         let obs = Obs.memory () in
         let serial =
-          Anafault.Simulate.run ~journal:j2 { config with obs } inverter faults
+          run_serial ~journal:j2 { config with obs } inverter faults
         in
         Anafault.Journal.close j2;
         Alcotest.(check (list (pair string string)))
@@ -1158,13 +1161,13 @@ let journal_tests =
         let j3 =
           start_exn ~path:path2 ~fingerprint:fp ~resume:false ~faults:fault_arr
         in
-        let serial2 = Anafault.Simulate.run ~journal:j3 config inverter faults in
+        let serial2 = run_serial ~journal:j3 config inverter faults in
         Anafault.Journal.close j3;
         let j4 =
           start_exn ~path:path2 ~fingerprint:fp ~resume:true ~faults:fault_arr
         in
         let rebatched, _ =
-          Anafault.Parsim.execute ~journal:j4 ~domains:1 ~batch:3 config inverter
+          Anafault.Parsim.execute ~journal:j4 { config with batch = 3 } inverter
             faults
         in
         Anafault.Journal.close j4;

@@ -248,7 +248,11 @@ let ac_tests =
   [
     Alcotest.test_case "rc lowpass magnitude and corner" `Quick (fun () ->
         let freqs = Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:1e6 ~per_decade:20 in
-        let sp = Compat.ac rc_lowpass ~source:"VIN" ~freqs in
+        let sp =
+          Sim.Engine.(
+            Analysis.spectrum
+              (run rc_lowpass (Analysis.Ac { source = "VIN"; freqs })))
+        in
         let mag = Sim.Spectrum.magnitude_db sp "out" in
         checkf 0.01 "dc gain" 0.0 mag.(0);
         (match Sim.Spectrum.corner_frequency sp "out" with
@@ -266,7 +270,11 @@ let ac_tests =
           freqs);
     Alcotest.test_case "rc lowpass phase approaches -90" `Quick (fun () ->
         let freqs = Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:1e6 ~per_decade:10 in
-        let sp = Compat.ac rc_lowpass ~source:"VIN" ~freqs in
+        let sp =
+          Sim.Engine.(
+            Analysis.spectrum
+              (run rc_lowpass (Analysis.Ac { source = "VIN"; freqs })))
+        in
         let ph = Sim.Spectrum.phase_deg sp "out" in
         checkf 2.0 "dc phase" 0.0 ph.(0);
         checkf 3.0 "hf phase" (-90.0) ph.(Array.length ph - 1));
@@ -274,11 +282,19 @@ let ac_tests =
         let c =
           parse "t\nVIN in 0 DC 0\nVOFF x 0 5\nR1 in out 1k\nR2 out x 1k\n.end\n"
         in
-        let sp = Compat.ac c ~source:"VIN" ~freqs:[ 1e3 ] in
+        let sp =
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "VIN"; freqs = [ 1e3 ] })))
+        in
         (* VOFF acts as ground: out = in / 2. *)
         checkf 1e-9 "divider" 0.5 (Complex.norm (Sim.Spectrum.phasor sp "out" 0)));
     Alcotest.test_case "unknown source rejected" `Quick (fun () ->
-        match Compat.ac rc_lowpass ~source:"VBOGUS" ~freqs:[ 1e3 ] with
+        match
+          Sim.Engine.(
+            Analysis.spectrum
+              (run rc_lowpass (Analysis.Ac { source = "VBOGUS"; freqs = [ 1e3 ] })))
+        with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "mos amplifier inverts and amplifies" `Quick (fun () ->
@@ -287,7 +303,11 @@ let ac_tests =
             ("amp\nVDD vdd 0 5\nVIN gate 0 DC 1.3\nRD vdd out 20k\n"
            ^ "M1 out gate 0 0 NM W=20u L=1u\n.model NM NMOS VTO=0.8 KP=60u LAMBDA=0.02\n.end\n")
         in
-        let sp = Compat.ac c ~source:"VIN" ~freqs:[ 100.0 ] in
+        let sp =
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "VIN"; freqs = [ 100.0 ] })))
+        in
         let h = Sim.Spectrum.phasor sp "out" 0 in
         check_bool "gain > 3" true (Complex.norm h > 3.0);
         checkf 5.0 "inverting" 180.0 (Float.abs (Complex.arg h *. 180.0 /. Float.pi)));
@@ -305,7 +325,9 @@ let dc_sweep_tests =
     Alcotest.test_case "linear divider sweeps linearly" `Quick (fun () ->
         let c = parse "d\nV1 in 0 1\nR1 in out 1k\nR2 out 0 1k\n.end\n" in
         let pts =
-          Compat.dc_sweep c ~source:"V1" ~values:[ 0.0; 1.0; 2.0; 4.0 ]
+          Sim.Engine.(
+            Analysis.sweep
+              (run c (Analysis.Dc_sweep { source = "V1"; values = [ 0.0; 1.0; 2.0; 4.0 ] })))
         in
         List.iter
           (fun (v, sol) -> checkf 1e-6 "half" (v /. 2.0) (Sim.Engine.voltage sol "out"))
@@ -316,8 +338,9 @@ let dc_sweep_tests =
             "inv\nVDD vdd 0 5\nVIN in 0 0\nRD vdd out 10k\nM1 out in 0 0 NM W=10u L=1u\n.model NM NMOS VTO=1 KP=60u\n.end\n"
         in
         let pts =
-          Compat.dc_sweep c ~source:"VIN"
-            ~values:(List.init 11 (fun i -> 0.5 *. float_of_int i))
+          Sim.Engine.(
+            Analysis.sweep
+              (run c (Analysis.Dc_sweep { source = "VIN"; values = (List.init 11 (fun i -> 0.5 *. float_of_int i)) })))
         in
         let outs = List.map (fun (_, s) -> Sim.Engine.voltage s "out") pts in
         let rec falling = function
@@ -329,7 +352,11 @@ let dc_sweep_tests =
         check_bool "ends low" true (List.nth outs 10 < 0.5));
     Alcotest.test_case "unknown source rejected" `Quick (fun () ->
         let c = parse "d\nV1 a 0 1\nR1 a 0 1k\n.end\n" in
-        match Compat.dc_sweep c ~source:"R1" ~values:[ 1.0 ] with
+        match
+          Sim.Engine.(
+            Analysis.sweep
+              (run c (Analysis.Dc_sweep { source = "R1"; values = [ 1.0 ] })))
+        with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
   ]
@@ -431,10 +458,13 @@ let diagnose_tests =
         let culprit = List.nth small_faults 1 in
         let measured =
           (* Same fault model the dictionary was built with. *)
-          Compat.transient
-            (Faults.Inject.apply ~model:small_config.Anafault.Simulate.model
-               small_inverter culprit)
-            ~tstep:10e-9 ~tstop:4e-6 ~uic:true
+          let faulty =
+            Faults.Inject.apply ~model:small_config.Anafault.Simulate.model
+              small_inverter culprit
+          in
+          Sim.Engine.(
+            Analysis.waveform
+              (run faulty (Analysis.Tran { tstep = 10e-9; tstop = 4e-6; uic = true })))
         in
         match Anafault.Diagnose.diagnose dict measured with
         | Some (f, d) ->
@@ -443,7 +473,11 @@ let diagnose_tests =
         | None -> Alcotest.fail "no diagnosis");
     Alcotest.test_case "good die is far from every signature" `Quick (fun () ->
         let dict = Anafault.Diagnose.build small_config small_inverter small_faults in
-        let good = Compat.transient small_inverter ~tstep:10e-9 ~tstop:4e-6 ~uic:true in
+        let good =
+          Sim.Engine.(
+            Analysis.waveform
+              (run small_inverter (Analysis.Tran { tstep = 10e-9; tstop = 4e-6; uic = true })))
+        in
         checkf 0.05 "nominal distance" 0.0 (Anafault.Diagnose.nominal_distance dict good);
         match Anafault.Diagnose.rank dict good with
         | (_, d) :: _ -> check_bool "far" true (d > 1.0)

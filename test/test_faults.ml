@@ -131,11 +131,11 @@ let inject_tests =
     Alcotest.test_case "bridge resistor model shorts the divider" `Quick (fun () ->
         let faulty = Faults.Inject.apply ~model:resistor_model divider bridge_fault in
         check_int "one extra device" 4 (Netlist.Circuit.device_count faulty);
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         checkf 1e-3 "out shorted" 0.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "bridge source model shorts the divider" `Quick (fun () ->
         let faulty = Faults.Inject.apply ~model:Faults.Inject.Source divider bridge_fault in
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         checkf 1e-9 "out shorted" 0.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "bridge on same net is a no-op" `Quick (fun () ->
         let f =
@@ -148,11 +148,11 @@ let inject_tests =
     Alcotest.test_case "open resistor model floats the divider tap" `Quick (fun () ->
         (* Detach R2's top terminal: out becomes in (no load current). *)
         let faulty = Faults.Inject.apply ~model:resistor_model divider open_fault in
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         checkf 0.01 "out pulled up" 10.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "open source model disconnects" `Quick (fun () ->
         let faulty = Faults.Inject.apply ~model:Faults.Inject.Source divider open_fault in
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         checkf 0.01 "out pulled up" 10.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "break rewires the named terminal" `Quick (fun () ->
         let faulty = Faults.Inject.apply ~model:resistor_model divider open_fault in
@@ -170,7 +170,7 @@ let inject_tests =
             ~mechanism:"channel_open" ()
         in
         let faulty = Faults.Inject.apply ~model:resistor_model c f in
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         (* The transistor never conducts: the output stays high. *)
         checkf 1e-3 "out high" 5.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "stuck-open on non-mos raises" `Quick (fun () ->
@@ -214,7 +214,7 @@ let inject_tests =
             ~mechanism:"m1" ()
         in
         let faulty = Faults.Inject.apply ~model:Faults.Inject.Source c f in
-        let sol = Compat.dc_operating_point faulty in
+        let sol = Sim.Engine.(Analysis.solution (run faulty Analysis.Op)) in
         (* Both resistor taps are detached from the source. *)
         checkf 1e-3 "a floats low" 0.0 (Sim.Engine.voltage sol "a");
         checkf 1e-3 "b floats low" 0.0 (Sim.Engine.voltage sol "b"));

@@ -298,7 +298,7 @@ let subckt_tests =
         (* The local vdd nets float; tie them for a meaningful solve. *)
         let c = Netlist.Circuit.rename_node c ~from_:"XA.vdd" ~to_:"vdd" in
         let c = Netlist.Circuit.rename_node c ~from_:"XB.vdd" ~to_:"vdd" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         (* in = 1 V < VTO: first inverter output high, second low-ish. *)
         check_bool "mid high" true (Sim.Engine.voltage sol "mid" > 4.0);
         check_bool "out low" true (Sim.Engine.voltage sol "out" < 1.0));

@@ -204,13 +204,13 @@ let divider =
 
 let analysis_tests =
   [
-    Alcotest.test_case "run Op matches the deprecated entry point" `Quick
+    Alcotest.test_case "run Op matches the session DC solve" `Quick
       (fun () ->
         let sol = Sim.Engine.(Analysis.solution (run divider Analysis.Op)) in
-        let old = Compat.dc_operating_point divider in
+        let sess = Sim.Engine.(Session.solve_dc (Session.create divider)) in
         Alcotest.(check (float 1e-12))
           "same node voltage"
-          (Sim.Engine.voltage old "out")
+          (Sim.Engine.voltage sess "out")
           (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "result accessors reject the wrong analysis" `Quick
       (fun () ->
@@ -276,7 +276,8 @@ let parity_tests =
         let run ~obs =
           let config = { Cat.Demo.config with Anafault.Simulate.obs } in
           List.map outcome_of
-            (Anafault.Simulate.run config circuit faults).Anafault.Simulate.results
+            (fst (Anafault.Parsim.execute config circuit faults))
+              .Anafault.Simulate.results
         in
         let plain = run ~obs:Obs.null in
         let obs = Obs.memory () in

@@ -90,19 +90,75 @@ let pool_tests =
         let expect = Array.init 100 f in
         List.iter
           (fun domains ->
-            check_bool "same" true (Defects.Pool.map ~domains f 100 = expect))
+            check_bool "same" true (Pool.map ~domains f 100 = expect))
           [ 1; 2; 4 ]);
     Alcotest.test_case "map n=0" `Quick (fun () ->
-        check_int "empty" 0 (Array.length (Defects.Pool.map ~domains:4 Fun.id 0)));
+        check_int "empty" 0 (Array.length (Pool.map ~domains:4 Fun.id 0)));
     Alcotest.test_case "exceptions re-raised after join" `Quick (fun () ->
         check_bool "raises" true
           (try
              ignore
-               (Defects.Pool.map ~domains:2
+               (Pool.map ~domains:2
                   (fun i -> if i = 17 then failwith "boom" else i)
                   64);
              false
            with Failure msg -> msg = "boom"));
+    Alcotest.test_case "width 1 runs every chunk in the caller, in order" `Quick
+      (fun () ->
+        let seen = ref [] in
+        let reports =
+          Pool.run ~domains:1 ~chunk:3
+            ~setup:(fun d -> d)
+            (fun d lo hi -> seen := (d, lo, hi) :: !seen)
+            8
+        in
+        check_bool "chunks" true
+          (List.rev !seen = [ (0, 0, 3); (0, 3, 6); (0, 6, 8) ]);
+        check_bool "one report" true
+          (match reports with [ { Pool.domain = 0; chunks = 3; died = false; _ } ] -> true | _ -> false));
+    Alcotest.test_case "a failed setup or Died kills only that domain" `Quick
+      (fun () ->
+        let check label ~setup ~task =
+          let finished = Array.make 50 false in
+          let reports =
+            Pool.run ~domains:2 ~chunk:1 ~setup
+              (fun d lo _ ->
+                finished.(lo) <- true;
+                task d)
+              50
+          in
+          check_bool (label ^ ": only domain 1 died") true
+            (List.map (fun (r : Pool.report) -> (r.domain, r.died)) reports
+            = [ (0, false); (1, true) ]);
+          check_bool (label ^ ": the survivor drains the range") true
+            (Array.for_all Fun.id finished)
+        in
+        check "setup" ~setup:(fun d -> if d = 1 then failwith "no session" else d)
+          ~task:ignore;
+        (* Domain 0 holds its first chunk until domain 1 has died, so
+           domain 1 is sure to claim one. *)
+        let gone = Atomic.make false in
+        check "Died" ~setup:Fun.id ~task:(fun d ->
+            if d = 1 then begin
+              Atomic.set gone true;
+              raise Pool.Died
+            end
+            else
+              while not (Atomic.get gone) do
+                Domain.cpu_relax ()
+              done));
+    Alcotest.test_case "stop is checked before every claim" `Quick (fun () ->
+        let claimed = ref 0 in
+        let reports =
+          Pool.run
+            ~stop:(fun () -> !claimed >= 4)
+            ~domains:1 ~chunk:2 ~setup:ignore
+            (fun () _ _ -> incr claimed)
+            100
+        in
+        check_int "claims" 4 !claimed;
+        check_bool "not a death" true
+          (List.for_all (fun (r : Pool.report) -> not r.died) reports));
   ]
 
 let parity_tests =
@@ -186,6 +242,34 @@ let cache_tests =
            edited layout, byte for byte. *)
         check_str "parity" (serial_text edited)
           (Faults.Fault_list.to_string (Defects.Lift.ranked incr.result)));
+    Alcotest.test_case "concurrent cold runs share one cache dir" `Quick
+      (fun () ->
+        (* Threads of one domain writing the same artefacts at once (the
+           daemon's handler threads extracting one layout): every write
+           must use its own temporary file. *)
+        let dir = temp_dir () in
+        let mask = Synth.Layout_synth.vco_array ~rows:3 ~cols:3 () in
+        let reference = serial_text mask in
+        let answers = Array.make 6 (Error "not run") in
+        let threads =
+          Array.to_list
+            (Array.mapi
+               (fun i _ ->
+                 Thread.create
+                   (fun () ->
+                     answers.(i) <-
+                       (match pipeline_text ~cache:dir mask with
+                       | text -> Ok text
+                       | exception exn -> Error (Printexc.to_string exn)))
+                   ())
+               answers)
+        in
+        List.iter Thread.join threads;
+        Array.iter
+          (function
+            | Ok text -> check_str "parity" reference text
+            | Error msg -> Alcotest.fail msg)
+          answers);
     Alcotest.test_case "corrupt artefact is a miss, not an error" `Quick
       (fun () ->
         let dir = temp_dir () in

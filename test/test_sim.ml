@@ -168,25 +168,25 @@ let dc_tests =
   [
     Alcotest.test_case "voltage divider" `Quick (fun () ->
         let c = parse "div\nV1 in 0 10\nR1 in out 1k\nR2 out 0 1k\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         checkf 1e-6 "out" 5.0 (Sim.Engine.voltage sol "out");
         checkf 1e-9 "source current" (-0.005) (Sim.Engine.branch_current sol "V1"));
     Alcotest.test_case "current source into resistor" `Quick (fun () ->
         let c = parse "isrc\nI1 0 out 1m\nR1 out 0 2k\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         checkf 1e-6 "out" 2.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "inductor is a DC short" `Quick (fun () ->
         let c = parse "ldc\nV1 in 0 1\nL1 in out 1m\nR1 out 0 1k\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         checkf 1e-6 "out" 1.0 (Sim.Engine.voltage sol "out");
         checkf 1e-9 "iL" 1e-3 (Sim.Engine.branch_current sol "L1"));
     Alcotest.test_case "capacitor is a DC open" `Quick (fun () ->
         let c = parse "cdc\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1n\nR2 out 0 1k\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         checkf 1e-6 "out" 0.5 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "diode clamp near 0.6V" `Quick (fun () ->
         let c = parse "dclamp\nV1 in 0 5\nR1 in out 1k\nD1 out 0 DX\n.model DX D IS=1e-14\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         let v = Sim.Engine.voltage sol "out" in
         check_bool "plausible diode drop" true (v > 0.4 && v < 0.8));
     Alcotest.test_case "nmos inverter low output for high input" `Quick (fun () ->
@@ -194,14 +194,14 @@ let dc_tests =
           parse
             "inv\nVDD vdd 0 5\nVIN in 0 5\nRD vdd out 10k\nM1 out in 0 0 NM W=10u L=1u\n.model NM NMOS VTO=1 KP=60u\n.end\n"
         in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         check_bool "low" true (Sim.Engine.voltage sol "out" < 0.5));
     Alcotest.test_case "nmos inverter high output for low input" `Quick (fun () ->
         let c =
           parse
             "inv\nVDD vdd 0 5\nVIN in 0 0\nRD vdd out 10k\nM1 out in 0 0 NM W=10u L=1u\n.model NM NMOS VTO=1 KP=60u\n.end\n"
         in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         checkf 1e-3 "high" 5.0 (Sim.Engine.voltage sol "out"));
     Alcotest.test_case "cmos inverter mid threshold" `Quick (fun () ->
         let c =
@@ -211,7 +211,7 @@ let dc_tests =
            ^ ".model NM NMOS VTO=0.8 KP=60u LAMBDA=0.02\n"
            ^ ".model PM PMOS VTO=-0.8 KP=25u LAMBDA=0.02\n.end\n")
         in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         let v = Sim.Engine.voltage sol "out" in
         check_bool "in transition region" true (v > 1.0 && v < 4.0));
   ]
@@ -221,7 +221,11 @@ let tran_tests =
     Alcotest.test_case "rc charging matches analytic" `Quick (fun () ->
         (* tau = 1k * 1u = 1 ms; v(t) = 5(1 - exp(-t/tau)). *)
         let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
-        let wf = Compat.transient c ~tstep:1e-5 ~tstop:5e-3 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-5; tstop = 5e-3; uic = true })))
+        in
         List.iter
           (fun t ->
             let expect = 5.0 *. (1.0 -. exp (-.t /. 1e-3)) in
@@ -230,12 +234,20 @@ let tran_tests =
           [ 5e-4; 1e-3; 2e-3; 4e-3 ]);
     Alcotest.test_case "rc discharging from IC" `Quick (fun () ->
         let c = parse "rc2\nR1 out 0 1k\nC1 out 0 1u IC=5\n.end\n" in
-        let wf = Compat.transient c ~tstep:1e-5 ~tstop:3e-3 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-5; tstop = 3e-3; uic = true })))
+        in
         checkf 0.02 "v(1ms)" (5.0 *. exp (-1.0)) (Sim.Waveform.value_at wf "out" 1e-3));
     Alcotest.test_case "rl current rise" `Quick (fun () ->
         (* tau = L/R = 1 ms; i(t) = (V/R)(1-exp(-t/tau)). *)
         let c = parse "rl\nV1 in 0 1\nR1 in x 1\nL1 x 0 1m\n.end\n" in
-        let wf = Compat.transient c ~tstep:1e-5 ~tstop:5e-3 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-5; tstop = 5e-3; uic = true })))
+        in
         checkf 0.01 "i(1ms)"
           (1.0 -. exp (-1.0))
           (Sim.Waveform.value_at wf "I(L1)" 1e-3));
@@ -244,7 +256,11 @@ let tran_tests =
           parse
             "pl\nVIN in 0 PULSE(0 5 1u 10n 10n 10u 0)\nR1 in out 1k\nC1 out 0 100p IC=0\n.end\n"
         in
-        let wf = Compat.transient c ~tstep:5e-8 ~tstop:4e-6 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 5e-8; tstop = 4e-6; uic = true })))
+        in
         checkf 0.05 "still 0 before pulse" 0.0 (Sim.Waveform.value_at wf "out" 0.9e-6);
         (* 3 us after edge = 29 tau: fully settled. *)
         checkf 0.05 "settled" 5.0 (Sim.Waveform.value_at wf "out" 4e-6));
@@ -255,30 +271,49 @@ let tran_tests =
         let options =
           { Sim.Engine.default_options with integration = Sim.Engine.Trapezoidal }
         in
-        let wf = Compat.transient ~options c ~tstep:2e-6 ~tstop:3e-4 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run ~options c (Analysis.Tran { tstep = 2e-6; tstop = 3e-4; uic = true })))
+        in
         let half = Float.pi *. sqrt (1e-3 *. 1e-6) in
         let v_half = Sim.Waveform.value_at wf "out" half in
         check_bool "inverted after half period" true (v_half < -0.8));
     Alcotest.test_case "uic starts from capacitor ICs" `Quick (fun () ->
         let c = parse "ic\nR1 out 0 1k\nC1 out 0 1u IC=3\n.end\n" in
-        let wf = Compat.transient c ~tstep:1e-6 ~tstop:1e-5 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-6; tstop = 1e-5; uic = true })))
+        in
         checkf 0.01 "v(0)" 3.0 (Sim.Waveform.value_at wf "out" 0.0));
     Alcotest.test_case "backward euler also converges" `Quick (fun () ->
         let options =
           { Sim.Engine.default_options with integration = Sim.Engine.Backward_euler }
         in
         let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
-        let wf = Compat.transient ~options c ~tstep:1e-5 ~tstop:2e-3 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run ~options c (Analysis.Tran { tstep = 1e-5; tstop = 2e-3; uic = true })))
+        in
         checkf 0.05 "v(1ms)" (5.0 *. (1.0 -. exp (-1.0)))
           (Sim.Waveform.value_at wf "out" 1e-3));
     Alcotest.test_case "stats are populated" `Quick (fun () ->
         let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
-        let _, stats = Compat.transient_with_stats c ~tstep:1e-5 ~tstop:1e-3 ~uic:true in
+        let stats =
+          Sim.Engine.(
+            Analysis.stats (run c (Analysis.Tran { tstep = 1e-5; tstop = 1e-3; uic = true })))
+        in
         check_bool "steps" true (stats.Sim.Engine.accepted_steps > 10);
         check_bool "iters" true (stats.Sim.Engine.newton_iterations >= stats.Sim.Engine.accepted_steps));
     Alcotest.test_case "invalid tstep rejected" `Quick (fun () ->
         let c = parse "rc\nR1 a 0 1k\n.end\n" in
-        match Compat.transient c ~tstep:0.0 ~tstop:1.0 ~uic:true with
+        match
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 0.0; tstop = 1.0; uic = true })))
+        with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "breakpoints closer than eps are not stridden over" `Quick
@@ -299,7 +334,11 @@ let tran_tests =
             [ Netlist.Device.V { name = "VIN"; np = "in"; nn = "0"; wave };
               Netlist.Device.R { name = "R1"; n1 = "in"; n2 = "0"; value = 1e3 } ]
         in
-        let wf = Compat.transient c ~tstep:1e-6 ~tstop:4e-6 ~uic:true in
+        let wf =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-6; tstop = 4e-6; uic = true })))
+        in
         checkf 0.05 "plateau captured" 5.0 (Sim.Waveform.value_at wf "in" 1.05e-6);
         checkf 0.05 "back down after the pulse" 0.0
           (Sim.Waveform.value_at wf "in" 3e-6));
@@ -312,22 +351,35 @@ let ac_tests =
         (* The name check must run before the frequency loop: with no
            frequencies there is nothing to solve, yet the bad request
            must still be diagnosed. *)
-        match Compat.ac c ~source:"VBOGUS" ~freqs:[] with
+        match
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "VBOGUS"; freqs = [] })))
+        with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "unknown source rejected before solving" `Quick (fun () ->
-        match Compat.ac c ~source:"VBOGUS" ~freqs:[ 10.0; 100.0 ] with
+        match
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "VBOGUS"; freqs = [ 10.0; 100.0 ] })))
+        with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "valid source with empty freqs yields empty spectrum" `Quick
       (fun () ->
-        let sp = Compat.ac c ~source:"V1" ~freqs:[] in
+        let sp =
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "V1"; freqs = [] })))
+        in
         Alcotest.(check int) "points" 0 (Sim.Spectrum.length sp));
     Alcotest.test_case "rc pole where expected" `Quick (fun () ->
         let fc = 1.0 /. (2.0 *. Float.pi *. 1e3 *. 1e-6) in
         let sp =
-          Compat.ac c ~source:"V1"
-            ~freqs:(Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:10e3 ~per_decade:20)
+          Sim.Engine.(
+            Analysis.spectrum
+              (run c (Analysis.Ac { source = "V1"; freqs = (Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:10e3 ~per_decade:20) })))
         in
         match Sim.Spectrum.corner_frequency sp "out" with
         | Some f -> checkf (fc *. 0.2) "corner" fc f
@@ -341,13 +393,17 @@ let session_tests =
     Alcotest.test_case "solve_dc matches dc_operating_point" `Quick (fun () ->
         let s = Sim.Engine.Session.create divider in
         checkf 1e-9 "out"
-          (v_out (Compat.dc_operating_point divider))
+          (v_out (Sim.Engine.(Analysis.solution (run divider Analysis.Op))))
           (v_out (Sim.Engine.Session.solve_dc s)));
     Alcotest.test_case "transient matches the standalone analysis" `Quick (fun () ->
         let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
         let s = Sim.Engine.Session.create c in
         let wf_session, _ = Sim.Engine.Session.transient s ~tstep:1e-5 ~tstop:2e-3 ~uic:true in
-        let wf_standalone = Compat.transient c ~tstep:1e-5 ~tstop:2e-3 ~uic:true in
+        let wf_standalone =
+          Sim.Engine.(
+            Analysis.waveform
+              (run c (Analysis.Tran { tstep = 1e-5; tstop = 2e-3; uic = true })))
+        in
         List.iter
           (fun t ->
             checkf 1e-9
@@ -449,7 +505,9 @@ let engine_qcheck =
       (make ~print:(fun l -> String.concat ";" (List.map string_of_float l)) ladder_gen)
       (fun rs ->
         let vin = 10.0 in
-        let sol = Compat.dc_operating_point (ladder_circuit rs vin) in
+        let sol =
+          Sim.Engine.(Analysis.solution (run (ladder_circuit rs vin) Analysis.Op))
+        in
         let total = List.fold_left ( +. ) 0.0 rs in
         let rec below i = function
           | [] -> []
@@ -468,7 +526,7 @@ let engine_qcheck =
       (make ~print:(fun l -> String.concat ";" (List.map string_of_float l)) ladder_gen)
       (fun rs ->
         let v_at vin node =
-          Sim.Engine.voltage (Compat.dc_operating_point (ladder_circuit rs vin)) node
+          Sim.Engine.(voltage (Analysis.solution (run (ladder_circuit rs vin) Analysis.Op)) node)
         in
         let node = "n1" in
         let a = v_at 3.0 node and b = v_at 7.0 node and ab = v_at 10.0 node in
@@ -485,7 +543,9 @@ let engine_qcheck =
         let tstop = c *. 2.0 /. 1e-6 in
         (* time for 2 V at 1 uA *)
         let wf =
-          Compat.transient circuit ~tstep:(tstop /. 100.0) ~tstop ~uic:true
+          Sim.Engine.(
+            Analysis.waveform
+              (run circuit (Analysis.Tran { tstep = (tstop /. 100.0); tstop; uic = true })))
         in
         let v = Sim.Waveform.value_at wf "out" (tstop /. 2.0) in
         Float.abs (v -. 1.0) < 0.02);
@@ -496,7 +556,7 @@ let robustness_tests =
   [
     Alcotest.test_case "conflicting ideal sources do not converge" `Quick (fun () ->
         let c = parse "bad\nV1 a 0 1\nV2 a 0 2\n.end\n" in
-        match Compat.dc_operating_point c with
+        match Sim.Engine.(Analysis.solution (run c Analysis.Op)) with
         | exception Sim.Engine.Sim_error _ -> ()
         | exception Sim.Lu.Singular _ -> ()
         | _ -> Alcotest.fail "expected failure");
@@ -505,12 +565,12 @@ let robustness_tests =
           Netlist.Circuit.of_devices "z"
             [ Netlist.Device.R { name = "R1"; n1 = "a"; n2 = "0"; value = 0.0 } ]
         in
-        match Compat.dc_operating_point c with
+        match Sim.Engine.(Analysis.solution (run c Analysis.Op)) with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "floating node pinned by gmin" `Quick (fun () ->
         let c = parse "float\nV1 a 0 5\nR1 a b 1k\nC1 c 0 1p\n.end\n" in
-        let sol = Compat.dc_operating_point c in
+        let sol = Sim.Engine.(Analysis.solution (run c Analysis.Op)) in
         (* b carries no current -> sits at a; c floats -> gmin pins it. *)
         checkf 1e-3 "b" 5.0 (Sim.Engine.voltage sol "b");
         checkf 1e-3 "c" 0.0 (Sim.Engine.voltage sol "c"));
@@ -526,7 +586,11 @@ let robustness_tests =
            analytic value, the finer one much closer. *)
         let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
         let v tstep =
-          let wf = Compat.transient c ~tstep ~tstop:2e-3 ~uic:true in
+          let wf =
+            Sim.Engine.(
+              Analysis.waveform
+                (run c (Analysis.Tran { tstep; tstop = 2e-3; uic = true })))
+          in
           Sim.Waveform.value_at wf "out" 1e-3
         in
         let exact = 5.0 *. (1.0 -. exp (-1.0)) in
@@ -678,8 +742,8 @@ let solver_tests =
     Alcotest.test_case "dense and sparse agree on a grid DC point" `Quick
       (fun () ->
         let c = Synth.Circuit_synth.resistor_grid ~rows:4 ~cols:4 () in
-        let sd = Compat.dc_operating_point ~options:dense c in
-        let ss = Compat.dc_operating_point ~options:sparse c in
+        let sd = Sim.Engine.(Analysis.solution (run ~options:dense c Analysis.Op)) in
+        let ss = Sim.Engine.(Analysis.solution (run ~options:sparse c Analysis.Op)) in
         for r = 0 to 3 do
           for col = 0 to 3 do
             let node = Printf.sprintf "g%d_%d" r col in
@@ -691,8 +755,16 @@ let solver_tests =
     Alcotest.test_case "dense and sparse agree on a nonlinear transient" `Quick
       (fun () ->
         let c = Synth.Circuit_synth.rc_ladder ~diodes:true ~sections:20 () in
-        let wd = Compat.transient ~options:dense c ~tstep:1e-7 ~tstop:2e-6 ~uic:false in
-        let ws = Compat.transient ~options:sparse c ~tstep:1e-7 ~tstop:2e-6 ~uic:false in
+        let wd =
+          Sim.Engine.(
+            Analysis.waveform
+              (run ~options:dense c (Analysis.Tran { tstep = 1e-7; tstop = 2e-6; uic = false })))
+        in
+        let ws =
+          Sim.Engine.(
+            Analysis.waveform
+              (run ~options:sparse c (Analysis.Tran { tstep = 1e-7; tstop = 2e-6; uic = false })))
+        in
         List.iter
           (fun node ->
             List.iter
@@ -734,7 +806,7 @@ let solver_tests =
     Alcotest.test_case "singular failure names the offending unknown" `Quick
       (fun () ->
         let c = parse "bad\nV1 a 0 1\nV2 a 0 2\n.end\n" in
-        match Compat.dc_operating_point c with
+        match Sim.Engine.(Analysis.solution (run c Analysis.Op)) with
         | exception Sim.Engine.Sim_error (Sim.Engine.Singular_matrix, detail) ->
             let mentions s =
               let ls = String.length s and ld = String.length detail in

@@ -14,8 +14,9 @@ let count_edges wf signal =
 
 let simulate ?(vctl = 3.0) ?(mutate = fun c -> c) () =
   let c = mutate (Vco.Schematic.schematic ~vctl ()) in
-  Compat.transient c ~tstep:Vco.Schematic.tran.Netlist.Parser.tstep
-    ~tstop:Vco.Schematic.tran.Netlist.Parser.tstop ~uic:true
+  Sim.Engine.(
+    Analysis.waveform
+      (run c (Analysis.Tran { tstep = Vco.Schematic.tran.Netlist.Parser.tstep; tstop = Vco.Schematic.tran.Netlist.Parser.tstop; uic = true })))
 
 let schematic_tests =
   [
