@@ -299,26 +299,6 @@ let extracted_of_json json =
   end
   | _ -> Ok None
 
-let stats_to_json ~jobs ~cache_hits ~coalesced ~faults_simulated ~shard_runs
-    ~rejected ~replayed ~shard_restarts ~evictions ~corrupt ~cancelled
-    ~extracts ~extract_hits =
-  J.Obj
-    [
-      ("jobs", J.Int jobs);
-      ("cache_hits", J.Int cache_hits);
-      ("coalesced", J.Int coalesced);
-      ("faults_simulated", J.Int faults_simulated);
-      ("shard_runs", J.Int shard_runs);
-      ("rejected", J.Int rejected);
-      ("replayed", J.Int replayed);
-      ("shard_restarts", J.Int shard_restarts);
-      ("evictions", J.Int evictions);
-      ("corrupt", J.Int corrupt);
-      ("cancelled", J.Int cancelled);
-      ("extracts", J.Int extracts);
-      ("extract_hits", J.Int extract_hits);
-    ]
-
 let send oc json =
   output_string oc (J.to_string json);
   output_char oc '\n';

@@ -149,23 +149,6 @@ val extracted_to_json : extracted -> Obs.Json.t
     one. *)
 val extracted_of_json : Obs.Json.t -> (extracted option, string) result
 
-(** Counters object: jobs accepted, cache hits, faults simulated, ... *)
-val stats_to_json :
-  jobs:int ->
-  cache_hits:int ->
-  coalesced:int ->
-  faults_simulated:int ->
-  shard_runs:int ->
-  rejected:int ->
-  replayed:int ->
-  shard_restarts:int ->
-  evictions:int ->
-  corrupt:int ->
-  cancelled:int ->
-  extracts:int ->
-  extract_hits:int ->
-  Obs.Json.t
-
 (** {1 Line transport} *)
 
 (** [send oc json] writes one JSON line and flushes. *)

@@ -74,6 +74,11 @@ let default_config ~socket_path ~work_dir =
    acknowledgements with the scheduler's event broadcasts. *)
 type sub = { sout : out_channel; swrite : Mutex.t }
 
+(* Where a job is in its lifecycle (DESIGN.md, "Job lifecycle and
+   cancellation").  Only the scheduler thread moves it, under [jlock];
+   [Done] is set by [conclude] once the terminal event went out. *)
+type state = Queued | Running | Done
+
 type job = {
   spec : Campaign.spec;
   compiled : Campaign.compiled;
@@ -86,9 +91,40 @@ type job = {
   jcond : Condition.t;
   mutable subs : sub list;
   mutable orphaned_at : float option; (* monitor-private: subs first seen [] *)
-  mutable finished : bool;
-  mutable retired : bool; (* under qlock; slot and quota already freed *)
+  mutable state : state;
 }
+
+(* Every counted event: its key in the [stats] reply ("" = telemetry
+   only) and the Obs counter [bump] emits with it ("" = stats only). *)
+type stat =
+  | Jobs
+  | Cache_hits
+  | Coalesced
+  | Faults_simulated
+  | Shard_runs
+  | Rejected
+  | Replayed
+  | Shard_restarts
+  | Cancelled
+  | Extracts
+  | Extract_hits
+  | Jobs_done
+  | Jobs_failed
+
+let stat_names = function
+  | Jobs -> ("jobs", "")
+  | Cache_hits -> ("cache_hits", "daemon.cache_hit")
+  | Coalesced -> ("coalesced", "daemon.coalesced")
+  | Faults_simulated -> ("faults_simulated", "")
+  | Shard_runs -> ("shard_runs", "")
+  | Rejected -> ("rejected", "daemon.rejected")
+  | Replayed -> ("replayed", "daemon.replayed")
+  | Shard_restarts -> ("shard_restarts", "daemon.shard_restarts")
+  | Cancelled -> ("cancelled", "daemon.jobs_cancelled")
+  | Extracts -> ("extracts", "")
+  | Extract_hits -> ("extract_hits", "daemon.extract_hit")
+  | Jobs_done -> ("", "daemon.jobs_done")
+  | Jobs_failed -> ("", "daemon.jobs_failed")
 
 type t = {
   cfg : config;
@@ -98,24 +134,13 @@ type t = {
   queue : job Stdlib.Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
-  (* fingerprint -> queued-or-running job; entries leave only after the
-     job finished, so late twins always coalesce. *)
+  (* fingerprint -> queued-or-running job; entries leave only when the
+     job concludes, so late twins always coalesce. *)
   inflight : (string, job) Hashtbl.t;
   (* client -> jobs currently queued or running on its behalf *)
   quota : (string, int) Hashtbl.t;
   mutable stopping : bool;
-  slock : Mutex.t;
-  mutable jobs : int;
-  mutable cache_hits : int;
-  mutable coalesced : int;
-  mutable faults_simulated : int;
-  mutable shard_runs : int;
-  mutable rejected : int;
-  mutable replayed : int;
-  mutable shard_restarts : int;
-  mutable cancelled : int;
-  mutable extracts : int;
-  mutable extract_hits : int;
+  counts : (stat * int Atomic.t) list;
 }
 
 let log t fmt =
@@ -126,9 +151,37 @@ let log t fmt =
       ("anafaultd: " ^^ fmt)
   else Format.ifprintf Format.err_formatter fmt
 
+let bump t ?(attrs = []) fp stat n =
+  ignore (Atomic.fetch_and_add (List.assoc stat t.counts) n);
+  match snd (stat_names stat) with
+  | "" -> ()
+  | name -> Obs.count t.cfg.obs name n ~attrs:(("job", Obs.Str fp) :: attrs)
+
+(* The [stats] reply, keys in wire order; evictions and corrupt are the
+   cache's own counts. *)
+let stats_json t =
+  let field s = (fst (stat_names s), J.Int (Atomic.get (List.assoc s t.counts))) in
+  J.Obj
+    (List.map field
+       [ Jobs; Cache_hits; Coalesced; Faults_simulated; Shard_runs; Rejected;
+         Replayed; Shard_restarts ]
+    @ [
+        ("evictions", J.Int (Cache.evictions t.cache));
+        ("corrupt", J.Int (Cache.corrupt t.cache));
+      ]
+    @ List.map field [ Cancelled; Extracts; Extract_hits ])
+
+(* A cache probe: a stale or torn entry is a miss. *)
+let find_cached t fp decode =
+  match Option.map decode (Cache.find t.cache fp) with
+  | Some (Ok v) -> Some v
+  | Some (Error _) | None -> None
+
 (* --- Event fan-out ----------------------------------------------------- *)
 
-let subscribers job = Mutex.protect job.jlock (fun () -> job.subs)
+let reply sub json = Mutex.protect sub.swrite (fun () -> Protocol.send sub.sout json)
+
+let send_event sub ev = reply sub (Campaign.event_to_json ev)
 
 (* A subscriber whose connection died is dropped; the job carries on
    for the others (and for the cache). *)
@@ -136,44 +189,48 @@ let broadcast job ev =
   let json = Campaign.event_to_json ev in
   List.iter
     (fun s ->
-      try Mutex.protect s.swrite (fun () -> Protocol.send s.sout json)
+      try reply s json
       with _ ->
         Mutex.protect job.jlock (fun () ->
             job.subs <- List.filter (fun s' -> s' != s) job.subs))
-    (subscribers job)
+    (Mutex.protect job.jlock (fun () -> job.subs))
 
-let finish job =
-  Mutex.protect job.jlock (fun () ->
-      job.finished <- true;
-      Condition.broadcast job.jcond)
-
-(* A job leaving the system: free its inflight slot and quota and
-   retire its WAL record.  Idempotent (the scheduler's catch-all may
-   run it after [execute] already has).  Callers retire {e before} the
-   terminal broadcast, so a client that reads [Finished] and instantly
-   resubmits can never subscribe to a job that has already spoken its
-   last event - it hits the cache or starts fresh.  [finish] (waking
-   the connection handlers parked on [jcond]) is a separate step,
-   called {e after} the terminal event went out. *)
-let retire t job =
+(* The one terminal transition, called with a [Finished], [Failed] or
+   [Cancelled] event by the scheduler thread only, and idempotent
+   through [state] (the scheduler's catch-all may follow an [execute]
+   that already concluded).  The job retires first - inflight slot,
+   quota, WAL record - so a client that reads the terminal event and
+   instantly resubmits can never subscribe to a job that has already
+   spoken its last event: it hits the cache or starts fresh.  Only
+   after the terminal event went out are the handlers parked on
+   [jcond] woken. *)
+let conclude t job ev =
   let fp = job.compiled.Campaign.fingerprint in
-  let fresh =
+  if Mutex.protect job.jlock (fun () -> job.state <> Done) then begin
     Mutex.protect t.qlock (fun () ->
-        if job.retired then false
-        else begin
-          job.retired <- true;
-          (match Hashtbl.find_opt t.inflight fp with
-          | Some j when j == job -> Hashtbl.remove t.inflight fp
-          | Some _ | None -> ());
-          (match Hashtbl.find_opt t.quota job.client with
-          | Some used when used > 1 ->
-            Hashtbl.replace t.quota job.client (used - 1)
-          | Some _ -> Hashtbl.remove t.quota job.client
-          | None -> ());
-          true
-        end)
-  in
-  if fresh then Queue.mark_done t.wal fp
+        (match Hashtbl.find_opt t.inflight fp with
+        | Some j when j == job -> Hashtbl.remove t.inflight fp
+        | Some _ | None -> ());
+        match Hashtbl.find_opt t.quota job.client with
+        | Some used when used > 1 -> Hashtbl.replace t.quota job.client (used - 1)
+        | Some _ | None -> Hashtbl.remove t.quota job.client);
+    Queue.mark_done t.wal fp;
+    let stat, what =
+      match ev with
+      | Campaign.Finished r ->
+        (Jobs_done, Printf.sprintf "done (%d results)" r.Campaign.total)
+      | Campaign.Cancelled { reason; salvaged; _ } ->
+        (Cancelled, Printf.sprintf "cancelled (%s, %d salvaged)" reason salvaged)
+      | Campaign.Failed { message } -> (Jobs_failed, "failed: " ^ message)
+      | _ -> invalid_arg "Server.conclude: not a terminal event"
+    in
+    bump t fp stat 1;
+    broadcast job ev;
+    log t "job %s: %s" fp what;
+    Mutex.protect job.jlock (fun () ->
+        job.state <- Done;
+        Condition.broadcast job.jcond)
+  end
 
 (* --- Job execution ----------------------------------------------------- *)
 
@@ -199,6 +256,17 @@ let progress_of job total =
     if completed = t || completed mod step = 0 then
       broadcast job (Campaign.Progress { completed; total = t })
 
+(* Results that are not Cancelled stand-ins: what the campaign completed
+   (restored or simulated) before any stop cut it short. *)
+let salvaged (result : Campaign.result) =
+  List.length
+    (List.filter
+       (fun (r : Anafault.Outcome.fault_result) ->
+         match r.Anafault.Outcome.outcome with
+         | Anafault.Outcome.Sim_failed (Anafault.Outcome.Cancelled _) -> false
+         | _ -> true)
+       result.Campaign.results)
+
 let run_in_process t job =
   let compiled = job.compiled in
   let fp = compiled.Campaign.fingerprint in
@@ -217,20 +285,9 @@ let run_in_process t job =
            (Sim.Engine.error_to_string err) detail)
     | { Campaign.result; _ } ->
       (* Count only what actually simulated this life: restored results
-         were a previous life's work, Cancelled stand-ins never ran. *)
-      let completed =
-        List.length
-          (List.filter
-             (fun (r : Anafault.Outcome.fault_result) ->
-               match r.Anafault.Outcome.outcome with
-               | Anafault.Outcome.Sim_failed (Anafault.Outcome.Cancelled _) ->
-                 false
-               | _ -> true)
-             result.Campaign.results)
-      in
-      let simulated = max 0 (completed - Journal.restored_count journal) in
-      Mutex.protect t.slock (fun () ->
-          t.faults_simulated <- t.faults_simulated + simulated);
+         were a previous life's work. *)
+      bump t fp Faults_simulated
+        (max 0 (salvaged result - Journal.restored_count journal));
       Ok (result, `Full))
 
 let status_error exe = function
@@ -243,236 +300,169 @@ let status_error exe = function
    journalling its slice under whole-campaign indices, then merge the
    shard journals into the campaign journal and rebuild the result from
    it - no waveform ever crosses a process boundary, only journal
-   lines.
+   lines.  Each shard journal is seeded from the campaign journal and
+   every child runs with [--resume], so what an earlier cancelled or
+   degraded attempt salvaged is never simulated again.
 
-   Each child is supervised: one that dies is respawned with [--resume]
-   (salvaging its own partial journal) up to [shard_retries] extra
-   lives.  A shard that stays dead degrades the campaign instead of
-   failing it - its journalled results are salvaged by a lenient merge
-   and the unsalvaged faults surface as typed [Crashed] failures. *)
+   Each child is supervised: one that dies is respawned (salvaging its
+   own partial journal) up to [shard_retries] extra lives.  A shard
+   that stays dead degrades the campaign instead of failing it - its
+   journalled results are salvaged by a lenient merge and the
+   unsalvaged faults surface as typed [Crashed] failures. *)
 let run_sharded t job exe shards =
   let compiled = job.compiled in
   let fp = compiled.Campaign.fingerprint in
   let faults = Array.of_list compiled.Campaign.faults in
+  let campaign_journal = journal_path t fp in
   let spec_path = Filename.concat t.cfg.work_dir (fp ^ ".spec.json") in
   let oc = open_out spec_path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
       Protocol.send oc (Campaign.spec_to_json job.spec));
   broadcast job (Campaign.Sharded { shards });
-  let shard_paths =
-    List.init shards (fun i ->
+  let journals =
+    Array.init shards (fun i ->
         Filename.concat t.cfg.work_dir (Printf.sprintf "%s.shard%d.journal" fp i))
   in
+  let seed path =
+    Result.value ~default:0
+      (Journal.merge ~lenient:true ~out:path ~fingerprint:fp ~faults
+         [ campaign_journal ])
+  in
+  let restored = (Array.map seed journals).(0) in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   Fun.protect ~finally:(fun () -> try Unix.close devnull with _ -> ())
   @@ fun () ->
-  let spawn i shard_journal ~resume =
+  let pids = Array.make shards None (* Some pid while the child lives *)
+  and attempts = Array.make shards 0
+  and lost = Array.make shards None (* Some why: the slice degrades *) in
+  let spawn i =
     Obs.Failpoint.hit "shard.spawn";
     let argv =
-      [ exe; "--spec"; spec_path; "--shard"; Campaign.shard_to_string (i, shards);
-        "--journal"; shard_journal ]
-      @ (if resume then [ "--resume" ] else [])
+      [| exe; "--spec"; spec_path; "--shard"; Campaign.shard_to_string (i, shards);
+         "--journal"; journals.(i); "--resume" |]
     in
-    Unix.create_process exe (Array.of_list argv) devnull devnull devnull
+    pids.(i) <- Some (Unix.create_process exe argv devnull devnull devnull);
+    attempts.(i) <- attempts.(i) + 1;
+    bump t fp Shard_runs 1
   in
-  let journals = Array.of_list shard_paths in
-  let pids = Array.of_list (List.mapi (fun i p -> spawn i p ~resume:false) shard_paths) in
-  Mutex.protect t.slock (fun () -> t.shard_runs <- t.shard_runs + shards);
-  (* Supervise the children by polling (WNOHANG), never by a blocking
-     wait: a cancel must be able to interrupt the supervision within a
-     tick.  A child that dies uncancelled is respawned with [--resume]
-     up to its retry budget; on cancellation every live child gets
-     SIGTERM (a drain request - the worker cancels its own token and
-     exits cleanly), then SIGKILL for any straggler once the grace
-     period runs out. *)
-  let attempts = Array.make shards 1 in
-  let statuses = Array.make shards (Ok ()) in
-  let live = Array.make shards true in
-  let any_live () = Array.exists Fun.id live in
-  let kill_all signal =
-    Array.iteri
-      (fun i pid ->
-        if live.(i) then
-          try Unix.kill pid signal with Unix.Unix_error _ -> ())
+  let signal_all signal =
+    Array.iter
+      (Option.iter (fun pid -> try Unix.kill pid signal with Unix.Unix_error _ -> ()))
       pids
   in
-  let reap_all ~blocking =
+  (* One poll loop reaps, respawns and stops the children - by WNOHANG,
+     never a blocking wait, so a cancel interrupts it within a tick.  A
+     child that dies while the job is live is respawned up to its retry
+     budget.  Stopping sends every live child SIGTERM (a drain request:
+     the worker cancels its own token and exits cleanly) and SIGKILL
+     once [stop_at] has passed. *)
+  let rec supervise stop_at =
+    let stopping = Option.is_some stop_at || Cancel.cancelled job.token in
     Array.iteri
-      (fun i pid ->
-        if live.(i) then
-          match
-            Unix.waitpid (if blocking then [] else [ Unix.WNOHANG ]) pid
-          with
+      (fun i -> function
+        | None -> ()
+        | Some pid -> (
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
           | 0, _ -> ()
-          | _, status ->
-            live.(i) <- false;
-            statuses.(i) <- status_error exe status
-          | exception Unix.Unix_error _ -> live.(i) <- false)
-      pids
-  in
-  let escalate () =
-    Obs.Failpoint.hit "cancel.sigterm";
-    log t "job %s: stopping %d shard children" fp shards;
-    kill_all Sys.sigterm;
-    let deadline = Unix.gettimeofday () +. t.cfg.grace in
-    let rec drain () =
-      reap_all ~blocking:false;
-      if any_live () then begin
-        if Unix.gettimeofday () > deadline then begin
-          kill_all Sys.sigkill;
-          reap_all ~blocking:true
-        end
-        else begin
-          Thread.delay 0.02;
-          drain ()
-        end
-      end
-    in
-    drain ()
-  in
-  let rec supervise () =
-    if Cancel.cancelled job.token then escalate ()
-    else begin
-      Array.iteri
-        (fun i pid ->
-          if live.(i) then
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ -> ()
-            | exception Unix.Unix_error _ -> live.(i) <- false
-            | _, status -> begin
-              match status_error exe status with
-              | Ok () -> live.(i) <- false
-              | Error msg ->
-                if attempts.(i) <= t.cfg.shard_retries then begin
-                  log t "job %s: shard %d died (%s), restart %d/%d" fp i msg
-                    attempts.(i) t.cfg.shard_retries;
-                  broadcast job
-                    (Campaign.Shard_restarted
-                       { shard = i; attempt = attempts.(i) });
-                  Mutex.protect t.slock (fun () ->
-                      t.shard_restarts <- t.shard_restarts + 1;
-                      t.shard_runs <- t.shard_runs + 1);
-                  Obs.count t.cfg.obs "daemon.shard_restarts" 1
-                    ~attrs:[ ("job", Obs.Str fp); ("shard", Obs.Int i) ];
-                  match spawn i journals.(i) ~resume:true with
-                  | pid' ->
-                    pids.(i) <- pid';
-                    attempts.(i) <- attempts.(i) + 1
-                  | exception _ ->
-                    live.(i) <- false;
-                    statuses.(i) <- Error msg
-                end
-                else begin
-                  live.(i) <- false;
-                  statuses.(i) <- Error msg
-                end
-            end)
-        pids;
-      if any_live () then begin
-        Thread.delay 0.05;
-        supervise ()
-      end
+          | exception Unix.Unix_error _ -> pids.(i) <- None
+          | _, status -> (
+            pids.(i) <- None;
+            match status_error exe status with
+            | Ok () -> ()
+            | Error msg when (not stopping) && attempts.(i) <= t.cfg.shard_retries
+              -> (
+              log t "job %s: shard %d died (%s), restart %d/%d" fp i msg
+                attempts.(i) t.cfg.shard_retries;
+              broadcast job
+                (Campaign.Shard_restarted { shard = i; attempt = attempts.(i) });
+              bump t fp Shard_restarts 1 ~attrs:[ ("shard", Obs.Int i) ];
+              try spawn i with _ -> lost.(i) <- Some msg)
+            | Error msg -> lost.(i) <- Some msg)))
+      pids;
+    if Array.exists Option.is_some pids then begin
+      let stop_at =
+        match stop_at with
+        | None when stopping ->
+          Obs.Failpoint.hit "cancel.sigterm";
+          log t "job %s: stopping %d shard children" fp shards;
+          signal_all Sys.sigterm;
+          Some (Unix.gettimeofday () +. t.cfg.grace)
+        | Some at when Unix.gettimeofday () > at ->
+          signal_all Sys.sigkill;
+          stop_at
+        | _ -> stop_at
+      in
+      Thread.delay 0.02;
+      supervise stop_at
     end
   in
-  supervise ();
-  let lost_shards =
-    Array.to_list statuses
-    |> List.mapi (fun i s -> (i, s))
-    |> List.filter_map (fun (i, s) ->
-           match s with Error msg -> Some (i, msg) | Ok () -> None)
-  in
-  let cancelled_reason = Cancel.get job.token in
-  if cancelled_reason <> None then Obs.Failpoint.hit "cancel.salvage";
-  (* A cancelled campaign merges leniently even if every child drained
-     cleanly: the shard journals are partial by design. *)
-  let lenient = lost_shards <> [] || cancelled_reason <> None in
-  match
-    Journal.merge ~lenient ~out:(journal_path t fp) ~fingerprint:fp ~faults
-      shard_paths
-  with
-  | Error msg -> Error ("journal merge: " ^ msg)
-  | Ok merged -> begin
-    Mutex.protect t.slock (fun () ->
-        t.faults_simulated <- t.faults_simulated + merged);
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) shard_paths;
-    match
-      Journal.start ~path:(journal_path t fp) ~fingerprint:fp ~resume:true
-        ~faults
-    with
-    | Error msg -> Error ("merged journal: " ^ msg)
-    | Ok journal -> begin
-      Fun.protect ~finally:(fun () -> Journal.close journal) @@ fun () ->
-      match cancelled_reason with
+  match Array.iteri (fun i _ -> spawn i) journals with
+  | exception e ->
+    (* Never leave the siblings of a failed spawn running unsupervised. *)
+    supervise (Some 0.0);
+    Error ("shard spawn: " ^ Printexc.to_string e)
+  | () -> (
+    supervise None;
+    let cancelled = Cancel.get job.token in
+    if Option.is_some cancelled then Obs.Failpoint.hit "cancel.salvage";
+    (* The stand-in for every fault the merged journal misses: Cancelled
+       after a stop (the shard journals are partial by design), Crashed
+       in a dead shard's slice. *)
+    let fill =
+      match cancelled with
       | Some reason ->
-        (* Salvage: everything journalled before the stop is kept;
-           every unsimulated fault carries a typed Cancelled stand-in
-           (never cached - execute broadcasts Cancelled, not
-           Finished). *)
         let detail = Cancel.reason_to_string reason in
-        let fill _idx fault = Campaign.cancelled_result ~detail fault in
-        Result.map
-          (fun r -> (r, `Degraded))
-          (Campaign.result_of_journal ~fill compiled journal)
-      | None ->
-      if not lenient then
-        Result.map (fun r -> (r, `Full)) (Campaign.result_of_journal compiled journal)
-      else begin
+        Some (fun _idx fault -> Campaign.cancelled_result ~detail fault)
+      | None when Array.exists Option.is_some lost ->
+        Some
+          (fun idx fault ->
+            let shard = idx mod shards in
+            let detail =
+              match lost.(shard) with
+              | Some msg -> Printf.sprintf "shard %d lost: %s" shard msg
+              | None -> Printf.sprintf "shard %d lost" shard
+            in
+            Campaign.lost_result ~detail fault)
+      | None -> None
+    in
+    match
+      Journal.merge ~lenient:(Option.is_some fill) ~out:campaign_journal
+        ~fingerprint:fp ~faults (Array.to_list journals)
+    with
+    | Error msg -> Error ("journal merge: " ^ msg)
+    | Ok merged -> (
+      bump t fp Faults_simulated (max 0 (merged - restored));
+      Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals;
+      match
+        Journal.start ~path:campaign_journal ~fingerprint:fp ~resume:true ~faults
+      with
+      | Error msg -> Error ("merged journal: " ^ msg)
+      | Ok journal ->
+        Fun.protect ~finally:(fun () -> Journal.close journal) @@ fun () ->
         (* Tell each waiting client what a dead shard cost before the
            degraded result arrives. *)
-        let total = Array.length faults in
-        List.iter
-          (fun (i, _msg) ->
-            let owned = Campaign.shard_indices ~shard:(i, shards) ~total in
-            let salvaged =
-              List.length
-                (List.filter
-                   (fun idx -> Journal.find journal idx faults.(idx) <> None)
-                   owned)
-            in
-            let lost = List.length owned - salvaged in
-            log t "job %s: shard %d lost for good (%d salvaged, %d lost)" fp i
-              salvaged lost;
-            broadcast job (Campaign.Shard_lost { shard = i; salvaged; lost }))
-          lost_shards;
-        let fill idx fault =
-          let shard = idx mod shards in
-          let detail =
-            match List.assoc_opt shard lost_shards with
-            | Some msg -> Printf.sprintf "shard %d lost: %s" shard msg
-            | None -> Printf.sprintf "shard %d lost" shard
-          in
-          Campaign.lost_result ~detail fault
-        in
+        if Option.is_none cancelled then
+          Array.iteri
+            (fun i ->
+              Option.iter (fun _ ->
+                  let owned =
+                    Campaign.shard_indices ~shard:(i, shards)
+                      ~total:(Array.length faults)
+                  in
+                  let salvaged =
+                    List.length
+                      (List.filter
+                         (fun idx -> Journal.find journal idx faults.(idx) <> None)
+                         owned)
+                  in
+                  let lost = List.length owned - salvaged in
+                  log t "job %s: shard %d lost for good (%d salvaged, %d lost)" fp
+                    i salvaged lost;
+                  broadcast job (Campaign.Shard_lost { shard = i; salvaged; lost })))
+            lost;
         Result.map
-          (fun r -> (r, `Degraded))
-          (Campaign.result_of_journal ~fill compiled journal)
-      end
-    end
-  end
-
-(* How many results a cancelled campaign salvaged: everything in the
-   result that is not a Cancelled stand-in reached the journal before
-   the stop, so an identical resubmission will skip it. *)
-let salvaged_of (result : Campaign.result) =
-  List.length
-    (List.filter
-       (fun (r : Anafault.Outcome.fault_result) ->
-         match r.Anafault.Outcome.outcome with
-         | Anafault.Outcome.Sim_failed (Anafault.Outcome.Cancelled _) -> false
-         | _ -> true)
-       result.Campaign.results)
-
-(* The cancelled terminal: never cached, retired before the broadcast
-   (like every terminal), so the identical resubmission a client sends
-   next misses the cache and resumes the campaign journal. *)
-let conclude_cancelled t job reason ~salvaged =
-  let fp = job.compiled.Campaign.fingerprint in
-  let reason = Cancel.reason_to_string reason in
-  Mutex.protect t.slock (fun () -> t.cancelled <- t.cancelled + 1);
-  Obs.count t.cfg.obs "daemon.jobs_cancelled" 1 ~attrs:[ ("job", Obs.Str fp) ];
-  retire t job;
-  broadcast job (Campaign.Cancelled { fingerprint = fp; reason; salvaged });
-  log t "job %s: cancelled (%s, %d salvaged)" fp reason salvaged
+          (fun r -> (r, if Option.is_some fill then `Degraded else `Full))
+          (Campaign.result_of_journal ?fill compiled journal)))
 
 let execute t job =
   let fp = job.compiled.Campaign.fingerprint in
@@ -482,41 +472,36 @@ let execute t job =
     ~attrs:[ ("job", Obs.Str fp); ("faults", Obs.Int total) ]
   @@ fun _ ->
   Obs.Failpoint.hit "job.run";
-  (match Cancel.get job.token with
-  | Some reason ->
-    (* Cancelled while still queued: nothing ran this life, so nothing
-       new to salvage (an earlier life's journal survives untouched). *)
-    conclude_cancelled t job reason ~salvaged:0
-  | None ->
-    let outcome =
+  let outcome =
+    (* Cancelled while still queued: nothing runs this life, so nothing
+       new is salvaged (an earlier life's journal survives untouched). *)
+    if Cancel.cancelled job.token then Error "cancelled while queued"
+    else
       match (t.cfg.worker_exe, t.cfg.shards) with
       | Some exe, shards when shards > 1 && total >= shards ->
         run_sharded t job exe shards
       | _ -> run_in_process t job
-    in
+  in
+  conclude t job
     (match (Cancel.get job.token, outcome) with
-    | Some reason, Ok (result, _) ->
-      conclude_cancelled t job reason ~salvaged:(salvaged_of result)
-    | Some reason, Error _ -> conclude_cancelled t job reason ~salvaged:0
+    | Some reason, _ ->
+      (* Never cached, so the identical resubmission a client sends next
+         misses the cache and resumes the campaign journal. *)
+      Campaign.Cancelled
+        {
+          fingerprint = fp;
+          reason = Cancel.reason_to_string reason;
+          salvaged = (match outcome with Ok (r, _) -> salvaged r | Error _ -> 0);
+        }
     | None, Ok (result, completeness) ->
       (* A degraded result (dead shard, typed Crashed stand-ins) must not
          be cached: a resubmission deserves a fresh attempt at the lost
-         faults, not the hole served back forever. *)
+         faults, not the hole served back forever.  Stored before
+         [conclude] retires the job, so a resubmitter finds it. *)
       if completeness = `Full then
         Cache.store t.cache fp (Campaign.result_to_json result);
-      Obs.count t.cfg.obs "daemon.jobs_done" 1 ~attrs:[ ("job", Obs.Str fp) ];
-      (* Retire before the terminal broadcast: a subscriber that reads
-         [Finished] and instantly resubmits must find the slot free (and
-         the cache stored above), never a job with no more to say. *)
-      retire t job;
-      broadcast job (Campaign.Finished result);
-      log t "job %s: done (%d results)" fp result.Campaign.total
-    | None, Error message ->
-      Obs.count t.cfg.obs "daemon.jobs_failed" 1 ~attrs:[ ("job", Obs.Str fp) ];
-      retire t job;
-      broadcast job (Campaign.Failed { message });
-      log t "job %s: failed: %s" fp message));
-  finish job
+      Campaign.Finished result
+    | None, Error message -> Campaign.Failed { message })
 
 let scheduler t =
   let rec loop () =
@@ -536,43 +521,21 @@ let scheduler t =
     match next with
     | None -> ()
     | Some job ->
+      Mutex.protect job.jlock (fun () -> job.state <- Running);
       (try execute t job
        with e ->
-         retire t job;
-         broadcast job
-           (Campaign.Failed { message = "daemon: " ^ Printexc.to_string e });
-         finish job);
+         conclude t job
+           (Campaign.Failed { message = "daemon: " ^ Printexc.to_string e }));
       loop ()
   in
   loop ()
 
 (* --- Connection handling ----------------------------------------------- *)
 
-let stats_json t =
-  Mutex.protect t.slock @@ fun () ->
-  Protocol.stats_to_json ~jobs:t.jobs ~cache_hits:t.cache_hits
-    ~coalesced:t.coalesced ~faults_simulated:t.faults_simulated
-    ~shard_runs:t.shard_runs ~rejected:t.rejected ~replayed:t.replayed
-    ~shard_restarts:t.shard_restarts ~evictions:(Cache.evictions t.cache)
-    ~corrupt:(Cache.corrupt t.cache) ~cancelled:t.cancelled
-    ~extracts:t.extracts ~extract_hits:t.extract_hits
-
-let send_event sub ev =
-  Mutex.protect sub.swrite (fun () ->
-      Protocol.send sub.sout (Campaign.event_to_json ev))
-
-(* The effective wall-clock budget of a job: the tighter of the
-   client's deadline_s and the server's --job-deadline cap. *)
-let effective_deadline t deadline_s =
-  match (deadline_s, t.cfg.job_deadline) with
-  | None, None -> None
-  | (Some _ as d), None | None, (Some _ as d) -> d
-  | Some a, Some b -> Some (Float.min a b)
-
 (* A cancel request: fire the token and tombstone the WAL record right
    away, so a daemon killed -9 between acknowledging the cancel and the
    job actually stopping does not resurrect the job at its next start.
-   [retire]'s own [mark_done] later is a no-op on the dead entry. *)
+   [conclude]'s own [mark_done] later is a no-op on the dead entry. *)
 let handle_cancel t fingerprint =
   match
     Mutex.protect t.qlock (fun () -> Hashtbl.find_opt t.inflight fingerprint)
@@ -612,7 +575,7 @@ let monitor t =
           if not job.replayed then begin
             let orphaned =
               Mutex.protect job.jlock (fun () ->
-                  job.subs = [] && not job.finished)
+                  job.subs = [] && job.state <> Done)
             in
             if not orphaned then job.orphaned_at <- None
             else begin
@@ -630,6 +593,52 @@ let monitor t =
   in
   loop ()
 
+(* Admission and WAL replay build their jobs here: the telemetry is
+   scoped with the fingerprint, a fresh cancel token is threaded into
+   the engine, and the wall-clock budget - the tighter of the submit's
+   own [deadline_s] and the server's cap - runs from now.  A job with
+   no first subscriber is a WAL replay. *)
+let new_job t ?sub ~spec ~client ~deadline_s (compiled : Campaign.compiled) =
+  let obs = Obs.tagged t.cfg.obs [ ("job", Obs.Str compiled.Campaign.fingerprint) ] in
+  let compiled =
+    {
+      compiled with
+      Campaign.config = { compiled.Campaign.config with Anafault.Simulate.obs };
+    }
+  in
+  let token = Cancel.create () in
+  let budget =
+    match (deadline_s, t.cfg.job_deadline) with
+    | Some a, Some b -> Some (Float.min a b)
+    | d, None | None, d -> d
+  in
+  {
+    spec;
+    compiled = Campaign.with_cancel compiled token;
+    client;
+    token;
+    deadline_at = Option.map (fun d -> Unix.gettimeofday () +. d) budget;
+    deadline_total = Option.value budget ~default:0.0;
+    replayed = Option.is_none sub;
+    jlock = Mutex.create ();
+    jcond = Condition.create ();
+    subs = Option.to_list sub;
+    orphaned_at = None;
+    state = Queued;
+  }
+
+let quota_used t client = Option.value (Hashtbl.find_opt t.quota client) ~default:0
+
+(* Admission proper, under [qlock]: the job becomes visible to its twins,
+   charges its client's quota and joins the FIFO. *)
+let enqueue t job =
+  let fp = job.compiled.Campaign.fingerprint in
+  Hashtbl.replace t.inflight fp job;
+  Hashtbl.replace t.quota job.client (quota_used t job.client + 1);
+  Stdlib.Queue.push job t.queue;
+  bump t fp Jobs 1;
+  Condition.signal t.qcond
+
 (* What admission decided; computed under qlock, answered outside it. *)
 type admitted =
   | Stopping
@@ -637,40 +646,21 @@ type admitted =
   | Admitted of job (* subscribed: wait for its events *)
 
 let handle_submit t sub spec client deadline_s =
-  (* Compile once to learn the fingerprint, then re-scope the config's
-     telemetry sink so every event of this job carries it. *)
   match Campaign.compile ~obs:t.cfg.obs spec with
   | Error message -> send_event sub (Campaign.Failed { message })
-  | Ok compiled ->
+  | Ok compiled -> (
     let fp = compiled.Campaign.fingerprint in
-    let obs = Obs.tagged t.cfg.obs [ ("job", Obs.Str fp) ] in
-    let compiled =
-      {
-        compiled with
-        Campaign.config = { compiled.Campaign.config with Anafault.Simulate.obs };
-      }
-    in
     let faults = Array.of_list compiled.Campaign.faults in
     let total = Array.length faults in
-    let cached =
-      match Cache.find t.cache fp with
-      | None -> None
-      | Some json -> begin
-        match Campaign.result_of_json ~faults json with
-        | Ok result -> Some { result with Campaign.cached = true }
-        | Error _ -> None (* stale or torn entry: treat as a miss *)
-      end
-    in
-    match cached with
+    match find_cached t fp (Campaign.result_of_json ~faults) with
     | Some result ->
-      Mutex.protect t.slock (fun () -> t.cache_hits <- t.cache_hits + 1);
-      Obs.count t.cfg.obs "daemon.cache_hit" 1 ~attrs:[ ("job", Obs.Str fp) ];
+      bump t fp Cache_hits 1;
       log t "job %s: cache hit" fp;
       send_event sub (Campaign.Accepted { fingerprint = fp; total });
       send_event sub (Campaign.Cache_hit { fingerprint = fp });
-      send_event sub (Campaign.Finished result)
-    | None -> begin
-      let bucket = Option.value client ~default:"" in
+      send_event sub (Campaign.Finished { result with Campaign.cached = true })
+    | None -> (
+      let client = Option.value client ~default:"" in
       (* Hold this connection's write lock across admission so the
          scheduler cannot slip a job event out before our Accepted
          line - the first thing a submitter reads is its verdict. *)
@@ -679,68 +669,35 @@ let handle_submit t sub spec client deadline_s =
         let verdict =
           Mutex.protect t.qlock @@ fun () ->
           if t.stopping then Stopping
-          else begin
+          else
             match Hashtbl.find_opt t.inflight fp with
             | Some job ->
               (* Same campaign already queued or running: subscribe. *)
               Mutex.protect job.jlock (fun () -> job.subs <- sub :: job.subs);
-              Mutex.protect t.slock (fun () -> t.coalesced <- t.coalesced + 1);
-              Obs.count t.cfg.obs "daemon.coalesced" 1
-                ~attrs:[ ("job", Obs.Str fp) ];
+              bump t fp Coalesced 1;
               Admitted job
-            | None ->
-              let depth = Hashtbl.length t.inflight in
-              let used =
-                Option.value (Hashtbl.find_opt t.quota bucket) ~default:0
-              in
-              if t.cfg.queue_limit > 0 && depth >= t.cfg.queue_limit then
+            | None -> (
+              if t.cfg.queue_limit > 0 && Hashtbl.length t.inflight >= t.cfg.queue_limit
+              then
                 Turned_away
                   ( Protocol.Queue_full,
                     Printf.sprintf "queue limit %d reached, try again later"
                       t.cfg.queue_limit )
-              else if t.cfg.client_quota > 0 && used >= t.cfg.client_quota
+              else if t.cfg.client_quota > 0 && quota_used t client >= t.cfg.client_quota
               then
                 Turned_away
                   ( Protocol.Quota_exceeded,
-                    Printf.sprintf "client quota %d reached" t.cfg.client_quota
-                  )
-              else begin
-                match
-                  Queue.push t.wal { Queue.fingerprint = fp; client = bucket; spec }
-                with
+                    Printf.sprintf "client quota %d reached" t.cfg.client_quota )
+              else
+                match Queue.push t.wal { Queue.fingerprint = fp; client; spec } with
                 | Error message ->
                   (* The WAL is the acceptance contract; a submission we
                      cannot make durable is not accepted. *)
                   Turned_away (Protocol.Queue_full, "queue journal: " ^ message)
                 | Ok () ->
-                  let token = Cancel.create () in
-                  let budget = effective_deadline t deadline_s in
-                  let job =
-                    {
-                      spec;
-                      compiled = Campaign.with_cancel compiled token;
-                      client = bucket;
-                      token;
-                      deadline_at =
-                        Option.map (fun d -> Unix.gettimeofday () +. d) budget;
-                      deadline_total = Option.value budget ~default:0.0;
-                      replayed = false;
-                      jlock = Mutex.create ();
-                      jcond = Condition.create ();
-                      subs = [ sub ];
-                      orphaned_at = None;
-                      finished = false;
-                      retired = false;
-                    }
-                  in
-                  Hashtbl.replace t.inflight fp job;
-                  Hashtbl.replace t.quota bucket (used + 1);
-                  Stdlib.Queue.push job t.queue;
-                  Mutex.protect t.slock (fun () -> t.jobs <- t.jobs + 1);
-                  Condition.signal t.qcond;
-                  Admitted job
-              end
-          end
+                  let job = new_job t ~sub ~spec ~client ~deadline_s compiled in
+                  enqueue t job;
+                  Admitted job)
         in
         (match verdict with
         | Stopping ->
@@ -748,15 +705,9 @@ let handle_submit t sub spec client deadline_s =
             (Campaign.event_to_json
                (Campaign.Failed { message = "daemon is shutting down" }))
         | Turned_away (reason, message) ->
-          Mutex.protect t.slock (fun () -> t.rejected <- t.rejected + 1);
-          Obs.count t.cfg.obs "daemon.rejected" 1
-            ~attrs:
-              [
-                ("job", Obs.Str fp);
-                ("reason", Obs.Str (Protocol.reject_reason_to_string reason));
-              ];
-          log t "job %s: rejected (%s)" fp
-            (Protocol.reject_reason_to_string reason);
+          let reason_s = Protocol.reject_reason_to_string reason in
+          bump t fp Rejected 1 ~attrs:[ ("reason", Obs.Str reason_s) ];
+          log t "job %s: rejected (%s)" fp reason_s;
           Protocol.send sub.sout (Protocol.rejected_to_json ~reason ~message)
         | Admitted _ ->
           Protocol.send sub.sout
@@ -767,13 +718,12 @@ let handle_submit t sub spec client deadline_s =
       match admitted with
       | Stopping | Turned_away _ -> ()
       | Admitted job ->
-        (* Hold the connection until the job finished; the scheduler
+        (* Hold the connection until the job concluded; the scheduler
            streams the events. *)
         Mutex.protect job.jlock (fun () ->
-            while not job.finished do
+            while job.state <> Done do
               Condition.wait job.jcond job.jlock
-            done)
-    end
+            done)))
 
 (* An Extract request: LIFT the inline layout through the staged
    pipeline and answer with one "extracted" object.  The fault list is
@@ -787,24 +737,14 @@ let handle_submit t sub spec client deadline_s =
    and the job flows through the normal submit admission on the same
    connection: extract-then-simulate in one round trip. *)
 let handle_extract t sub lift simulate client deadline_s =
-  Mutex.protect t.slock (fun () -> t.extracts <- t.extracts + 1);
   let fp = Protocol.lift_fingerprint lift in
-  let cached =
-    match Cache.find t.cache fp with
-    | None -> None
-    | Some json -> begin
-      match Protocol.extracted_of_json json with
-      | Ok (Some e) -> Some { e with Protocol.ex_cached = true }
-      | Ok None | Error _ -> None (* stale or torn entry: treat as a miss *)
-    end
-  in
+  bump t fp Extracts 1;
   let answer =
-    match cached with
+    match Option.join (find_cached t fp Protocol.extracted_of_json) with
     | Some e ->
-      Mutex.protect t.slock (fun () -> t.extract_hits <- t.extract_hits + 1);
-      Obs.count t.cfg.obs "daemon.extract_hit" 1 ~attrs:[ ("job", Obs.Str fp) ];
+      bump t fp Extract_hits 1;
       log t "extract %s: cache hit" fp;
-      Ok e
+      Ok { e with Protocol.ex_cached = true }
     | None -> begin
       let tech = Layout.Tech.default in
       match Layout.Cif.of_string ~tech lift.Protocol.layout with
@@ -867,8 +807,7 @@ let handle_extract t sub lift simulate client deadline_s =
     log t "extract %s: failed (%s)" fp message;
     send_event sub (Campaign.Failed { message = "extract: " ^ message })
   | Ok e -> begin
-    Mutex.protect sub.swrite (fun () ->
-        Protocol.send sub.sout (Protocol.extracted_to_json e));
+    reply sub (Protocol.extracted_to_json e);
     match simulate with
     | None -> ()
     | Some spec ->
@@ -895,8 +834,7 @@ let request_shutdown t =
 
 let handle_client t fd =
   let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let sub = { sout = oc; swrite = Mutex.create () } in
+  let sub = { sout = Unix.out_channel_of_descr fd; swrite = Mutex.create () } in
   let rec loop () =
     match Protocol.recv ic with
     | Ok None -> ()
@@ -919,18 +857,16 @@ let handle_client t fd =
         loop ()
       | Ok (Protocol.Cancel { fingerprint }) ->
         let cancelled = handle_cancel t fingerprint in
-        Mutex.protect sub.swrite (fun () ->
-            Protocol.send oc
-              (J.Obj [ ("ok", J.Bool true); ("cancelled", J.Bool cancelled) ]));
+        reply sub (J.Obj [ ("ok", J.Bool true); ("cancelled", J.Bool cancelled) ]);
         loop ()
       | Ok Protocol.Stats ->
-        Mutex.protect sub.swrite (fun () -> Protocol.send oc (stats_json t));
+        reply sub (stats_json t);
         loop ()
       | Ok Protocol.Ping ->
-        Mutex.protect sub.swrite (fun () -> Protocol.send oc Protocol.ok);
+        reply sub Protocol.ok;
         loop ()
       | Ok Protocol.Shutdown ->
-        Mutex.protect sub.swrite (fun () -> Protocol.send oc Protocol.ok);
+        reply sub Protocol.ok;
         log t "shutdown requested";
         request_shutdown t
     end
@@ -956,66 +892,30 @@ let ( let* ) = Result.bind
 (* Turn the WAL's surviving entries back into queued jobs.  An entry
    that no longer compiles (or whose fingerprint drifted - a spec codec
    change between daemon versions) is retired as done: it was never
-   acknowledged complete, but there is nothing left to run for it. *)
+   acknowledged complete, but there is nothing left to run for it.  The
+   WAL does not persist a submit's deadline_s; a replayed job is capped
+   by the server's own --job-deadline only. *)
 let replay_wal t entries =
   List.iter
     (fun (e : Queue.entry) ->
+      let fp = e.Queue.fingerprint in
       match Campaign.compile ~obs:t.cfg.obs e.Queue.spec with
       | Error msg ->
-        log t "replay %s: dropped (%s)" e.Queue.fingerprint msg;
-        Queue.mark_done t.wal e.Queue.fingerprint
+        log t "replay %s: dropped (%s)" fp msg;
+        Queue.mark_done t.wal fp
+      | Ok compiled when not (String.equal compiled.Campaign.fingerprint fp) ->
+        log t "replay %s: fingerprint drifted to %s, dropped" fp
+          compiled.Campaign.fingerprint;
+        Queue.mark_done t.wal fp
       | Ok compiled ->
-        let fp = compiled.Campaign.fingerprint in
-        if not (String.equal fp e.Queue.fingerprint) then begin
-          log t "replay %s: fingerprint drifted to %s, dropped"
-            e.Queue.fingerprint fp;
-          Queue.mark_done t.wal e.Queue.fingerprint
-        end
-        else begin
-          let obs = Obs.tagged t.cfg.obs [ ("job", Obs.Str fp) ] in
-          let compiled =
-            {
-              compiled with
-              Campaign.config =
-                { compiled.Campaign.config with Anafault.Simulate.obs };
-            }
-          in
-          (* The WAL does not persist a submit's deadline_s; a replayed
-             job is capped by the server's own --job-deadline only. *)
-          let token = Cancel.create () in
-          let budget = t.cfg.job_deadline in
-          let job =
-            {
-              spec = e.Queue.spec;
-              compiled = Campaign.with_cancel compiled token;
-              client = e.Queue.client;
-              token;
-              deadline_at =
-                Option.map (fun d -> Unix.gettimeofday () +. d) budget;
-              deadline_total = Option.value budget ~default:0.0;
-              replayed = true;
-              jlock = Mutex.create ();
-              jcond = Condition.create ();
-              subs = [];
-              orphaned_at = None;
-              finished = false;
-              retired = false;
-            }
-          in
-          Mutex.protect t.qlock (fun () ->
-              Hashtbl.replace t.inflight fp job;
-              let used =
-                Option.value (Hashtbl.find_opt t.quota job.client) ~default:0
-              in
-              Hashtbl.replace t.quota job.client (used + 1);
-              Stdlib.Queue.push job t.queue);
-          Mutex.protect t.slock (fun () ->
-              t.jobs <- t.jobs + 1;
-              t.replayed <- t.replayed + 1);
-          Obs.count t.cfg.obs "daemon.replayed" 1 ~attrs:[ ("job", Obs.Str fp) ];
-          log t "replay %s: re-enqueued (%d faults)" fp
-            (List.length compiled.Campaign.faults)
-        end)
+        let job =
+          new_job t ~spec:e.Queue.spec ~client:e.Queue.client ~deadline_s:None
+            compiled
+        in
+        Mutex.protect t.qlock (fun () -> enqueue t job);
+        bump t fp Replayed 1;
+        log t "replay %s: re-enqueued (%d faults)" fp
+          (List.length compiled.Campaign.faults))
     entries
 
 let run cfg =
@@ -1052,18 +952,12 @@ let run cfg =
         inflight = Hashtbl.create 8;
         quota = Hashtbl.create 8;
         stopping = false;
-        slock = Mutex.create ();
-        jobs = 0;
-        cache_hits = 0;
-        coalesced = 0;
-        faults_simulated = 0;
-        shard_runs = 0;
-        rejected = 0;
-        replayed = 0;
-        shard_restarts = 0;
-        cancelled = 0;
-        extracts = 0;
-        extract_hits = 0;
+        counts =
+          List.map
+            (fun s -> (s, Atomic.make 0))
+            [ Jobs; Cache_hits; Coalesced; Faults_simulated; Shard_runs; Rejected;
+              Replayed; Shard_restarts; Cancelled; Extracts; Extract_hits;
+              Jobs_done; Jobs_failed ];
       }
     in
     log t "listening on %s (cache %s, shards %d)" cfg.socket_path cache_dir

@@ -1313,6 +1313,69 @@ let daemon_tests =
         check_int "jobs" 1 (stat_int stats "jobs");
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
+    Alcotest.test_case "identical in-flight submissions coalesce" `Slow
+      (fun () ->
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset @@ fun () ->
+        let dir = daemon_socket_dir () in
+        let socket_path = Filename.concat dir "d.sock" in
+        let cfg =
+          Anafaultd.Server.default_config ~socket_path
+            ~work_dir:(Filename.concat dir "work")
+        in
+        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
+        let faults = fault_array () in
+        (* Pace the run so the twin arrives while it is in flight. *)
+        Obs.Failpoint.arm "journal.record" (Obs.Failpoint.Delay 0.3);
+        let first = ref [] in
+        let submitter =
+          Thread.create (fun () -> first := submit_and_wait ~faults socket_path) ()
+        in
+        poll "the first job to be admitted" (fun () ->
+            stat_int (one_shot socket_path Protocol.Stats) "jobs" >= 1);
+        let second = submit_and_wait ~faults socket_path in
+        Thread.join submitter;
+        let csv events =
+          Anafault.Report.csv_of_results (finished_of events).Campaign.results
+        in
+        check_string "both clients get the same table" (csv !first) (csv second);
+        let stats = one_shot socket_path Protocol.Stats in
+        check_int "one job" 1 (stat_int stats "jobs");
+        check_int "one coalesced submission" 1 (stat_int stats "coalesced");
+        check_int "each fault simulated once" 3 (stat_int stats "faults_simulated");
+        ignore (one_shot socket_path Protocol.Shutdown);
+        Thread.join server);
+    Alcotest.test_case "a failed shard spawn kills and reaps its siblings" `Slow
+      (fun () ->
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset @@ fun () ->
+        let exe = anafault_exe () in
+        let dir = daemon_socket_dir () in
+        let socket_path = Filename.concat dir "d.sock" in
+        let cfg =
+          {
+            (Anafaultd.Server.default_config ~socket_path
+               ~work_dir:(Filename.concat dir "work"))
+            with
+            Anafaultd.Server.shards = 2;
+            worker_exe = Some exe;
+          }
+        in
+        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
+        (* Shard 0's child starts; the spawn of shard 1 fails. *)
+        Obs.Failpoint.arm ~after:2 "shard.spawn" Obs.Failpoint.Fail;
+        let events = submit_and_wait ~faults:(fault_array ()) socket_path in
+        (match List.rev events with
+        | Campaign.Failed _ :: _ -> ()
+        | _ -> Alcotest.fail "expected the stream to end with Failed");
+        (* The daemon runs in this process, so its shard children are
+           ours: none may be left running or unreaped. *)
+        check_bool "no shard child left behind" true
+          (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+          | _ -> false);
+        ignore (one_shot socket_path Protocol.Shutdown);
+        Thread.join server);
   ]
 
 (* --- Cancellation: token to wire --------------------------------------- *)
@@ -1579,8 +1642,19 @@ let cancel_tests =
             end
           in
           until_sharded ();
-          (* Let the children get into their paced slices, then cancel. *)
-          Thread.delay 0.2;
+          (* Cancel once a shard result is journalled, so there is
+             salvage to keep. *)
+          let journalled i =
+            let path =
+              Filename.concat dir
+                (Printf.sprintf "work/%s.shard%d.journal" fingerprint i)
+            in
+            match In_channel.with_open_text path In_channel.input_all with
+            | exception Sys_error _ -> false
+            | text -> List.length (String.split_on_char '\n' (String.trim text)) > 1
+          in
+          poll "a shard result to be journalled" (fun () ->
+              journalled 0 || journalled 1);
           (match one_shot socket_path (Protocol.Cancel { fingerprint }) with
           | J.Obj fields ->
             check_bool "cancel acknowledged" true
@@ -1599,10 +1673,12 @@ let cancel_tests =
           in
           last ()
         in
+        check_bool "salvaged the journalled results" true (salvaged_count >= 1);
         check_bool "salvage never exceeds the campaign" true
           (salvaged_count <= 3);
         (* With the pacing gone, the identical resubmission completes
-           fully - the cancelled attempt was never cached. *)
+           fully - the cancelled attempt was never cached - and resumes
+           the salvage instead of simulating it again. *)
         Unix.putenv Obs.Failpoint.env_var "";
         let events = submit_and_wait ~spec:serial_spec ~faults socket_path in
         check_bool "no cache hit after a cancel" true
@@ -1622,8 +1698,69 @@ let cancel_tests =
                  false
                | _ -> true)
              result.Campaign.results);
-        check_int "one cancellation counted" 1
-          (stat_int (one_shot socket_path Protocol.Stats) "cancelled");
+        let stats = one_shot socket_path Protocol.Stats in
+        check_int "one cancellation counted" 1 (stat_int stats "cancelled");
+        check_int "each fault simulated exactly once across both runs" 3
+          (stat_int stats "faults_simulated");
+        ignore (one_shot socket_path Protocol.Shutdown);
+        Thread.join server);
+    Alcotest.test_case "daemon: a vanished client's job is cancelled" `Slow
+      (fun () ->
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset @@ fun () ->
+        let dir = daemon_socket_dir () in
+        let socket_path = Filename.concat dir "d.sock" in
+        let cfg =
+          {
+            (Anafaultd.Server.default_config ~socket_path
+               ~work_dir:(Filename.concat dir "work"))
+            with
+            Anafaultd.Server.grace = 0.5;
+          }
+        in
+        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
+        let faults =
+          Array.of_list
+            (ok "compile" (Campaign.compile serial_spec)).Campaign.faults
+        in
+        (* Paced so that the next broadcast notices the closed connection
+           and the grace runs out before the campaign ends. *)
+        Obs.Failpoint.arm "journal.record" (Obs.Failpoint.Delay 1.0);
+        let fd = connect socket_path in
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        Protocol.send oc
+          (Protocol.request_to_json
+             (Protocol.Submit
+                { spec = serial_spec; client = None; deadline_s = None }));
+        let rec until_progress () =
+          match ok "recv" (Protocol.recv ic) with
+          | None -> Alcotest.fail "stream ended before progress"
+          | Some json -> begin
+            match ok "event" (Campaign.event_of_json ~faults json) with
+            | Campaign.Progress _ -> ()
+            | Campaign.Finished _ | Campaign.Failed _ | Campaign.Cancelled _ ->
+              Alcotest.fail "campaign ended before its client vanished"
+            | _ -> until_progress ()
+          end
+        in
+        until_progress ();
+        Unix.close fd;
+        poll "the orphaned job to be cancelled" (fun () ->
+            stat_int (one_shot socket_path Protocol.Stats) "cancelled" = 1);
+        (* Never cached: the resubmission completes the campaign. *)
+        Obs.Failpoint.reset ();
+        let events = submit_and_wait ~spec:serial_spec ~faults socket_path in
+        check_bool "no cache hit after an orphan cancel" true
+          (not
+             (List.exists
+                (function Campaign.Cache_hit _ -> true | _ -> false)
+                events));
+        let result = finished_of events in
+        check_int "complete result" 3 (List.length result.Campaign.results);
+        check_int "nothing cancelled on resubmission" 0
+          (List.length
+             (List.filter is_cancelled_result result.Campaign.results));
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
   ]
