@@ -77,8 +77,8 @@ let run () =
   let n_faults = List.length faults in
   Printf.printf "fault universe: %d faults (two-stage amplifier fixture)\n" n_faults;
 
-  (* E-B1: rebuild-per-fault vs shared session, same faults, serial.
-     The loops are short, so interleave several repetitions (so GC and
+  (* E-B1: rebuild-per-fault (a fresh session for every fault) vs one
+     shared session, same faults, serial.  The loops are short, so interleave several repetitions (so GC and
      cache drift hit both paths alike) and keep each path's best round,
      after one warm-up so neither pays the lazy setup.  Run the
      comparison under two stimuli: the realistic 4 us test (transient
@@ -91,7 +91,9 @@ let run () =
       List.map
         (fun f ->
           Anafault.Simulate.guard f (fun () ->
-              Anafault.Simulate.run_one config circuit ~nominal f))
+              Anafault.Simulate.run_one_in config
+                (Anafault.Simulate.session config circuit)
+                ~nominal f))
         faults
     in
     let session_loop () =

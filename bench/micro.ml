@@ -25,6 +25,8 @@ let small_config = Anafault.Simulate.default_config ~tran:small_tran ~observed:"
 
 let small_nominal = lazy (fst (Anafault.Simulate.nominal small_config small_circuit))
 
+let small_session = lazy (Anafault.Simulate.session small_config small_circuit)
+
 let small_fault =
   Faults.Fault.make ~id:"#b"
     ~kind:(Faults.Fault.Bridge { net_a = "out"; net_b = "0" })
@@ -32,10 +34,8 @@ let small_fault =
 
 let small_faulty =
   lazy
-    (Anafault.Simulate.run_one small_config small_circuit
+    (Anafault.Simulate.run_one_in small_config (Lazy.force small_session)
        ~nominal:(Lazy.force small_nominal) small_fault)
-
-let small_session = lazy (Anafault.Simulate.session small_config small_circuit)
 
 let extraction = lazy (Lazy.force Helpers.glrfm).Cat.extraction
 
@@ -84,7 +84,7 @@ let tests =
     Test.make ~name:"fig5/first_detection" (Staged.stage (fun () ->
         let nominal = Lazy.force small_nominal in
         ignore
-          (Anafault.Detect.first_detection ~tolerance:Anafault.Detect.paper_tolerance
+          (Anafault.Detect.analyse ~tolerance:Anafault.Detect.paper_tolerance
              ~signal:"out" ~nominal ~faulty:nominal)));
     Test.make ~name:"fig5/coverage_curve" (Staged.stage (fun () ->
         let run =
@@ -102,19 +102,22 @@ let tests =
         ignore
           (Faults.Inject.apply ~model:Faults.Inject.default_resistor small_circuit
              small_fault)));
-    (* Sec. VI timing: the same fault under each model, end to end. *)
+    (* Sec. VI timing: the same fault under each model, end to end, each
+       call paying a fresh session (node map, compile, buffers). *)
     Test.make ~name:"models/source_run_one" (Staged.stage (fun () ->
         ignore
-          (Anafault.Simulate.run_one
+          (Anafault.Simulate.run_one_in
              { small_config with model = Faults.Inject.Source }
-             small_circuit ~nominal:(Lazy.force small_nominal) small_fault)));
+             (Anafault.Simulate.session small_config small_circuit)
+             ~nominal:(Lazy.force small_nominal) small_fault)));
     Test.make ~name:"models/resistor_run_one" (Staged.stage (fun () ->
         ignore
-          (Anafault.Simulate.run_one
+          (Anafault.Simulate.run_one_in
              { small_config with model = Faults.Inject.default_resistor }
-             small_circuit ~nominal:(Lazy.force small_nominal) small_fault)));
+             (Anafault.Simulate.session small_config small_circuit)
+             ~nominal:(Lazy.force small_nominal) small_fault)));
     (* Batch mode: the same fault through a shared engine session (patch,
-       simulate, restore) versus the rebuild-per-fault path above. *)
+       simulate, restore) versus the session-per-fault calls above. *)
     Test.make ~name:"batch/session_run_one" (Staged.stage (fun () ->
         ignore
           (Anafault.Simulate.run_one_in small_config (Lazy.force small_session)

@@ -38,11 +38,13 @@ let () =
   in
   Printf.printf "fault:   %s\n" (Faults.Fault.to_string fault);
 
-  (* 3. Simulate it under both fault models. *)
+  (* 3. Simulate it under both fault models, each a patch on one engine
+     session built for the fault-free circuit. *)
+  let session = Anafault.Simulate.session config circuit in
   List.iter
     (fun (label, model) ->
       let result =
-        Anafault.Simulate.run_one { config with model } circuit ~nominal fault
+        Anafault.Simulate.run_one_in { config with model } session ~nominal fault
       in
       let outcome =
         match result.Anafault.Simulate.outcome with

@@ -8,8 +8,7 @@
     distributed run are the same {!spec} pushed through the same
     {!compile}/{!run_local} machinery, differing only in who drives the
     loop.  This supersedes reaching for {!Simulate.default_config} and
-    the [run_one]/[run_one_in]/[run_batch]/[run] entry points directly;
-    those remain as the engine room underneath (see the migration notes
+    the [run_one_in]/[run_batch] entry points directly; those remain as the engine room underneath (see the migration notes
     in DESIGN.md). *)
 
 (** {1 Options}

@@ -16,110 +16,24 @@ let paper_tolerance = { tol_v = 2.0; tol_t = 0.2e-6 }
    [tol_t] - the flat start of the paper's Fig. 5 plot.  Phase wobble
    well inside the time tolerance moves neither criterion: the raw
    divergence collapses at each crossing and the local means stay
-   close. *)
+   close.
 
-type sampled = { dt : float; nom : float array; flt : float array }
+   There is one algorithm, [Incremental]: faulty samples arrive one grid
+   point at a time and the verdict is final the moment it can no longer
+   change.  The batched campaign loop feeds it as variants step and
+   drops a variant on a final verdict; [analyse] feeds it a whole
+   faulty waveform. *)
 
-let sample ~signal ~nominal ~faulty =
-  let times = Sim.Waveform.times nominal in
-  let n = Array.length times in
-  if n < 2 then invalid_arg "Detect: nominal waveform too short";
-  let nom = Sim.Waveform.samples nominal signal in
-  let flt = Array.map (Sim.Waveform.value_at faulty signal) times in
-  { dt = (times.(n - 1) -. times.(0)) /. float_of_int (n - 1); nom; flt }
-
-let moving_average ~half x =
-  let n = Array.length x in
-  let prefix = Array.make (n + 1) 0.0 in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- prefix.(i) +. x.(i)
-  done;
-  Array.init n (fun i ->
-      let lo = max 0 (i - half) and hi = min (n - 1) (i + half) in
-      (prefix.(hi + 1) -. prefix.(lo)) /. float_of_int (hi + 1 - lo))
-
-(* Index of the first grid point from which a window of [k] samples of
-   continuous divergence ends, or None.  A run still open when the data
-   ends is flushed as a detection at the last index, provided it has
-   already persisted for at least half the window: divergence that
-   starts within [tol_t] of tstop persists to the end of the observation
-   window, and truncating the window must not hide it.  The
-   half-window floor keeps the flush from promoting the last sliver of
-   tolerated phase wobble (a few diverging samples around the final
-   edge) into a spurious detection. *)
+(* A divergence run still open when the data ends is flushed as a
+   detection at the last index, provided it has already persisted for
+   at least half the window: divergence that starts within [tol_t] of
+   tstop persists to the end of the observation window, and truncating
+   the window must not hide it.  The half-window floor keeps the flush
+   from promoting the last sliver of tolerated phase wobble (a few
+   diverging samples around the final edge) into a spurious
+   detection. *)
 let flush_run ~k run = run >= max 1 ((k + 1) / 2)
 
-let first_sustained ~tol_v ~k a b =
-  let n = Array.length a in
-  let rec go i run =
-    if i >= n then if flush_run ~k run then Some (n - 1) else None
-    else begin
-      let run = if Float.abs (a.(i) -. b.(i)) > tol_v then run + 1 else 0 in
-      if run >= k + 1 then Some i else go (i + 1) run
-    end
-  in
-  go 0 0
-
-let detection_index ~tolerance s =
-  let k = max 1 (int_of_float (Float.round (tolerance.tol_t /. s.dt))) in
-  let raw = first_sustained ~tol_v:tolerance.tol_v ~k s.nom s.flt in
-  let nom_avg = moving_average ~half:(k / 2) s.nom in
-  let flt_avg = moving_average ~half:(k / 2) s.flt in
-  let smooth = first_sustained ~tol_v:tolerance.tol_v ~k nom_avg flt_avg in
-  match (raw, smooth) with
-  | Some a, Some b -> Some (min a b)
-  | (Some _ as r), None | None, (Some _ as r) -> r
-  | None, None -> None
-
-let first_detection ~tolerance ~signal ~nominal ~faulty =
-  let s = sample ~signal ~nominal ~faulty in
-  match detection_index ~tolerance s with
-  | Some i -> Some (Sim.Waveform.times nominal).(i)
-  | None -> None
-
-let detected_at ~tolerance ~signal ~nominal ~faulty t =
-  match first_detection ~tolerance ~signal ~nominal ~faulty with
-  | Some td -> td <= t
-  | None -> false
-
-(* The guarded entry point: every degenerate input that would make the
-   comparison meaningless comes back as [Error] instead of an exception,
-   so a campaign records a typed per-fault failure rather than crashing
-   its domain.  A missing signal still raises [Not_found] - that is a
-   bad injection, not a degenerate waveform, and the campaign taxonomy
-   already classifies it. *)
-let analyse ~tolerance ~signal ~nominal ~faulty =
-  let times = Sim.Waveform.times nominal in
-  let n = Array.length times in
-  if n < 2 then Error "nominal waveform too short (need at least 2 samples)"
-  else begin
-    let dt = (times.(n - 1) -. times.(0)) /. float_of_int (n - 1) in
-    if dt <= 0.0 then Error "nominal time grid is degenerate (dt <= 0)"
-    else if Array.length (Sim.Waveform.times faulty) = 0 then
-      Error "faulty waveform is empty"
-    else begin
-      let s = sample ~signal ~nominal ~faulty in
-      (* Threshold comparisons are silently false on NaN and saturate on
-         infinities, so a diverged response must fail typed here rather
-         than tabulate as undetected. *)
-      if not (Array.for_all Float.is_finite s.nom) then
-        Error "nominal response contains non-finite samples"
-      else if not (Array.for_all Float.is_finite s.flt) then
-        Error "faulty response contains non-finite samples"
-      else begin
-        match detection_index ~tolerance s with
-        | Some i -> Ok (Some times.(i))
-        | None -> Ok None
-      end
-    end
-  end
-
-(* Prefix-decidable detection for the batched lock-step loop: faulty
-   samples arrive one grid point at a time, and the moment the combined
-   raw/smooth verdict can no longer change the fault is retired from the
-   batch.  Fed the full grid, the verdict equals [detection_index] on
-   the same arrays - including the tail flush, which only ever fires at
-   the last index and therefore never causes a premature [Detected]. *)
 module Incremental = struct
   type verdict = Pending | Detected of int | Clear
 
@@ -178,6 +92,8 @@ module Incremental = struct
 
   let verdict st = st.decided
 
+  (* The tol_t-wide moving average at [j], its window clamped at both
+     grid edges. *)
   let avg prefix ~n ~half j =
     let lo = max 0 (j - half) and hi = min (n - 1) (j + half) in
     (prefix.(hi + 1) -. prefix.(lo)) /. float_of_int (hi + 1 - lo)
@@ -190,8 +106,8 @@ module Incremental = struct
     let g = st.fed in
     st.flt_prefix.(g + 1) <- st.flt_prefix.(g) +. x;
     st.fed <- g + 1;
-    (* Raw criterion at index g (the scan stops at its first fire, like
-       [first_sustained]). *)
+    (* Raw criterion at index g: a run of [k + 1] diverging samples
+       fires; the scan stops at its first fire. *)
     if st.raw_first = None then begin
       st.raw_run <-
         (if Float.abs (st.nom.(g) -. x) > st.tol_v then st.raw_run + 1 else 0);
@@ -227,8 +143,7 @@ module Incremental = struct
       st.decided <- Detected b
     | (Some _ | None), _ -> ());
     if st.decided = Pending && st.fed = st.n then begin
-      (* End of grid: flush still-open runs to the last index, exactly as
-         [first_sustained] does. *)
+      (* End of grid: flush still-open runs to the last index. *)
       let flush first run =
         match first with
         | Some _ as r -> r
@@ -241,3 +156,39 @@ module Incremental = struct
     end;
     st.decided
 end
+
+(* The whole-waveform entry point: the faulty response is sampled on the
+   nominal grid and folded through one [Incremental] detector, stopping
+   at its final verdict.  Every degenerate input that would make the
+   comparison meaningless comes back as [Error] instead of an exception,
+   so a campaign records a typed per-fault failure rather than crashing
+   its domain.  A missing signal still raises [Not_found] - that is a
+   bad injection, not a degenerate waveform, and the campaign taxonomy
+   already classifies it. *)
+let analyse ~tolerance ~signal ~nominal ~faulty =
+  if Array.length (Sim.Waveform.times faulty) = 0 then Error "faulty waveform is empty"
+  else begin
+    let times = Sim.Waveform.times nominal in
+    let nom = Sim.Waveform.samples nominal signal in
+    let flt = Array.map (Sim.Waveform.value_at faulty signal) times in
+    match Incremental.create ~tolerance ~times ~nom with
+    | Error msg -> Error msg
+    (* Threshold comparisons are silently false on NaN and saturate on
+       infinities, so a diverged response must fail typed here rather
+       than tabulate as undetected. *)
+    | Ok _ when not (Array.for_all Float.is_finite flt) ->
+      Error "faulty response contains non-finite samples"
+    | Ok det ->
+      let rec fold i =
+        match Incremental.feed det flt.(i) with
+        | Incremental.Pending -> fold (i + 1)
+        | Incremental.Detected j -> Ok (Some times.(j))
+        | Incremental.Clear -> Ok None
+      in
+      fold 0
+  end
+
+let first_detection ~tolerance ~signal ~nominal ~faulty =
+  match analyse ~tolerance ~signal ~nominal ~faulty with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("Detect: " ^ msg)

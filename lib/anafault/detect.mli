@@ -24,34 +24,18 @@ type tolerance = { tol_v : float; tol_t : float }
 (** The paper's working point: 2 V / 0.2 us. *)
 val paper_tolerance : tolerance
 
-(** [first_detection ~tolerance ~signal ~nominal ~faulty] is the earliest
-    nominal-grid sample time at which the fault is visible, if any.
-    Raises [Not_found] if [signal] is missing from either waveform. *)
-val first_detection :
-  tolerance:tolerance ->
-  signal:string ->
-  nominal:Sim.Waveform.t ->
-  faulty:Sim.Waveform.t ->
-  float option
-
-(** [detected_at ~tolerance ~signal ~nominal ~faulty t] holds when the
-    first detection happens at or before [t]. *)
-val detected_at :
-  tolerance:tolerance ->
-  signal:string ->
-  nominal:Sim.Waveform.t ->
-  faulty:Sim.Waveform.t ->
-  float ->
-  bool
-
-(** [analyse ~tolerance ~signal ~nominal ~faulty] is {!first_detection}
-    with degenerate inputs turned into typed failures: a nominal
-    waveform with fewer than two samples, a non-increasing nominal time
-    grid ([dt <= 0]) or an empty faulty waveform comes back as [Error]
-    instead of an exception, so a campaign can record a per-fault
-    failure rather than crash its domain.  A missing [signal] still
-    raises [Not_found] (a bad injection, which the campaign taxonomy
-    already classifies). *)
+(** [analyse ~tolerance ~signal ~nominal ~faulty] is the earliest
+    nominal-grid sample time at which the fault is visible, if any.  The
+    faulty response is sampled on the nominal grid and folded through
+    one {!Incremental} detector - the same algorithm the batched
+    campaign loop drops variants with - so whole-waveform and prefix
+    verdicts cannot disagree.  Degenerate inputs are typed failures: a
+    nominal waveform with fewer than two samples, a non-increasing
+    nominal time grid ([dt <= 0]), an empty faulty waveform or a
+    non-finite sample on either side comes back as [Error] instead of an
+    exception, so a campaign can record a per-fault failure rather than
+    crash its domain.  A missing [signal] still raises [Not_found] (a
+    bad injection, which the campaign taxonomy already classifies). *)
 val analyse :
   tolerance:tolerance ->
   signal:string ->
@@ -59,14 +43,22 @@ val analyse :
   faulty:Sim.Waveform.t ->
   (float option, string) result
 
+(** [first_detection] is {!analyse} for callers that treat a degenerate
+    input as a programming error: [Error msg] raises
+    [Invalid_argument]. *)
+val first_detection :
+  tolerance:tolerance ->
+  signal:string ->
+  nominal:Sim.Waveform.t ->
+  faulty:Sim.Waveform.t ->
+  float option
+
 (** Prefix-decidable detection, for the lock-step batched campaign loop:
     faulty samples on the nominal grid are fed one at a time, and the
     verdict becomes final the moment it can no longer change - for most
     detected faults well before tstop, which is what lets the batch
-    drop them early.  Fed the whole grid, the verdict is exactly
-    {!first_detection}'s (including the tail flush, which only ever
-    fires at the last grid index and therefore never produces a
-    premature [Detected]). *)
+    drop them early.  The tail flush only ever fires at the last grid
+    index, so it never produces a premature [Detected]. *)
 module Incremental : sig
   type t
 

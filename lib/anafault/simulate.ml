@@ -228,29 +228,11 @@ let fault_span config fault f =
       end;
       result)
 
-(* The rebuild-per-fault cycle: every fault pays Mna.make + compile +
-   fresh buffers.  Kept as the reference path (and for callers holding
-   only a circuit); the batch loop below goes through a session. *)
-let run_one_core config circuit ~nominal ~sp fault =
-  let t0 = Sys.time () in
-  let finish ~attempts outcome stats =
-    { fault; outcome; attempts; stats; cpu_seconds = Sys.time () -. t0 }
-  in
-  let attempt cfg =
-    let faulty_circuit = Faults.Inject.apply ~model:cfg.model circuit fault in
-    let faulty, stats = simulate cfg faulty_circuit in
-    (detect_outcome config ~nominal ~faulty, stats)
-  in
-  run_ladder config ~sp ~finish attempt
-
-let run_one config circuit ~nominal fault =
-  fault_span config fault (fun sp ->
-      Obs.set sp "path" (Obs.Str "rebuild");
-      run_one_core config circuit ~nominal ~sp fault)
-
-(* The batch cycle: patch the session with the injected devices, simulate
-   in the shared buffers, compare.  Node maps and solver storage are
-   shared across the whole fault list. *)
+(* The per-fault cycle: inject, simulate, compare, through the retry
+   ladder.  Each attempt patches the session with the injected devices
+   and simulates in the shared buffers; an injection that rewrites more
+   than the overlay holds pays a full rebuild instead, and the fault
+   stays on the rebuild path for its remaining rungs. *)
 let run_one_in config sess ~nominal fault =
   fault_span config fault (fun sp ->
       let t0 = Sys.time () in
@@ -258,25 +240,31 @@ let run_one_in config sess ~nominal fault =
         { fault; outcome; attempts; stats; cpu_seconds = Sys.time () -. t0 }
       in
       let base = Sim.Engine.Session.circuit sess in
+      let rebuilt = ref false in
+      let rebuild cfg faulty_circuit =
+        if not !rebuilt then begin
+          rebuilt := true;
+          Obs.set sp "path" (Obs.Str "rebuild");
+          Obs.count config.obs "session.rebuild" 1
+        end;
+        simulate cfg faulty_circuit
+      in
       let attempt cfg =
         let faulty_circuit = Faults.Inject.apply ~model:cfg.model base fault in
         let faulty, stats =
-          Sim.Engine.Session.with_patch sess faulty_circuit (fun s ->
-              simulate_session ~options:cfg.sim_options cfg s)
+          if !rebuilt then rebuild cfg faulty_circuit
+          else
+            match
+              Sim.Engine.Session.with_patch sess faulty_circuit (fun s ->
+                  simulate_session ~options:cfg.sim_options cfg s)
+            with
+            | simulated -> simulated
+            | exception Sim.Engine.Patch_overflow _ -> rebuild cfg faulty_circuit
         in
         (detect_outcome config ~nominal ~faulty, stats)
       in
-      match
-        Obs.set sp "path" (Obs.Str "session");
-        run_ladder config ~sp ~finish attempt
-      with
-      | result -> result
-      | exception Sim.Engine.Patch_overflow _ ->
-        (* The injection rewrote more than the overlay holds; pay the full
-           rebuild for this one fault. *)
-        Obs.set sp "path" (Obs.Str "rebuild");
-        Obs.count config.obs "session.rebuild" 1;
-        run_one_core config base ~nominal ~sp fault)
+      Obs.set sp "path" (Obs.Str "session");
+      run_ladder config ~sp ~finish attempt)
 
 let guard fault thunk =
   match thunk () with

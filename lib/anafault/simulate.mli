@@ -13,7 +13,7 @@
     {!Journal} for resumable campaigns.
 
     This module is the engine room.  Front ends should not call
-    [run_one]/[run_one_in]/[run_batch] directly: describe the campaign as
+    [run_one_in]/[run_batch] directly: describe the campaign as
     a {!Campaign.spec} and execute it with {!Campaign.run_local} (or
     submit it to a running [anafaultd]).  The migration guide lives in
     DESIGN.md. *)
@@ -145,19 +145,15 @@ val nominal : config -> Netlist.Circuit.t -> Sim.Waveform.t * Sim.Engine.stats
     the shared state for a batch of {!run_one_in} calls. *)
 val session : config -> Netlist.Circuit.t -> Sim.Engine.Session.t
 
-(** [run_one config circuit ~nominal fault] injects, simulates and
-    compares one fault, rebuilding all engine state from scratch (the
-    pre-session reference path).  Runs the retry ladder; emits one
-    ["anafault.fault"] span tagged with the fault, its outcome, failure
-    class, attempt count and winning strategy. *)
-val run_one :
-  config -> Netlist.Circuit.t -> nominal:Sim.Waveform.t -> Faults.Fault.t -> fault_result
-
-(** [run_one_in config session ~nominal fault] is {!run_one} through the
-    shared session: the fault is applied as a device patch, simulated in
-    the session's buffers, and the nominal view is restored afterwards.
-    Falls back to the rebuild path if the injection exceeds the
-    session's patch capacity (counted as ["session.rebuild"]). *)
+(** [run_one_in config session ~nominal fault] injects, simulates and
+    compares one fault through the shared session: the fault is applied
+    as a device patch, simulated in the session's buffers, and the
+    nominal view is restored afterwards.  An injection that exceeds the
+    session's patch capacity is simulated on a full rebuild instead
+    (counted once per fault as ["session.rebuild"]), for that rung and
+    every later one.  Runs the retry ladder; emits one ["anafault.fault"]
+    span tagged with the fault, its path ([session] or [rebuild]),
+    outcome, failure class, attempt count and winning strategy. *)
 val run_one_in :
   config ->
   Sim.Engine.Session.t ->

@@ -229,13 +229,58 @@ let incremental_cases =
         +. (if t >= 2.0e-6 && t < 2.03e-6 then 3.0 else 0.0) );
   ]
 
+(* The whole-array reference detector: both criteria scanned over the
+   complete arrays, straight from the definition in {!Anafault.Detect}.
+   It shares no code with the library's detector, so comparing against
+   it checks the prefix-decidable algorithm instead of restating it.
+   Returns the first detection index. *)
+let reference_index ~(tolerance : Anafault.Detect.tolerance) ~times ~nom ~flt =
+  let n = Array.length times in
+  let dt = (times.(n - 1) -. times.(0)) /. float_of_int (n - 1) in
+  let k = max 1 (int_of_float (Float.round (tolerance.tol_t /. dt))) in
+  let moving_average x =
+    let prefix = Array.make (n + 1) 0.0 in
+    Array.iteri (fun i v -> prefix.(i + 1) <- prefix.(i) +. v) x;
+    Array.init n (fun i ->
+        let lo = max 0 (i - (k / 2)) and hi = min (n - 1) (i + (k / 2)) in
+        (prefix.(hi + 1) -. prefix.(lo)) /. float_of_int (hi + 1 - lo))
+  in
+  (* A run of k + 1 diverging samples fires; a run still open at the
+     end of the data fires at the last index once it spans half the
+     window. *)
+  let first_sustained a b =
+    let rec go i run =
+      if i >= n then if run >= max 1 ((k + 1) / 2) then Some (n - 1) else None
+      else begin
+        let run =
+          if Float.abs (a.(i) -. b.(i)) > tolerance.tol_v then run + 1 else 0
+        in
+        if run >= k + 1 then Some i else go (i + 1) run
+      end
+    in
+    go 0 0
+  in
+  match
+    ( first_sustained nom flt,
+      first_sustained (moving_average nom) (moving_average flt) )
+  with
+  | Some a, Some b -> Some (min a b)
+  | (Some _ as r), None | None, (Some _ as r) -> r
+  | None, None -> None
+
+let reference f =
+  let nomv = Sim.Waveform.samples nominal "out" in
+  let w = wave f in
+  let flt = Array.map (Sim.Waveform.value_at w "out") grid in
+  Option.map (Array.get grid) (reference_index ~tolerance:tol ~times:grid ~nom:nomv ~flt)
+
 let incremental_tests =
   [
     Alcotest.test_case "incremental verdict equals the batch detector" `Quick
       (fun () ->
         List.iter
           (fun (name, f) ->
-            let expected = detect f in
+            let expected = reference f in
             let got, _ = incremental_verdict f in
             match (expected, got) with
             | Some t, Anafault.Detect.Incremental.Detected i ->
@@ -274,6 +319,66 @@ let incremental_tests =
           | exception Invalid_argument _ -> ()
           | _ -> Alcotest.fail "expected Invalid_argument"));
   ]
+
+(* Generated parity: random responses on short grids, with divergence
+   segments of every shape the criteria distinguish - level shifts
+   below and above [tol_v], and alternating offsets whose raw runs keep
+   breaking while their local mean drifts.  [analyse] must report the
+   reference detector's instant exactly. *)
+let detect_qcheck =
+  let open QCheck in
+  let segment =
+    Gen.(
+      pair (int_range 1 12)
+        (oneof
+           [
+             map (fun a -> `Shift a) (oneofl [ 0.0; 0.5; -0.9; 1.5; -3.0; 4.0 ]);
+             map (fun a -> `Alternate a) (oneofl [ 1.5; 2.5; 5.0 ]);
+           ]))
+  in
+  let case =
+    Gen.(
+      quad (int_range 8 60) (int_range 1 9) (oneofl [ 1.0; 2.0 ])
+        (pair (list_size (int_range 1 12) segment) (list_size (return 60) (float_range 0.0 5.0))))
+  in
+  let print (n, k, tol_v, (segs, _)) =
+    Printf.sprintf "n=%d k=%d tol_v=%g segments=%d" n k tol_v (List.length segs)
+  in
+  [
+    Test.make ~name:"analyse equals the whole-array reference" ~count:500
+      (make ~print case) (fun (n, k, tol_v, (segs, levels)) ->
+        let times = Array.init n float_of_int in
+        let nom = Array.sub (Array.of_list levels) 0 n in
+        let offset = Array.make n 0.0 in
+        let _ =
+          List.fold_left
+            (fun i (len, shape) ->
+              for j = i to min n (i + len) - 1 do
+                offset.(j) <-
+                  (match shape with
+                  | `Shift a -> a
+                  | `Alternate a -> if j mod 2 = 0 then a else 0.0)
+              done;
+              i + len)
+            0 segs
+        in
+        let flt = Array.mapi (fun i v -> v +. offset.(i)) nom in
+        let wave_of v =
+          Sim.Waveform.make ~names:[| "out" |]
+            ~samples:(Array.to_list (Array.mapi (fun i t -> (t, [| v.(i) |])) times))
+        in
+        let tolerance = { Anafault.Detect.tol_v; tol_t = float_of_int k } in
+        let expected =
+          Option.map (Array.get times) (reference_index ~tolerance ~times ~nom ~flt)
+        in
+        match
+          Anafault.Detect.analyse ~tolerance ~signal:"out" ~nominal:(wave_of nom)
+            ~faulty:(wave_of flt)
+        with
+        | Ok got -> got = expected
+        | Error msg -> Test.fail_report msg);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
 
 (* A testable circuit: NMOS inverter driven by a pulse; bridging the
    output to ground or opening the driver changes the response hard. *)
@@ -830,7 +935,7 @@ let robust_tests =
         (* A bridge between two nets the circuit does not have needs two
            fresh node rows plus a branch - beyond the session's overlay
            reserve - so the session path must rebuild, and agree with
-           the from-scratch path. *)
+           simulating the injected circuit from scratch. *)
         let ghost_bridge =
           Faults.Fault.make ~id:"#O"
             ~kind:(Faults.Fault.Bridge { net_a = "ghost1"; net_b = "ghost2" })
@@ -841,11 +946,27 @@ let robust_tests =
         let nominal, _ = Anafault.Simulate.nominal config inverter in
         let sess = Anafault.Simulate.session config inverter in
         let in_session = Anafault.Simulate.run_one_in config sess ~nominal ghost_bridge in
-        let rebuilt = Anafault.Simulate.run_one config inverter ~nominal ghost_bridge in
+        let faulty =
+          Sim.Waveform.resample ~n:config.samples
+            (Sim.Engine.Analysis.waveform
+               (Sim.Engine.run
+                  (Faults.Inject.apply ~model:config.model inverter ghost_bridge)
+                  (Sim.Engine.Analysis.Tran
+                     { tstep = tran.tstep; tstop = tran.tstop; uic = tran.uic })))
+        in
+        let from_scratch =
+          match
+            Anafault.Detect.analyse ~tolerance:config.tolerance ~signal:"out"
+              ~nominal ~faulty
+          with
+          | Ok (Some t) -> Anafault.Simulate.Detected t
+          | Ok None -> Anafault.Simulate.Undetected
+          | Error msg -> Alcotest.fail msg
+        in
         check_bool "session path agrees with rebuild path" true
-          (in_session.outcome = rebuilt.outcome);
-        check_bool "rebuild counted" true
-          (counter_total (Obs.drain obs) "session.rebuild" >= 1));
+          (in_session.outcome = from_scratch);
+        check_int "rebuild counted once" 1
+          (counter_total (Obs.drain obs) "session.rebuild"));
     Alcotest.test_case "a poisoned session is quarantined, later faults unaffected"
       `Quick (fun () ->
         let obs = Obs.memory () in
@@ -1203,7 +1324,7 @@ let suites =
   [
     ("anafault.detect", detect_tests);
     ("anafault.analyse", analyse_tests);
-    ("anafault.incremental", incremental_tests);
+    ("anafault.incremental", incremental_tests @ detect_qcheck);
     ("anafault.simulate", simulate_tests);
     ("anafault.batch", batch_tests);
     ("anafault.parsim", parsim_tests);
