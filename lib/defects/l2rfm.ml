@@ -125,8 +125,6 @@ let run ?(options = Lift.default_options) circuit =
 
 let compare_with_glrfm ~l2rfm ~glrfm =
   let anticipated, global_only =
-    List.partition
-      (fun gf -> List.exists (fun lf -> Faults.Fault.equivalent gf lf) l2rfm.faults)
-      glrfm
+    List.partition (Faults.Fault.covers l2rfm.faults) glrfm
   in
   (`Anticipated anticipated, `Global_only global_only)

@@ -96,24 +96,13 @@ let candidates ?pdf (ext : Extract.Extraction.t) =
   cands_of ext ~bridges:(Sites.bridges ?pdf ext) ~opens:(Sites.opens ?pdf ext)
     ~cut_opens:(Sites.cut_opens ?pdf ext) ~stuck:(Sites.stuck ?pdf ext)
 
+(* Equivalent candidates collapse into their first occurrence, which
+   keeps its mechanism and note; probabilities fold left in list order,
+   so every sum is the float a left-to-right scan produces. *)
 let merge cands =
-  let rec fold acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-      let probe =
-        Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~prob:c.prob ()
-      in
-      let same (c' : cand) =
-        Faults.Fault.equivalent probe
-          (Faults.Fault.make ~id:"" ~kind:c'.kind ~mechanism:c'.mechanism ())
-      in
-      let dups, rest = List.partition same rest in
-      let merged =
-        List.fold_left (fun c d -> { c with prob = c.prob +. d.prob }) c dups
-      in
-      fold (merged :: acc) rest
-  in
-  fold [] cands
+  List.map
+    (fun (c, dups) -> List.fold_left (fun c d -> { c with prob = c.prob +. d.prob }) c dups)
+    (Faults.Fault.classes (fun c -> c.kind) cands)
 
 let classify faults =
   List.fold_left

@@ -216,12 +216,9 @@ let agreement result faults =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 result.hits in
   if total = 0 then 0.0
   else begin
+    let listed = Faults.Fault.covers faults in
     let matched =
-      List.fold_left
-        (fun acc (f, n) ->
-          if List.exists (fun g -> Faults.Fault.equivalent f g) faults then acc + n
-          else acc)
-        0 result.hits
+      List.fold_left (fun acc (f, n) -> if listed f then acc + n else acc) 0 result.hits
     in
     float_of_int matched /. float_of_int total
   end

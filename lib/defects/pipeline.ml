@@ -407,6 +407,11 @@ let run ?(config = default_config) mask =
     let pdf_str = pdf_string pdf in
     let conducting = Extract.Connectivity.conducting_layers in
     let sp = Sites.splitter ext in
+    let splits = Atomic.make 0 in
+    let split ~skip_conductor ~skip_cut ~net =
+      Atomic.incr splits;
+      Sites.split sp ~skip_conductor ~skip_cut ~net
+    in
     let tile_sites =
       Obs.span obs "pipeline.sites" (fun _ ->
           Pool.map ~domains:config.domains
@@ -469,7 +474,7 @@ let run ?(config = default_config) mask =
                     let st_moved =
                       Array.map
                         (fun k ->
-                          Sites.split sp ~skip_conductor:(Int.equal k)
+                          split ~skip_conductor:(Int.equal k)
                             ~skip_cut:(fun _ -> false)
                             ~net:ext.net_of.(k))
                         owned_cond.(ti)
@@ -480,7 +485,7 @@ let run ?(config = default_config) mask =
                           match ext.cuts.(ci).Extract.Extraction.joins with
                           | [] | [ _ ] -> None
                           | anchor :: _ ->
-                            Sites.split sp
+                            split
                               ~skip_conductor:(fun _ -> false)
                               ~skip_cut:(Int.equal ci)
                               ~net:ext.net_of.(anchor))
@@ -639,7 +644,13 @@ let run ?(config = default_config) mask =
       Obs.count obs "pipeline.sites.computed" counters.sites.computed;
       Obs.count obs "pipeline.sites.cached" counters.sites.cached;
       Obs.count obs "pipeline.critical_area.computed" counters.critical_area.computed;
-      Obs.count obs "pipeline.critical_area.cached" counters.critical_area.cached
+      Obs.count obs "pipeline.critical_area.cached" counters.critical_area.cached;
+      (* Work done, not just time: the sites counters stay 0 when every
+         sites artefact is served from the cache. *)
+      Obs.count obs "pipeline.sites.splits" (Atomic.get splits);
+      Obs.count obs "pipeline.sites.net_adjacency" (Sites.nets_indexed sp);
+      Obs.count obs "pipeline.rank.candidates" result.Lift.sites_considered;
+      Obs.count obs "pipeline.rank.faults" (List.length result.Lift.faults)
     end;
     { result; extraction = ext; counters }
   end

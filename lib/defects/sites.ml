@@ -105,11 +105,25 @@ let bridges ?pdf (ext : Extract.Extraction.t) =
    is the same whatever connectivity implementation produced the
    components. *)
 
+(* A net's connectivity graph, built once: same-layer touching pairs
+   among its members (canonical layer order) and each of its cuts with
+   the members it joins, all as conductor indices.  A split drops the
+   edges of the suppressed shapes and unions the rest; since group keys
+   are canonical, the union order cannot show. *)
+type adjacency = {
+  adj_pairs : (int * int) array;  (* touching pairs, as conductor indices *)
+  adj_cuts : (int * int list) list;  (* cut index, joined conductor indices *)
+}
+
 type splitter = {
   sp_ext : Extract.Extraction.t;
   sp_members : int array array;  (* net -> ascending conductor indices *)
+  sp_pos : int array;  (* conductor -> its position in its net's members *)
   sp_cuts : int list array;  (* net -> ascending indices of its cuts *)
   sp_terms : Extract.Extraction.terminal list array;  (* net -> terminals *)
+  sp_adj : adjacency option Atomic.t array;
+      (* net -> its graph, built by the first split of the net; two
+         domains racing on one net build equal graphs, either wins *)
 }
 
 let splitter (ext : Extract.Extraction.t) =
@@ -131,58 +145,77 @@ let splitter (ext : Extract.Extraction.t) =
       let net = ext.net_of.(t.conductor) in
       terms.(net) <- t :: terms.(net))
     ext.terminals;
+  let members = Array.map (fun l -> Array.of_list (List.rev l)) members in
+  let pos = Array.make (Array.length ext.net_of) 0 in
+  Array.iter (Array.iteri (fun p k -> pos.(k) <- p)) members;
   {
     sp_ext = ext;
-    sp_members = Array.map (fun l -> Array.of_list (List.rev l)) members;
+    sp_members = members;
+    sp_pos = pos;
     sp_cuts = Array.map List.rev cuts;
     sp_terms = Array.map List.rev terms;
+    sp_adj = Array.init nets (fun _ -> Atomic.make None);
   }
 
-let split sp ~skip_conductor ~skip_cut ~net =
+let build_adjacency sp net =
   let ext = sp.sp_ext in
   let members = sp.sp_members.(net) in
-  let m = Array.length members in
-  let pos : (int, int) Hashtbl.t = Hashtbl.create (2 * m) in
-  Array.iteri (fun p g -> Hashtbl.add pos g p) members;
-  let uf = Geom.Union_find.create m in
-  (* Same-layer touching pairs among the net's surviving members, walked
-     in the canonical layer order. *)
+  let adj_pairs =
+    List.concat_map
+      (fun layer ->
+        let on_layer =
+          Array.of_seq
+            (Seq.filter
+               (fun g ->
+                 Layout.Layer.equal ext.conductors.(g).Extract.Extraction.layer layer)
+               (Array.to_seq members))
+        in
+        List.map
+          (fun (a, b) -> (on_layer.(a), on_layer.(b)))
+          (Geom.Rect_set.touching_pairs
+             (Array.map (fun g -> ext.conductors.(g).Extract.Extraction.rect) on_layer)))
+      Extract.Connectivity.conducting_layers
+  in
+  {
+    adj_pairs = Array.of_list adj_pairs;
+    adj_cuts = List.map (fun ci -> (ci, ext.cuts.(ci).joins)) sp.sp_cuts.(net);
+  }
+
+let adjacency sp net =
+  match Atomic.get sp.sp_adj.(net) with
+  | Some adj -> adj
+  | None ->
+    let adj = build_adjacency sp net in
+    Atomic.set sp.sp_adj.(net) (Some adj);
+    adj
+
+let nets_indexed sp =
+  Array.fold_left
+    (fun n slot -> if Option.is_some (Atomic.get slot) then n + 1 else n)
+    0 sp.sp_adj
+
+let split sp ~skip_conductor ~skip_cut ~net =
+  let adj = adjacency sp net in
+  let pos g = sp.sp_pos.(g) in
+  let uf = Geom.Union_find.create (Array.length sp.sp_members.(net)) in
+  (* Touching pairs whose two conductors survive... *)
+  Array.iter
+    (fun (a, b) ->
+      if not (skip_conductor a || skip_conductor b) then
+        ignore (Geom.Union_find.union uf (pos a) (pos b)))
+    adj.adj_pairs;
+  (* ...and the net's surviving cuts re-joining their surviving
+     conductors. *)
   List.iter
-    (fun layer ->
-      let positions =
-        Array.of_seq
-          (Seq.filter
-             (fun p ->
-               let g = members.(p) in
-               Layout.Layer.equal ext.conductors.(g).Extract.Extraction.layer layer
-               && not (skip_conductor g))
-             (Seq.init m Fun.id))
-      in
-      let rects =
-        Array.map
-          (fun p -> ext.conductors.(members.(p)).Extract.Extraction.rect)
-          positions
-      in
-      List.iter
-        (fun (a, b) ->
-          ignore (Geom.Union_find.union uf positions.(a) positions.(b)))
-        (Geom.Rect_set.touching_pairs rects))
-    Extract.Connectivity.conducting_layers;
-  (* The net's surviving cuts re-join their surviving conductors. *)
-  List.iter
-    (fun ci ->
+    (fun (ci, joins) ->
       if not (skip_cut ci) then begin
-        match
-          List.filter (fun g -> not (skip_conductor g)) ext.cuts.(ci).joins
-        with
+        match List.filter (fun g -> not (skip_conductor g)) joins with
         | first :: rest ->
-          let pf = Hashtbl.find pos first in
-          List.iter
-            (fun g -> ignore (Geom.Union_find.union uf pf (Hashtbl.find pos g)))
-            rest
+          let pf = pos first in
+          List.iter (fun g -> ignore (Geom.Union_find.union uf pf (pos g))) rest
         | [] -> ()
       end)
-    sp.sp_cuts.(net);
+    adj.adj_cuts;
   (* Group terminals by component, keyed canonically. *)
   let groups : (int, (int * Faults.Fault.terminal list) ref) Hashtbl.t =
     Hashtbl.create 8
@@ -196,7 +229,7 @@ let split sp ~skip_conductor ~skip_cut ~net =
         detached := term :: !detached
       end
       else begin
-        let root = Geom.Union_find.find uf (Hashtbl.find pos t.conductor) in
+        let root = Geom.Union_find.find uf (pos t.conductor) in
         match Hashtbl.find_opt groups root with
         | Some r ->
           let key, terms = !r in
@@ -292,6 +325,7 @@ let cut_opens ?pdf (ext : Extract.Extraction.t) =
   let pdf = pdf_of ?pdf ext in
   let tech = tech_of ext in
   let sp = splitter ext in
+  let ca = cut_ca ~x_max:(x_max_of ext) pdf ~side:tech.Layout.Tech.cut_side in
   Array.to_list
     (Array.mapi
        (fun ci (cut : Extract.Extraction.cut) ->
@@ -304,9 +338,6 @@ let cut_opens ?pdf (ext : Extract.Extraction.t) =
             with
            | None -> None
            | Some moved ->
-             let ca =
-               cut_ca ~x_max:(x_max_of ext) pdf ~side:tech.Layout.Tech.cut_side
-             in
              Some
                {
                  cut_index = ci;

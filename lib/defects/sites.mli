@@ -75,10 +75,17 @@ val split_effect :
     and must reproduce this module's results byte for byte. *)
 
 (** Pre-indexed per-net membership (conductors, cuts, terminals) for
-    repeated {!split} queries over one extraction. *)
+    repeated {!split} queries over one extraction.  Each net's
+    connectivity graph (touching pairs and cut joins) is built by the
+    first {!split} of that net and reused by the rest; a splitter may be
+    shared across domains. *)
 type splitter
 
 val splitter : Extract.Extraction.t -> splitter
+
+(** [nets_indexed sp] counts the nets whose connectivity graph [sp] has
+    built so far. *)
+val nets_indexed : splitter -> int
 
 (** [split sp ~skip_conductor ~skip_cut ~net] is {!split_effect} against
     the pre-built index. *)

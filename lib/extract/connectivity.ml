@@ -35,25 +35,30 @@ let unify ~conductors ~cut_shapes ~skip_conductor ~skip_cut =
           ignore (Geom.Union_find.union uf (fst members.(a)) (fst members.(b))))
         (Geom.Rect_set.touching_pairs rects))
     conducting_layers;
-  (* Vertical connections through cuts. *)
+  (* Vertical connections through cuts: each cut joins, in ascending
+     index order, the target-layer conductors it touches. *)
+  let index =
+    Geom.Rect_index.build (Array.map (fun (c : Extraction.conductor) -> c.rect) conductors)
+  in
   let joins =
     Array.mapi
       (fun ci (cut_layer, cut_rect) ->
         if skip_cut ci then []
         else begin
           let targets = cut_targets cut_layer in
-          let joined = ref [] in
-          Array.iteri
-            (fun i (c : Extraction.conductor) ->
-              if (not (skip_conductor i))
-                 && List.exists (Layout.Layer.equal c.layer) targets
-                 && Geom.Rect.touches c.rect cut_rect
-              then joined := i :: !joined)
-            conductors;
-          (match !joined with
+          let joined =
+            List.filter
+              (fun i ->
+                let (c : Extraction.conductor) = conductors.(i) in
+                (not (skip_conductor i))
+                && List.exists (Layout.Layer.equal c.layer) targets
+                && Geom.Rect.touches c.rect cut_rect)
+              (Geom.Rect_index.near index cut_rect)
+          in
+          (match joined with
           | first :: rest -> List.iter (fun i -> ignore (Geom.Union_find.union uf first i)) rest
           | [] -> ());
-          List.rev !joined
+          joined
         end)
       cut_shapes
   in

@@ -22,37 +22,57 @@ let err fmt = Format.kasprintf (fun m -> raise (Extract_error m)) fmt
 (* Channels: every poly-over-diffusion overlap region.  Two poly shapes
    running along the same track (a gate strip plus the wire feeding it)
    produce coincident intersection rectangles describing one physical
-   channel; keep only maximal regions. *)
+   channel; keep only maximal regions.  The result is sorted, so the
+   order in which the index yields candidates cannot show. *)
 let dedupe_channels chans =
+  let chans = List.sort_uniq compare chans in
+  let arr = Array.of_list chans in
+  let index = Geom.Rect_index.build (Array.map snd arr) in
   let maximal (kind, r) =
     not
       (List.exists
-         (fun (k2, r2) ->
+         (fun j ->
+           let k2, r2 = arr.(j) in
            k2 = kind && not (Geom.Rect.equal r r2) && Geom.Rect.contains r2 r)
-         chans)
+         (Geom.Rect_index.near index r))
   in
-  List.filter maximal chans |> List.sort_uniq compare
+  List.filter maximal chans
 
 let find_channels mask =
-  let poly = Layout.Mask.on mask Layout.Layer.Poly in
+  let poly = Array.of_list (Layout.Mask.on mask Layout.Layer.Poly) in
+  let index = Geom.Rect_index.build poly in
   let overlaps kind diff_layer =
     List.concat_map
       (fun d ->
         List.filter_map
           (fun p ->
-            match Geom.Rect.inter p d with
+            match Geom.Rect.inter poly.(p) d with
             | Some i when not (Geom.Rect.is_degenerate i) -> Some (kind, i)
             | Some _ | None -> None)
-          poly)
+          (Geom.Rect_index.near index d))
       (Layout.Mask.on mask diff_layer)
   in
   dedupe_channels (overlaps `N Layout.Layer.Ndiff @ overlaps `P Layout.Layer.Pdiff)
 
 (* The conductor array: diffusion split at channels, then poly and metals
-   verbatim. *)
+   verbatim.  Each diffusion shape is cut only by the channels touching
+   it, in channel order: any other channel leaves every piece of the
+   shape whole ([Rect.subtract r c = [r]]), so the pieces and their
+   order equal [Rect_set.subtract_all] over the whole channel list. *)
 let build_conductors mask channel_rects =
+  let chans = Array.of_list channel_rects in
+  let index = Geom.Rect_index.build chans in
   let pieces layer =
-    Geom.Rect_set.subtract_all (Layout.Mask.on mask layer) channel_rects
+    List.concat_map
+      (fun d ->
+        Geom.Rect_set.subtract_all [ d ]
+          (List.filter_map
+             (fun j ->
+               match Geom.Rect.inter chans.(j) d with
+               | Some _ -> Some chans.(j)
+               | None -> None)
+             (Geom.Rect_index.near index d)))
+      (Layout.Mask.on mask layer)
     |> List.map (fun rect -> { Extraction.layer; rect })
   in
   let whole layer =
@@ -121,86 +141,19 @@ let name_nets mask (conductors : Extraction.conductor array) net_of net_total =
   Array.iteri (fun id n -> if n = "" then names.(id) <- Printf.sprintf "n%d" id) names;
   names
 
-(* A coarse uniform grid over the conductor rectangles, so MOS
-   recognition queries only the conductors near a channel instead of
-   scanning the whole array per side (the O(channels * conductors)
-   hot spot on synthesized mega-layouts).  Queries return ascending
-   indices, preserving the first-match semantics of the linear scan. *)
-module Conductor_index = struct
-  type t = {
-    origin : Geom.Rect.t;
-    cell : int;
-    buckets : (int * int, int list ref) Hashtbl.t;
-  }
-
-  let cells t (r : Geom.Rect.t) =
-    ( (r.Geom.Rect.x0 - t.origin.Geom.Rect.x0) / t.cell,
-      (r.Geom.Rect.x1 - t.origin.Geom.Rect.x0) / t.cell,
-      (r.Geom.Rect.y0 - t.origin.Geom.Rect.y0) / t.cell,
-      (r.Geom.Rect.y1 - t.origin.Geom.Rect.y0) / t.cell )
-
-  let build (conductors : Extraction.conductor array) =
-    let n = Array.length conductors in
-    let origin =
-      if n = 0 then Geom.Rect.make 0 0 1 1
-      else
-        Array.fold_left
-          (fun acc (c : Extraction.conductor) -> Geom.Rect.hull acc c.rect)
-          conductors.(0).rect conductors
-    in
-    let cell =
-      if n = 0 then 1
-      else begin
-        let avg =
-          Array.fold_left
-            (fun acc (c : Extraction.conductor) ->
-              acc + max (Geom.Rect.width c.rect) (Geom.Rect.height c.rect))
-            0 conductors
-          / n
-        in
-        max 1 avg
-      end
-    in
-    let t = { origin; cell; buckets = Hashtbl.create 256 } in
-    Array.iteri
-      (fun i (c : Extraction.conductor) ->
-        let cx0, cx1, cy0, cy1 = cells t c.rect in
-        for cx = cx0 to cx1 do
-          for cy = cy0 to cy1 do
-            match Hashtbl.find_opt t.buckets (cx, cy) with
-            | Some l -> l := i :: !l
-            | None -> Hashtbl.add t.buckets (cx, cy) (ref [ i ])
-          done
-        done)
-      conductors;
-    t
-
-  (* Ascending conductor indices with a rectangle near [r] (everything
-     touching [r] is included; farther conductors may be too). *)
-  let near t (r : Geom.Rect.t) =
-    let cx0, cx1, cy0, cy1 = cells t (Geom.Rect.expand r 1) in
-    let acc = ref [] in
-    for cx = cx0 to cx1 do
-      for cy = cy0 to cy1 do
-        match Hashtbl.find_opt t.buckets (cx, cy) with
-        | Some l -> acc := !l @ !acc
-        | None -> ()
-      done
-    done;
-    List.sort_uniq Int.compare !acc
-end
-
 (* MOSFET recognition: the diffusion pieces flanking a channel on opposite
    sides are its source and drain; the poly shape above is its gate. *)
 let recognise_mos mask conductors (channels : ([ `N | `P ] * Geom.Rect.t) list) =
-  let index = Conductor_index.build conductors in
+  let index =
+    Geom.Rect_index.build (Array.map (fun (c : Extraction.conductor) -> c.rect) conductors)
+  in
   let find_gate ch =
     let found =
       List.find_opt
         (fun i ->
           let (c : Extraction.conductor) = conductors.(i) in
           Layout.Layer.equal c.layer Layout.Layer.Poly && Geom.Rect.overlaps c.rect ch)
-        (Conductor_index.near index ch)
+        (Geom.Rect_index.near index ch)
     in
     match found with
     | Some i -> i
@@ -213,7 +166,7 @@ let recognise_mos mask conductors (channels : ([ `N | `P ] * Geom.Rect.t) list) 
   List.mapi
     (fun k (kind, ch) ->
       let layer = diff_layer kind in
-      let nearby = Conductor_index.near index ch in
+      let nearby = Geom.Rect_index.near index ch in
       let neighbours side =
         let ok (c : Extraction.conductor) =
           Layout.Layer.equal c.layer layer

@@ -36,6 +36,39 @@ let canonical = function
 
 let equivalent a b = canonical a.kind = canonical b.kind
 
+(* Canonical kinds as hash keys.  The wide traversal limits reach deep
+   into long moved-terminal lists, so breaks on one net do not all share
+   a bucket; equality stays structural, so a collision costs time only. *)
+module Kind_tbl = Hashtbl.Make (struct
+  type t = kind
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+let classes kind_of xs =
+  let tbl = Kind_tbl.create 64 in
+  let order =
+    List.fold_left
+      (fun order x ->
+        let k = canonical (kind_of x) in
+        match Kind_tbl.find_opt tbl k with
+        | Some dups ->
+          dups := x :: !dups;
+          order
+        | None ->
+          let dups = ref [] in
+          Kind_tbl.add tbl k dups;
+          (x, dups) :: order)
+      [] xs
+  in
+  List.rev_map (fun (x, dups) -> (x, List.rev !dups)) order
+
+let covers faults =
+  let tbl = Kind_tbl.create 64 in
+  List.iter (fun f -> Kind_tbl.replace tbl (canonical f.kind) ()) faults;
+  fun f -> Kind_tbl.mem tbl (canonical f.kind)
+
 let pp_terminal ppf t = Format.fprintf ppf "%s.%d" t.device t.port
 
 let pp ppf t =

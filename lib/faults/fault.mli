@@ -44,6 +44,18 @@ val canonical : kind -> kind
     mechanism or probability. *)
 val equivalent : t -> t -> bool
 
+(** [classes kind_of xs] groups [xs] into equivalence classes of
+    [canonical (kind_of x)]: one [(first, rest)] per class, in order of
+    first occurrence, with [rest] the class's later members in list
+    order.  Expected linear time (one hash per element), so folding
+    [rest] into [first] sums in the same order as a left-to-right scan. *)
+val classes : ('a -> kind) -> 'a list -> ('a * 'a list) list
+
+(** [covers faults] is a membership test built once over [faults]:
+    [covers faults f] holds when some fault of [faults] is
+    {!equivalent} to [f]. *)
+val covers : t list -> t -> bool
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -44,15 +44,12 @@ let count faults =
     (0, 0) faults
 
 let collapse faults =
-  let rec fold acc = function
-    | [] -> List.rev acc
-    | f :: rest ->
-      let same, rest = List.partition (Fault.equivalent f) rest in
+  List.map
+    (fun ((f : Fault.t), same) ->
       let merged =
         List.fold_left
           (fun (a : Fault.t) (b : Fault.t) -> { a with prob = a.prob +. b.prob })
           f same
       in
-      fold ((merged, 1 + List.length same) :: acc) rest
-  in
-  fold [] faults
+      (merged, 1 + List.length same))
+    (Fault.classes (fun (f : Fault.t) -> f.kind) faults)

@@ -11,10 +11,14 @@
 #      recompute, the counters prove it, and the ranked list must
 #      change;
 #   4. diff the incremental answer against a cold serial (untiled,
-#      uncached) extraction of the same variant, byte for byte.
+#      uncached) extraction of the same variant, byte for byte;
+#   5. diff the base answer against the committed expected list
+#      (second argument), so a change that moves the serial and staged
+#      paths together is caught too.
 set -euo pipefail
 
 LIFT="$1"
+EXPECTED="$2"
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -42,6 +46,9 @@ if [ "$(computed "$work/warm.json")" -ne 0 ]; then
     echo "FAIL: warm run recomputed tiles: $(cat "$work/warm.json")"; exit 1
 fi
 cmp "$work/base.flt" "$work/warm.flt"
+if ! cmp "$EXPECTED" "$work/base.flt"; then
+    echo "FAIL: the 4x4 ranked list differs from $(basename "$EXPECTED")"; exit 1
+fi
 
 # One-cell edit: exactly one dirty tile per stage recomputes.
 "$LIFT" extract "$work/edited.cif" --tile $tile --domains 2 \

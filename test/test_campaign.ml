@@ -1258,10 +1258,20 @@ let daemon_tests =
                 (J.to_string json)
           end
         in
+        (* The same bytes as the serial extractor on the parsed layout. *)
+        let serial =
+          let mask = Layout.Cif.of_string ~tech:Layout.Tech.default layout in
+          Faults.Fault_list.to_string
+            (Defects.Lift.ranked
+               (Defects.Lift.run
+                  ~options:{ Defects.Lift.default_options with p_min = 0.0 }
+                  (Extract.Extractor.extract mask)))
+        in
         (* First extraction computes. *)
         let first =
           extract (fun e _ic ->
               check_bool "not cached" false e.Protocol.ex_cached;
+              check_string "serial bytes" serial e.Protocol.ex_faults;
               check_bool "lift fingerprint" true
                 (String.sub e.Protocol.ex_fingerprint 0 5 = "lift-");
               check_bool "found the bridge" true (e.Protocol.ex_bridging >= 1);

@@ -174,4 +174,120 @@ let lift_tests =
           (String.length (Format.asprintf "%a" Defects.Lift.pp_classes c) > 0));
   ]
 
-let suites = [ ("defects.sites", sites_tests); ("defects.lift", lift_tests) ]
+(* The quadratic merge LIFT shipped before it grouped by canonical kind,
+   kept as an independent oracle: every candidate absorbs the later
+   candidates equivalent to it, probabilities summed left to right. *)
+let reference_merge (cands : Defects.Lift.cand list) =
+  let rec fold acc = function
+    | [] -> List.rev acc
+    | (c : Defects.Lift.cand) :: rest ->
+      let probe =
+        Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~prob:c.prob ()
+      in
+      let same (c' : Defects.Lift.cand) =
+        Faults.Fault.equivalent probe
+          (Faults.Fault.make ~id:"" ~kind:c'.kind ~mechanism:c'.mechanism ())
+      in
+      let dups, rest = List.partition same rest in
+      let merged =
+        List.fold_left
+          (fun (c : Defects.Lift.cand) (d : Defects.Lift.cand) ->
+            { c with prob = c.prob +. d.prob })
+          c dups
+      in
+      fold (merged :: acc) rest
+  in
+  fold [] cands
+
+(* Candidate lists drawn from a small electrical alphabet, so kinds
+   repeat often: bridges with either net order, breaks with their moved
+   terminals shuffled, each under several mechanisms and notes, with
+   probabilities spread over many decades so any change in summation
+   order shows in the low bits. *)
+let merge_qcheck =
+  let open QCheck in
+  let nets = [ "0"; "vdd"; "a"; "b"; "out" ] in
+  let terminals =
+    List.concat_map
+      (fun device -> List.map (fun port -> { Faults.Fault.device; port }) [ 0; 1; 2 ])
+      [ "M1"; "M2"; "M3" ]
+  in
+  let kind =
+    Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun net_a net_b -> Faults.Fault.Bridge { net_a; net_b })
+              (oneofl nets) (oneofl nets) );
+          ( 3,
+            map2
+              (fun net moved -> Faults.Fault.Break { net; moved })
+              (oneofl nets)
+              (list_size (int_range 1 3) (oneofl terminals) >>= shuffle_l) );
+          (1, map (fun device -> Faults.Fault.Stuck_open { device }) (oneofl [ "M1"; "M2" ]));
+        ])
+  in
+  let cand =
+    Gen.(
+      map
+        (fun (kind, mechanism, (mantissa, decade), note) ->
+          {
+            Defects.Lift.kind;
+            mechanism;
+            prob = mantissa *. (10.0 ** float_of_int decade);
+            note;
+          })
+        (quad kind
+           (oneofl [ "metal1_short"; "poly_short"; "via_open"; "channel_open" ])
+           (pair (float_range 1.0 10.0) (int_range (-16) (-2)))
+           (oneofl [ ""; "on metal1"; "cut of poly shape" ])))
+  in
+  let print cands =
+    String.concat "\n"
+      (List.map
+         (fun (c : Defects.Lift.cand) ->
+           Format.asprintf "%a %h"
+             Faults.Fault.pp
+             (Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~note:c.note ())
+             c.prob)
+         cands)
+  in
+  let same_cand (a : Defects.Lift.cand) (f : Faults.Fault.t) =
+    a.kind = f.kind && a.mechanism = f.mechanism && a.note = f.note
+    && Printf.sprintf "%h" a.prob = Printf.sprintf "%h" f.prob
+  in
+  [
+    Test.make ~name:"merge equals the pairwise reference merge" ~count:500
+      (make ~print Gen.(list_size (int_range 0 60) cand))
+      (fun cands ->
+        let merged =
+          (Defects.Lift.finalise { Defects.Lift.default_options with p_min = 0.0 } cands)
+            .Defects.Lift.faults
+        in
+        let expect = reference_merge cands in
+        List.length merged = List.length expect
+        && List.for_all2 same_cand expect merged
+        (* Universe.collapse groups with the same helper: same classes,
+           same sums, and class sizes that add up to the input. *)
+        &&
+        let collapsed =
+          Faults.Universe.collapse
+            (List.map
+               (fun (c : Defects.Lift.cand) ->
+                 Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism
+                   ~prob:c.prob ~note:c.note ())
+               cands)
+        in
+        List.length collapsed = List.length expect
+        && List.for_all2 (fun e (f, _) -> same_cand e f) expect collapsed
+        && List.fold_left (fun n (_, k) -> n + k) 0 collapsed = List.length cands);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+let suites =
+  [
+    ("defects.sites", sites_tests);
+    ("defects.lift", lift_tests);
+    ("defects.merge", merge_qcheck);
+  ]

@@ -242,6 +242,53 @@ let cache_tests =
            edited layout, byte for byte. *)
         check_str "parity" (serial_text edited)
           (Faults.Fault_list.to_string (Defects.Lift.ranked incr.result)));
+    Alcotest.test_case "work counters: cold splits, warm does no site work" `Quick
+      (fun () ->
+        let mask = Synth.Layout_synth.vco_array ~rows:2 ~cols:2 () in
+        let cache = temp_dir () in
+        let traced () =
+          let obs = Obs.memory () in
+          let config =
+            { Defects.Pipeline.default_config with
+              tile_nm = Synth.Layout_synth.cell_pitch_nm; cache_dir = Some cache; obs }
+          in
+          let r = Defects.Pipeline.run ~config mask in
+          let events = Obs.drain obs in
+          let counter name =
+            List.fold_left
+              (fun acc -> function
+                | Obs.Count { name = n; n = k; _ } when n = name -> acc + k
+                | _ -> acc)
+              0 events
+          in
+          (r, counter)
+        in
+        let cold, c = traced () in
+        let ext = cold.Defects.Pipeline.extraction in
+        let cuts_with_partners =
+          Array.fold_left
+            (fun n (cut : Extract.Extraction.cut) ->
+              match cut.joins with [] | [ _ ] -> n | _ -> n + 1)
+            0 ext.Extract.Extraction.cuts
+        in
+        (* One split per conductor and per multi-join cut, and one graph
+           per net that has a conductor. *)
+        check_int "cold splits"
+          (Array.length ext.Extract.Extraction.conductors + cuts_with_partners)
+          (c "pipeline.sites.splits");
+        check_int "cold graphs" (Extract.Extraction.net_count ext)
+          (c "pipeline.sites.net_adjacency");
+        check_int "candidates" cold.result.Defects.Lift.sites_considered
+          (c "pipeline.rank.candidates");
+        check_int "faults" (List.length cold.result.Defects.Lift.faults)
+          (c "pipeline.rank.faults");
+        check_bool "merge shrinks" true
+          (c "pipeline.rank.faults" < c "pipeline.rank.candidates");
+        let _, w = traced () in
+        check_int "warm splits" 0 (w "pipeline.sites.splits");
+        check_int "warm graphs" 0 (w "pipeline.sites.net_adjacency");
+        check_int "warm candidates" (c "pipeline.rank.candidates")
+          (w "pipeline.rank.candidates"));
     Alcotest.test_case "concurrent cold runs share one cache dir" `Quick
       (fun () ->
         (* Threads of one domain writing the same artefacts at once (the
@@ -322,6 +369,371 @@ let ranked_tests =
         check_bool "input-order free" true (ranked = rev));
   ]
 
+(* --- Reference oracles ---------------------------------------------- *)
+
+(* The pairwise skeleton the extractor shipped before it indexed shapes
+   spatially, kept as an independent oracle: every poly shape against
+   every diffusion shape, a maximal-region filter by full scan, and every
+   diffusion shape cut by every channel. *)
+let reference_channels mask =
+  let poly = Layout.Mask.on mask Layout.Layer.Poly in
+  let overlaps kind diff_layer =
+    List.concat_map
+      (fun d ->
+        List.filter_map
+          (fun p ->
+            match Geom.Rect.inter p d with
+            | Some i when not (Geom.Rect.is_degenerate i) -> Some (kind, i)
+            | Some _ | None -> None)
+          poly)
+      (Layout.Mask.on mask diff_layer)
+  in
+  let chans = overlaps `N Layout.Layer.Ndiff @ overlaps `P Layout.Layer.Pdiff in
+  let maximal (kind, r) =
+    not
+      (List.exists
+         (fun (k2, r2) ->
+           k2 = kind && not (Geom.Rect.equal r r2) && Geom.Rect.contains r2 r)
+         chans)
+  in
+  List.filter maximal chans |> List.sort_uniq compare
+
+let reference_conductors mask channel_rects =
+  let pieces layer =
+    Geom.Rect_set.subtract_all (Layout.Mask.on mask layer) channel_rects
+    |> List.map (fun rect -> { Extract.Extraction.layer; rect })
+  in
+  let whole layer =
+    List.map (fun rect -> { Extract.Extraction.layer; rect }) (Layout.Mask.on mask layer)
+  in
+  Array.of_list
+    (pieces Layout.Layer.Ndiff @ pieces Layout.Layer.Pdiff @ whole Layout.Layer.Poly
+    @ whole Layout.Layer.Metal1 @ whole Layout.Layer.Metal2)
+
+let skeleton_matches mask =
+  let sk = Extract.Extractor.skeleton mask in
+  let channels = reference_channels mask in
+  sk.Extract.Extractor.sk_channels = channels
+  && sk.Extract.Extractor.sk_conductors
+     = reference_conductors mask (List.map snd channels)
+
+(* Cut joins by the linear scan [Connectivity.unify] did before it
+   indexed conductors: every target-layer conductor touching the cut, in
+   ascending index order. *)
+let joins_match (ext : Extract.Extraction.t) =
+  Array.for_all
+    (fun (cut : Extract.Extraction.cut) ->
+      let targets =
+        if Layout.Layer.equal cut.cut_layer Layout.Layer.Via then
+          [ Layout.Layer.Metal1; Layout.Layer.Metal2 ]
+        else [ Layout.Layer.Metal1; Layout.Layer.Poly; Layout.Layer.Ndiff; Layout.Layer.Pdiff ]
+      in
+      cut.joins
+      = List.filter
+          (fun i ->
+            let (c : Extract.Extraction.conductor) = ext.conductors.(i) in
+            List.exists (Layout.Layer.equal c.layer) targets
+            && Geom.Rect.touches c.rect cut.cut_rect)
+          (List.init (Array.length ext.conductors) Fun.id))
+    ext.cuts
+
+(* The per-split recomputation [Sites.split] did before it kept one
+   graph per net: touching pairs among the net's surviving members and
+   the surviving cuts' joins, rebuilt from scratch on every query. *)
+let reference_split (ext : Extract.Extraction.t) ~skip_conductor ~skip_cut ~net =
+  let members =
+    Array.of_list
+      (List.filter (fun k -> ext.net_of.(k) = net) (List.init (Array.length ext.net_of) Fun.id))
+  in
+  let m = Array.length members in
+  let pos = Hashtbl.create (2 * m) in
+  Array.iteri (fun p g -> Hashtbl.add pos g p) members;
+  let uf = Geom.Union_find.create m in
+  List.iter
+    (fun layer ->
+      let positions =
+        Array.of_seq
+          (Seq.filter
+             (fun p ->
+               let g = members.(p) in
+               Layout.Layer.equal ext.conductors.(g).Extract.Extraction.layer layer
+               && not (skip_conductor g))
+             (Seq.init m Fun.id))
+      in
+      let rects =
+        Array.map (fun p -> ext.conductors.(members.(p)).Extract.Extraction.rect) positions
+      in
+      List.iter
+        (fun (a, b) -> ignore (Geom.Union_find.union uf positions.(a) positions.(b)))
+        (Geom.Rect_set.touching_pairs rects))
+    Extract.Connectivity.conducting_layers;
+  Array.iteri
+    (fun ci (cut : Extract.Extraction.cut) ->
+      match cut.joins with
+      | anchor :: _ when ext.net_of.(anchor) = net && not (skip_cut ci) -> (
+        match List.filter (fun g -> not (skip_conductor g)) cut.joins with
+        | first :: rest ->
+          let pf = Hashtbl.find pos first in
+          List.iter (fun g -> ignore (Geom.Union_find.union uf pf (Hashtbl.find pos g))) rest
+        | [] -> ())
+      | _ -> ())
+    ext.cuts;
+  let groups = Hashtbl.create 8 in
+  let detached = ref [] and have_detached = ref false in
+  List.iter
+    (fun (t : Extract.Extraction.terminal) ->
+      if ext.net_of.(t.conductor) = net then begin
+        let term = { Faults.Fault.device = t.device; port = t.port } in
+        if skip_conductor t.conductor then begin
+          have_detached := true;
+          detached := term :: !detached
+        end
+        else begin
+          let root = Geom.Union_find.find uf (Hashtbl.find pos t.conductor) in
+          match Hashtbl.find_opt groups root with
+          | Some r ->
+            let key, terms = !r in
+            r := (min key t.conductor, term :: terms)
+          | None -> Hashtbl.add groups root (ref (t.conductor, [ term ]))
+        end
+      end)
+    ext.terminals;
+  let group_list =
+    Hashtbl.fold (fun _ r acc -> let key, terms = !r in (key, List.sort compare terms) :: acc) groups []
+    |> (fun l -> if !have_detached then (-1, List.sort compare !detached) :: l else l)
+    |> List.sort compare
+  in
+  match group_list with
+  | [] | [ _ ] -> None
+  | _ ->
+    let keep =
+      List.fold_left
+        (fun best (key, members) ->
+          match best with
+          | None -> Some (key, members)
+          | Some (bkey, bmembers) ->
+            if key = -1 then best
+            else if bkey = -1 then Some (key, members)
+            else if List.length members > List.length bmembers then Some (key, members)
+            else best)
+        None group_list
+    in
+    let keep_key = match keep with Some (k, _) -> k | None -> assert false in
+    let moved =
+      List.concat_map (fun (key, members) -> if key = keep_key then [] else members) group_list
+    in
+    if moved = [] then None else Some moved
+
+(* Every single-shape open of [ext] plus [extra] multi-shape defects,
+   through one shared splitter (so cached net graphs are reused), must
+   match the reference. *)
+let splits_match ?(extra = []) (ext : Extract.Extraction.t) =
+  let sp = Defects.Sites.splitter ext in
+  let agree ~skip_conductor ~skip_cut ~net =
+    Defects.Sites.split sp ~skip_conductor ~skip_cut ~net
+    = reference_split ext ~skip_conductor ~skip_cut ~net
+  in
+  let never _ = false in
+  let conductor_opens =
+    List.for_all
+      (fun k -> agree ~skip_conductor:(Int.equal k) ~skip_cut:never ~net:ext.net_of.(k))
+      (List.init (Array.length ext.conductors) Fun.id)
+  in
+  let cut_opens =
+    List.for_all
+      (fun ci ->
+        match ext.cuts.(ci).Extract.Extraction.joins with
+        | [] -> true
+        | anchor :: _ ->
+          agree ~skip_conductor:never ~skip_cut:(Int.equal ci) ~net:ext.net_of.(anchor))
+      (List.init (Array.length ext.cuts) Fun.id)
+  in
+  conductor_opens && cut_opens
+  && List.for_all
+       (fun (ks, cis) ->
+         let skip_conductor k = List.mem k ks and skip_cut ci = List.mem ci cis in
+         List.for_all
+           (fun net -> agree ~skip_conductor ~skip_cut ~net)
+           (List.sort_uniq compare
+              (List.map (fun k -> ext.net_of.(k)) ks
+              @ List.filter_map
+                  (fun ci ->
+                    match ext.cuts.(ci).Extract.Extraction.joins with
+                    | anchor :: _ -> Some ext.net_of.(anchor)
+                    | [] -> None)
+                  cis)))
+       extra
+
+(* Random masks.  Raw soups of diffusion and poly rectangles on a coarse
+   grid (coincident, nested and abutting shapes are common) exercise the
+   skeleton; synthesized arrays and meshes overlaid with random metal
+   rectangles and vias - which merge nets, add cut joins and close
+   loops - extract cleanly and exercise the splitter. *)
+let grid_rect =
+  QCheck.Gen.(
+    map
+      (fun (x, y, w, h) -> Geom.Rect.make (x * 500) (y * 500) ((x + w) * 500) ((y + h) * 500))
+      (quad (int_range 0 40) (int_range 0 40) (int_range 1 12) (int_range 1 12)))
+
+let soup_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 40)
+      (pair (oneofl [ Layout.Layer.Poly; Layout.Layer.Ndiff; Layout.Layer.Pdiff ]) grid_rect)
+    >>= fun shapes ->
+    (* Repeat some shapes verbatim: coincident channels must dedupe. *)
+    map
+      (fun dup -> if dup then shapes @ List.filteri (fun i _ -> i mod 3 = 0) shapes else shapes)
+      bool)
+
+let soup_mask shapes =
+  List.fold_left
+    (fun m (layer, r) -> Layout.Mask.add_shape m layer r)
+    (Layout.Mask.empty Layout.Tech.default)
+    shapes
+
+let overlay_gen =
+  QCheck.Gen.(
+    pair
+      (oneof
+         [
+           map3
+             (fun rows cols nudge ->
+               let nudge = if nudge then Some (rows - 1, cols - 1) else None in
+               Synth.Layout_synth.vco_array ~rows ~cols ?nudge ())
+             (int_range 1 2) (int_range 1 3) bool;
+           map2 (fun rows cols -> Synth.Layout_synth.mesh ~rows ~cols ())
+             (int_range 2 5) (int_range 2 5);
+         ])
+      (list_size (int_range 0 8)
+         (triple
+            (oneofl [ Layout.Layer.Metal1; Layout.Layer.Metal2; Layout.Layer.Via ])
+            (pair (float_range 0.0 1.0) (float_range 0.0 1.0))
+            (pair (int_range 1 40) (int_range 1 40)))))
+
+let overlay_mask (base, extras) =
+  let bb = Layout.Mask.bbox base in
+  List.fold_left
+    (fun m (layer, (fx, fy), (w, h)) ->
+      let x = bb.Geom.Rect.x0 + int_of_float (fx *. float_of_int (Geom.Rect.width bb))
+      and y = bb.Geom.Rect.y0 + int_of_float (fy *. float_of_int (Geom.Rect.height bb)) in
+      let w, h =
+        if Layout.Layer.equal layer Layout.Layer.Via then
+          let side = Layout.Tech.default.Layout.Tech.cut_side in
+          (side, side)
+        else (w * 500, h * 500)
+      in
+      Layout.Mask.add_shape m layer (Geom.Rect.make x y (x + w) (y + h)))
+    base extras
+
+let oracle_qcheck =
+  let open QCheck in
+  let print_soup shapes =
+    String.concat ";"
+      (List.map
+         (fun (l, r) -> Layout.Layer.to_string l ^ ":" ^ Geom.Rect.to_string r)
+         shapes)
+  in
+  [
+    Test.make ~name:"indexed skeleton equals the pairwise reference" ~count:300
+      (make ~print:print_soup soup_gen)
+      (fun shapes -> skeleton_matches (soup_mask shapes));
+    Test.make ~name:"cut joins and net-graph splits equal the references" ~count:40
+      (make overlay_gen)
+      (fun case ->
+        let mask = overlay_mask case in
+        skeleton_matches mask
+        &&
+        let ext = Extract.Extractor.extract mask in
+        joins_match ext
+        &&
+        let n = Array.length ext.Extract.Extraction.conductors in
+        let c = Array.length ext.Extract.Extraction.cuts in
+        (* A few multi-shape defects, as the Monte-Carlo injector makes. *)
+        let extra =
+          List.init 4 (fun i ->
+              ( List.filter (fun k -> (k + i) mod 7 = 0) (List.init n Fun.id),
+                List.filter (fun ci -> (ci + i) mod 5 = 0) (List.init c Fun.id) ))
+        in
+        splits_match ~extra ext);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+let oracle_tests =
+  [
+    Alcotest.test_case "paper VCO: skeleton and splits equal the references" `Quick
+      (fun () ->
+        let mask = Cat.Demo.mask () in
+        let ext = Extract.Extractor.extract ~options:Cat.Demo.extractor_options mask in
+        check_bool "skeleton" true (skeleton_matches mask);
+        check_bool "cut joins" true (joins_match ext);
+        check_bool "splits" true (splits_match ext));
+  ]
+
+(* --- Pinned answers ------------------------------------------------------ *)
+
+(* [mask] plus one small isolated metal2 square inside its hull: a local
+   edit, so re-running [mask] over a cache filled by the variant is an
+   incremental run (the VCO has no built-in nudge). *)
+let local_variant mask =
+  let bb = Layout.Mask.bbox mask in
+  let m2 = Layout.Mask.on mask Layout.Layer.Metal2 in
+  let side = 1000 and clear = 20_000 in
+  let spot =
+    List.find_map
+      (fun (fx, fy) ->
+        let x = bb.Geom.Rect.x0 + (fx * Geom.Rect.width bb / 8)
+        and y = bb.Geom.Rect.y0 + (fy * Geom.Rect.height bb / 8) in
+        let r = Geom.Rect.make x y (x + side) (y + side) in
+        if List.exists (fun s -> Geom.Rect.touches s (Geom.Rect.expand r clear)) m2 then None
+        else Some r)
+      (List.concat_map (fun fx -> List.init 7 (fun fy -> (fx, fy + 1))) (List.init 7 succ))
+  in
+  match spot with
+  | Some r -> Layout.Mask.add_shape mask Layout.Layer.Metal2 r
+  | None -> Alcotest.fail "no free spot for the local edit"
+
+(* MD5 of the ranked fault-list text, fixed before the fault merge,
+   skeleton and splitter were rewritten: a change that moves the serial
+   path and the pipeline together still fails here.  Each layout comes
+   with a locally edited variant for the incremental run. *)
+let pinned =
+  [
+    ("paper VCO", Cat.Demo.mask, local_variant, "21160807251c0d88b008e8c3cc7f5f41");
+    ( "6x6 delay-cell array",
+      (fun () -> Synth.Layout_synth.vco_array ~rows:6 ~cols:6 ()),
+      (fun _ -> Synth.Layout_synth.vco_array ~rows:6 ~cols:6 ~nudge:(2, 3) ()),
+      "24d3d78e904b8c6f4add40978a819c70" );
+  ]
+
+let pinned_tests =
+  List.map
+    (fun (name, mask, variant, digest) ->
+      Alcotest.test_case (name ^ ": pinned ranked list") `Quick (fun () ->
+          let mask = mask () in
+          let md5 text = Digest.to_hex (Digest.string text) in
+          let tile = 40_000 in
+          check_str "serial" digest (md5 (serial_text mask));
+          (* Two domains share one splitter, so net graphs race. *)
+          check_str "2 domains, unaligned tiles" digest
+            (md5 (pipeline_text ~tile:27_000 ~domains:2 mask));
+          let cache = temp_dir () in
+          let cold = pipeline_run ~tile ~cache mask in
+          check_str "cold" digest
+            (md5 (Faults.Fault_list.to_string (Defects.Lift.ranked cold.result)));
+          let warm = pipeline_run ~tile ~cache mask in
+          check_bool "warm all cached" true (all_cached warm.counters);
+          check_str "warm" digest
+            (md5 (Faults.Fault_list.to_string (Defects.Lift.ranked warm.result)));
+          let incr_cache = temp_dir () in
+          ignore (pipeline_run ~tile ~cache:incr_cache (variant mask));
+          let incr = pipeline_run ~tile ~cache:incr_cache mask in
+          let c = incr.counters in
+          check_bool "incremental reuses tiles" true
+            (c.sites.cached > 0 && c.sites.computed > 0);
+          check_str "incr" digest
+            (md5 (Faults.Fault_list.to_string (Defects.Lift.ranked incr.result)))))
+    pinned
+
 let suites =
   [
     ("pipeline.tiling", tiling_tests);
@@ -329,4 +741,6 @@ let suites =
     ("pipeline.parity", parity_tests);
     ("pipeline.cache", cache_tests);
     ("pipeline.ranked", ranked_tests);
+    ("pipeline.oracles", oracle_tests @ oracle_qcheck);
+    ("pipeline.pinned", pinned_tests);
   ]
