@@ -122,8 +122,8 @@ let write_csv path results =
       output_string oc (Anafault.Report.csv_of_results results));
   Format.eprintf "csv written to %s@." path
 
-(* Exit-code contract shared with the local path: 1 when every fault of
-   a non-empty campaign failed to simulate. *)
+(* Exit-code contract shared by the local and remote paths: 1 when every
+   fault of a non-empty campaign failed to simulate. *)
 let code_of_results (results : Anafault.Outcome.fault_result list) =
   let failed =
     List.length
@@ -374,7 +374,6 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
       let died =
         List.filter (fun d -> d.Anafault.Parsim.died) domain_stats
       in
-      let _, _, failed = Anafault.Simulate.tally run_result in
       if died <> [] then begin
         Format.eprintf
           "error: %d worker domain(s) died; their claimed faults carry typed \
@@ -382,13 +381,7 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
           (List.length died);
         4
       end
-      else if faults <> [] && failed = List.length faults then begin
-        Format.eprintf
-          "error: every fault simulation failed (see the failure breakdown \
-           above)@.";
-        1
-      end
-      else 0
+      else code_of_results run_result.Anafault.Simulate.results
   end
 
 (* --- Spec assembly ----------------------------------------------------- *)

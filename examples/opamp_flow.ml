@@ -75,7 +75,7 @@ let () =
 
   banner "Transient fault simulation (step response, paper tolerances)";
   let config =
-    { (Anafault.Simulate.default_config ~tran ~observed:"out" ()) with
+    { (Anafault.Campaign.(config_of_options default_options ~tran ~observed:"out")) with
       tolerance = { Anafault.Detect.tol_v = 0.5; tol_t = 0.2e-6 };
       domains = 4 }
   in

@@ -23,7 +23,9 @@ let () =
   Printf.printf "circuit: %d devices, nodes: %s\n"
     (Netlist.Circuit.device_count circuit)
     (String.concat " " (Netlist.Circuit.nodes circuit));
-  let config = Anafault.Simulate.default_config ~tran ~observed:"out" () in
+  let config =
+    Anafault.Campaign.(config_of_options default_options ~tran ~observed:"out")
+  in
   let nominal, stats = Anafault.Simulate.nominal config circuit in
   Printf.printf "nominal: %d kernel steps, out in [%.2f, %.2f] V\n"
     stats.Sim.Engine.accepted_steps

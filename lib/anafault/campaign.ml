@@ -299,17 +299,6 @@ let config_of_options ?(obs = Obs.null) o ~tran ~observed =
     obs;
   }
 
-let options_of_config (c : Simulate.config) =
-  {
-    model = c.Simulate.model;
-    tolerance = c.Simulate.tolerance;
-    sim = c.Simulate.sim_options;
-    retries = c.Simulate.retries;
-    samples = c.Simulate.samples;
-    domains = c.Simulate.domains;
-    batch = c.Simulate.batch;
-  }
-
 (* --- Specs ------------------------------------------------------------- *)
 
 type spec = {

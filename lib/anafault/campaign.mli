@@ -7,9 +7,10 @@
     vocabulary: a local run, a remote submission and a shard of a
     distributed run are the same {!spec} pushed through the same
     {!compile}/{!run_local} machinery, differing only in who drives the
-    loop.  This supersedes reaching for {!Simulate.default_config} and
-    the [run_one_in]/[run_batch] entry points directly; those remain as the engine room underneath (see the migration notes
-    in DESIGN.md). *)
+    loop.  {!default_options} is the one encoding of the paper's working
+    point; {!config_of_options} turns it into the {!Simulate.config} the
+    [run_one_in]/[run_batch] engine room underneath runs on (see the
+    migration notes in DESIGN.md). *)
 
 (** {1 Options}
 
@@ -69,9 +70,6 @@ val config_of_options :
   tran:Netlist.Parser.tran ->
   observed:string ->
   Simulate.config
-
-(** Inverse projection (drops the telemetry sink and stimulus). *)
-val options_of_config : Simulate.config -> options
 
 (** {1 Specs} *)
 

@@ -11,24 +11,6 @@ type config = {
   obs : Obs.sink;
 }
 
-let default_config ?(model = Faults.Inject.Source)
-    ?(tolerance = Detect.paper_tolerance)
-    ?(sim_options = Sim.Engine.default_options)
-    ?(retries = [ Outcome.Swap_model ]) ?(samples = 400) ?(domains = 1)
-    ?(batch = 0) ?(obs = Obs.null) ~tran ~observed () =
-  {
-    model;
-    tran;
-    observed;
-    tolerance;
-    sim_options;
-    retries;
-    samples;
-    domains;
-    batch;
-    obs;
-  }
-
 (* Resolve the lock-step batch width.  Explicit [batch] wins; the auto
    rule keeps at least four batches per domain in flight so work
    stealing still balances, and clamps at 16 where the crossover

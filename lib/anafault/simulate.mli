@@ -21,7 +21,8 @@
 (** The single place a fault-simulation run is described: fault model,
     stimulus, observation point, detection tolerance, kernel options,
     retry policy, output grid, scheduler width and telemetry sink.
-    Every front end (CLI, benches, examples) builds one of these and
+    Every front end (CLI, benches, examples) derives one from
+    {!Campaign.default_options} with {!Campaign.config_of_options} and
     hands it to {!Parsim.execute}. *)
 type config = {
   model : Faults.Inject.model;  (** fault simulation model *)
@@ -45,32 +46,6 @@ type config = {
   obs : Obs.sink;  (** telemetry sink threaded through the kernel, the
                        sessions and the per-fault loop *)
 }
-
-(** [default_config ~tran ~observed] is the paper's working point: the
-    source model, 2 V / 0.2 us tolerances, a 400-point grid, one domain,
-    no telemetry and a one-rung [Swap_model] retry ladder (the paper
-    notes both fault models yield near-identical coverage, so a singular
-    source-model injection silently falls back to the resistor model);
-    each piece can be overridden in place.
-
-    {b Deprecated} as a front-end entry point: new code should build a
-    {!Campaign.options} (which has total JSON codecs and an [of_cli]
-    constructor) and derive the config via {!Campaign.config_of_options}
-    - see the migration guide in DESIGN.md.  [default_config] remains
-    for the engine room and existing callers. *)
-val default_config :
-  ?model:Faults.Inject.model ->
-  ?tolerance:Detect.tolerance ->
-  ?sim_options:Sim.Engine.options ->
-  ?retries:Outcome.strategy list ->
-  ?samples:int ->
-  ?domains:int ->
-  ?batch:int ->
-  ?obs:Obs.sink ->
-  tran:Netlist.Parser.tran ->
-  observed:string ->
-  unit ->
-  config
 
 (** The lock-step batch width actually used for a campaign of [total]
     faults: an explicit [config.batch] verbatim, otherwise an automatic

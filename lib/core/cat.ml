@@ -30,8 +30,9 @@ module Demo = struct
     }
 
   let config =
-    Anafault.Simulate.default_config ~tran:Vco.Schematic.tran
-      ~observed:Vco.Schematic.out_node ()
+    Anafault.Campaign.(
+      config_of_options default_options ~tran:Vco.Schematic.tran
+        ~observed:Vco.Schematic.out_node)
 
   let universe () = Faults.Universe.build (schematic ())
 end

@@ -307,6 +307,11 @@ module Json = struct
 
   exception Parse_error of string
 
+  (* The parser recurses once per nesting level, so an unbounded depth
+     would let one hostile line exhaust the stack.  Nothing this
+     repository writes nests beyond a handful of levels. *)
+  let max_depth = 10_000
+
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
@@ -352,7 +357,11 @@ module Json = struct
           | 'f' -> Buffer.add_char buf '\012'
           | 'u' ->
             if !pos + 4 >= n then fail "short \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
+            let hex = String.sub s (!pos + 1) 4 in
+            let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+            if not (String.for_all is_hex hex) then
+              fail (Printf.sprintf "bad \\u escape %S" hex);
+            let code = int_of_string ("0x" ^ hex) in
             pos := !pos + 4;
             if code < 0x80 then Buffer.add_char buf (Char.chr code)
             else if code < 0x800 then begin
@@ -406,11 +415,12 @@ module Json = struct
           | Some f -> Float f
           | None -> fail ("bad number " ^ tok))
     in
-    let rec parse_value () =
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
       | Some '"' -> String (parse_string ())
+      | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
       | Some '{' ->
         incr pos;
         skip_ws ();
@@ -424,7 +434,7 @@ module Json = struct
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -446,7 +456,7 @@ module Json = struct
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -471,7 +481,7 @@ module Json = struct
       | Some _ -> parse_number ()
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then fail "trailing garbage";
       v

@@ -390,7 +390,8 @@ let inverter =
 
 let tran = { Netlist.Parser.tstep = 10e-9; tstop = 4e-6; uic = true }
 
-let config = Anafault.Simulate.default_config ~tran ~observed:"out" ()
+let config =
+  Anafault.Campaign.(config_of_options default_options ~tran ~observed:"out")
 
 let bridge_out_vdd =
   Faults.Fault.make ~id:"#1"
@@ -805,8 +806,7 @@ let budget_tests =
         run_budgeted Sim.Engine.unlimited);
     Alcotest.test_case "50 ms deadline bounds every fault, serial" `Slow (fun () ->
         let config =
-          Anafault.Simulate.default_config ~tran:tran_slow ~observed:"out"
-            ~sim_options:deadline_options ~retries:[] ()
+          { config with tran = tran_slow; sim_options = deadline_options; retries = [] }
         in
         let t0 = Unix.gettimeofday () in
         let run = run_serial config inverter faults in
@@ -814,8 +814,13 @@ let budget_tests =
         check_bool "terminated promptly" true (Unix.gettimeofday () -. t0 < 60.0));
     Alcotest.test_case "50 ms deadline bounds every fault, 4 domains" `Slow (fun () ->
         let config =
-          Anafault.Simulate.default_config ~tran:tran_slow ~observed:"out"
-            ~sim_options:deadline_options ~retries:[] ~domains:4 ()
+          {
+            config with
+            tran = tran_slow;
+            sim_options = deadline_options;
+            retries = [];
+            domains = 4;
+          }
         in
         let t0 = Unix.gettimeofday () in
         let run, _ = Anafault.Parsim.execute config inverter faults in
@@ -833,8 +838,7 @@ let budget_tests =
           }
         in
         let config =
-          Anafault.Simulate.default_config ~tran ~observed:"out" ~sim_options:options
-            ~retries:[] ()
+          { config with sim_options = options; retries = [] }
         in
         let run = run_serial config inverter faults in
         check_bool "nominal produced" true
@@ -1044,13 +1048,54 @@ let batch_tests =
         in
         let tran = { Netlist.Parser.tstep = 1e-7; tstop = 2e-6; uic = false } in
         let observed = Anafault.Simulate.default_observed circuit in
-        let config = Anafault.Simulate.default_config ~tran ~observed () in
+        let config =
+          Anafault.Campaign.(config_of_options default_options ~tran ~observed)
+        in
         let serial = run_serial config circuit grid_faults in
         let batched, _ =
           Anafault.Parsim.execute { config with batch = 4 } circuit grid_faults
         in
         Alcotest.(check (list (pair string string)))
-          "same outcomes" (key serial) (key batched));
+          "same outcomes" (key serial) (key batched);
+        (* The 4x4 grid is dense and, at the paper's 2 V tolerance, drops
+           one variant.  A 10x10 grid (101 unknowns: the sparse backend
+           under Auto) at a 1 mV tolerance detects most faults early, so
+           lock-step batches drop most variants mid-run (34 of these 40)
+           while sharing one sparse pattern. *)
+        let rows = 10 and cols = 10 in
+        check_bool "sparse territory" true
+          ((rows * cols) + 1 >= Sim.Solver.auto_threshold);
+        let circuit = Synth.Circuit_synth.resistor_grid ~rows ~cols () in
+        let grid_faults =
+          Faults.Universe.build circuit |> List.filteri (fun i _ -> i < 40)
+        in
+        let tran = { Netlist.Parser.tstep = 1e-7; tstop = 4e-6; uic = false } in
+        let observed = Anafault.Simulate.default_observed circuit in
+        let config =
+          {
+            (Anafault.Campaign.(config_of_options default_options ~tran ~observed))
+            with
+            tolerance = { Anafault.Detect.tol_v = 1e-3; tol_t = 0.2e-6 };
+          }
+        in
+        let csv_at batch =
+          let obs = Obs.memory () in
+          let run, _ =
+            Anafault.Parsim.execute { config with batch; obs } circuit grid_faults
+          in
+          ( Anafault.Report.csv_of_results run.Anafault.Simulate.results,
+            counter_total (Obs.drain obs) "batch.drops" )
+        in
+        let reference, _ = csv_at 1 in
+        List.iter
+          (fun width ->
+            let csv, drops = csv_at width in
+            Alcotest.(check string)
+              (Printf.sprintf "width %d table" width)
+              reference csv;
+            check_bool (Printf.sprintf "width %d drops variants" width) true
+              (drops > 0))
+          [ 3; 16 ]);
     Alcotest.test_case "a decided fault is dropped early" `Quick (fun () ->
         let obs = Obs.memory () in
         let config = { config with obs } in

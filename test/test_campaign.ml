@@ -99,9 +99,35 @@ let codec_tests =
         let back = ok "options_of_json" (Campaign.options_of_json (J.Obj [])) in
         check_bool "defaults" true (back = Campaign.default_options));
     Alcotest.test_case "config round-trips through options" `Quick (fun () ->
-        let compiled = compile () in
-        let opts = Campaign.options_of_config compiled.Campaign.config in
-        check_bool "projects back" true (opts = spec.Campaign.options));
+        (* Every field off its default, so a dropped or crossed field shows. *)
+        let options =
+          {
+            Campaign.model = Faults.Inject.default_resistor;
+            tolerance = { Anafault.Detect.tol_v = 0.25; tol_t = 3e-7 };
+            sim =
+              {
+                Sim.Engine.default_options with
+                Sim.Engine.solver = Sim.Solver.Sparse;
+                max_iter = 77;
+              };
+            retries = [];
+            samples = 123;
+            domains = 3;
+            batch = 5;
+          }
+        in
+        let compiled = ok "compile" (Campaign.compile { spec with options }) in
+        let c = compiled.Campaign.config in
+        let module S = Anafault.Simulate in
+        check_bool "model" true (c.S.model = options.Campaign.model);
+        check_bool "tolerance" true (c.S.tolerance = options.Campaign.tolerance);
+        check_bool "sim options" true (c.S.sim_options = options.Campaign.sim);
+        check_bool "retries" true (c.S.retries = options.Campaign.retries);
+        check_int "samples" options.Campaign.samples c.S.samples;
+        check_int "domains" options.Campaign.domains c.S.domains;
+        check_int "batch" options.Campaign.batch c.S.batch;
+        check_string "observed" "out" c.S.observed;
+        check_bool "tran" true (c.S.tran = compiled.Campaign.tran));
     Alcotest.test_case "spec round-trip (explicit observed)" `Quick (fun () ->
         let back = ok "spec_of_json" (Campaign.spec_of_json (Campaign.spec_to_json spec)) in
         check_bool "equal" true (back = spec));

@@ -403,7 +403,8 @@ let small_inverter =
 
 let small_tran = { Netlist.Parser.tstep = 10e-9; tstop = 4e-6; uic = true }
 
-let small_config = Anafault.Simulate.default_config ~tran:small_tran ~observed:"out" ()
+let small_config =
+  Anafault.Campaign.(config_of_options default_options ~tran:small_tran ~observed:"out")
 
 let small_faults =
   [

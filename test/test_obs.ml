@@ -192,6 +192,14 @@ let json_tests =
         | Error msg ->
           Alcotest.(check bool) "mentions line 2" true (String.contains msg '2')
         | Ok _ -> Alcotest.fail "garbage should not parse");
+    Alcotest.test_case "a malformed \\u escape is a typed error" `Quick (fun () ->
+        List.iter
+          (fun text ->
+            Alcotest.(check bool) text true (Result.is_error (Obs.Json.of_string text)))
+          [ "\"\\u00=1\""; "\"\\u+123\""; "\"\\u1_23\""; "\"\\uzzzz\"" ];
+        Alcotest.(check bool)
+          "valid escape" true
+          (Obs.Json.of_string "\"\\u0041\"" = Ok (Obs.Json.String "A")));
   ]
 
 let divider =
