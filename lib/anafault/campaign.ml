@@ -7,49 +7,7 @@ module J = Obs.Json
 
 let ( let* ) = Result.bind
 
-(* --- JSON field helpers ------------------------------------------------ *)
-
-let obj_fields = function
-  | J.Obj fields -> Ok fields
-  | _ -> Error "want a JSON object"
-
-(* Missing (or null) fields take [default]; present fields must decode. *)
-let get fields name ~default decode =
-  match List.assoc_opt name fields with
-  | None | Some J.Null -> Ok default
-  | Some v -> begin
-    match decode v with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (name ^ ": " ^ msg)
-  end
-
-let require fields name decode =
-  match List.assoc_opt name fields with
-  | None -> Error ("missing field " ^ name)
-  | Some v -> begin
-    match decode v with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (name ^ ": " ^ msg)
-  end
-
-let as_str = function J.String s -> Ok s | _ -> Error "want a string"
-
-let as_int = function J.Int i -> Ok i | _ -> Error "want an integer"
-
-let as_float = function
-  | J.Float f -> Ok f
-  | J.Int i -> Ok (float_of_int i)
-  | _ -> Error "want a number"
-
-let as_bool = function J.Bool b -> Ok b | _ -> Error "want a boolean"
-
-let as_list = function J.List l -> Ok l | _ -> Error "want a list"
-
 let opt_to_json f = function None -> J.Null | Some v -> f v
-
-let as_opt decode = function
-  | J.Null -> Ok None
-  | v -> Result.map Option.some (decode v)
 
 (* --- Options ----------------------------------------------------------- *)
 
@@ -85,8 +43,8 @@ let model_to_json = function
       ]
 
 let model_of_json json =
-  let* fields = obj_fields json in
-  let* kind = require fields "kind" as_str in
+  let* fields = J.obj_fields json in
+  let* kind = J.require fields "kind" J.as_str in
   match kind with
   | "source" -> Ok Faults.Inject.Source
   | "resistor" ->
@@ -95,8 +53,8 @@ let model_of_json json =
       | Faults.Inject.Resistor { r_short; r_open } -> (r_short, r_open)
       | Faults.Inject.Source -> assert false
     in
-    let* r_short = get fields "r_short" ~default:default_short as_float in
-    let* r_open = get fields "r_open" ~default:default_open as_float in
+    let* r_short = J.get fields "r_short" ~default:default_short J.as_float in
+    let* r_open = J.get fields "r_open" ~default:default_open J.as_float in
     Ok (Faults.Inject.Resistor { r_short; r_open })
   | other -> Error ("unknown fault model " ^ other)
 
@@ -104,10 +62,10 @@ let tolerance_to_json (t : Detect.tolerance) =
   J.Obj [ ("tol_v", J.Float t.Detect.tol_v); ("tol_t", J.Float t.Detect.tol_t) ]
 
 let tolerance_of_json json =
-  let* fields = obj_fields json in
+  let* fields = J.obj_fields json in
   let d = Detect.paper_tolerance in
-  let* tol_v = get fields "tol_v" ~default:d.Detect.tol_v as_float in
-  let* tol_t = get fields "tol_t" ~default:d.Detect.tol_t as_float in
+  let* tol_v = J.get fields "tol_v" ~default:d.Detect.tol_v J.as_float in
+  let* tol_t = J.get fields "tol_t" ~default:d.Detect.tol_t J.as_float in
   Ok { Detect.tol_v; tol_t }
 
 let integration_to_string = function
@@ -130,13 +88,13 @@ let budget_to_json (b : Sim.Engine.budget) =
     ]
 
 let budget_of_json json =
-  let* fields = obj_fields json in
+  let* fields = J.obj_fields json in
   let* max_newton_iterations =
-    get fields "max_newton_iterations" ~default:None (as_opt as_int)
+    J.get fields "max_newton_iterations" ~default:None (J.as_opt J.as_int)
   in
-  let* max_steps = get fields "max_steps" ~default:None (as_opt as_int) in
+  let* max_steps = J.get fields "max_steps" ~default:None (J.as_opt J.as_int) in
   let* deadline_seconds =
-    get fields "deadline_seconds" ~default:None (as_opt as_float)
+    J.get fields "deadline_seconds" ~default:None (J.as_opt J.as_float)
   in
   Ok { Sim.Engine.max_newton_iterations; max_steps; deadline_seconds }
 
@@ -155,25 +113,25 @@ let sim_options_to_json (o : Sim.Engine.options) =
     ]
 
 let sim_options_of_json json =
-  let* fields = obj_fields json in
+  let* fields = J.obj_fields json in
   let d = Sim.Engine.default_options in
-  let* gmin = get fields "gmin" ~default:d.Sim.Engine.gmin as_float in
-  let* reltol = get fields "reltol" ~default:d.Sim.Engine.reltol as_float in
-  let* abstol = get fields "abstol" ~default:d.Sim.Engine.abstol as_float in
-  let* max_iter = get fields "max_iter" ~default:d.Sim.Engine.max_iter as_int in
-  let* dv_limit = get fields "dv_limit" ~default:d.Sim.Engine.dv_limit as_float in
-  let* cmin = get fields "cmin" ~default:d.Sim.Engine.cmin as_float in
+  let* gmin = J.get fields "gmin" ~default:d.Sim.Engine.gmin J.as_float in
+  let* reltol = J.get fields "reltol" ~default:d.Sim.Engine.reltol J.as_float in
+  let* abstol = J.get fields "abstol" ~default:d.Sim.Engine.abstol J.as_float in
+  let* max_iter = J.get fields "max_iter" ~default:d.Sim.Engine.max_iter J.as_int in
+  let* dv_limit = J.get fields "dv_limit" ~default:d.Sim.Engine.dv_limit J.as_float in
+  let* cmin = J.get fields "cmin" ~default:d.Sim.Engine.cmin J.as_float in
   let* integration =
-    get fields "integration" ~default:d.Sim.Engine.integration (fun v ->
-        let* s = as_str v in
+    J.get fields "integration" ~default:d.Sim.Engine.integration (fun v ->
+        let* s = J.as_str v in
         integration_of_string s)
   in
   let* budget =
-    get fields "budget" ~default:d.Sim.Engine.budget budget_of_json
+    J.get fields "budget" ~default:d.Sim.Engine.budget budget_of_json
   in
   let* solver =
-    get fields "solver" ~default:d.Sim.Engine.solver (fun v ->
-        let* s = as_str v in
+    J.get fields "solver" ~default:d.Sim.Engine.solver (fun v ->
+        let* s = J.as_str v in
         Sim.Solver.backend_of_string s)
   in
   Ok
@@ -223,28 +181,22 @@ let options_to_json o =
     ]
 
 let options_of_json json =
-  let* fields = obj_fields json in
+  let* fields = J.obj_fields json in
   let d = default_options in
-  let* model = get fields "model" ~default:d.model model_of_json in
+  let* model = J.get fields "model" ~default:d.model model_of_json in
   let* tolerance =
-    get fields "tolerance" ~default:d.tolerance tolerance_of_json
+    J.get fields "tolerance" ~default:d.tolerance tolerance_of_json
   in
-  let* sim = get fields "sim" ~default:d.sim sim_options_of_json in
+  let* sim = J.get fields "sim" ~default:d.sim sim_options_of_json in
   let* retries =
-    get fields "retries" ~default:d.retries (fun v ->
-        let* l = as_list v in
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* s = as_str j in
-            let* strategy = Outcome.strategy_of_string s in
-            Ok (strategy :: acc))
-          (Ok []) l
-        |> Result.map List.rev)
+    J.get fields "retries" ~default:d.retries
+      (J.list_of (fun j ->
+           let* s = J.as_str j in
+           Outcome.strategy_of_string s))
   in
-  let* samples = get fields "samples" ~default:d.samples as_int in
-  let* domains = get fields "domains" ~default:d.domains as_int in
-  let* batch = get fields "batch" ~default:d.batch as_int in
+  let* samples = J.get fields "samples" ~default:d.samples J.as_int in
+  let* domains = J.get fields "domains" ~default:d.domains J.as_int in
+  let* batch = J.get fields "batch" ~default:d.batch J.as_int in
   Ok { model; tolerance; sim; retries; samples; domains; batch }
 
 let options_of_cli ?(model = "source") ?(solver = "auto")
@@ -320,23 +272,20 @@ let spec_to_json s =
     ]
 
 let spec_of_json json =
-  let* fields = obj_fields json in
+  let* fields = J.obj_fields json in
+  let* tag = J.get fields "anafault" ~default:"campaign-spec" J.as_str in
+  let* version = J.get fields "version" ~default:1 J.as_int in
   let* () =
-    match List.assoc_opt "anafault" fields with
-    | None | Some (J.String "campaign-spec") -> Ok ()
-    | Some _ -> Error "not a campaign spec"
+    if tag <> "campaign-spec" then Error "not a campaign spec"
+    else if version <> 1 then
+      Error (Printf.sprintf "unsupported spec version %d" version)
+    else Ok ()
   in
-  let* () =
-    match List.assoc_opt "version" fields with
-    | None | Some (J.Int 1) -> Ok ()
-    | Some (J.Int v) -> Error (Printf.sprintf "unsupported spec version %d" v)
-    | Some _ -> Error "version: want an integer"
-  in
-  let* deck = require fields "deck" as_str in
-  let* observed = get fields "observed" ~default:None (as_opt as_str) in
-  let* faults = require fields "faults" as_str in
+  let* deck = J.require fields "deck" J.as_str in
+  let* observed = J.get fields "observed" ~default:None (J.as_opt J.as_str) in
+  let* faults = J.require fields "faults" J.as_str in
   let* options =
-    get fields "options" ~default:default_options options_of_json
+    J.get fields "options" ~default:default_options options_of_json
   in
   Ok { deck; observed; faults; options }
 
@@ -418,20 +367,13 @@ let result_to_json r =
     ]
 
 let result_of_json ~faults json =
-  let* fields = obj_fields json in
-  let* fingerprint = require fields "fingerprint" as_str in
-  let* total = require fields "total" as_int in
-  let* cached = get fields "cached" ~default:false as_bool in
-  let* wall_seconds = get fields "wall_seconds" ~default:0.0 as_float in
-  let* entries = require fields "results" as_list in
+  let* fields = J.obj_fields json in
+  let* fingerprint = J.require fields "fingerprint" J.as_str in
+  let* total = J.require fields "total" J.as_int in
+  let* cached = J.get fields "cached" ~default:false J.as_bool in
+  let* wall_seconds = J.get fields "wall_seconds" ~default:0.0 J.as_float in
   let* indexed =
-    List.fold_left
-      (fun acc j ->
-        let* acc = acc in
-        let* entry = Outcome.result_of_json ~faults j in
-        Ok (entry :: acc))
-      (Ok []) entries
-    |> Result.map List.rev
+    J.require fields "results" (J.list_of (Outcome.result_of_json ~faults))
   in
   let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) indexed in
   if List.length sorted <> total then
@@ -589,42 +531,42 @@ let event_to_json = function
     J.Obj [ ("event", J.String "failed"); ("message", J.String message) ]
 
 let event_of_json ~faults json =
-  let* fields = obj_fields json in
-  let* tag = require fields "event" as_str in
+  let* fields = J.obj_fields json in
+  let* tag = J.require fields "event" J.as_str in
   match tag with
   | "accepted" ->
-    let* fingerprint = require fields "fingerprint" as_str in
-    let* total = require fields "total" as_int in
+    let* fingerprint = J.require fields "fingerprint" J.as_str in
+    let* total = J.require fields "total" J.as_int in
     Ok (Accepted { fingerprint; total })
   | "progress" ->
-    let* completed = require fields "completed" as_int in
-    let* total = require fields "total" as_int in
+    let* completed = J.require fields "completed" J.as_int in
+    let* total = J.require fields "total" J.as_int in
     Ok (Progress { completed; total })
   | "cache_hit" ->
-    let* fingerprint = require fields "fingerprint" as_str in
+    let* fingerprint = J.require fields "fingerprint" J.as_str in
     Ok (Cache_hit { fingerprint })
   | "sharded" ->
-    let* shards = require fields "shards" as_int in
+    let* shards = J.require fields "shards" J.as_int in
     Ok (Sharded { shards })
   | "shard_restarted" ->
-    let* shard = require fields "shard" as_int in
-    let* attempt = require fields "attempt" as_int in
+    let* shard = J.require fields "shard" J.as_int in
+    let* attempt = J.require fields "attempt" J.as_int in
     Ok (Shard_restarted { shard; attempt })
   | "shard_lost" ->
-    let* shard = require fields "shard" as_int in
-    let* salvaged = require fields "salvaged" as_int in
-    let* lost = require fields "lost" as_int in
+    let* shard = J.require fields "shard" J.as_int in
+    let* salvaged = J.require fields "salvaged" J.as_int in
+    let* lost = J.require fields "lost" J.as_int in
     Ok (Shard_lost { shard; salvaged; lost })
   | "cancelled" ->
-    let* fingerprint = require fields "fingerprint" as_str in
-    let* reason = require fields "reason" as_str in
-    let* salvaged = get fields "salvaged" ~default:0 as_int in
+    let* fingerprint = J.require fields "fingerprint" J.as_str in
+    let* reason = J.require fields "reason" J.as_str in
+    let* salvaged = J.get fields "salvaged" ~default:0 J.as_int in
     Ok (Cancelled { fingerprint; reason; salvaged })
   | "finished" ->
-    let* result = require fields "result" (result_of_json ~faults) in
+    let* result = J.require fields "result" (result_of_json ~faults) in
     Ok (Finished result)
   | "failed" ->
-    let* message = require fields "message" as_str in
+    let* message = J.require fields "message" J.as_str in
     Ok (Failed { message })
   | other -> Error ("unknown event " ^ other)
 

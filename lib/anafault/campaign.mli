@@ -137,9 +137,6 @@ val result_of_json :
 (** Detected / undetected / failed counts. *)
 val tally : result -> int * int * int
 
-(** [result_of_run ~fingerprint run] wraps an engine-room run. *)
-val result_of_run : fingerprint:string -> Simulate.run -> result
-
 (** [result_of_journal compiled journal] rebuilds the campaign result
     from a (merged) journal alone - no simulation; errors when the
     journal does not hold every fault of the campaign.

@@ -8,25 +8,6 @@ module J = Obs.Json
 
 let fingerprint pieces = Digest.to_hex (Digest.string (String.concat "\x00" pieces))
 
-(* Push a line through the page cache to the platter before anyone
-   depends on it: flush the channel, then fsync the fd.  Without the
-   fsync a power-loss-style crash can commit the file name (via the
-   directory) while the bytes are still in flight, leaving an empty or
-   torn "completed" entry. *)
-let fsync_channel oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-(* Persist a directory entry (a fresh file, a rename target): fsync the
-   directory itself.  Best-effort - some filesystems refuse directory
-   fsync; the entry then lasts as long as the metadata journal does. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 type t = {
   path : string;
   fingerprint : string;
@@ -57,71 +38,66 @@ let header_line ~fingerprint ~total =
 let parse_header line ~fingerprint ~total =
   match J.of_string line with
   | Error msg -> Error ("journal header is not JSON: " ^ msg)
-  | Ok (J.Obj fields) -> begin
-    let str name =
-      match List.assoc_opt name fields with Some (J.String s) -> Some s | _ -> None
-    in
-    let int name =
-      match List.assoc_opt name fields with Some (J.Int i) -> Some i | _ -> None
-    in
-    match (str "journal", int "version", str "fingerprint", int "faults") with
-    | Some "anafault", Some 1, Some fp, Some n ->
-      if not (String.equal fp fingerprint) then
-        Error
-          "journal fingerprint mismatch: it belongs to a different campaign \
-           (circuit, config or fault list changed)"
-      else if n <> total then
-        Error
-          (Printf.sprintf "journal holds %d faults, campaign has %d" n total)
-      else Ok ()
-    | Some "anafault", Some v, _, _ when v <> 1 ->
-      Error (Printf.sprintf "unsupported journal version %d" v)
-    | _ -> Error "not an anafault journal"
+  | Ok json -> begin
+    match J.obj_fields json with
+    | Error _ -> Error "journal header is not an object"
+    | Ok fields -> begin
+      match
+        ( J.require fields "journal" J.as_str,
+          J.require fields "version" J.as_int,
+          J.require fields "fingerprint" J.as_str,
+          J.require fields "faults" J.as_int )
+      with
+      | Ok "anafault", Ok 1, Ok fp, Ok n ->
+        if not (String.equal fp fingerprint) then
+          Error
+            "journal fingerprint mismatch: it belongs to a different campaign \
+             (circuit, config or fault list changed)"
+        else if n <> total then
+          Error
+            (Printf.sprintf "journal holds %d faults, campaign has %d" n total)
+        else Ok ()
+      | Ok "anafault", Ok v, _, _ when v <> 1 ->
+        Error (Printf.sprintf "unsupported journal version %d" v)
+      | _ -> Error "not an anafault journal"
+    end
   end
-  | Ok _ -> Error "journal header is not an object"
 
 (* Read every line of an existing journal; unparseable lines (the torn
    tail of a crashed append, at worst) are skipped.  Later entries for
    the same index win, so a journal that was resumed before a
    now-skipped line stays consistent. *)
 let restore path ~fingerprint ~faults tbl =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let header = try Some (input_line ic) with End_of_file -> None in
-  match header with
-  | None -> Error "journal file is empty"
-  | Some line -> begin
-    match parse_header line ~fingerprint ~total:(Array.length faults) with
-    | Error _ as e -> e
-    | Ok () ->
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> Ok ()
-        | line ->
-          if not (String.trim line = "") then begin
-            match J.of_string line with
-            | Error _ -> () (* torn tail of a crashed append *)
-            | Ok json -> begin
-              match Outcome.result_of_json ~faults json with
-              | Error _ -> ()
-              | Ok (index, result) -> Hashtbl.replace tbl index result
-            end
-          end;
-          loop ()
-      in
-      loop ()
-  end
+  let total = Array.length faults in
+  Durable.fold_lines path ~init:None (fun header line ->
+      match header with
+      | None -> Some (parse_header line ~fingerprint ~total)
+      | Some (Error _) -> header
+      | Some (Ok ()) ->
+        (if String.trim line <> "" then
+           match Result.bind (J.of_string line) (Outcome.result_of_json ~faults) with
+           | Ok (index, result) -> Hashtbl.replace tbl index result
+           | Error _ -> () (* torn tail of a crashed append *));
+        header)
+  |> Option.value ~default:(Error "journal file is empty")
 
 let start ~path ~fingerprint ~resume ~faults =
   let total = Array.length faults in
   let completed = Hashtbl.create 64 in
-  let fresh () =
-    let oc = open_out path in
-    output_string oc (header_line ~fingerprint ~total);
-    output_char oc '\n';
-    fsync_channel oc;
-    fsync_dir (Filename.dirname path);
-    Ok
+  let opened =
+    if resume && Sys.file_exists path then
+      match restore path ~fingerprint ~faults completed with
+      | Error msg -> Error (path ^ ": " ^ msg)
+      | Ok () -> Ok (open_out_gen [ Open_wronly; Open_append ] 0o644 path)
+    else begin
+      let oc = open_out path in
+      Durable.append oc (header_line ~fingerprint ~total);
+      Durable.fsync_dir (Filename.dirname path);
+      Ok oc
+    end
+  in
+  Result.map
+    (fun oc ->
       {
         path;
         fingerprint;
@@ -129,28 +105,10 @@ let start ~path ~fingerprint ~resume ~faults =
         oc;
         lock = Mutex.create ();
         completed;
-        restored = 0;
+        restored = Hashtbl.length completed;
         map = Fun.id;
-      }
-  in
-  if resume && Sys.file_exists path then begin
-    match restore path ~fingerprint ~faults completed with
-    | Error msg -> Error (path ^ ": " ^ msg)
-    | Ok () ->
-      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-      Ok
-        {
-          path;
-          fingerprint;
-          total;
-          oc;
-          lock = Mutex.create ();
-          completed;
-          restored = Hashtbl.length completed;
-          map = Fun.id;
-        }
-  end
-  else fresh ()
+      })
+    opened
 
 (* The view shares the parent's channel, lock and completed table - it
    is the same journal, addressed through other indices. *)
@@ -170,16 +128,13 @@ let record t index result =
   Mutex.protect t.lock @@ fun () ->
   Obs.Failpoint.hit "journal.record";
   Hashtbl.replace t.completed index result;
-  output_string t.oc (J.to_string (Outcome.result_to_json ~index result));
-  output_char t.oc '\n';
-  fsync_channel t.oc
+  Durable.append t.oc (J.to_string (Outcome.result_to_json ~index result))
 
-let completed_count t = Mutex.protect t.lock @@ fun () -> Hashtbl.length t.completed
-
-let completed_results t =
-  Mutex.protect t.lock @@ fun () ->
-  Hashtbl.fold (fun i r acc -> (i, r) :: acc) t.completed []
+let by_index tbl =
+  Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let completed_results t = Mutex.protect t.lock @@ fun () -> by_index t.completed
 
 (* Merge shard journals into one campaign journal.  Every input must
    carry the merged campaign's fingerprint and fault count; a later
@@ -206,29 +161,18 @@ let merge ?(lenient = false) ~out ~fingerprint ~faults paths =
   match load paths with
   | Error _ as e -> e
   | Ok () ->
-    let entries =
-      Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    let entries = by_index tbl in
+    (* A crash mid-merge leaves the previous journal (or nothing) at
+       [out], never a torn merge. *)
+    let line oc s =
+      output_string oc s;
+      output_char oc '\n'
     in
-    (* tmp + fsync + rename: a crash mid-merge leaves the previous
-       journal (or nothing) at [out], never a torn merge. *)
-    let tmp = out ^ ".tmp" in
-    let oc = open_out tmp in
-    (try
-       output_string oc (header_line ~fingerprint ~total:(Array.length faults));
-       output_char oc '\n';
-       List.iter
-         (fun (index, r) ->
-           output_string oc (J.to_string (Outcome.result_to_json ~index r));
-           output_char oc '\n')
-         entries;
-       fsync_channel oc;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp out;
-    fsync_dir (Filename.dirname out);
+    Durable.replace out (fun oc ->
+        line oc (header_line ~fingerprint ~total:(Array.length faults));
+        List.iter
+          (fun (index, r) -> line oc (J.to_string (Outcome.result_to_json ~index r)))
+          entries);
     Ok (List.length entries)
 
 let restored_count t = t.restored

@@ -20,16 +20,6 @@
 
 type t
 
-(** [fsync_channel oc] flushes [oc] and fsyncs its file descriptor, so a
-    line is on disk before anyone depends on it.  Best-effort: an fsync
-    error is ignored. *)
-val fsync_channel : out_channel -> unit
-
-(** [fsync_dir dir] fsyncs the directory itself, persisting a fresh entry
-    or rename target in it.  Best-effort: some filesystems refuse
-    directory fsync. *)
-val fsync_dir : string -> unit
-
 (** [fingerprint pieces] is a stable hex digest of the given strings
     (circuit deck, config summary, fault list - see
     {!Simulate.fingerprint}). *)
@@ -64,9 +54,6 @@ val find : t -> int -> Faults.Fault.t -> Outcome.fault_result option
     Thread-safe (parallel domains record concurrently). *)
 val record : t -> int -> Outcome.fault_result -> unit
 
-(** Results currently held (restored + recorded). *)
-val completed_count : t -> int
-
 (** Every held result with its whole-campaign index, sorted by index -
     the material a campaign result is rebuilt from without
     re-simulating. *)
@@ -79,7 +66,7 @@ val completed_results : t -> (int * Outcome.fault_result) list
     run writes it (header, then result lines in index order), so the
     merged journal and an unsharded journal are interchangeable.
     Returns the number of results merged.  The output is committed with
-    tmp + fsync + rename, so a crash mid-merge never tears [out].
+    {!Durable.replace}, so a crash mid-merge never tears [out].
 
     With [lenient] (default false), an unreadable input - missing file,
     torn header, wrong campaign - contributes nothing instead of

@@ -152,14 +152,13 @@ module J = Obs.Json
 let failure_to_json f =
   J.Obj [ ("kind", J.String (failure_kind f)); ("detail", J.String (failure_detail f)) ]
 
-let failure_of_json = function
-  | J.Obj fields -> begin
-    match (List.assoc_opt "kind" fields, List.assoc_opt "detail" fields) with
-    | Some (J.String kind), Some (J.String detail) -> failure_of_kind kind detail
-    | Some (J.String kind), None -> failure_of_kind kind ""
-    | _ -> Error "failure: want {kind; detail}"
-  end
-  | _ -> Error "failure: want an object"
+let ( let* ) = Result.bind
+
+let failure_of_json json =
+  let* fields = J.obj_fields json in
+  let* kind = J.require fields "kind" J.as_str in
+  let* detail = J.get fields "detail" ~default:"" J.as_str in
+  failure_of_kind kind detail
 
 let attempt_to_json a =
   J.Obj
@@ -169,22 +168,12 @@ let attempt_to_json a =
     | None -> []
     | Some f -> [ ("failure", failure_to_json f) ]))
 
-let attempt_of_json = function
-  | J.Obj fields -> begin
-    match List.assoc_opt "strategy" fields with
-    | Some (J.String s) -> begin
-      match strategy_of_string s with
-      | Error msg -> Error msg
-      | Ok strategy -> begin
-        match List.assoc_opt "failure" fields with
-        | None -> Ok { strategy; failure = None }
-        | Some j ->
-          Result.map (fun f -> { strategy; failure = Some f }) (failure_of_json j)
-      end
-    end
-    | _ -> Error "attempt: want a strategy string"
-  end
-  | _ -> Error "attempt: want an object"
+let attempt_of_json json =
+  let* fields = J.obj_fields json in
+  let* strategy = J.require fields "strategy" J.as_str in
+  let* strategy = strategy_of_string strategy in
+  let* failure = J.get fields "failure" ~default:None (J.as_opt failure_of_json) in
+  Ok { strategy; failure }
 
 (* A number that survives the codec bit-for-bit: Json.Float prints with
    %.17g, which round-trips IEEE doubles exactly. *)
@@ -211,85 +200,43 @@ let result_to_json ~index r =
         ("cpu_seconds", Float r.cpu_seconds);
       ])
 
-let ( let* ) = Result.bind
+let stats_of_json json =
+  let* s = J.obj_fields json in
+  let* newton_iterations = J.require s "newton_iterations" J.as_int in
+  let* accepted_steps = J.require s "accepted_steps" J.as_int in
+  let* rejected_steps = J.require s "rejected_steps" J.as_int in
+  Ok { Sim.Engine.newton_iterations; accepted_steps; rejected_steps }
 
-let field fields name =
-  match List.assoc_opt name fields with
-  | Some v -> Ok v
-  | None -> Error ("missing field " ^ name)
-
-let as_int = function
-  | J.Int i -> Ok i
-  | _ -> Error "want an integer"
-
-let as_float = function
-  | J.Float f -> Ok f
-  | J.Int i -> Ok (float_of_int i)
-  | _ -> Error "want a number"
+let no_stats =
+  { Sim.Engine.newton_iterations = 0; accepted_steps = 0; rejected_steps = 0 }
 
 let result_of_json ~faults json =
-  match json with
-  | J.Obj fields ->
-    let* index = Result.bind (field fields "index") as_int in
-    if index < 0 || index >= Array.length faults then
-      Error (Printf.sprintf "fault index %d out of range" index)
-    else begin
-      let fault = faults.(index) in
-      let* id =
-        match field fields "id" with
-        | Ok (J.String s) -> Ok s
-        | _ -> Error "want an id string"
+  let* fields = J.obj_fields json in
+  let* index = J.require fields "index" J.as_int in
+  if index < 0 || index >= Array.length faults then
+    Error (Printf.sprintf "fault index %d out of range" index)
+  else begin
+    let fault = faults.(index) in
+    let* id = J.require fields "id" J.as_str in
+    if not (String.equal id fault.Faults.Fault.id) then
+      Error
+        (Printf.sprintf "journal id %s does not match fault %s at index %d" id
+           fault.Faults.Fault.id index)
+    else
+      let* outcome =
+        let* tag = J.require fields "outcome" J.as_str in
+        match tag with
+        | "detected" ->
+          let* t = J.require fields "t_detect" J.as_float in
+          Ok (Detected t)
+        | "undetected" -> Ok Undetected
+        | "failed" ->
+          let* f = J.require fields "failure" failure_of_json in
+          Ok (Sim_failed f)
+        | other -> Error ("unknown outcome " ^ other)
       in
-      if not (String.equal id fault.Faults.Fault.id) then
-        Error
-          (Printf.sprintf "journal id %s does not match fault %s at index %d" id
-             fault.Faults.Fault.id index)
-      else
-        let* outcome =
-          match field fields "outcome" with
-          | Ok (J.String "detected") ->
-            let* t = Result.bind (field fields "t_detect") as_float in
-            Ok (Detected t)
-          | Ok (J.String "undetected") -> Ok Undetected
-          | Ok (J.String "failed") ->
-            let* f = Result.bind (field fields "failure") failure_of_json in
-            Ok (Sim_failed f)
-          | Ok _ | Error _ -> Error "want an outcome tag"
-        in
-        let* attempts =
-          match List.assoc_opt "attempts" fields with
-          | Some (J.List l) ->
-            List.fold_right
-              (fun j acc ->
-                let* acc = acc in
-                let* a = attempt_of_json j in
-                Ok (a :: acc))
-              l (Ok [])
-          | Some _ -> Error "attempts: want a list"
-          | None -> Ok []
-        in
-        let* stats =
-          match List.assoc_opt "stats" fields with
-          | Some (J.Obj s) ->
-            let* ni = Result.bind (field s "newton_iterations") as_int in
-            let* acc = Result.bind (field s "accepted_steps") as_int in
-            let* rej = Result.bind (field s "rejected_steps") as_int in
-            Ok
-              {
-                Sim.Engine.newton_iterations = ni;
-                accepted_steps = acc;
-                rejected_steps = rej;
-              }
-          | Some _ -> Error "stats: want an object"
-          | None ->
-            Ok
-              {
-                Sim.Engine.newton_iterations = 0;
-                accepted_steps = 0;
-                rejected_steps = 0;
-              }
-        in
-        let* cpu_seconds = Result.bind (field fields "cpu_seconds") as_float in
-        Ok (index, { fault; outcome; attempts; stats; cpu_seconds })
-    end
-  | _ -> Error "journal entry: want an object"
+      let* attempts = J.get fields "attempts" ~default:[] (J.list_of attempt_of_json) in
+      let* stats = J.get fields "stats" ~default:no_stats stats_of_json in
+      let* cpu_seconds = J.require fields "cpu_seconds" J.as_float in
+      Ok (index, { fault; outcome; attempts; stats; cpu_seconds })
+  end

@@ -97,10 +97,6 @@ val outcome_to_string : outcome -> string
     detection times and CPU seconds survive a journal round-trip
     bit-for-bit. *)
 
-val failure_to_json : failure -> Obs.Json.t
-
-val failure_of_json : Obs.Json.t -> (failure, string) result
-
 val result_to_json : index:int -> fault_result -> Obs.Json.t
 
 (** [result_of_json ~faults json] rebuilds a result against the

@@ -1,15 +1,16 @@
 (* Content-addressed result store with a size budget.
 
-   One <fingerprint>.json file per campaign result:
+   One <fingerprint>.json file per campaign result: the result JSON
+   sealed by [Durable.seal] (magic line, MD5 hex, payload).
 
-     {"cache":"anafault","version":1,"digest":"<md5 hex>","bytes":N}
-     <the result JSON, exactly N bytes>
-
-   Writes are tmp + fsync + rename (and the directory is fsynced), so
-   a crash - or a power loss - never commits an empty or torn entry.
-   Reads validate the digest; an entry that fails (bit rot, a torn
-   write forced through a failpoint, a pre-checksum legacy entry) is
-   quarantined to <name>.corrupt and treated as a miss, never a crash.
+   Writes are one [Durable.replace] (fsynced file, rename, fsynced
+   directory), so a crash - or a power loss - never commits an empty
+   or torn entry.  Reads [Durable.unseal]; an entry that fails (bit
+   rot, a torn write forced through a failpoint, an entry in an older
+   format) is quarantined to <name>.corrupt and treated as a miss,
+   never a crash.  A failed write (disk full, a [cache.store=fail]
+   failpoint) is counted and dropped: the cache is an accelerator,
+   the campaign journal is what promises durability.
 
    The budget is enforced with LRU eviction at store time: live entries
    are evicted oldest-use first until the directory fits, and an entry
@@ -21,6 +22,8 @@
    can tear the committed bytes. *)
 
 module J = Obs.Json
+
+let ( let* ) = Result.bind
 
 type t = {
   dir : string;
@@ -38,8 +41,6 @@ type t = {
   mutable corrupt : int;
 }
 
-(* Fingerprints are lowercase hex; refuse anything that could escape
-   the cache directory. *)
 (* A key is a hex fingerprint, optionally namespaced by a short
    lowercase prefix ("lift-<hex>" for extraction results): enough
    structure to be safe as a file name, loose enough for every job
@@ -98,38 +99,26 @@ let scan t =
     entries
 
 let create ?(budget_bytes = 0) ?(obs = Obs.null) ~dir () =
-  match
-    if Sys.file_exists dir then
-      if Sys.is_directory dir then Ok ()
-      else Error (dir ^ " exists and is not a directory")
-    else begin
-      Unix.mkdir dir 0o755;
-      Ok ()
-    end
-  with
-  | Error _ as e -> e
-  | Ok () ->
-    let t =
-      {
-        dir;
-        budget = max 0 budget_bytes;
-        obs;
-        lock = Mutex.create ();
-        sizes = Hashtbl.create 16;
-        stamps = Hashtbl.create 16;
-        clock = 0;
-        total = 0;
-        hits = 0;
-        misses = 0;
-        stores = 0;
-        evictions = 0;
-        corrupt = 0;
-      }
-    in
-    scan t;
-    Ok t
-  | exception Unix.Unix_error (err, _, _) ->
-    Error (dir ^ ": " ^ Unix.error_message err)
+  let* () = Durable.ensure_dir dir in
+  let t =
+    {
+      dir;
+      budget = max 0 budget_bytes;
+      obs;
+      lock = Mutex.create ();
+      sizes = Hashtbl.create 16;
+      stamps = Hashtbl.create 16;
+      clock = 0;
+      total = 0;
+      hits = 0;
+      misses = 0;
+      stores = 0;
+      evictions = 0;
+      corrupt = 0;
+    }
+  in
+  scan t;
+  Ok t
 
 let dir t = t.dir
 
@@ -142,60 +131,16 @@ let forget t key =
 
 (* --- Entry format ------------------------------------------------------ *)
 
-let header_line ~digest ~bytes =
-  J.to_string
-    (J.Obj
-       [
-         ("cache", J.String "anafault");
-         ("version", J.Int 1);
-         ("digest", J.String digest);
-         ("bytes", J.Int bytes);
-       ])
-
-let parse_header line =
-  match J.of_string line with
-  | Error _ -> None
-  | Ok (J.Obj fields) -> begin
-    match
-      ( List.assoc_opt "cache" fields,
-        List.assoc_opt "version" fields,
-        List.assoc_opt "digest" fields,
-        List.assoc_opt "bytes" fields )
-    with
-    | ( Some (J.String "anafault"),
-        Some (J.Int 1),
-        Some (J.String digest),
-        Some (J.Int bytes) ) ->
-      Some (digest, bytes)
-    | _ -> None
-  end
-  | Ok _ -> None
+let magic = "ANAFAULT-CACHE2\n"
 
 (* [None] = the entry fails validation (missing files are handled by
    the caller; everything unreadable here is corruption). *)
 let read_entry path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    (match input_line ic with
-    | exception End_of_file -> None
-    | header -> begin
-      match parse_header header with
-      | None -> None
-      | Some (digest, bytes) -> begin
-        match really_input_string ic bytes with
-        | exception End_of_file -> None (* shorter than advertised *)
-        | payload ->
-          if not (String.equal (Digest.to_hex (Digest.string payload)) digest)
-          then None
-          else begin
-            match J.of_string payload with
-            | Ok json -> Some json
-            | Error _ -> None
-          end
-      end
-    end)
+  | blob ->
+    Option.bind (Durable.unseal ~magic blob) (fun payload ->
+        Result.to_option (J.of_string payload))
 
 (* Set a failed entry aside for post-mortems rather than crashing on it
    or re-reading it forever. *)
@@ -261,44 +206,43 @@ let enforce_budget t ~fresh =
     done
   end
 
+(* Commit an entry's bytes and return how many landed.  A torn-write
+   failpoint commits a prefix, unfsynced, as a crash mid-write would. *)
+let commit t key body =
+  let path = entry_path t key in
+  match Obs.Failpoint.cut "cache.store.torn" body with
+  | Some prefix ->
+    Durable.replace ~sync:false path (fun oc -> output_string oc prefix);
+    String.length prefix
+  | None ->
+    Durable.replace path (fun oc -> output_string oc body);
+    String.length body
+
 let store t key json =
   if valid_key key then
     Mutex.protect t.lock @@ fun () ->
-    Obs.Failpoint.hit "cache.store";
-    let payload = J.to_string json in
-    let digest = Digest.to_hex (Digest.string payload) in
-    let header = header_line ~digest ~bytes:(String.length payload) in
-    let body = header ^ "\n" ^ payload ^ "\n" in
-    if t.budget > 0 && String.length body > t.budget then
+    match
+      Obs.Failpoint.hit "cache.store";
+      let body = Durable.seal ~magic (J.to_string json) in
+      if t.budget > 0 && String.length body > t.budget then None
+      else Some (commit t key body)
+    with
+    | None ->
       (* Larger than the whole cache: storing it would evict everything
          and still bust the budget.  Skip it. *)
       Obs.count t.obs "cache.oversized" 1 ~attrs:[ ("key", Obs.Str key) ]
-    else begin
-      let path = entry_path t key in
-      let tmp = path ^ ".tmp" in
-      let body, durable =
-        match Obs.Failpoint.cut "cache.store.torn" body with
-        | Some prefix -> (prefix, false) (* simulate a torn, unfsynced commit *)
-        | None -> (body, true)
-      in
-      let oc = open_out_bin tmp in
-      (try
-         output_string oc body;
-         if durable then Anafault.Journal.fsync_channel oc;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         raise e);
-      Sys.rename tmp path;
-      if durable then Anafault.Journal.fsync_dir t.dir;
+    | Some size ->
       forget t key;
-      Hashtbl.replace t.sizes key (String.length body);
+      Hashtbl.replace t.sizes key size;
       t.clock <- t.clock + 1;
       Hashtbl.replace t.stamps key t.clock;
-      t.total <- t.total + String.length body;
+      t.total <- t.total + size;
       t.stores <- t.stores + 1;
       enforce_budget t ~fresh:key
-    end
+    | exception ((Sys_error _ | Unix.Unix_error _ | Obs.Failpoint.Injected _) as e)
+      ->
+      Obs.count t.obs "cache.store_failed" 1
+        ~attrs:[ ("key", Obs.Str key); ("error", Obs.Str (Printexc.to_string e)) ]
 
 let total_bytes t = Mutex.protect t.lock @@ fun () -> t.total
 

@@ -9,15 +9,15 @@
     extraction results); prefixed and bare keys share the directory,
     the budget and the LRU order.  Values are
     {!Anafault.Campaign.result_to_json} objects (or the job kind's own
-    answer object), one file per entry ([<fingerprint>.json]): a
-    checksum header line followed by the payload, written tmp + fsync +
-    rename (directory fsynced too) so a crash never commits a torn
-    entry.
+    answer object), one file per entry ([<fingerprint>.json]): the
+    payload sealed with a checksum ({!Durable.seal}), committed with
+    {!Durable.replace} so a crash never commits a torn entry.
 
-    An entry whose checksum fails to validate - bit rot, a torn write,
-    a pre-checksum legacy file - is {e quarantined}: renamed to
+    An entry that fails to unseal - bit rot, a torn write, a file in
+    an older entry format - is {e quarantined}: renamed to
     [<name>.json.corrupt], counted ([cache.corrupt]), and reported as a
-    miss.  Corruption never raises out of {!find}.
+    miss.  Corruption never raises out of {!find}, and a failed write
+    never raises out of {!store}.
 
     With a byte budget, {!store} evicts least-recently-used entries
     ([cache.evictions]) until the cache fits; an entry bigger than the
@@ -33,7 +33,7 @@ type t
     there, seeding LRU order from file modification times.
     [budget_bytes] bounds the directory's entry bytes (0, the default,
     is unbounded); [obs] receives [cache.evictions] / [cache.corrupt] /
-    [cache.oversized] counters. *)
+    [cache.oversized] / [cache.store_failed] counters. *)
 val create :
   ?budget_bytes:int -> ?obs:Obs.sink -> dir:string -> unit -> (t, string) result
 
@@ -45,7 +45,10 @@ val dir : t -> string
 val find : t -> string -> Obs.Json.t option
 
 (** [store t fingerprint json] writes the entry durably, then enforces
-    the budget.  Thread-safe; the last writer wins. *)
+    the budget.  Thread-safe; the last writer wins.  A write that fails
+    (disk full, [EACCES], an armed [cache.store]) is counted as
+    [cache.store_failed], with the error as an attribute, and dropped:
+    the entry is simply not cached. *)
 val store : t -> string -> Obs.Json.t -> unit
 
 (** Bytes currently accounted to entries (headers included). *)

@@ -26,39 +26,14 @@ let lift_spec_to_json s =
     ]
 
 let lift_spec_of_json json =
-  let* fields =
-    match json with
-    | J.Obj f -> Ok f
-    | _ -> Error "lift spec: want a JSON object"
-  in
-  let* layout =
-    match List.assoc_opt "layout" fields with
-    | Some (J.String s) -> Ok s
-    | Some _ | None -> Error "lift spec: want a layout string"
-  in
-  let float_field name default =
-    match List.assoc_opt name fields with
-    | None -> Ok default
-    | Some (J.Float f) -> Ok f
-    | Some (J.Int i) -> Ok (float_of_int i)
-    | Some _ -> Error (Printf.sprintf "lift spec: %s must be a number" name)
-  in
-  let bool_field name default =
-    match List.assoc_opt name fields with
-    | None -> Ok default
-    | Some (J.Bool b) -> Ok b
-    | Some _ -> Error (Printf.sprintf "lift spec: %s must be a boolean" name)
-  in
-  let* p_min = float_field "p_min" 0.0 in
-  let* uniform_pdf = bool_field "uniform_pdf" false in
-  let* merge_equivalent = bool_field "merge_equivalent" true in
-  let* tile_nm =
-    match List.assoc_opt "tile_nm" fields with
-    | None -> Ok 0
-    | Some (J.Int i) when i >= 0 -> Ok i
-    | Some _ -> Error "lift spec: tile_nm must be a non-negative integer"
-  in
-  Ok { layout; p_min; uniform_pdf; merge_equivalent; tile_nm }
+  let* fields = J.obj_fields json in
+  let* layout = J.require fields "layout" J.as_str in
+  let* p_min = J.get fields "p_min" ~default:0.0 J.as_float in
+  let* uniform_pdf = J.get fields "uniform_pdf" ~default:false J.as_bool in
+  let* merge_equivalent = J.get fields "merge_equivalent" ~default:true J.as_bool in
+  let* tile_nm = J.get fields "tile_nm" ~default:0 J.as_int in
+  if tile_nm < 0 then Error "tile_nm: want a non-negative integer"
+  else Ok { layout; p_min; uniform_pdf; merge_equivalent; tile_nm }
 
 (* The content address of an extraction.  tile_nm is deliberately NOT
    part of the digest: tiling changes how the answer is computed, never
@@ -125,62 +100,40 @@ let request_to_json = function
   | Shutdown -> J.Obj [ ("cmd", J.String "shutdown") ]
 
 let request_of_json json =
-  let* fields =
-    match json with J.Obj f -> Ok f | _ -> Error "request: want a JSON object"
+  let* fields = J.obj_fields json in
+  let* cmd = J.require fields "cmd" J.as_str in
+  let client () = J.get fields "client" ~default:None (J.as_opt J.as_str) in
+  let deadline_s () =
+    match J.get fields "deadline_s" ~default:None (J.as_opt J.as_float) with
+    | Ok (Some d) when not (d > 0.0) ->
+      Error "deadline_s: want a positive number"
+    | r -> r
   in
-  let* cmd =
-    match List.assoc_opt "cmd" fields with
-    | Some (J.String s) -> Ok s
-    | Some _ | None -> Error "request: want a cmd string"
-  in
-  let client_of cmd =
-    match List.assoc_opt "client" fields with
-    | None -> Ok None
-    | Some (J.String c) -> Ok (Some c)
-    | Some _ -> Error (cmd ^ ": client must be a string")
-  in
-  let deadline_of cmd =
-    match List.assoc_opt "deadline_s" fields with
-    | None -> Ok None
-    | Some (J.Float d) when d > 0.0 -> Ok (Some d)
-    | Some (J.Int d) when d > 0 -> Ok (Some (float_of_int d))
-    | Some _ -> Error (cmd ^ ": deadline_s must be a positive number")
-  in
+  let in_cmd r = Result.map_error (fun msg -> cmd ^ ": " ^ msg) r in
+  in_cmd
+  @@
   match cmd with
-  | "submit" -> begin
-    match List.assoc_opt "spec" fields with
-    | None -> Error "submit: missing spec"
-    | Some spec_json ->
-      let* spec = Anafault.Campaign.spec_of_json spec_json in
-      let* client = client_of "submit" in
-      let* deadline_s = deadline_of "submit" in
-      Ok (Submit { spec; client; deadline_s })
-  end
-  | "extract" -> begin
-    match List.assoc_opt "lift" fields with
-    | None -> Error "extract: missing lift spec"
-    | Some lift_json ->
-      let* lift = lift_spec_of_json lift_json in
-      let* simulate =
-        match List.assoc_opt "simulate" fields with
-        | None -> Ok None
-        | Some spec_json ->
-          let* spec = Anafault.Campaign.spec_of_json spec_json in
-          Ok (Some spec)
-      in
-      let* client = client_of "extract" in
-      let* deadline_s = deadline_of "extract" in
-      Ok (Extract { lift; simulate; client; deadline_s })
-  end
-  | "cancel" -> begin
-    match List.assoc_opt "fingerprint" fields with
-    | Some (J.String fingerprint) -> Ok (Cancel { fingerprint })
-    | Some _ | None -> Error "cancel: want a fingerprint string"
-  end
+  | "submit" ->
+    let* spec = J.require fields "spec" Anafault.Campaign.spec_of_json in
+    let* client = client () in
+    let* deadline_s = deadline_s () in
+    Ok (Submit { spec; client; deadline_s })
+  | "extract" ->
+    let* lift = J.require fields "lift" lift_spec_of_json in
+    let* simulate =
+      J.get fields "simulate" ~default:None
+        (J.as_opt Anafault.Campaign.spec_of_json)
+    in
+    let* client = client () in
+    let* deadline_s = deadline_s () in
+    Ok (Extract { lift; simulate; client; deadline_s })
+  | "cancel" ->
+    let* fingerprint = J.require fields "fingerprint" J.as_str in
+    Ok (Cancel { fingerprint })
   | "stats" -> Ok Stats
   | "ping" -> Ok Ping
   | "shutdown" -> Ok Shutdown
-  | other -> Error ("unknown command " ^ other)
+  | _ -> Error "unknown command"
 
 (* --- Backpressure ------------------------------------------------------ *)
 
@@ -206,23 +159,12 @@ let rejected_to_json ~reason ~message =
 (* [Ok None] when the object is not a rejection at all (so callers can
    fall through to the event codec). *)
 let rejected_of_json json =
-  match json with
-  | J.Obj fields -> begin
-    match List.assoc_opt "event" fields with
-    | Some (J.String "rejected") ->
-      let* reason =
-        match List.assoc_opt "reason" fields with
-        | Some (J.String s) -> reject_reason_of_string s
-        | Some _ | None -> Error "rejected: want a reason string"
-      in
-      let message =
-        match List.assoc_opt "message" fields with
-        | Some (J.String m) -> m
-        | _ -> ""
-      in
-      Ok (Some (reason, message))
-    | _ -> Ok None
-  end
+  match J.obj_fields json with
+  | Ok fields when J.get fields "event" ~default:"" J.as_str = Ok "rejected" ->
+    let* reason = J.require fields "reason" J.as_str in
+    let* reason = reject_reason_of_string reason in
+    let* message = J.get fields "message" ~default:"" J.as_str in
+    Ok (Some (reason, message))
   | _ -> Ok None
 
 let ok = J.Obj [ ("ok", J.Bool true) ]
@@ -254,49 +196,30 @@ let extracted_to_json e =
       ("stuck_opens", J.Int e.ex_stuck_opens);
     ]
 
+(* Like [rejected_of_json]: [Ok None] for anything but an answer. *)
 let extracted_of_json json =
-  match json with
-  | J.Obj fields -> begin
-    match List.assoc_opt "event" fields with
-    | Some (J.String "extracted") ->
-      let str name =
-        match List.assoc_opt name fields with
-        | Some (J.String s) -> Ok s
-        | Some _ | None ->
-          Error (Printf.sprintf "extracted: want a %s string" name)
-      in
-      let int name =
-        match List.assoc_opt name fields with
-        | Some (J.Int i) -> Ok i
-        | Some _ | None ->
-          Error (Printf.sprintf "extracted: want a %s integer" name)
-      in
-      let* ex_fingerprint = str "fingerprint" in
-      let* ex_faults = str "faults" in
-      let ex_cached =
-        match List.assoc_opt "cached" fields with
-        | Some (J.Bool b) -> b
-        | _ -> false
-      in
-      let* ex_sites = int "sites_considered" in
-      let* ex_bridging = int "bridging" in
-      let* ex_line_opens = int "line_opens" in
-      let* ex_contact_opens = int "contact_opens" in
-      let* ex_stuck_opens = int "stuck_opens" in
-      Ok
-        (Some
-           {
-             ex_fingerprint;
-             ex_cached;
-             ex_faults;
-             ex_sites;
-             ex_bridging;
-             ex_line_opens;
-             ex_contact_opens;
-             ex_stuck_opens;
-           })
-    | _ -> Ok None
-  end
+  match J.obj_fields json with
+  | Ok fields when J.get fields "event" ~default:"" J.as_str = Ok "extracted" ->
+    let* ex_fingerprint = J.require fields "fingerprint" J.as_str in
+    let* ex_faults = J.require fields "faults" J.as_str in
+    let* ex_cached = J.get fields "cached" ~default:false J.as_bool in
+    let* ex_sites = J.require fields "sites_considered" J.as_int in
+    let* ex_bridging = J.require fields "bridging" J.as_int in
+    let* ex_line_opens = J.require fields "line_opens" J.as_int in
+    let* ex_contact_opens = J.require fields "contact_opens" J.as_int in
+    let* ex_stuck_opens = J.require fields "stuck_opens" J.as_int in
+    Ok
+      (Some
+         {
+           ex_fingerprint;
+           ex_cached;
+           ex_faults;
+           ex_sites;
+           ex_bridging;
+           ex_line_opens;
+           ex_contact_opens;
+           ex_stuck_opens;
+         })
   | _ -> Ok None
 
 let send oc json =

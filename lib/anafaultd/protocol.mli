@@ -57,10 +57,6 @@ type lift_spec = {
   tile_nm : int;
 }
 
-val lift_spec_to_json : lift_spec -> Obs.Json.t
-
-val lift_spec_of_json : Obs.Json.t -> (lift_spec, string) result
-
 (** Content address of an extraction: ["lift-"] + a digest of the
     canonical spec serialisation.  The prefix keeps extraction results
     and campaign results apart in the shared daemon cache. *)
@@ -111,8 +107,6 @@ type reject_reason = Queue_full | Quota_exceeded
 
 val reject_reason_to_string : reject_reason -> string
 
-val reject_reason_of_string : string -> (reject_reason, string) result
-
 (** [{"event":"rejected","reason":...,"message":...}] *)
 val rejected_to_json : reason:reject_reason -> message:string -> Obs.Json.t
 
@@ -154,13 +148,10 @@ val extracted_of_json : Obs.Json.t -> (extracted option, string) result
 (** [send oc json] writes one JSON line and flushes. *)
 val send : out_channel -> Obs.Json.t -> unit
 
-(** The default {!recv} request bound: 64 MiB, comfortably above any
-    real campaign spec. *)
-val default_limit_bytes : int
-
 (** [recv ic] reads one line and parses it; [Ok None] at end of
     stream.  Blank lines are skipped.  A line longer than
-    [limit_bytes] is drained and reported as a typed error, leaving
+    [limit_bytes] (default 64 MiB, comfortably above any real campaign
+    spec) is drained and reported as a typed error, leaving
     the channel at the next line boundary. *)
 val recv :
   ?limit_bytes:int -> in_channel -> (Obs.Json.t option, string) result

@@ -18,8 +18,8 @@
    cache hit.  Duplicate pushes of one fingerprint collapse.
 
    Compaction (at open, and after enough dead records accumulate)
-   rewrites the file as header + pending pushes via tmp + fsync +
-   rename, so the journal's size tracks the queue depth, not the
+   rewrites the file as header + pending pushes with one
+   [Durable.replace], so the journal's size tracks the queue depth, not the
    daemon's lifetime. *)
 
 module Campaign = Anafault.Campaign
@@ -57,82 +57,46 @@ let done_to_json fp =
   J.Obj [ ("op", J.String "done"); ("fingerprint", J.String fp) ]
 
 let entry_of_fields fields =
-  let str name =
-    match List.assoc_opt name fields with
-    | Some (J.String s) -> Ok s
-    | _ -> Error ("push record: want a " ^ name ^ " string")
-  in
-  let* fingerprint = str "fingerprint" in
-  let* client = str "client" in
-  match List.assoc_opt "spec" fields with
-  | None -> Error "push record: missing spec"
-  | Some spec_json ->
-    let* spec = Campaign.spec_of_json spec_json in
-    Ok { fingerprint; client; spec }
+  let* fingerprint = J.require fields "fingerprint" J.as_str in
+  let* client = J.require fields "client" J.as_str in
+  let* spec = J.require fields "spec" Campaign.spec_of_json in
+  Ok { fingerprint; client; spec }
+
+let pending_in entries fp =
+  List.exists (fun e -> String.equal e.fingerprint fp) entries
+
+let without entries fp =
+  List.filter (fun e -> not (String.equal e.fingerprint fp)) entries
 
 (* Replay an existing journal into the live image.  Unparseable lines -
    the torn tail of a crashed append, at worst - are skipped, as are
    records damaged beyond reading; losing a push loses only work that
    was never acknowledged durable. *)
 let replay path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let entries = ref [] (* newest first *) in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-      (if String.trim line <> "" then
-         match J.of_string line with
-         | Error _ -> ()
-         | Ok (J.Obj fields) -> begin
-           match List.assoc_opt "op" fields with
-           | Some (J.String "push") -> begin
-             match entry_of_fields fields with
-             | Error _ -> ()
-             | Ok e ->
-               if
-                 not
-                   (List.exists
-                      (fun e' -> String.equal e'.fingerprint e.fingerprint)
-                      !entries)
-               then entries := e :: !entries
-           end
-           | Some (J.String "done") -> begin
-             match List.assoc_opt "fingerprint" fields with
-             | Some (J.String fp) ->
-               entries :=
-                 List.filter
-                   (fun e -> not (String.equal e.fingerprint fp))
-                   !entries
-             | _ -> ()
-           end
-           | _ -> () (* the header line, or an unknown future op *)
-         end
-         | Ok _ -> ());
-      loop ()
-  in
-  loop ();
-  List.rev !entries
-
-let write_line oc json =
-  output_string oc (J.to_string json);
-  output_char oc '\n'
+  Durable.fold_lines path ~init:[] (fun entries (* newest first *) line ->
+      let record =
+        let* fields = Result.bind (J.of_string line) J.obj_fields in
+        let* op = J.get fields "op" ~default:"" J.as_str in
+        match op with
+        | "push" ->
+          let* e = entry_of_fields fields in
+          Ok (if pending_in entries e.fingerprint then entries else e :: entries)
+        | "done" ->
+          let* fp = J.require fields "fingerprint" J.as_str in
+          Ok (without entries fp)
+        | _ -> Ok entries (* the header line, or an unknown future op *)
+      in
+      Result.value record ~default:entries)
+  |> List.rev
 
 (* Rewrite the journal as header + pending pushes, atomically. *)
 let compact_to path entries =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     write_line oc header;
-     List.iter (fun e -> write_line oc (entry_to_json e)) entries;
-     Anafault.Journal.fsync_channel oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path;
-  Anafault.Journal.fsync_dir (Filename.dirname path)
+  Durable.replace path (fun oc ->
+      List.iter
+        (fun json ->
+          output_string oc (J.to_string json);
+          output_char oc '\n')
+        (header :: List.map entry_to_json entries))
 
 let open_ ~path =
   match
@@ -148,16 +112,12 @@ let open_ ~path =
 
 let push t entry =
   Mutex.protect t.lock @@ fun () ->
-  if
-    List.exists
-      (fun e -> String.equal e.fingerprint entry.fingerprint)
-      t.entries
-  then Ok () (* already pending: the twin coalesces, nothing to journal *)
+  if pending_in t.entries entry.fingerprint then
+    Ok () (* already pending: the twin coalesces, nothing to journal *)
   else begin
     match
       Obs.Failpoint.hit "queue.append";
-      write_line t.oc (entry_to_json entry);
-      Anafault.Journal.fsync_channel t.oc;
+      Durable.append t.oc (J.to_string (entry_to_json entry));
       Obs.Failpoint.hit "queue.appended"
     with
     | () ->
@@ -168,9 +128,8 @@ let push t entry =
 
 let mark_done t fp =
   Mutex.protect t.lock @@ fun () ->
-  if List.exists (fun e -> String.equal e.fingerprint fp) t.entries then begin
-    t.entries <-
-      List.filter (fun e -> not (String.equal e.fingerprint fp)) t.entries;
+  if pending_in t.entries fp then begin
+    t.entries <- without t.entries fp;
     t.dead <- t.dead + 1;
     try
       if t.dead >= compact_after then begin
@@ -179,10 +138,7 @@ let mark_done t fp =
         t.oc <- open_out_gen [ Open_wronly; Open_append ] 0o644 t.path;
         t.dead <- 0
       end
-      else begin
-        write_line t.oc (done_to_json fp);
-        Anafault.Journal.fsync_channel t.oc
-      end
+      else Durable.append t.oc (J.to_string (done_to_json fp))
     with Sys_error _ -> ()
     (* a failed done record costs one re-run into a cache hit at the
        next restart, never correctness *)

@@ -5,7 +5,7 @@
     Protocol: {!push} appends (and fsyncs) a record {e before} the
     submission is acknowledged; {!mark_done} appends a tombstone when
     the job leaves the system.  {!open_} replays push-minus-done in
-    arrival order and compacts the file (tmp + fsync + rename).  A
+    arrival order and compacts the file ({!Durable.replace}).  A
     crash tears at most the trailing line, which replay skips;
     duplicate pushes of one fingerprint collapse to the first.
 

@@ -315,8 +315,9 @@ let run_sharded t job exe shards =
   let faults = Array.of_list compiled.Campaign.faults in
   let campaign_journal = journal_path t fp in
   let spec_path = Filename.concat t.cfg.work_dir (fp ^ ".spec.json") in
-  let oc = open_out spec_path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+  (* Rewritten on every attempt, so it needs no fsync; the rename only
+     keeps a child from ever reading half a spec. *)
+  Durable.replace ~sync:false spec_path (fun oc ->
       Protocol.send oc (Campaign.spec_to_json job.spec));
   broadcast job (Campaign.Sharded { shards });
   let journals =
@@ -876,17 +877,6 @@ let handle_client t fd =
 
 (* --- Lifecycle --------------------------------------------------------- *)
 
-let ensure_dir dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (dir ^ " exists and is not a directory")
-  else begin
-    match Unix.mkdir dir 0o755 with
-    | () -> Ok ()
-    | exception Unix.Unix_error (err, _, _) ->
-      Error (dir ^ ": " ^ Unix.error_message err)
-  end
-
 let ( let* ) = Result.bind
 
 (* Turn the WAL's surviving entries back into queued jobs.  An entry
@@ -919,7 +909,7 @@ let replay_wal t entries =
     entries
 
 let run cfg =
-  let* () = ensure_dir cfg.work_dir in
+  let* () = Durable.ensure_dir cfg.work_dir in
   let cache_dir =
     Option.value cfg.cache_dir ~default:(Filename.concat cfg.work_dir "cache")
   in

@@ -85,27 +85,26 @@ let counters_to_json c =
 (* --- Artefact store ----------------------------------------------------- *)
 
 (* A flat directory of content-addressed files, one per (stage, digest).
-   Entries are Marshal payloads framed by a magic string and an MD5
-   checksum; anything that fails to frame, checksum or unmarshal is a
+   Entries are Marshal payloads sealed by [Durable.seal] (a magic string
+   and an MD5 checksum); anything that fails to unseal or unmarshal is a
    cache miss, never an error (the artefact is recomputed and the entry
-   rewritten).  Every write goes through its own fresh temporary file
-   and a rename, so concurrent writers of the same key - identical tiles
-   of a regular array, or two threads of one domain extracting the same
-   layout - race benignly: last rename wins, both contents equal. *)
+   rewritten).  Every write is a [Durable.replace] through its own fresh
+   temporary file, so concurrent writers of the same key - identical
+   tiles of a regular array, or two threads of one domain extracting the
+   same layout - race benignly: last rename wins, both contents equal.
+   Writes are not fsynced: a torn artefact fails its checksum and is
+   recomputed, and a failed write (disk full, a [pipeline.store=fail]
+   failpoint) is counted as [pipeline.store_failed] and dropped. *)
 module Store = struct
-  type t = { dir : string }
+  type t = { dir : string; obs : Obs.sink }
 
   let magic = "LIFTPIPE1\n"
 
-  let rec ensure_dir d =
-    if (not (Sys.file_exists d)) && d <> Filename.dirname d then begin
-      ensure_dir (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-
-  let create dir =
-    ensure_dir dir;
-    { dir }
+  (* An unusable directory needs no special case: every save then
+     fails and is counted, every load misses. *)
+  let create ~obs dir =
+    ignore (Durable.ensure_dir dir);
+    { dir; obs }
 
   let path t key = Filename.concat t.dir key
 
@@ -113,24 +112,18 @@ module Store = struct
    fun t key ->
     match In_channel.with_open_bin (path t key) In_channel.input_all with
     | exception Sys_error _ -> None
-    | data ->
-      let mlen = String.length magic in
-      if String.length data < mlen + 32 || String.sub data 0 mlen <> magic then None
-      else begin
-        let sum = String.sub data mlen 32 in
-        let payload = String.sub data (mlen + 32) (String.length data - mlen - 32) in
-        if Digest.to_hex (Digest.string payload) <> sum then None
-        else (try Some (Marshal.from_string payload 0) with _ -> None)
-      end
+    | blob ->
+      Option.bind (Durable.unseal ~magic blob) (fun payload ->
+          try Some (Marshal.from_string payload 0) with _ -> None)
 
   let save t key v =
-    let payload = Marshal.to_string v [] in
-    let tmp = Filename.temp_file ~temp_dir:t.dir (key ^ ".") ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc ->
-        output_string oc magic;
-        output_string oc (Digest.to_hex (Digest.string payload));
-        output_string oc payload);
-    Sys.rename tmp (path t key)
+    try
+      Obs.Failpoint.hit "pipeline.store";
+      let blob = Durable.seal ~magic (Marshal.to_string v []) in
+      Durable.replace ~sync:false (path t key) (fun oc -> output_string oc blob)
+    with (Sys_error _ | Unix.Unix_error _ | Obs.Failpoint.Injected _) as e ->
+      Obs.count t.obs "pipeline.store_failed" 1
+        ~attrs:[ ("key", Obs.Str key); ("error", Obs.Str (Printexc.to_string e)) ]
 end
 
 (* --- Digests ------------------------------------------------------------ *)
@@ -206,7 +199,7 @@ let run ?(config = default_config) mask =
     let tech = mask.Layout.Mask.tech in
     let x_max = tech.Layout.Tech.defect_x_max in
     let margin = max x_max (2 * tech.Layout.Tech.cut_side) in
-    let store = Option.map Store.create config.cache_dir in
+    let store = Option.map (Store.create ~obs) config.cache_dir in
     (* Tiles stage: the grid, window membership, ownership, digests. *)
     let tiling, members, owned_cond, owned_cuts, wdigest =
       Obs.span obs "pipeline.tiles" (fun _ ->

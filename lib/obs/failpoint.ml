@@ -11,6 +11,45 @@
    supervised shard child, which inherits the same environment) crashes
    only on its first life. *)
 
+(* Every site compiled into the tree, in one list.  [<int>] stands for
+   a decimal index: the campaign domain opening its engine session,
+   the shard a worker process runs. *)
+let sites =
+  [
+    "journal.record";
+    "queue.append";
+    "queue.appended";
+    "cache.store";
+    "cache.store.torn";
+    "pipeline.store";
+    "job.run";
+    "shard.spawn";
+    "shard.<int>.run";
+    "parsim.session.<int>";
+    "cancel.tombstone";
+    "cancel.sigterm";
+    "cancel.salvage";
+  ]
+
+let slot = "<int>"
+
+let matches site name =
+  match String.index_opt site '<' with
+  | None -> String.equal site name
+  | Some i ->
+    let j = i + String.length slot in
+    let pre = String.sub site 0 i
+    and post = String.sub site j (String.length site - j) in
+    let k = String.length name - String.length pre - String.length post in
+    k > 0
+    && String.starts_with ~prefix:pre name
+    && String.ends_with ~suffix:post name
+    && String.for_all
+         (function '0' .. '9' -> true | _ -> false)
+         (String.sub name (String.length pre) k)
+
+let declared name = List.exists (fun site -> matches site name) sites
+
 type action =
   | Crash of string option
       (* sudden death; [Some cookie]: only when [cookie] does not exist
@@ -163,18 +202,23 @@ let parse_point spec =
       end
     end
 
+(* All or nothing: a spec with one bad point arms none of them. *)
 let configure spec =
-  let entries =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  List.fold_left
-    (fun acc entry ->
-      match acc with
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | entry :: rest -> begin
+      match parse_point entry with
       | Error _ as e -> e
-      | Ok () -> Result.map (fun (n, after, act) -> arm ~after n act) (parse_point entry))
-    (Ok ()) entries
+      | Ok (name, _, _) when not (declared name) ->
+        Error (Printf.sprintf "failpoint %S: no site is named %S" entry name)
+      | Ok point -> parse (point :: acc) rest
+    end
+  in
+  String.split_on_char ',' spec
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+  |> parse []
+  |> Result.map (List.iter (fun (name, after, act) -> arm ~after name act))
 
 let env_var = "ANAFAULT_FAILPOINTS"
 

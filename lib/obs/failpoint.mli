@@ -25,8 +25,14 @@
     [@N] makes the point fire on its Nth hit (default: the first).
     Crash, fail and torn points are one-shot per process.
 
-    The failpoint names the tree compiles in are listed in DESIGN.md
-    ("Failpoints"). *)
+    The sites the tree compiles in are listed in {!sites}; the spec
+    language arms only those. *)
+
+(** Every failpoint site in the tree.  [<int>] in a name stands for a
+    decimal index: [shard.<int>.run] is hit by each shard worker,
+    [parsim.session.<int>] where each campaign domain opens its engine
+    session. *)
+val sites : string list
 
 type action =
   | Crash of string option  (** sudden death, optional one-shot cookie path *)
@@ -41,7 +47,8 @@ exception Injected of string
 val reset : unit -> unit
 
 (** [arm name action] arms a site; [after] is the 1-based hit on which
-    it fires. *)
+    it fires.  [name] is not checked against {!sites}, so a test can
+    arm a private name of its own. *)
 val arm : ?after:int -> string -> action -> unit
 
 (** [hit name] fires the armed action at a plain site: crash, raise,
@@ -58,7 +65,10 @@ val cut : string -> string -> string option
 (** Is an unspent point armed under this name? *)
 val active : string -> bool
 
-(** Parse and arm a spec string (see the language above). *)
+(** Parse and arm a spec string (see the language above).  [Error],
+    arming nothing, when the spec does not parse or names a point that
+    matches none of {!sites} ([shard.3.run] matches [shard.<int>.run]):
+    a typo fails loudly instead of arming nothing. *)
 val configure : string -> (unit, string) result
 
 (** ["ANAFAULT_FAILPOINTS"] *)

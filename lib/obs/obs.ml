@@ -43,7 +43,7 @@ type dstate = {
   mutable stack : string list;  (* enclosing span names, innermost first *)
 }
 
-type output = Memory | Jsonl_out of out_channel | Console of Format.formatter
+type output = Memory | Jsonl_out of out_channel
 
 type buffered = {
   out : output;
@@ -74,8 +74,6 @@ let null = Null
 let memory () = buffered Memory
 
 let jsonl oc = buffered (Jsonl_out oc)
-
-let console ppf = buffered (Console ppf)
 
 let tee sinks = Tee sinks
 
@@ -242,6 +240,8 @@ module Summary = struct
 end
 
 (* --- JSON ------------------------------------------------------------- *)
+
+let ( let* ) = Result.bind
 
 module Json = struct
   type t =
@@ -488,6 +488,54 @@ module Json = struct
     with
     | v -> Ok v
     | exception Parse_error msg -> Error msg
+
+  (* --- Field decoding: the one vocabulary every record decoder uses. *)
+
+  let obj_fields = function
+    | Obj fields -> Ok fields
+    | _ -> Error "want a JSON object"
+
+  let decode_field name decode v =
+    match decode v with
+    | Ok _ as ok -> ok
+    | Error msg -> Error (name ^ ": " ^ msg)
+
+  let get fields name ~default decode =
+    match List.assoc_opt name fields with
+    | None | Some Null -> Ok default
+    | Some v -> decode_field name decode v
+
+  let require fields name decode =
+    match List.assoc_opt name fields with
+    | None -> Error ("missing field " ^ name)
+    | Some v -> decode_field name decode v
+
+  let as_str = function String s -> Ok s | _ -> Error "want a string"
+
+  let as_int = function Int i -> Ok i | _ -> Error "want an integer"
+
+  let as_float = function
+    | Float f -> Ok f
+    | Int i -> Ok (float_of_int i)
+    | _ -> Error "want a number"
+
+  let as_bool = function Bool b -> Ok b | _ -> Error "want a boolean"
+
+  let as_list = function List l -> Ok l | _ -> Error "want a list"
+
+  let list_of decode v =
+    let* l = as_list v in
+    List.fold_left
+      (fun acc j ->
+        let* acc = acc in
+        let* x = decode j in
+        Ok (x :: acc))
+      (Ok []) l
+    |> Result.map List.rev
+
+  let as_opt decode = function
+    | Null -> Ok None
+    | v -> Result.map Option.some (decode v)
 end
 
 let value_to_json = function
@@ -538,63 +586,38 @@ let event_to_json = function
         ("attrs", attrs_to_json attrs);
       ]
 
-let ( let* ) = Result.bind
-
 let event_of_json json =
-  match json with
-  | Json.Obj fields ->
-    let find k = List.assoc_opt k fields in
-    let str k =
-      match find k with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error ("missing string field " ^ k)
-    in
-    let int k =
-      match find k with
-      | Some (Json.Int i) -> Ok i
-      | _ -> Error ("missing int field " ^ k)
-    in
-    let num k =
-      match find k with
-      | Some (Json.Float f) -> Ok f
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | _ -> Error ("missing number field " ^ k)
-    in
-    let attrs () =
-      match find "attrs" with
-      | None -> Ok []
-      | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            let* v = value_of_json v in
-            Ok ((k, v) :: acc))
-          (Ok []) kvs
-        |> Result.map List.rev
-      | Some _ -> Error "attrs must be an object"
-    in
-    let* kind = str "ev" in
-    let* name = str "name" in
-    let* domain = int "domain" in
-    let* attrs = attrs () in
-    (match kind with
-    | "span" ->
-      let* start = num "start" in
-      let* dur = num "dur" in
-      let parent =
-        match find "parent" with Some (Json.String p) -> Some p | _ -> None
-      in
-      Ok (Span { name; domain; start; dur; parent; attrs })
-    | "count" ->
-      let* time = num "time" in
-      let* n = int "n" in
-      Ok (Count { name; domain; time; n; attrs })
-    | "sample" ->
-      let* time = num "time" in
-      let* v = num "v" in
-      Ok (Sample { name; domain; time; v; attrs })
-    | other -> Error ("unknown event kind " ^ other))
-  | _ -> Error "event must be a JSON object"
+  let open Json in
+  let* fields = obj_fields json in
+  let attrs v =
+    let* kvs = obj_fields v in
+    List.fold_left
+      (fun acc (k, v) ->
+        let* acc = acc in
+        let* v = value_of_json v in
+        Ok ((k, v) :: acc))
+      (Ok []) kvs
+    |> Result.map List.rev
+  in
+  let* kind = require fields "ev" as_str in
+  let* name = require fields "name" as_str in
+  let* domain = require fields "domain" as_int in
+  let* attrs = get fields "attrs" ~default:[] attrs in
+  match kind with
+  | "span" ->
+    let* start = require fields "start" as_float in
+    let* dur = require fields "dur" as_float in
+    let* parent = get fields "parent" ~default:None (as_opt as_str) in
+    Ok (Span { name; domain; start; dur; parent; attrs })
+  | "count" ->
+    let* time = require fields "time" as_float in
+    let* n = require fields "n" as_int in
+    Ok (Count { name; domain; time; n; attrs })
+  | "sample" ->
+    let* time = require fields "time" as_float in
+    let* v = require fields "v" as_float in
+    Ok (Sample { name; domain; time; v; attrs })
+  | other -> Error ("unknown event kind " ^ other)
 
 module Jsonl = struct
   let write oc events =
@@ -650,9 +673,7 @@ let rec drain sink =
     in
     (match b.out with
     | Memory -> ()
-    | Jsonl_out oc -> Jsonl.write oc events
-    | Console ppf ->
-      Format.fprintf ppf "%a@." Summary.pp (Summary.of_events events));
+    | Jsonl_out oc -> Jsonl.write oc events);
     events
   | Tee sinks ->
     let drained = List.map (fun s -> (s, drain s)) sinks in

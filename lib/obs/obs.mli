@@ -72,10 +72,6 @@ val memory : unit -> sink
     event as one JSON line to the channel and flushes it. *)
 val jsonl : out_channel -> sink
 
-(** Buffers like {!memory}; {!drain} additionally pretty-prints the
-    {!Summary} of the drained events to the formatter. *)
-val console : Format.formatter -> sink
-
 (** Fans every event out to each sink.  [drain] drains the components
     and returns the first non-null component's events. *)
 val tee : sink list -> sink
@@ -93,8 +89,8 @@ val tagged : sink -> attrs -> sink
 val enabled : sink -> bool
 
 (** Merge the per-domain buffers into one stream sorted by
-    {!event_time}, clear them, and run the sink's output action (JSONL
-    write, console summary).  Call after worker domains have been
+    {!event_time}, clear them, and run the sink's output action (the JSONL
+    write).  Call after worker domains have been
     joined; draining while another domain is still emitting may miss
     its most recent events but never corrupts the buffers already
     registered. *)
@@ -166,6 +162,45 @@ module Json : sig
 
   val to_string : t -> string
   val of_string : string -> (t, string) result
+
+  (** {2 Field decoding}
+
+      The vocabulary every record decoder in the tree is written in.
+      A decoder is a [t -> ('a, string) result]; a field error names
+      the field ([name ^ ": " ^ reason]). *)
+
+  (** The fields of an object; [Error] for any other value. *)
+  val obj_fields : t -> ((string * t) list, string) result
+
+  (** [get fields name ~default decode]: an absent or [null] field is
+      [default]; a present one must decode. *)
+  val get :
+    (string * t) list ->
+    string ->
+    default:'a ->
+    (t -> ('a, string) result) ->
+    ('a, string) result
+
+  (** [require fields name decode]: the field must be present and
+      decode. *)
+  val require :
+    (string * t) list -> string -> (t -> ('a, string) result) -> ('a, string) result
+
+  val as_str : t -> (string, string) result
+  val as_int : t -> (int, string) result
+
+  (** Accepts an integer too ([2] for [2.0]). *)
+  val as_float : t -> (float, string) result
+
+  val as_bool : t -> (bool, string) result
+  val as_list : t -> (t list, string) result
+
+  (** [list_of decode]: a list whose every item decodes; the first
+      item that does not is the error. *)
+  val list_of : (t -> ('a, string) result) -> t -> ('a list, string) result
+
+  (** [as_opt decode]: [null] is [None], anything else must decode. *)
+  val as_opt : (t -> ('a, string) result) -> t -> ('a option, string) result
 end
 
 val event_to_json : event -> Json.t

@@ -61,6 +61,8 @@ let temp_path suffix =
   Sys.remove path;
   path
 
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
 (* --- Codec round trips ------------------------------------------------- *)
 
 let codec_tests =
@@ -485,10 +487,28 @@ let failpoint_tests =
            ignore
              (ok "configure"
                 (Failpoint.configure
-                   "a.one=fail, b.two=delay:0.5@3 ,c.three=torn:0.25,d.four=crash:/tmp/cookie"));
+                   "job.run=fail, journal.record=delay:0.5@3 ,cache.store.torn=torn:0.25,shard.1.run=crash:/tmp/cookie"));
            List.iter
              (fun n -> check_bool n true (Failpoint.active n))
-             [ "a.one"; "b.two"; "c.three"; "d.four" ]));
+             [ "job.run"; "journal.record"; "cache.store.torn"; "shard.1.run" ]));
+    Alcotest.test_case "spec language arms only declared sites" `Quick
+      (with_reset (fun () ->
+           List.iter
+             (fun site ->
+               if not (String.contains site '<') then
+                 ignore (ok site (Failpoint.configure (site ^ "=fail"))))
+             Failpoint.sites;
+           ignore (ok "a family member" (Failpoint.configure "parsim.session.12=fail"));
+           Failpoint.reset ();
+           List.iter
+             (fun bad ->
+               check_bool bad true (Result.is_error (Failpoint.configure bad)))
+             [ "jounral.record=fail"; "shard.x.run=fail"; "shard..run=fail";
+               "parsim.session.=fail"; "t.private=fail" ];
+           (* All or nothing: the good point beside a typo is not armed. *)
+           check_bool "typo arms nothing" true
+             (Result.is_error (Failpoint.configure "job.run=fail,job.rnu=fail"));
+           check_bool "nothing armed" false (Failpoint.active "job.run")));
     Alcotest.test_case "spec language rejects junk" `Quick
       (with_reset (fun () ->
            List.iter
@@ -497,16 +517,16 @@ let failpoint_tests =
              [ "noequals"; "x=explode"; "x=torn:lots"; "x=fail@zero"; "=fail" ]));
     Alcotest.test_case "load_env arms from the environment" `Quick
       (with_reset (fun () ->
-           Unix.putenv Failpoint.env_var "t.env=fail";
+           Unix.putenv Failpoint.env_var "cancel.salvage=fail";
            Fun.protect ~finally:(fun () -> Unix.putenv Failpoint.env_var "")
            @@ fun () ->
            ignore (ok "load_env" (Failpoint.load_env ()));
-           check_bool "armed" true (Failpoint.active "t.env")));
+           check_bool "armed" true (Failpoint.active "cancel.salvage")));
     Alcotest.test_case "load_env is a no-op when unset" `Quick
       (with_reset (fun () ->
            Unix.putenv Failpoint.env_var "";
            ignore (ok "load_env" (Failpoint.load_env ()));
-           check_bool "nothing armed" false (Failpoint.active "t.env")));
+           check_bool "nothing armed" false (Failpoint.active "cancel.salvage")));
   ]
 
 (* --- The write-ahead job queue ------------------------------------------ *)
@@ -716,8 +736,161 @@ let channel_of_string s =
   Out_channel.with_open_bin path (fun oc -> output_string oc s);
   open_in_bin path
 
+(* One row per decoder rule: a missing optional field takes its default,
+   an ill-formed record is refused.  A row's extra fields ride first, so
+   they override the base record's on an assoc lookup.  Every row holds for the decoders
+   as they were before they shared Obs.Json's field vocabulary, and
+   after. *)
+let decoder_table () =
+  let obj l = J.Obj l in
+  let s v = J.String v and i v = J.Int v and f v = J.Float v in
+  let refused = Result.is_error in
+  let spec_json = Campaign.spec_to_json spec in
+  let submit extra = obj (extra @ [ ("cmd", s "submit"); ("spec", spec_json) ]) in
+  let extract lift = obj [ ("cmd", s "extract"); ("lift", obj lift) ] in
+  let layout = ("layout", s "L 1 0 0 10 10") in
+  let faults = fault_array () in
+  let result extra =
+    Outcome.result_of_json ~faults
+      (obj
+         (extra
+         @ [ ("index", i 0); ("id", s "#1"); ("outcome", s "undetected");
+             ("cpu_seconds", f 0.5) ]))
+  in
+  let event extra =
+    Obs.event_of_json
+      (obj
+         (extra
+         @ [ ("ev", s "count"); ("name", s "x"); ("domain", i 0);
+             ("time", f 1.0); ("n", i 2) ]))
+  in
+  let extracted extra =
+    Protocol.extracted_of_json
+      (obj
+         (extra
+         @ [ ("event", s "extracted"); ("fingerprint", s "lift-aa");
+             ("faults", s ""); ("sites_considered", i 1); ("line_opens", i 0);
+             ("contact_opens", i 0); ("stuck_opens", i 0) ]))
+  in
+  let journal header =
+    let path = temp_path ".journal" in
+    write_file path (header ^ "\n");
+    Journal.start ~path ~fingerprint:"fp" ~resume:true ~faults
+  in
+  let journal_header ?(version = 1) ?(fp = "fp") ?(n = Array.length faults) () =
+    J.to_string
+      (obj [ ("journal", s "anafault"); ("version", i version);
+             ("fingerprint", s fp); ("faults", i n) ])
+  in
+  [
+    ( "event: attrs default to none",
+      match event [] with Ok (Obs.Count { attrs = []; _ }) -> true | _ -> false );
+    ( "event: a span's parent defaults to none",
+      match
+        Obs.event_of_json
+          (obj [ ("ev", s "span"); ("name", s "x"); ("domain", i 0);
+                 ("start", f 0.0); ("dur", f 1.0) ])
+      with
+      | Ok (Obs.Span { parent = None; _ }) -> true
+      | _ -> false );
+    ("event: attrs must be an object", refused (event [ ("attrs", i 3) ]));
+    ("event: an unknown kind is refused", refused (event [ ("ev", s "gauge") ]));
+    ("event: n must be an integer", refused (event [ ("n", f 2.5) ]));
+    ( "spec: observed and options default",
+      Campaign.spec_of_json
+        (obj [ ("deck", s deck_text); ("faults", s spec.Campaign.faults) ])
+      = Ok { spec with Campaign.observed = None } );
+    ( "options: absent fields keep the defaults",
+      Campaign.options_of_json (obj [ ("samples", i 7) ])
+      = Ok { Campaign.default_options with Campaign.samples = 7 } );
+    ("options: samples must be an integer",
+      refused (Campaign.options_of_json (obj [ ("samples", s "7") ])));
+    ("spec: the deck is required",
+      refused (Campaign.spec_of_json (obj [ ("faults", s "") ])));
+    ("spec: another record kind is refused",
+      refused (Campaign.spec_of_json (obj [ ("anafault", s "result"); ("deck", s ""); ("faults", s "") ])));
+    ("spec: another version is refused",
+      refused (Campaign.spec_of_json (obj [ ("version", i 2); ("deck", s ""); ("faults", s "") ])));
+    ( "result: attempts and stats default",
+      match result [] with
+      | Ok (0, r) ->
+        r.Outcome.attempts = []
+        && r.Outcome.stats.Sim.Engine.newton_iterations = 0
+      | _ -> false );
+    ("result: an index out of range is refused", refused (result [ ("index", i 9) ]));
+    ("result: a mismatched id is refused", refused (result [ ("id", s "#2") ]));
+    ("result: an unknown outcome is refused", refused (result [ ("outcome", s "maybe") ]));
+    ("result: attempts must be a list", refused (result [ ("attempts", i 1) ]));
+    ( "submit: client and deadline default to none",
+      Protocol.request_of_json (submit [])
+      = Ok (Protocol.Submit { spec; client = None; deadline_s = None }) );
+    ( "submit: an integral deadline is a number",
+      Protocol.request_of_json (submit [ ("deadline_s", i 3) ])
+      = Ok (Protocol.Submit { spec; client = None; deadline_s = Some 3.0 }) );
+    ("submit: deadline_s = 0 is refused", refused (Protocol.request_of_json (submit [ ("deadline_s", f 0.0) ])));
+    ("submit: deadline_s < 0 is refused", refused (Protocol.request_of_json (submit [ ("deadline_s", i (-1)) ])));
+    ("submit: deadline_s must be a number", refused (Protocol.request_of_json (submit [ ("deadline_s", s "soon") ])));
+    ("submit: client must be a string", refused (Protocol.request_of_json (submit [ ("client", i 7) ])));
+    ( "extract: the lift options default",
+      match Protocol.request_of_json (extract [ layout ]) with
+      | Ok (Protocol.Extract { lift; simulate = None; client = None; deadline_s = None }) ->
+        lift.Protocol.p_min = 0.0 && (not lift.Protocol.uniform_pdf)
+        && lift.Protocol.merge_equivalent && lift.Protocol.tile_nm = 0
+      | _ -> false );
+    ("extract: tile_nm < 0 is refused", refused (Protocol.request_of_json (extract [ layout; ("tile_nm", i (-1)) ])));
+    ("extract: tile_nm must be an integer", refused (Protocol.request_of_json (extract [ layout; ("tile_nm", f 1.5) ])));
+    ("extract: the layout is required", refused (Protocol.request_of_json (extract [])));
+    ("extract: p_min must be a number", refused (Protocol.request_of_json (extract [ layout; ("p_min", s "low") ])));
+    ("cancel: the fingerprint is required", refused (Protocol.request_of_json (obj [ ("cmd", s "cancel") ])));
+    ( "rejected: the message defaults to empty",
+      Protocol.rejected_of_json
+        (obj [ ("event", s "rejected"); ("reason", s "queue_full") ])
+      = Ok (Some (Protocol.Queue_full, "")) );
+    ("rejected: an unknown reason is refused",
+      refused (Protocol.rejected_of_json (obj [ ("event", s "rejected"); ("reason", s "tired") ])));
+    ("rejected: other objects fall through", Protocol.rejected_of_json (obj [ ("event", s "progress") ]) = Ok None);
+    ( "extracted: cached defaults to false",
+      match extracted [ ("bridging", i 3) ] with
+      | Ok (Some e) -> (not e.Protocol.ex_cached) && e.Protocol.ex_bridging = 3
+      | _ -> false );
+    ("extracted: a missing count is refused", refused (extracted []));
+    ("journal: a well-formed header opens", Result.is_ok (journal (journal_header ())));
+    ("journal: another version is refused", refused (journal (journal_header ~version:2 ())));
+    ("journal: another campaign is refused", refused (journal (journal_header ~fp:"other" ())));
+    ("journal: another fault count is refused", refused (journal (journal_header ~n:99 ())));
+    ("journal: a header that is not JSON is refused", refused (journal "{\"journal\":"));
+    ( "queue: damaged records are skipped on replay",
+      let dir = temp_dir () in
+      let path = Filename.concat dir "queue.wal" in
+      let push fp extra =
+        J.to_string (obj (("op", s "push") :: ("fingerprint", s fp) :: ("spec", spec_json) :: extra))
+      in
+      write_file path
+        (String.concat "\n"
+           [ {|{"queue":"anafaultd","version":1}|};
+             push "aa" [ ("client", s "ci") ];
+             push "bb" [] (* no client *);
+             push "cc" [ ("client", i 7) ];
+             {|{"op":"done","fingerprint":7}|};
+             {|{"op":7}|};
+             {|{"op":"push","finger|} ]);
+      match Wal.open_ ~path with
+      | Ok (wal, pending) ->
+        Wal.close wal;
+        List.map (fun e -> e.Wal.fingerprint) pending = [ "aa" ]
+      | Error _ -> false );
+    ( "cache: an entry that does not validate is a quarantined miss",
+      let dir = temp_dir () in
+      let c = ok "create" (Cache.create ~dir ()) in
+      write_file (Filename.concat dir "aa.json") {|{"cache":"anafault","version":1}|};
+      Cache.find c "aa" = None && Cache.corrupt c = 1 );
+  ]
+
 let protocol_tests =
   [
+    Alcotest.test_case "decoders keep their defaults and refusals" `Quick
+      (fun () ->
+        List.iter (fun (row, holds) -> check_bool row true holds) (decoder_table ()));
     Alcotest.test_case "malformed line: typed error, stream continues" `Quick
       (fun () ->
         let ic = channel_of_string "this is not json\n{\"cmd\":\"ping\"}\n" in
@@ -923,6 +1096,38 @@ let anafault_exe () =
 
 let daemon_tests =
   [
+    Alcotest.test_case "a failed cache write still finishes the job" `Slow
+      (fun () ->
+        Failpoint.reset ();
+        Fun.protect ~finally:Failpoint.reset @@ fun () ->
+        let dir = daemon_socket_dir () in
+        let socket_path = Filename.concat dir "d.sock" in
+        let cfg =
+          Anafaultd.Server.default_config ~socket_path
+            ~work_dir:(Filename.concat dir "work")
+        in
+        (* Disk full, EACCES, or this: the result cache refuses the
+           write after the campaign was fully simulated and journalled. *)
+        Failpoint.arm "cache.store" Failpoint.Fail;
+        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
+        let faults = fault_array () in
+        let first = finished_of (submit_and_wait ~faults socket_path) in
+        check_bool "the failpoint fired" false (Failpoint.active "cache.store");
+        check_bool "not cached" false first.Campaign.cached;
+        (* Nothing was cached, so the resubmission runs again - and
+           finds every fault in the campaign journal. *)
+        let events = submit_and_wait ~faults socket_path in
+        check_bool "no cache hit" false
+          (List.exists (function Campaign.Cache_hit _ -> true | _ -> false) events);
+        check_string "identical detection tables"
+          (Anafault.Report.csv_of_results first.Campaign.results)
+          (Anafault.Report.csv_of_results (finished_of events).Campaign.results);
+        let stats = one_shot socket_path Protocol.Stats in
+        check_int "two jobs" 2 (stat_int stats "jobs");
+        check_int "each fault simulated once, by the first job" 3
+          (stat_int stats "faults_simulated");
+        ignore (one_shot socket_path Protocol.Shutdown);
+        Thread.join server);
     Alcotest.test_case "submit, cache hit, stats, shutdown" `Slow (fun () ->
         let dir = daemon_socket_dir () in
         let socket_path = Filename.concat dir "d.sock" in

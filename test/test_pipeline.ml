@@ -317,6 +317,49 @@ let cache_tests =
             | Ok text -> check_str "parity" reference text
             | Error msg -> Alcotest.fail msg)
           answers);
+    Alcotest.test_case "a failed artefact write is counted, not an error"
+      `Quick (fun () ->
+        let mask = Synth.Layout_synth.vco_array ~rows:1 ~cols:2 () in
+        let failed obs =
+          List.fold_left
+            (fun acc -> function
+              | Obs.Count { name = "pipeline.store_failed"; n; _ } -> acc + n
+              | _ -> acc)
+            0 (Obs.drain obs)
+        in
+        let run ~cache =
+          let obs = Obs.memory () in
+          let config =
+            { Defects.Pipeline.tile_nm = Synth.Layout_synth.cell_pitch_nm;
+              domains = 1; cache_dir = Some cache; obs;
+              options = Defects.Lift.default_options }
+          in
+          let r = Defects.Pipeline.run ~config mask in
+          ( Faults.Fault_list.to_string (Defects.Lift.ranked r.Defects.Pipeline.result),
+            r.Defects.Pipeline.counters,
+            failed obs )
+        in
+        let serial = serial_text mask in
+        Obs.Failpoint.reset ();
+        Fun.protect ~finally:Obs.Failpoint.reset @@ fun () ->
+        let dir = temp_dir () in
+        Obs.Failpoint.arm "pipeline.store" Obs.Failpoint.Fail;
+        let text, _, n = run ~cache:dir in
+        check_str "parity with one write failed" serial text;
+        check_int "one failure counted" 1 n;
+        (* The artefact that failed to land is the one warm miss. *)
+        let text, c, _ = run ~cache:dir in
+        check_str "warm parity" serial text;
+        let computed (c : Defects.Pipeline.counters) =
+          c.connectivity.computed + c.sites.computed + c.critical_area.computed
+        in
+        check_int "one artefact recomputed" 1 (computed c);
+        (* A cache directory that cannot exist: every write fails. *)
+        let file = Filename.concat dir "a-file" in
+        Out_channel.with_open_bin file (fun _ -> ());
+        let text, c, n = run ~cache:file in
+        check_str "parity with no usable store" serial text;
+        check_int "every write counted" (3 * c.Defects.Pipeline.tiles) n);
     Alcotest.test_case "corrupt artefact is a miss, not an error" `Quick
       (fun () ->
         let dir = temp_dir () in
