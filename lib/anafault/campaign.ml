@@ -165,6 +165,16 @@ let retries_of_spec spec =
          (Ok [])
     |> Result.map List.rev
 
+(* The one check every way of building {!options} goes through: the
+   JSON decoder (daemon submits, --spec files), the CLI constructor and
+   {!compile}, so a bad campaign is refused before anything runs. *)
+let validate_options o =
+  if o.samples < 2 then Error "samples must be at least 2"
+  else if o.domains < 1 then Error "domains must be at least 1"
+  else if o.batch < 0 then Error "batch must be non-negative"
+  else if o.sim.Sim.Engine.max_iter < 1 then Error "max_iter must be at least 1"
+  else Ok o
+
 let options_to_json o =
   J.Obj
     [
@@ -197,7 +207,7 @@ let options_of_json json =
   let* samples = J.get fields "samples" ~default:d.samples J.as_int in
   let* domains = J.get fields "domains" ~default:d.domains J.as_int in
   let* batch = J.get fields "batch" ~default:d.batch J.as_int in
-  Ok { model; tolerance; sim; retries; samples; domains; batch }
+  validate_options { model; tolerance; sim; retries; samples; domains; batch }
 
 let options_of_cli ?(model = "source") ?(solver = "auto")
     ?(tol_v = Detect.paper_tolerance.Detect.tol_v)
@@ -212,30 +222,26 @@ let options_of_cli ?(model = "source") ?(solver = "auto")
   in
   let* solver = Sim.Solver.backend_of_string solver in
   let* retries = retries_of_spec retries in
-  if samples <= 1 then Error "samples must be at least 2"
-  else if domains < 1 then Error "domains must be at least 1"
-  else if batch < 0 then Error "batch must be non-negative"
-  else
-    Ok
-      {
-        model;
-        tolerance = { Detect.tol_v; tol_t };
-        sim =
-          {
-            Sim.Engine.default_options with
-            Sim.Engine.budget =
-              {
-                Sim.Engine.max_newton_iterations = budget_iters;
-                max_steps = budget_steps;
-                deadline_seconds = budget_seconds;
-              };
-            solver;
-          };
-        retries;
-        samples;
-        domains;
-        batch;
-      }
+  validate_options
+    {
+      model;
+      tolerance = { Detect.tol_v; tol_t };
+      sim =
+        {
+          Sim.Engine.default_options with
+          Sim.Engine.budget =
+            {
+              Sim.Engine.max_newton_iterations = budget_iters;
+              max_steps = budget_steps;
+              deadline_seconds = budget_seconds;
+            };
+          solver;
+        };
+      retries;
+      samples;
+      domains;
+      batch;
+    }
 
 let config_of_options ?(obs = Obs.null) o ~tran ~observed =
   {
@@ -301,6 +307,7 @@ type compiled = {
 }
 
 let compile ?(obs = Obs.null) spec =
+  let* (_ : options) = validate_options spec.options in
   match Netlist.Parser.parse spec.deck with
   | exception Netlist.Parser.Parse_error (line, msg) ->
     Error (Printf.sprintf "deck line %d: %s" line msg)

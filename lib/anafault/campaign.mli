@@ -40,13 +40,16 @@ val default_options : options
 val options_to_json : options -> Obs.Json.t
 
 (** Total inverse of {!options_to_json}.  Missing fields take their
-    {!default_options} value; ill-typed fields are errors. *)
+    {!default_options} value; ill-typed fields are errors, and so are
+    out-of-range values: [samples < 2], [domains < 1], [batch < 0] or
+    [max_iter < 1]. *)
 val options_of_json : Obs.Json.t -> (options, string) result
 
 (** [options_of_cli ()] builds {!options} from the CLI's primitive
-    flags, validating each: [model] is ["source"]/["resistor"], [solver]
-    ["auto"]/["dense"]/["sparse"], [retries] a comma-separated ladder
-    (or ["none"]), the [budget_*] knobs the per-fault work budget. *)
+    flags, validating each, ranges as {!options_of_json} does: [model]
+    is ["source"]/["resistor"], [solver] ["auto"]/["dense"]/["sparse"],
+    [retries] a comma-separated ladder (or ["none"]), the [budget_*]
+    knobs the per-fault work budget. *)
 val options_of_cli :
   ?model:string ->
   ?solver:string ->
@@ -105,7 +108,8 @@ type compiled = {
           the content address a cache entry and a journal are keyed by *)
 }
 
-(** Parse and validate a spec: the deck must parse and carry a [.tran]
+(** Parse and validate a spec: its options must be in range (the
+    {!options_of_json} rules), the deck must parse and carry a [.tran]
     card, the fault list must parse, and an explicit observed node must
     exist in the circuit.  [obs] becomes the campaign's telemetry sink. *)
 val compile : ?obs:Obs.sink -> spec -> (compiled, string) result

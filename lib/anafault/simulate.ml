@@ -406,9 +406,10 @@ let options_signature (o : Sim.Engine.options) =
   let b = o.Sim.Engine.budget in
   let opt f = function None -> "-" | Some v -> f v in
   Printf.sprintf
-    "gmin=%.17g;reltol=%.17g;abstol=%.17g;max_iter=%d;dv_limit=%.17g;cmin=%.17g;integration=%s;budget=%s/%s/%s;solver=%s"
+    "gmin=%.17g;reltol=%.17g;abstol=%.17g;max_iter=%d;tran_max_iter=%d;dv_limit=%.17g;cmin=%.17g;integration=%s;budget=%s/%s/%s;solver=%s"
     o.Sim.Engine.gmin o.Sim.Engine.reltol o.Sim.Engine.abstol
-    o.Sim.Engine.max_iter o.Sim.Engine.dv_limit o.Sim.Engine.cmin
+    o.Sim.Engine.max_iter Sim.Engine.tran_max_iter o.Sim.Engine.dv_limit
+    o.Sim.Engine.cmin
     (match o.Sim.Engine.integration with
     | Sim.Engine.Backward_euler -> "be"
     | Sim.Engine.Trapezoidal -> "trap")

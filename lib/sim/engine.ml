@@ -284,15 +284,21 @@ let add_gmin_and_cmin ~gmin ~mode ctx =
   done;
   Option.iter pin ctx.extra_node
 
-(* Damped Newton-Raphson.  Returns the converged iterate and the number of
-   iterations, or the reason the solve failed ([`Singular row] when the
-   last factorisation hit a singular pivot at the named unknown,
-   [`No_conv] otherwise) - callers use the distinction to raise a typed
-   {!Sim_error}.  With a live sink, each solve reports its iteration
-   count, the time spent in factor+solve and how often the dv clamp
-   fired; the [traced] flag keeps the telemetry arithmetic entirely off
-   the null-sink path. *)
-let newton ~gmin ~mode ctx v0 =
+(* Newton iteration limit of a transient solve, SPICE's ITL4: a step
+   that has not converged by then is rejected and retried at half the
+   step, which is cheaper than iterating on.  DC solves run to
+   [options.max_iter]. *)
+let tran_max_iter = 25
+
+(* Damped Newton-Raphson, at most [max_iter] iterations.  Returns the
+   converged iterate and the number of iterations, or the reason the
+   solve failed ([`Singular row] when the last factorisation hit a
+   singular pivot at the named unknown, [`No_conv] otherwise) - callers
+   use the distinction to raise a typed {!Sim_error}.  With a live sink,
+   each solve reports its iteration count, the time spent in
+   factor+solve and how often the dv clamp fired; the [traced] flag
+   keeps the telemetry arithmetic entirely off the null-sink path. *)
+let newton ~max_iter ~gmin ~mode ctx v0 =
   let opts = ctx.opts in
   let size = ctx.size in
   let sv = ctx.sv in
@@ -342,7 +348,7 @@ let newton ~gmin ~mode ctx v0 =
     (match Cancel.get opts.cancel with
     | Some reason -> raise (Sim_error (Cancelled, Cancel.reason_to_string reason))
     | None -> ());
-    if k >= opts.max_iter then Error (`No_conv, total)
+    if k >= max_iter then Error (`No_conv, total)
     else begin
       stamp ~opts ~gmin ~mode ~n:size sv ctx.devices v;
       add_gmin_and_cmin ~gmin ~mode ctx;
@@ -385,7 +391,7 @@ let dc_solve ctx =
      iterate that merely wandered. *)
   let saw_singular = ref None in
   let try_newton ~gmin ~scale v0 =
-    match newton ~gmin ~mode:(Dc { scale }) ctx v0 with
+    match newton ~max_iter:opts.max_iter ~gmin ~mode:(Dc { scale }) ctx v0 with
     | Ok res -> Some res
     | Error (`Singular row, _) ->
       saw_singular := Some row;
@@ -551,7 +557,9 @@ type stepper = {
   mutable bps : float list;
   mutable h : float;
   mutable t : float;
+  mutable at_edge : bool; (* [t] is 0 or a source breakpoint *)
   mutable total_iters : int;
+  mutable wasted_iters : int; (* spent in rejected solves *)
   mutable accepted : int;
   mutable rejected : int;
   (* Budget enforcement: checked once per proposed step, so a
@@ -578,7 +586,9 @@ let stepper_start ctx ~circuit ~tstep ~tstop ~uic =
     bps = breakpoints circuit ~tstop;
     h = tstep /. 10.0;
     t = 0.0;
+    at_edge = true;
     total_iters = 0;
+    wasted_iters = 0;
     accepted = 0;
     rejected = 0;
     deadline =
@@ -601,6 +611,8 @@ let stepper_emit_counters st =
     Obs.count st.sctx.obs "engine.tran.accepted_steps" st.accepted;
     if st.rejected > 0 then
       Obs.count st.sctx.obs "engine.tran.rejected_steps" st.rejected;
+    if st.wasted_iters > 0 then
+      Obs.count st.sctx.obs "engine.newton.wasted_iters" st.wasted_iters;
     Obs.count st.sctx.obs "engine.tran.newton_iterations" st.total_iters
   end
 
@@ -653,8 +665,19 @@ let stepper_step st =
     | bp :: _ when bp -. st.t < clip -. eps -> bp -. st.t
     | _ -> clip
   in
+  let to_edge =
+    match st.bps with bp :: _ -> bp <= st.t +. h_try +. eps | [] -> false
+  in
   let mode = Tran { h = h_try; time = st.t +. h_try; vnode_prev = st.vnode_prev } in
-  match newton ~gmin:opts.gmin ~mode ctx st.v with
+  (* The sources can jump across a step that starts at t = 0 (a UIC
+     start is zeros plus capacitor ICs) or that starts or ends on a
+     breakpoint (an ideal PULSE edge takes its new value on the
+     breakpoint, a PWL step just after it).  The dv clamp walks a jump
+     at about 1 V per iteration and halving the step does not shrink
+     it, so these steps get the DC limit.  Every other step gets the
+     transient one. *)
+  let max_iter = if st.at_edge || to_edge then opts.max_iter else tran_max_iter in
+  match newton ~max_iter ~gmin:opts.gmin ~mode ctx st.v with
   | Ok (v', iters) ->
     st.total_iters <- st.total_iters + iters;
     st.accepted <- st.accepted + 1;
@@ -662,13 +685,14 @@ let stepper_step st =
     Array.blit v' 0 st.vnode_prev 0 ctx.size;
     st.v <- v';
     st.t <- st.t +. h_try;
+    st.at_edge <- to_edge;
     st.samples <- (st.t, Array.copy v') :: st.samples;
     if iters <= 8 then st.h <- Float.min (st.h *. 1.5) st.hmax
-    else if iters > 30 then st.h <- Float.max (st.h /. 2.0) st.hmin
   | Error (why, iters) ->
     (* Rejected solves count against the iteration budget: the work was
        spent even though no step was accepted. *)
     st.total_iters <- st.total_iters + iters;
+    st.wasted_iters <- st.wasted_iters + iters;
     st.rejected <- st.rejected + 1;
     st.h <- h_try /. 2.0;
     if st.h < st.hmin then begin
@@ -1150,7 +1174,8 @@ let dc_sweep_impl ~opts ~obs circuit ~source ~values =
             let warm =
               match !prev with
               | Some v0 when Array.length v0 = ctx.size ->
-                newton ~gmin:options.gmin ~mode:(Dc { scale = 1.0 }) ctx v0
+                newton ~max_iter:options.max_iter ~gmin:options.gmin
+                  ~mode:(Dc { scale = 1.0 }) ctx v0
               | Some _ | None -> Error (`No_conv, 0)
             in
             match warm with Ok (v, _) -> v | Error _ -> dc_solve ctx

@@ -28,7 +28,11 @@ type options = {
   gmin : float;  (** conductance to ground on every node (default 1e-12) *)
   reltol : float;  (** relative convergence tolerance (1e-3) *)
   abstol : float;  (** absolute voltage tolerance, V (1e-6) *)
-  max_iter : int;  (** Newton iteration limit per solve (150) *)
+  max_iter : int;
+      (** Newton iteration limit per DC solve: operating point, gmin and
+          source stepping, DC sweeps, and the transient steps across
+          which a source can jump - those starting at t = 0 or starting
+          or ending on a source breakpoint (150) *)
   dv_limit : float;  (** per-iteration Newton step clamp, V (1.0) *)
   cmin : float;  (** parasitic node-to-ground capacitance in transient, F
                      (1e-16); damps idealised regenerative loops *)
@@ -50,6 +54,12 @@ type options = {
 }
 
 val default_options : options
+
+(** Newton iteration limit per transient solve (25), the analogue of
+    SPICE's ITL4: a step that has not converged by then is rejected and
+    retried at half the step.  Steps across which a source can jump run
+    to [max_iter] instead. *)
+val tran_max_iter : int
 
 (** Why the kernel gave up.  The taxonomy is carried verbatim into
     AnaFAULT's per-fault outcomes, so a campaign report can tell a

@@ -18,6 +18,11 @@ let ok what = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "%s: %s" what msg
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
 (* The NMOS-inverter campaign of test_anafault, with the .tran card in
    the deck so the whole campaign travels as one spec. *)
 let deck_text =
@@ -96,7 +101,13 @@ let codec_tests =
         check_bool "bad solver" true
           (Result.is_error (Campaign.options_of_cli ~solver:"quantum" ()));
         check_bool "bad retries" true
-          (Result.is_error (Campaign.options_of_cli ~retries:"warp-time" ())));
+          (Result.is_error (Campaign.options_of_cli ~retries:"warp-time" ()));
+        check_bool "one sample" true
+          (Result.is_error (Campaign.options_of_cli ~samples:1 ()));
+        check_bool "no domain" true
+          (Result.is_error (Campaign.options_of_cli ~domains:0 ()));
+        check_bool "negative batch" true
+          (Result.is_error (Campaign.options_of_cli ~batch:(-3) ())));
     Alcotest.test_case "missing options fields take defaults" `Quick (fun () ->
         let back = ok "options_of_json" (Campaign.options_of_json (J.Obj [])) in
         check_bool "defaults" true (back = Campaign.default_options));
@@ -264,7 +275,7 @@ let codec_tests =
 (* The campaign fingerprint is the content address of every cache entry
    and journal; silent drift would orphan them all.  This golden value
    may only change with a deliberate fingerprint-format bump. *)
-let pinned_fingerprint = "90ab90579a2ba02d2ee8cc968aa5ab1b"
+let pinned_fingerprint = "aa89f123868c8d931f703ea663f55dbe"
 
 let fingerprint_tests =
   [
@@ -320,6 +331,45 @@ let compile_tests =
       (fun () ->
         let s = { spec with Campaign.faults = "#1 blah BLAH x y\n" } in
         check_bool "error" true (Result.is_error (Campaign.compile s)));
+  ]
+
+(* --- Option validation ------------------------------------------------- *)
+
+(* Each option set is out of range in exactly one field, with the
+   message the validator gives for it. *)
+let bad_options =
+  let d = Campaign.default_options in
+  let sim f = { d with Campaign.sim = f d.Campaign.sim } in
+  [
+    ("samples = 1", { d with Campaign.samples = 1 }, "samples must be at least 2");
+    ("domains = 0", { d with Campaign.domains = 0 }, "domains must be at least 1");
+    ("batch = -3", { d with Campaign.batch = -3 }, "batch must be non-negative");
+    ( "max_iter = 0",
+      sim (fun o -> { o with Sim.Engine.max_iter = 0 }),
+      "max_iter must be at least 1" );
+  ]
+
+let refused_with what expected = function
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error msg -> check_bool (what ^ ": " ^ msg) true (contains ~needle:expected msg)
+
+let validation_tests =
+  [
+    Alcotest.test_case "compile refuses out-of-range options" `Quick (fun () ->
+        List.iter
+          (fun (what, options, expected) ->
+            refused_with what expected
+              (Campaign.compile { spec with Campaign.options }))
+          bad_options);
+    Alcotest.test_case "decoding refuses out-of-range options" `Quick (fun () ->
+        List.iter
+          (fun (what, options, expected) ->
+            refused_with ("options: " ^ what) expected
+              (Campaign.options_of_json (Campaign.options_to_json options));
+            refused_with ("spec: " ^ what) expected
+              (Campaign.spec_of_json
+                 (Campaign.spec_to_json { spec with Campaign.options })))
+          bad_options);
   ]
 
 (* --- Failure string codec ---------------------------------------------- *)
@@ -1617,6 +1667,30 @@ let daemon_tests =
           | _ -> false);
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
+    Alcotest.test_case "a submit with out-of-range options is refused" `Slow
+      (fun () ->
+        let dir = daemon_socket_dir () in
+        let socket_path = Filename.concat dir "d.sock" in
+        let cfg =
+          Anafaultd.Server.default_config ~socket_path
+            ~work_dir:(Filename.concat dir "work")
+        in
+        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
+        let faults = fault_array () in
+        List.iter
+          (fun (what, options, expected) ->
+            match
+              submit_and_wait ~spec:{ spec with Campaign.options } ~faults socket_path
+            with
+            | [ Campaign.Failed { message } ] ->
+              check_bool (what ^ ": " ^ message) true (contains ~needle:expected message)
+            | _ -> Alcotest.failf "%s: expected one Failed event" what)
+          bad_options;
+        let stats = one_shot socket_path Protocol.Stats in
+        check_int "no job admitted" 0 (stat_int stats "jobs");
+        check_int "nothing simulated" 0 (stat_int stats "faults_simulated");
+        ignore (one_shot socket_path Protocol.Shutdown);
+        Thread.join server);
   ]
 
 (* --- Cancellation: token to wire --------------------------------------- *)
@@ -1625,11 +1699,6 @@ let is_cancelled_result (r : Anafault.Outcome.fault_result) =
   match r.Anafault.Outcome.outcome with
   | Anafault.Outcome.Sim_failed (Anafault.Outcome.Cancelled _) -> true
   | _ -> false
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-  at 0
 
 (* A serial-path spec (batch = 1) so the cancel lands at a
    deterministic fault boundary. *)
@@ -2011,6 +2080,7 @@ let suites =
     ("campaign codecs", codec_tests);
     ("campaign fingerprint", fingerprint_tests);
     ("campaign compile", compile_tests);
+    ("campaign validation", validation_tests);
     ("failure codec", failure_tests);
     ("campaign sharding", shard_tests);
     ("failpoints", failpoint_tests);

@@ -232,6 +232,85 @@ let tran_tests =
             let got = Sim.Waveform.value_at wf "out" t in
             checkf 0.02 (Printf.sprintf "v(%.0e)" t) expect got)
           [ 5e-4; 1e-3; 2e-3; 4e-3 ]);
+    Alcotest.test_case "dc solves run past the transient limit" `Quick (fun () ->
+        (* From zero, the dv clamp walks [in] to 40 V at 1 V per Newton
+           iteration: the operating point is one solve of more than
+           tran_max_iter iterations, with no gmin stepping. *)
+        let c =
+          parse "dclamp40\nV1 in 0 40\nR1 in out 10k\nD1 out 0 DX\n.model DX D IS=1e-14\n.end\n"
+        in
+        let obs = Obs.memory () in
+        let sol = Sim.Engine.(Analysis.solution (run ~obs c Analysis.Op)) in
+        checkf 1e-9 "in" 40.0 (Sim.Engine.voltage sol "in");
+        let summary = Obs.Summary.of_events (Obs.drain obs) in
+        (match List.assoc_opt "engine.newton.iters_per_solve" summary.Obs.Summary.samples with
+        | Some st ->
+          Alcotest.(check int) "one solve" 1 st.Obs.Summary.count;
+          check_bool "longer than a transient solve" true
+            (st.Obs.Summary.max > float_of_int Sim.Engine.tran_max_iter)
+        | None -> Alcotest.fail "no Newton solve traced");
+        check_bool "no gmin stepping" false
+          (List.mem_assoc "engine.dc.gmin_stepping" summary.Obs.Summary.counters));
+    Alcotest.test_case "a transient step needing more than the limit is halved"
+      `Quick (fun () ->
+        (* A 1 kV, 10 kHz sine moves [in] by up to 63 V per 1 us step, so
+           long steps fail at tran_max_iter iterations each and are
+           retried at half size; the RC low-pass output still follows the
+           analytic response, 1 kV / (1 + j w RC) once the 10 us start-up
+           transient has decayed. *)
+        let c = parse "rcsin\nV1 in 0 SIN(0 1000 10k)\nR1 in out 1k\nC1 out 0 10n\n.end\n" in
+        let obs = Obs.memory () in
+        let r =
+          Sim.Engine.run ~obs c
+            (Sim.Engine.Analysis.Tran { tstep = 1e-6; tstop = 2e-4; uic = false })
+        in
+        let stats = Sim.Engine.Analysis.stats r in
+        let counters = (Obs.Summary.of_events (Obs.drain obs)).Obs.Summary.counters in
+        check_bool "rejected steps" true (stats.Sim.Engine.rejected_steps > 0);
+        Alcotest.(check int)
+          "each rejection spent the transient limit"
+          (stats.Sim.Engine.rejected_steps * Sim.Engine.tran_max_iter)
+          (List.assoc "engine.newton.wasted_iters" counters);
+        let wf = Sim.Engine.Analysis.waveform r in
+        let w = 2.0 *. Float.pi *. 1e4 and tau = 1e-5 in
+        let gain = 1.0 /. sqrt (1.0 +. ((w *. tau) ** 2.0)) and lag = atan (w *. tau) in
+        List.iter
+          (fun t ->
+            checkf 30.0 (Printf.sprintf "v(%.1e)" t)
+              (1000.0 *. gain *. sin ((w *. t) -. lag))
+              (Sim.Waveform.value_at wf "out" t))
+          [ 1.2e-4; 1.4e-4; 1.6e-4; 1.8e-4 ]);
+    Alcotest.test_case "a source jump does not stall the transient" `Quick
+      (fun () ->
+        (* Each circuit's source jumps 30 V (more than tran_max_iter dv
+           clamps) across one step, and halving that step cannot shrink
+           the jump: a UIC start from zeros, an ideal PULSE edge (its new
+           value holds from the breakpoint on) and a PWL step (from just
+           after its knot).  The output charges, tau = 100 ns, towards
+           30 V from the jump at [t0], to within backward Euler's error
+           at 10 ns steps. *)
+        let rc source =
+          parse (Printf.sprintf "jump\nV1 in 0 %s\nR1 in out 1k\nC1 out 0 100p IC=0\n.end\n" source)
+        in
+        List.iter
+          (fun (what, source, uic, t0) ->
+            let wf =
+              Sim.Engine.(
+                Analysis.waveform
+                  (run (rc source) (Analysis.Tran { tstep = 1e-8; tstop = 2e-6; uic })))
+            in
+            List.iter
+              (fun dt ->
+                checkf 1.5
+                  (Printf.sprintf "%s v(t0+%.0e)" what dt)
+                  (30.0 *. (1.0 -. exp (-.dt /. 1e-7)))
+                  (Sim.Waveform.value_at wf "out" (t0 +. dt)))
+              [ 1e-7; 2e-7; 5e-7 ])
+          [
+            ("uic start", "30", true, 0.0);
+            ("pulse edge", "PULSE(0 30 1u 0 0 2u 4u)", false, 1e-6);
+            ("pwl step", "PWL(0 0 1u 0 1u 30 2u 30)", false, 1e-6);
+          ]);
     Alcotest.test_case "rc discharging from IC" `Quick (fun () ->
         let c = parse "rc2\nR1 out 0 1k\nC1 out 0 1u IC=5\n.end\n" in
         let wf =
