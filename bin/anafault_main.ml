@@ -34,9 +34,7 @@
    fingerprint.  --client names the submitter for the daemon's quota.
    --remote-stats / --remote-shutdown query and stop the daemon.
    --spec FILE replaces CIRCUIT/--faults with a saved Campaign.spec
-   JSON file; --shard I/N (with --spec and --journal) is the worker
-   mode anafaultd farms sharded jobs to (--resume salvages a previous
-   life's shard journal).
+   JSON file.
 
    Cancellation: Ctrl-C during a --remote submission sends a cancel
    request for the accepted fingerprint before exiting, so the daemon
@@ -202,17 +200,6 @@ let run_remote opts socket_path (spec : Campaign.spec) csv_file deadline =
             | Ok (Campaign.Progress { completed; total }) ->
               Format.eprintf "progress: %d/%d@." completed total;
               stream ()
-            | Ok (Campaign.Sharded { shards }) ->
-              Format.printf "sharded across %d worker processes@." shards;
-              stream ()
-            | Ok (Campaign.Shard_restarted { shard; attempt }) ->
-              Format.eprintf "shard %d died; daemon restart %d@." shard attempt;
-              stream ()
-            | Ok (Campaign.Shard_lost { shard; salvaged; lost }) ->
-              Format.eprintf
-                "shard %d lost: %d results salvaged, %d faults marked crashed@."
-                shard salvaged lost;
-              stream ()
             | Ok (Campaign.Cache_hit _) ->
               Format.printf "served from the result cache (no simulation run)@.";
               stream ()
@@ -263,36 +250,6 @@ let run_remote opts socket_path (spec : Campaign.spec) csv_file deadline =
       end
   in
   go 0
-
-(* --- Shard worker mode ------------------------------------------------- *)
-
-let run_shard_worker spec shard journal_path resume =
-  match Campaign.compile spec with
-  | Error msg -> fail "%s" msg
-  | Ok compiled -> begin
-    (* SIGTERM is the daemon's drain request: fire the cancel token so
-       the engine stops at its next Newton poll and exit cleanly - the
-       journal keeps every completed fault, in-flight ones are dropped
-       (never journalled) for the resubmission to re-run. *)
-    let token = Cancel.create () in
-    (try
-       Sys.set_signal Sys.sigterm
-         (Sys.Signal_handle (fun _ -> Cancel.cancel token Cancel.User_cancel))
-     with Invalid_argument _ -> ());
-    let compiled = Campaign.with_cancel compiled token in
-    match Campaign.run_shard ~resume ~journal_path ~shard compiled with
-    | Error msg ->
-      if Cancel.cancelled token then begin
-        Format.eprintf "shard %s: cancelled@." (Campaign.shard_to_string shard);
-        0
-      end
-      else fail "shard %s: %s" (Campaign.shard_to_string shard) msg
-    | Ok simulated ->
-      Format.eprintf "shard %s: %d faults simulated%s@."
-        (Campaign.shard_to_string shard) simulated
-        (if Cancel.cancelled token then " (cancelled mid-slice)" else "");
-      0
-  end
 
 (* --- Local execution --------------------------------------------------- *)
 
@@ -441,7 +398,7 @@ let run input fault_file universe observe model_name solver_name tol_v tol_t
     domains batch limit csv_file plot trace metrics journal_path resume
     retries_spec budget_iters budget_steps budget_seconds abort_after remote
     remote_retries remote_backoff remote_timeout client_name remote_stats
-    remote_shutdown spec_file shard_spec deadline cancel_fp =
+    remote_shutdown spec_file deadline cancel_fp =
   (match Obs.Failpoint.load_env () with
   | Ok () -> ()
   | Error msg -> Format.eprintf "warning: failpoints: %s@." msg);
@@ -478,26 +435,14 @@ let run input fault_file universe observe model_name solver_name tol_v tol_t
     match spec with
     | None -> fail "need a CIRCUIT argument or --spec FILE"
     | Some spec -> begin
-      match shard_spec with
-      | Some s -> begin
-        match Campaign.shard_of_string s with
-        | Error msg -> fail "--shard: %s" msg
-        | Ok shard -> begin
-          match journal_path with
-          | None -> fail "--shard requires --journal FILE"
-          | Some path -> run_shard_worker spec shard path resume
-        end
-      end
-      | None -> begin
-        match remote with
-        | Some socket -> run_remote remote_opts socket spec csv_file deadline
-        | None ->
-          let observe_spec =
-            if spec_file <> None then `Spec else `Model model_name
-          in
-          run_local spec observe_spec trace metrics plot csv_file journal_path
-            resume abort_after
-      end
+      match remote with
+      | Some socket -> run_remote remote_opts socket spec csv_file deadline
+      | None ->
+        let observe_spec =
+          if spec_file <> None then `Spec else `Model model_name
+        in
+        run_local spec observe_spec trace metrics plot csv_file journal_path
+          resume abort_after
     end
   end
 
@@ -634,7 +579,7 @@ let remote_stats =
   Arg.(value & opt (some string) None
        & info [ "remote-stats" ] ~docv:"SOCKET"
            ~doc:"Print the daemon's lifetime counters (jobs, cache hits, \
-                 coalesced submissions, faults simulated, shard runs) and exit.")
+                 coalesced submissions, faults simulated) and exit.")
 
 let remote_shutdown =
   Arg.(value & opt (some string) None
@@ -647,13 +592,6 @@ let spec_file =
            ~doc:"Load the campaign from a Campaign.spec JSON file instead of \
                  CIRCUIT/--faults; the file's options override the option \
                  flags.")
-
-let shard_spec =
-  Arg.(value & opt (some string) None
-       & info [ "shard" ] ~docv:"I/N"
-           ~doc:"Worker mode: simulate only the fault indices congruent to I \
-                 modulo N, journalling them under whole-campaign indices \
-                 (requires --spec and --journal; used by anafaultd).")
 
 let deadline =
   Arg.(value & opt (some float) None
@@ -680,6 +618,6 @@ let cmd =
       $ trace $ metrics $ journal_path $ resume $ retries_spec $ budget_iters
       $ budget_steps $ budget_seconds $ abort_after $ remote $ remote_retries
       $ remote_backoff $ remote_timeout $ client_name $ remote_stats
-      $ remote_shutdown $ spec_file $ shard_spec $ deadline $ cancel_fp)
+      $ remote_shutdown $ spec_file $ deadline $ cancel_fp)
 
 let () = exit (Cmd.eval' cmd)

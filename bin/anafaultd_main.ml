@@ -2,8 +2,7 @@
 
      dune exec bin/anafaultd_main.exe -- --socket PATH [--work-dir DIR]
          [--cache-dir DIR] [--cache-budget BYTES] [--queue-limit N]
-         [--quota N] [--shards N [--worker-exe ANAFAULT]]
-         [--shard-retries N] [--lift-domains N]
+         [--quota N] [--lift-domains N]
          [--job-deadline S] [--grace S] [--verbose]
 
    Accepts campaign jobs over newline-delimited JSON on a Unix-domain
@@ -17,10 +16,9 @@
    its lift- fingerprint, and can chain the extracted list straight
    into an attached simulation spec.  Accepted jobs are journalled to a
    write-ahead queue first, so a daemon killed -9 replays and finishes
-   them at the next start.  With --shards N > 1 each job is split
-   across N `anafault --shard` worker processes whose journals are
-   merged into the campaign journal; dead children are respawned with
-   --resume up to --shard-retries extra lives.
+   them at the next start, and the campaign journal restores every
+   fault the killed run completed.  Each job simulates in-process on
+   the submitted spec's own domain count.
 
    Clients are the anafault CLI's --remote / --remote-stats /
    --remote-shutdown flags; the wire protocol is documented in
@@ -48,51 +46,28 @@ let size_conv =
     (parse_size, fun ppf n -> Format.fprintf ppf "%d" n)
 
 let run socket_path work_dir cache_dir cache_budget queue_limit client_quota
-    shards shard_retries worker_exe lift_domains job_deadline grace verbose =
+    lift_domains job_deadline grace verbose =
   (match Obs.Failpoint.load_env () with
   | Ok () -> ()
   | Error msg -> Format.eprintf "warning: failpoints: %s@." msg);
-  let worker_exe =
-    match worker_exe with
-    | Some _ as w -> w
-    | None when shards > 1 ->
-      (* Default to the anafault binary built next to this one. *)
-      let sibling =
-        Filename.concat (Filename.dirname Sys.executable_name)
-          "anafault_main.exe"
-      in
-      if Sys.file_exists sibling then Some sibling else None
-    | None -> None
+  let cfg =
+    {
+      (Anafaultd.Server.default_config ~socket_path ~work_dir) with
+      Anafaultd.Server.cache_dir;
+      cache_budget;
+      queue_limit;
+      client_quota;
+      lift_domains;
+      job_deadline;
+      grace;
+      verbose;
+    }
   in
-  if shards > 1 && worker_exe = None then begin
-    Format.eprintf
-      "error: --shards %d needs --worker-exe pointing at the anafault binary@."
-      shards;
+  match Anafaultd.Server.run cfg with
+  | Ok () -> 0
+  | Error msg ->
+    Format.eprintf "error: %s@." msg;
     1
-  end
-  else begin
-    let cfg =
-      {
-        (Anafaultd.Server.default_config ~socket_path ~work_dir) with
-        Anafaultd.Server.cache_dir;
-        cache_budget;
-        queue_limit;
-        client_quota;
-        shards;
-        shard_retries;
-        worker_exe;
-        lift_domains;
-        job_deadline;
-        grace;
-        verbose;
-      }
-    in
-    match Anafaultd.Server.run cfg with
-    | Ok () -> 0
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-  end
 
 open Cmdliner
 
@@ -105,8 +80,8 @@ let socket_path =
 let work_dir =
   Arg.(value & opt string "anafaultd-work"
        & info [ "work-dir" ] ~docv:"DIR"
-           ~doc:"Directory for campaign journals, shard specs, the queue WAL \
-                 and the default result cache (created if missing).")
+           ~doc:"Directory for campaign journals, the queue WAL and the \
+                 default result cache (created if missing).")
 
 let cache_dir =
   Arg.(value & opt (some string) None
@@ -132,25 +107,6 @@ let client_quota =
            ~doc:"Reject (quota_exceeded) a client's submissions past $(docv) \
                  of its jobs queued or running. 0 = unbounded.")
 
-let shards =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Split each job across $(docv) anafault --shard worker \
-                 processes and merge their journals (1 = in-process).")
-
-let shard_retries =
-  Arg.(value & opt int 2
-       & info [ "shard-retries" ] ~docv:"N"
-           ~doc:"Respawn a dead shard child (resuming its journal) up to \
-                 $(docv) times before degrading its slice to typed crashed \
-                 results.")
-
-let worker_exe =
-  Arg.(value & opt (some file) None
-       & info [ "worker-exe" ] ~docv:"ANAFAULT"
-           ~doc:"The anafault binary used for --shard children; defaults to \
-                 the one built next to anafaultd.")
-
 let lift_domains =
   Arg.(value & opt int 1
        & info [ "lift-domains" ] ~docv:"N"
@@ -168,8 +124,7 @@ let grace =
   Arg.(value & opt float 2.0
        & info [ "grace" ] ~docv:"S"
            ~doc:"Seconds an orphaned job (every subscriber gone) may keep \
-                 running before it is cancelled, and seconds a SIGTERMed \
-                 shard child may drain before SIGKILL.")
+                 running before it is cancelled.")
 
 let verbose =
   Arg.(value & flag
@@ -181,7 +136,7 @@ let cmd =
     (Cmd.info "anafaultd" ~doc)
     Term.(
       const run $ socket_path $ work_dir $ cache_dir $ cache_budget
-      $ queue_limit $ client_quota $ shards $ shard_retries $ worker_exe
-      $ lift_domains $ job_deadline $ grace $ verbose)
+      $ queue_limit $ client_quota $ lift_domains $ job_deadline $ grace
+      $ verbose)
 
 let () = exit (Cmd.eval' cmd)

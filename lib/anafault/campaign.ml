@@ -1,7 +1,7 @@
 (* The first-class campaign API: typed spec/event/result with total JSON
-   codecs, plus the shared execution entry points (local run, shard run).
-   Every front end - the CLI, the anafaultd daemon, the shard worker -
-   goes through this module; Simulate/Parsim are the engine room below. *)
+   codecs, plus the shared execution entry point (the local run).  Every
+   front end - the CLI and the anafaultd daemon - goes through this
+   module; Simulate/Parsim are the engine room below. *)
 
 module J = Obs.Json
 
@@ -410,81 +410,12 @@ let result_of_run ~fingerprint (run : Simulate.run) =
     cached = false;
   }
 
-let result_of_journal ?fill compiled journal =
-  let total = List.length compiled.faults in
-  let entries = Journal.completed_results journal in
-  let complete =
-    List.length entries = total
-    && List.for_all2 (fun i (j, _) -> i = j) (List.init total Fun.id) entries
-  in
-  if complete then
-    Ok
-      {
-        fingerprint = compiled.fingerprint;
-        total;
-        results = List.map snd entries;
-        wall_seconds = 0.0;
-        cached = false;
-      }
-  else begin
-    match fill with
-    | None ->
-      Error
-        (Printf.sprintf "journal holds %d of %d results" (List.length entries)
-           total)
-    | Some fill ->
-      (* Degraded mode: every fault the journal misses gets a typed
-         stand-in (a dead shard's unsalvaged slice), so the result stays
-         total and the failure is visible per fault, not per campaign. *)
-      let held = Hashtbl.create 64 in
-      List.iter (fun (i, r) -> Hashtbl.replace held i r) entries;
-      let faults = Array.of_list compiled.faults in
-      let results =
-        List.init total (fun i ->
-            match Hashtbl.find_opt held i with
-            | Some r -> r
-            | None -> fill i faults.(i))
-      in
-      Ok
-        {
-          fingerprint = compiled.fingerprint;
-          total;
-          results;
-          wall_seconds = 0.0;
-          cached = false;
-        }
-  end
-
-(* The stand-in for a fault a dead shard never journalled. *)
-let lost_result ~detail fault =
-  {
-    Outcome.fault;
-    outcome = Outcome.Sim_failed (Outcome.Crashed detail);
-    attempts = [];
-    stats = Simulate.zero_stats;
-    cpu_seconds = 0.0;
-  }
-
-(* The stand-in for a fault a cancellation stopped before it simulated.
-   Never journalled, so an identical resubmission re-runs exactly these. *)
-let cancelled_result ~detail fault =
-  {
-    Outcome.fault;
-    outcome = Outcome.Sim_failed (Outcome.Cancelled detail);
-    attempts = [];
-    stats = Simulate.zero_stats;
-    cpu_seconds = 0.0;
-  }
-
 (* --- Events ------------------------------------------------------------ *)
 
 type event =
   | Accepted of { fingerprint : string; total : int }
   | Progress of { completed : int; total : int }
   | Cache_hit of { fingerprint : string }
-  | Sharded of { shards : int }
-  | Shard_restarted of { shard : int; attempt : int }
-  | Shard_lost of { shard : int; salvaged : int; lost : int }
   | Cancelled of { fingerprint : string; reason : string; salvaged : int }
   | Finished of result
   | Failed of { message : string }
@@ -507,23 +438,6 @@ let event_to_json = function
   | Cache_hit { fingerprint } ->
     J.Obj
       [ ("event", J.String "cache_hit"); ("fingerprint", J.String fingerprint) ]
-  | Sharded { shards } ->
-    J.Obj [ ("event", J.String "sharded"); ("shards", J.Int shards) ]
-  | Shard_restarted { shard; attempt } ->
-    J.Obj
-      [
-        ("event", J.String "shard_restarted");
-        ("shard", J.Int shard);
-        ("attempt", J.Int attempt);
-      ]
-  | Shard_lost { shard; salvaged; lost } ->
-    J.Obj
-      [
-        ("event", J.String "shard_lost");
-        ("shard", J.Int shard);
-        ("salvaged", J.Int salvaged);
-        ("lost", J.Int lost);
-      ]
   | Cancelled { fingerprint; reason; salvaged } ->
     J.Obj
       [
@@ -552,18 +466,6 @@ let event_of_json ~faults json =
   | "cache_hit" ->
     let* fingerprint = J.require fields "fingerprint" J.as_str in
     Ok (Cache_hit { fingerprint })
-  | "sharded" ->
-    let* shards = J.require fields "shards" J.as_int in
-    Ok (Sharded { shards })
-  | "shard_restarted" ->
-    let* shard = J.require fields "shard" J.as_int in
-    let* attempt = J.require fields "attempt" J.as_int in
-    Ok (Shard_restarted { shard; attempt })
-  | "shard_lost" ->
-    let* shard = J.require fields "shard" J.as_int in
-    let* salvaged = J.require fields "salvaged" J.as_int in
-    let* lost = J.require fields "lost" J.as_int in
-    Ok (Shard_lost { shard; salvaged; lost })
   | "cancelled" ->
     let* fingerprint = J.require fields "fingerprint" J.as_str in
     let* reason = J.require fields "reason" J.as_str in
@@ -591,58 +493,3 @@ let run_local ?progress ?journal compiled =
       compiled.faults
   in
   { run; domain_stats; result = result_of_run ~fingerprint:compiled.fingerprint run }
-
-(* --- Sharding ---------------------------------------------------------- *)
-
-let shard_to_string (index, count) = Printf.sprintf "%d/%d" index count
-
-let shard_of_string s =
-  let err = Error (Printf.sprintf "bad shard %S (want I/N with 0 <= I < N)" s) in
-  match String.split_on_char '/' s with
-  | [ a; b ] -> begin
-    match (int_of_string_opt a, int_of_string_opt b) with
-    | Some index, Some count when count > 0 && index >= 0 && index < count ->
-      Ok (index, count)
-    | _ -> err
-  end
-  | _ -> err
-
-let shard_indices ~shard:(index, count) ~total =
-  List.filter (fun i -> i mod count = index) (List.init total Fun.id)
-
-let run_shard ?progress ?(resume = false) ~journal_path ~shard compiled =
-  let faults = Array.of_list compiled.faults in
-  Obs.Failpoint.hit (Printf.sprintf "shard.%d.run" (fst shard));
-  (* A resumed shard (the supervisor's respawn of a dead child) salvages
-     its previous life's journal; a mismatched or torn one starts over. *)
-  let journal =
-    let fresh () =
-      Journal.start ~path:journal_path ~fingerprint:compiled.fingerprint
-        ~resume:false ~faults
-    in
-    if resume && Sys.file_exists journal_path then begin
-      match
-        Journal.start ~path:journal_path ~fingerprint:compiled.fingerprint
-          ~resume:true ~faults
-      with
-      | Ok _ as ok -> ok
-      | Error _ -> fresh ()
-    end
-    else fresh ()
-  in
-  match journal with
-  | Error _ as e -> e |> Result.map_error Fun.id
-  | Ok j ->
-    Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
-    let owned = shard_indices ~shard ~total:(Array.length faults) in
-    let owned_arr = Array.of_list owned in
-    let sub = List.map (fun i -> faults.(i)) owned in
-    let journal = Journal.view j ~map:(fun i -> owned_arr.(i)) in
-    (match
-       Parsim.execute ?progress ~journal compiled.config compiled.circuit sub
-     with
-    | exception Sim.Engine.Sim_error (err, detail) ->
-      Error
-        (Printf.sprintf "nominal simulation failed (%s): %s"
-           (Sim.Engine.error_to_string err) detail)
-    | _run, _stats -> Ok (List.length sub))

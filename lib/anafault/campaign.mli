@@ -3,14 +3,13 @@
     ({!event}), one typed product ({!result}) - each with a total JSON
     codec - and the execution entry points every front end shares.
 
-    The CLI, the [anafaultd] daemon and the shard worker all speak this
-    vocabulary: a local run, a remote submission and a shard of a
-    distributed run are the same {!spec} pushed through the same
-    {!compile}/{!run_local} machinery, differing only in who drives the
-    loop.  {!default_options} is the one encoding of the paper's working
-    point; {!config_of_options} turns it into the {!Simulate.config} the
-    [run_one_in]/[run_batch] engine room underneath runs on (see the
-    migration notes in DESIGN.md). *)
+    The CLI and the [anafaultd] daemon both speak this vocabulary: a
+    local run and a remote submission are the same {!spec} pushed
+    through the same {!compile}/{!run_local} machinery, differing only
+    in who drives the loop.  {!default_options} is the one encoding of
+    the paper's working point; {!config_of_options} turns it into the
+    {!Simulate.config} the [run_one_in]/[run_batch] engine room
+    underneath runs on (see the migration notes in DESIGN.md). *)
 
 (** {1 Options}
 
@@ -141,31 +140,6 @@ val result_of_json :
 (** Detected / undetected / failed counts. *)
 val tally : result -> int * int * int
 
-(** [result_of_journal compiled journal] rebuilds the campaign result
-    from a (merged) journal alone - no simulation; errors when the
-    journal does not hold every fault of the campaign.
-
-    With [fill], a journal that misses faults yields a {e typed partial
-    result} instead: every missing index is filled by [fill index
-    fault] (typically {!lost_result}), so the result stays total and a
-    dead shard's unsalvaged slice surfaces as per-fault typed failures,
-    not a campaign-level error. *)
-val result_of_journal :
-  ?fill:(int -> Faults.Fault.t -> Outcome.fault_result) ->
-  compiled ->
-  Journal.t ->
-  (result, string) Stdlib.result
-
-(** [lost_result ~detail fault] is the stand-in for a fault no journal
-    line survived for: [Sim_failed (Crashed detail)], zero stats. *)
-val lost_result : detail:string -> Faults.Fault.t -> Outcome.fault_result
-
-(** [cancelled_result ~detail fault] is the stand-in for a fault a
-    cancellation stopped before it simulated: [Sim_failed (Cancelled
-    detail)], zero stats.  Never journalled, so an identical
-    resubmission re-runs exactly these faults. *)
-val cancelled_result : detail:string -> Faults.Fault.t -> Outcome.fault_result
-
 (** {1 Events}
 
     The typed progress stream a campaign emits while it runs - what the
@@ -176,15 +150,6 @@ type event =
   | Progress of { completed : int; total : int }
   | Cache_hit of { fingerprint : string }
       (** the result that follows was served from the cache *)
-  | Sharded of { shards : int }
-      (** the job was split across this many worker processes *)
-  | Shard_restarted of { shard : int; attempt : int }
-      (** a shard child died and is being respawned (to resume its own
-          partial journal); [attempt] counts its restarts, 1-based *)
-  | Shard_lost of { shard : int; salvaged : int; lost : int }
-      (** a shard stayed dead through its retry budget: [salvaged]
-          results were recovered from its journal, [lost] faults carry
-          typed [Crashed] failures in the result that follows *)
   | Cancelled of { fingerprint : string; reason : string; salvaged : int }
       (** the job was cancelled (request, deadline, or orphaned);
           [salvaged] results reached the campaign journal before the
@@ -220,38 +185,3 @@ val run_local :
   ?journal:Journal.t ->
   compiled ->
   local
-
-(** {1 Sharding}
-
-    A shard is the slice of a campaign a worker process owns: fault
-    indices congruent to [index] modulo [count].  Shard workers journal
-    under whole-campaign indices ({!Journal.view}), so the daemon can
-    {!Journal.merge} the per-shard journals into one campaign journal
-    interchangeable with an unsharded run's. *)
-
-(** ["I/N"], e.g. ["0/2"]. *)
-val shard_to_string : int * int -> string
-
-val shard_of_string : string -> (int * int, string) Stdlib.result
-
-(** The whole-campaign fault indices shard [index/count] owns. *)
-val shard_indices : shard:int * int -> total:int -> int list
-
-(** [run_shard ~journal_path ~shard compiled] simulates just the owned
-    slice, recording every result into a fresh journal at
-    [journal_path] under whole-campaign indices.  Returns the number of
-    faults simulated.  Kernel failure of the shard's nominal run is
-    returned as [Error].
-
-    With [resume] (default false), an existing journal at
-    [journal_path] from a previous life of this shard is restored
-    first and only the remaining faults simulate - how a supervised
-    respawn salvages the work its predecessor completed before dying.
-    A missing, torn or mismatched journal silently starts fresh. *)
-val run_shard :
-  ?progress:(int -> int -> unit) ->
-  ?resume:bool ->
-  journal_path:string ->
-  shard:int * int ->
-  compiled ->
-  (int, string) Stdlib.result

@@ -19,10 +19,6 @@ type t = {
      twice per journal. *)
   completed : (int, Outcome.fault_result) Hashtbl.t;
   restored : int;
-  (* Index remapping applied by [find]/[record] - identity except in a
-     shard [view], where a campaign loop running over a sub-list records
-     under the faults' whole-campaign indices. *)
-  map : int -> int;
 }
 
 let header_line ~fingerprint ~total =
@@ -81,6 +77,24 @@ let restore path ~fingerprint ~faults tbl =
         header)
   |> Option.value ~default:(Error "journal file is empty")
 
+let by_index tbl =
+  Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Lay the journal out as a fresh serial run writes it - one header,
+   then result lines in index order - atomically, so a crash mid-rewrite
+   leaves the old journal, never a torn one. *)
+let rewrite path ~fingerprint ~total tbl =
+  let line oc s =
+    output_string oc s;
+    output_char oc '\n'
+  in
+  Durable.replace path (fun oc ->
+      line oc (header_line ~fingerprint ~total);
+      List.iter
+        (fun (index, r) -> line oc (J.to_string (Outcome.result_to_json ~index r)))
+        (by_index tbl))
+
 let start ~path ~fingerprint ~resume ~faults =
   let total = Array.length faults in
   let completed = Hashtbl.create 64 in
@@ -88,7 +102,12 @@ let start ~path ~fingerprint ~resume ~faults =
     if resume && Sys.file_exists path then
       match restore path ~fingerprint ~faults completed with
       | Error msg -> Error (path ^ ": " ^ msg)
-      | Ok () -> Ok (open_out_gen [ Open_wronly; Open_append ] 0o644 path)
+      | Ok () ->
+        (* Rewritten before anything appends: a torn last line left in
+           place would swallow the next record into an unparseable
+           line, and that fault would be simulated again. *)
+        rewrite path ~fingerprint ~total completed;
+        Ok (open_out_gen [ Open_wronly; Open_append ] 0o644 path)
     else begin
       let oc = open_out path in
       Durable.append oc (header_line ~fingerprint ~total);
@@ -106,16 +125,10 @@ let start ~path ~fingerprint ~resume ~faults =
         lock = Mutex.create ();
         completed;
         restored = Hashtbl.length completed;
-        map = Fun.id;
       })
     opened
 
-(* The view shares the parent's channel, lock and completed table - it
-   is the same journal, addressed through other indices. *)
-let view t ~map = { t with map = (fun i -> t.map (map i)) }
-
 let find t index fault =
-  let index = t.map index in
   Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.completed index with
   | Some r when String.equal r.Outcome.fault.Faults.Fault.id fault.Faults.Fault.id
@@ -124,56 +137,10 @@ let find t index fault =
   | Some _ | None -> None
 
 let record t index result =
-  let index = t.map index in
   Mutex.protect t.lock @@ fun () ->
   Obs.Failpoint.hit "journal.record";
   Hashtbl.replace t.completed index result;
   Durable.append t.oc (J.to_string (Outcome.result_to_json ~index result))
-
-let by_index tbl =
-  Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let completed_results t = Mutex.protect t.lock @@ fun () -> by_index t.completed
-
-(* Merge shard journals into one campaign journal.  Every input must
-   carry the merged campaign's fingerprint and fault count; a later
-   input wins on a shared index.  The output is laid out exactly as a
-   single-process serial run lays it out - one header, then result
-   lines in index order - so a merged journal and an unsharded journal
-   are interchangeable: either resumes the other's campaign. *)
-let merge ?(lenient = false) ~out ~fingerprint ~faults paths =
-  let tbl = Hashtbl.create 64 in
-  let rec load = function
-    | [] -> Ok ()
-    | p :: rest -> begin
-      match
-        if Sys.file_exists p then restore p ~fingerprint ~faults tbl
-        else Error "journal file is missing"
-      with
-      | Error msg when not lenient -> Error (p ^ ": " ^ msg)
-      | Error _ (* lenient: a dead shard's missing/torn journal salvages
-                   to nothing; the merged journal just lacks its slice *)
-      | Ok () ->
-        load rest
-    end
-  in
-  match load paths with
-  | Error _ as e -> e
-  | Ok () ->
-    let entries = by_index tbl in
-    (* A crash mid-merge leaves the previous journal (or nothing) at
-       [out], never a torn merge. *)
-    let line oc s =
-      output_string oc s;
-      output_char oc '\n'
-    in
-    Durable.replace out (fun oc ->
-        line oc (header_line ~fingerprint ~total:(Array.length faults));
-        List.iter
-          (fun (index, r) -> line oc (J.to_string (Outcome.result_to_json ~index r)))
-          entries);
-    Ok (List.length entries)
 
 let restored_count t = t.restored
 

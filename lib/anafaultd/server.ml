@@ -7,9 +7,8 @@
                         │  submit: fingerprint, cache probe, admission
                         ▼
                     job queue ──▶ scheduler thread
-                    (WAL-backed)    │ in-process: Campaign.run_local
-                                    │ sharded:   anafault --shard I/N × N
-                                    ▼             (supervised, respawned)
+                    (WAL-backed)    │ Campaign.run_local (Parsim domains)
+                                    ▼
                                  broadcast events, store cache entry
 
    Identical in-flight submissions coalesce: the second client
@@ -35,9 +34,6 @@ type config = {
   cache_budget : int;
   queue_limit : int;
   client_quota : int;
-  shards : int;
-  shard_retries : int;
-  worker_exe : string option;
   lift_domains : int;
       (* worker domains for the per-tile stages of an Extract request's
          staged LIFT pipeline; 1 = serial *)
@@ -46,8 +42,7 @@ type config = {
          tightens (never loosens) a submit's own deadline_s *)
   grace : float;
       (* seconds: how long an orphaned job may outlive its last
-         subscriber, and how long a SIGTERMed shard child may drain
-         before SIGKILL *)
+         subscriber *)
   obs : Obs.sink;
   verbose : bool;
 }
@@ -60,9 +55,6 @@ let default_config ~socket_path ~work_dir =
     cache_budget = 0;
     queue_limit = 0;
     client_quota = 0;
-    shards = 1;
-    shard_retries = 2;
-    worker_exe = None;
     lift_domains = 1;
     job_deadline = None;
     grace = 2.0;
@@ -80,7 +72,6 @@ type sub = { sout : out_channel; swrite : Mutex.t }
 type state = Queued | Running | Done
 
 type job = {
-  spec : Campaign.spec;
   compiled : Campaign.compiled;
   client : string; (* quota bucket; "" = anonymous *)
   token : Cancel.t; (* also threaded into [compiled]'s engine options *)
@@ -101,10 +92,8 @@ type stat =
   | Cache_hits
   | Coalesced
   | Faults_simulated
-  | Shard_runs
   | Rejected
   | Replayed
-  | Shard_restarts
   | Cancelled
   | Extracts
   | Extract_hits
@@ -116,10 +105,8 @@ let stat_names = function
   | Cache_hits -> ("cache_hits", "daemon.cache_hit")
   | Coalesced -> ("coalesced", "daemon.coalesced")
   | Faults_simulated -> ("faults_simulated", "")
-  | Shard_runs -> ("shard_runs", "")
   | Rejected -> ("rejected", "daemon.rejected")
   | Replayed -> ("replayed", "daemon.replayed")
-  | Shard_restarts -> ("shard_restarts", "daemon.shard_restarts")
   | Cancelled -> ("cancelled", "daemon.jobs_cancelled")
   | Extracts -> ("extracts", "")
   | Extract_hits -> ("extract_hits", "daemon.extract_hit")
@@ -163,8 +150,7 @@ let stats_json t =
   let field s = (fst (stat_names s), J.Int (Atomic.get (List.assoc s t.counts))) in
   J.Obj
     (List.map field
-       [ Jobs; Cache_hits; Coalesced; Faults_simulated; Shard_runs; Rejected;
-         Replayed; Shard_restarts ]
+       [ Jobs; Cache_hits; Coalesced; Faults_simulated; Rejected; Replayed ]
     @ [
         ("evictions", J.Int (Cache.evictions t.cache));
         ("corrupt", J.Int (Cache.corrupt t.cache));
@@ -288,182 +274,7 @@ let run_in_process t job =
          were a previous life's work. *)
       bump t fp Faults_simulated
         (max 0 (salvaged result - Journal.restored_count journal));
-      Ok (result, `Full))
-
-let status_error exe = function
-  | Unix.WEXITED 0 -> Ok ()
-  | Unix.WEXITED n -> Error (Printf.sprintf "%s exited with %d" exe n)
-  | Unix.WSIGNALED n -> Error (Printf.sprintf "%s killed by signal %d" exe n)
-  | Unix.WSTOPPED n -> Error (Printf.sprintf "%s stopped by signal %d" exe n)
-
-(* Farm the job to [shards] anafault --shard child processes, each
-   journalling its slice under whole-campaign indices, then merge the
-   shard journals into the campaign journal and rebuild the result from
-   it - no waveform ever crosses a process boundary, only journal
-   lines.  Each shard journal is seeded from the campaign journal and
-   every child runs with [--resume], so what an earlier cancelled or
-   degraded attempt salvaged is never simulated again.
-
-   Each child is supervised: one that dies is respawned (salvaging its
-   own partial journal) up to [shard_retries] extra lives.  A shard
-   that stays dead degrades the campaign instead of failing it - its
-   journalled results are salvaged by a lenient merge and the
-   unsalvaged faults surface as typed [Crashed] failures. *)
-let run_sharded t job exe shards =
-  let compiled = job.compiled in
-  let fp = compiled.Campaign.fingerprint in
-  let faults = Array.of_list compiled.Campaign.faults in
-  let campaign_journal = journal_path t fp in
-  let spec_path = Filename.concat t.cfg.work_dir (fp ^ ".spec.json") in
-  (* Rewritten on every attempt, so it needs no fsync; the rename only
-     keeps a child from ever reading half a spec. *)
-  Durable.replace ~sync:false spec_path (fun oc ->
-      Protocol.send oc (Campaign.spec_to_json job.spec));
-  broadcast job (Campaign.Sharded { shards });
-  let journals =
-    Array.init shards (fun i ->
-        Filename.concat t.cfg.work_dir (Printf.sprintf "%s.shard%d.journal" fp i))
-  in
-  let seed path =
-    Result.value ~default:0
-      (Journal.merge ~lenient:true ~out:path ~fingerprint:fp ~faults
-         [ campaign_journal ])
-  in
-  let restored = (Array.map seed journals).(0) in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close devnull with _ -> ())
-  @@ fun () ->
-  let pids = Array.make shards None (* Some pid while the child lives *)
-  and attempts = Array.make shards 0
-  and lost = Array.make shards None (* Some why: the slice degrades *) in
-  let spawn i =
-    Obs.Failpoint.hit "shard.spawn";
-    let argv =
-      [| exe; "--spec"; spec_path; "--shard"; Campaign.shard_to_string (i, shards);
-         "--journal"; journals.(i); "--resume" |]
-    in
-    pids.(i) <- Some (Unix.create_process exe argv devnull devnull devnull);
-    attempts.(i) <- attempts.(i) + 1;
-    bump t fp Shard_runs 1
-  in
-  let signal_all signal =
-    Array.iter
-      (Option.iter (fun pid -> try Unix.kill pid signal with Unix.Unix_error _ -> ()))
-      pids
-  in
-  (* One poll loop reaps, respawns and stops the children - by WNOHANG,
-     never a blocking wait, so a cancel interrupts it within a tick.  A
-     child that dies while the job is live is respawned up to its retry
-     budget.  Stopping sends every live child SIGTERM (a drain request:
-     the worker cancels its own token and exits cleanly) and SIGKILL
-     once [stop_at] has passed. *)
-  let rec supervise stop_at =
-    let stopping = Option.is_some stop_at || Cancel.cancelled job.token in
-    Array.iteri
-      (fun i -> function
-        | None -> ()
-        | Some pid -> (
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> ()
-          | exception Unix.Unix_error _ -> pids.(i) <- None
-          | _, status -> (
-            pids.(i) <- None;
-            match status_error exe status with
-            | Ok () -> ()
-            | Error msg when (not stopping) && attempts.(i) <= t.cfg.shard_retries
-              -> (
-              log t "job %s: shard %d died (%s), restart %d/%d" fp i msg
-                attempts.(i) t.cfg.shard_retries;
-              broadcast job
-                (Campaign.Shard_restarted { shard = i; attempt = attempts.(i) });
-              bump t fp Shard_restarts 1 ~attrs:[ ("shard", Obs.Int i) ];
-              try spawn i with _ -> lost.(i) <- Some msg)
-            | Error msg -> lost.(i) <- Some msg)))
-      pids;
-    if Array.exists Option.is_some pids then begin
-      let stop_at =
-        match stop_at with
-        | None when stopping ->
-          Obs.Failpoint.hit "cancel.sigterm";
-          log t "job %s: stopping %d shard children" fp shards;
-          signal_all Sys.sigterm;
-          Some (Unix.gettimeofday () +. t.cfg.grace)
-        | Some at when Unix.gettimeofday () > at ->
-          signal_all Sys.sigkill;
-          stop_at
-        | _ -> stop_at
-      in
-      Thread.delay 0.02;
-      supervise stop_at
-    end
-  in
-  match Array.iteri (fun i _ -> spawn i) journals with
-  | exception e ->
-    (* Never leave the siblings of a failed spawn running unsupervised. *)
-    supervise (Some 0.0);
-    Error ("shard spawn: " ^ Printexc.to_string e)
-  | () -> (
-    supervise None;
-    let cancelled = Cancel.get job.token in
-    if Option.is_some cancelled then Obs.Failpoint.hit "cancel.salvage";
-    (* The stand-in for every fault the merged journal misses: Cancelled
-       after a stop (the shard journals are partial by design), Crashed
-       in a dead shard's slice. *)
-    let fill =
-      match cancelled with
-      | Some reason ->
-        let detail = Cancel.reason_to_string reason in
-        Some (fun _idx fault -> Campaign.cancelled_result ~detail fault)
-      | None when Array.exists Option.is_some lost ->
-        Some
-          (fun idx fault ->
-            let shard = idx mod shards in
-            let detail =
-              match lost.(shard) with
-              | Some msg -> Printf.sprintf "shard %d lost: %s" shard msg
-              | None -> Printf.sprintf "shard %d lost" shard
-            in
-            Campaign.lost_result ~detail fault)
-      | None -> None
-    in
-    match
-      Journal.merge ~lenient:(Option.is_some fill) ~out:campaign_journal
-        ~fingerprint:fp ~faults (Array.to_list journals)
-    with
-    | Error msg -> Error ("journal merge: " ^ msg)
-    | Ok merged -> (
-      bump t fp Faults_simulated (max 0 (merged - restored));
-      Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals;
-      match
-        Journal.start ~path:campaign_journal ~fingerprint:fp ~resume:true ~faults
-      with
-      | Error msg -> Error ("merged journal: " ^ msg)
-      | Ok journal ->
-        Fun.protect ~finally:(fun () -> Journal.close journal) @@ fun () ->
-        (* Tell each waiting client what a dead shard cost before the
-           degraded result arrives. *)
-        if Option.is_none cancelled then
-          Array.iteri
-            (fun i ->
-              Option.iter (fun _ ->
-                  let owned =
-                    Campaign.shard_indices ~shard:(i, shards)
-                      ~total:(Array.length faults)
-                  in
-                  let salvaged =
-                    List.length
-                      (List.filter
-                         (fun idx -> Journal.find journal idx faults.(idx) <> None)
-                         owned)
-                  in
-                  let lost = List.length owned - salvaged in
-                  log t "job %s: shard %d lost for good (%d salvaged, %d lost)" fp
-                    i salvaged lost;
-                  broadcast job (Campaign.Shard_lost { shard = i; salvaged; lost })))
-            lost;
-        Result.map
-          (fun r -> (r, if Option.is_some fill then `Degraded else `Full))
-          (Campaign.result_of_journal ?fill compiled journal)))
+      Ok result)
 
 let execute t job =
   let fp = job.compiled.Campaign.fingerprint in
@@ -477,11 +288,7 @@ let execute t job =
     (* Cancelled while still queued: nothing runs this life, so nothing
        new is salvaged (an earlier life's journal survives untouched). *)
     if Cancel.cancelled job.token then Error "cancelled while queued"
-    else
-      match (t.cfg.worker_exe, t.cfg.shards) with
-      | Some exe, shards when shards > 1 && total >= shards ->
-        run_sharded t job exe shards
-      | _ -> run_in_process t job
+    else run_in_process t job
   in
   conclude t job
     (match (Cancel.get job.token, outcome) with
@@ -492,15 +299,12 @@ let execute t job =
         {
           fingerprint = fp;
           reason = Cancel.reason_to_string reason;
-          salvaged = (match outcome with Ok (r, _) -> salvaged r | Error _ -> 0);
+          salvaged = (match outcome with Ok r -> salvaged r | Error _ -> 0);
         }
-    | None, Ok (result, completeness) ->
-      (* A degraded result (dead shard, typed Crashed stand-ins) must not
-         be cached: a resubmission deserves a fresh attempt at the lost
-         faults, not the hole served back forever.  Stored before
-         [conclude] retires the job, so a resubmitter finds it. *)
-      if completeness = `Full then
-        Cache.store t.cache fp (Campaign.result_to_json result);
+    | None, Ok result ->
+      (* Stored before [conclude] retires the job, so a resubmitter
+         finds it. *)
+      Cache.store t.cache fp (Campaign.result_to_json result);
       Campaign.Finished result
     | None, Error message -> Campaign.Failed { message })
 
@@ -552,8 +356,8 @@ let handle_cancel t fingerprint =
     true
 
 (* Deadline and orphan enforcement.  The tick only reads job state and
-   fires cancel tokens; the scheduler, the engine's Newton loop and the
-   shard supervisor all notice the token at their next poll.
+   fires cancel tokens; the scheduler and the engine's Newton loop
+   notice the token at their next poll.
    Orphanhood is observed through broadcast failures (a dead subscriber
    is dropped by the first write that fails), so a vanished client is
    detected once events flow; WAL-replayed jobs have no subscribers by
@@ -599,7 +403,7 @@ let monitor t =
    the engine, and the wall-clock budget - the tighter of the submit's
    own [deadline_s] and the server's cap - runs from now.  A job with
    no first subscriber is a WAL replay. *)
-let new_job t ?sub ~spec ~client ~deadline_s (compiled : Campaign.compiled) =
+let new_job t ?sub ~client ~deadline_s (compiled : Campaign.compiled) =
   let obs = Obs.tagged t.cfg.obs [ ("job", Obs.Str compiled.Campaign.fingerprint) ] in
   let compiled =
     {
@@ -614,7 +418,6 @@ let new_job t ?sub ~spec ~client ~deadline_s (compiled : Campaign.compiled) =
     | d, None | None, d -> d
   in
   {
-    spec;
     compiled = Campaign.with_cancel compiled token;
     client;
     token;
@@ -696,7 +499,7 @@ let handle_submit t sub spec client deadline_s =
                      cannot make durable is not accepted. *)
                   Turned_away (Protocol.Queue_full, "queue journal: " ^ message)
                 | Ok () ->
-                  let job = new_job t ~sub ~spec ~client ~deadline_s compiled in
+                  let job = new_job t ~sub ~client ~deadline_s compiled in
                   enqueue t job;
                   Admitted job)
         in
@@ -733,7 +536,7 @@ let handle_submit t sub spec client deadline_s =
    own stage artefacts persist under work_dir/lift-stages, so an
    {e edited} layout re-extracts only its dirty tiles.  Extraction is
    synchronous on the handler thread - pure CPU over bytes the client
-   already shipped, no WAL or shards involved.  With [simulate], the
+   already shipped, no WAL involved.  With [simulate], the
    extracted list replaces the embedded campaign spec's faults field
    and the job flows through the normal submit admission on the same
    connection: extract-then-simulate in one round trip. *)
@@ -899,8 +702,7 @@ let replay_wal t entries =
         Queue.mark_done t.wal fp
       | Ok compiled ->
         let job =
-          new_job t ~spec:e.Queue.spec ~client:e.Queue.client ~deadline_s:None
-            compiled
+          new_job t ~client:e.Queue.client ~deadline_s:None compiled
         in
         Mutex.protect t.qlock (fun () -> enqueue t job);
         bump t fp Replayed 1;
@@ -945,13 +747,11 @@ let run cfg =
         counts =
           List.map
             (fun s -> (s, Atomic.make 0))
-            [ Jobs; Cache_hits; Coalesced; Faults_simulated; Shard_runs; Rejected;
-              Replayed; Shard_restarts; Cancelled; Extracts; Extract_hits;
-              Jobs_done; Jobs_failed ];
+            [ Jobs; Cache_hits; Coalesced; Faults_simulated; Rejected; Replayed;
+              Cancelled; Extracts; Extract_hits; Jobs_done; Jobs_failed ];
       }
     in
-    log t "listening on %s (cache %s, shards %d)" cfg.socket_path cache_dir
-      cfg.shards;
+    log t "listening on %s (cache %s)" cfg.socket_path cache_dir;
     (* Re-enqueue what a previous life left queued or running, before
        any client connects: replayed work and fresh work share one
        FIFO. *)

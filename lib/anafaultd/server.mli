@@ -11,13 +11,18 @@
     instead of enqueuing a duplicate.  Every job's telemetry is scoped
     with a [job] attribute carrying its fingerprint ({!Obs.tagged}).
 
+    Every job runs one way: {!Anafault.Campaign.run_local} in this
+    process, on the spec's own [domains] ({!Anafault.Parsim}).
+
     Crash-safety: every accepted job is recorded in a write-ahead
     queue journal ([<work_dir>/queue.wal], {!Queue}) {e before} the
     client hears "accepted", and the campaign itself journals to
     [<work_dir>/<fingerprint>.journal].  A daemon killed -9 therefore
     restarts into the same queue: pending jobs re-enqueue, the one
     that was running resumes from its campaign journal, and finished
-    results wait in the cache for the resubmitting client.
+    results wait in the cache for the resubmitting client.  This
+    restart path is the daemon's crash isolation (DESIGN.md, "Crash
+    isolation").
 
     Fault extraction is a first-class job kind: an [extract] request
     runs LIFT ({!Defects.Pipeline}) on an inline layout, answers with
@@ -34,22 +39,11 @@
     capped at that many queued-or-running jobs, beyond which it gets
     [quota_exceeded].  Coalescing submissions are never rejected.
 
-    Sharding ([shards > 1]) splits each job across [anafault --shard]
-    child processes whose per-shard journals are merged
-    ({!Anafault.Journal.merge}) into the same campaign journal the
-    in-process path writes.  Children are supervised: a dead child is
-    respawned with [--resume] up to [shard_retries] extra lives; one
-    that stays dead degrades the campaign - its journal is salvaged
-    leniently and the unsalvaged faults surface as typed [Crashed]
-    failures in the result (which is then {e not} cached).
-
     Cancellation: a [cancel] request (or an expired deadline, or a job
     orphaned by its last subscriber vanishing for longer than [grace])
     fires the job's cooperative cancel token.  The engine's Newton
-    loop polls the token, so an in-process job stops within
-    milliseconds; shard children get SIGTERM (they drain and exit),
-    then SIGKILL after [grace].  Everything journalled before the stop
-    is salvaged; the job terminates with a ["cancelled"] event, is
+    loop polls the token, so a running job stops within milliseconds.
+    Everything journalled before the stop is salvaged; the job terminates with a ["cancelled"] event, is
     never cached, and its WAL record is tombstoned at the moment the
     cancel is acknowledged - an identical resubmission re-simulates
     exactly the faults the stop interrupted.  Deadlines: a submit's
@@ -58,7 +52,7 @@
 
 type config = {
   socket_path : string;  (** Unix-domain socket to listen on *)
-  work_dir : string;  (** journals, shard specs, queue WAL, default cache *)
+  work_dir : string;  (** journals, queue WAL, default cache *)
   cache_dir : string option;  (** result cache root; [None]: work_dir/cache *)
   cache_budget : int;  (** cache byte budget; 0 = unbounded ({!Cache}) *)
   queue_limit : int;
@@ -66,13 +60,6 @@ type config = {
   client_quota : int;
       (** max queued-or-running jobs per client before [quota_exceeded];
           0 = unbounded *)
-  shards : int;
-      (** > 1: split each job across this many worker processes *)
-  shard_retries : int;
-      (** extra lives per shard child before its slice degrades *)
-  worker_exe : string option;
-      (** the [anafault] binary used for [--shard] children; required
-          when [shards > 1] *)
   lift_domains : int;
       (** worker domains for the per-tile stages of an [extract]
           request's staged LIFT pipeline; 1 = serial *)
@@ -81,13 +68,12 @@ type config = {
           from acceptance; tightens - never loosens - a submit's own
           [deadline_s].  [None]: no cap *)
   grace : float;
-      (** seconds an orphaned job may outlive its last subscriber, and
-          seconds a SIGTERMed shard child may drain before SIGKILL *)
+      (** seconds an orphaned job may outlive its last subscriber *)
   obs : Obs.sink;  (** daemon telemetry (per-job scoped via {!Obs.tagged}) *)
   verbose : bool;  (** log accepts, jobs and cache traffic to stderr *)
 }
 
-(** Unbounded queue, quota and cache; 1 shard with 2 retries; no job
+(** Unbounded queue, quota and cache; serial LIFT stages; no job
     deadline; a 2 s grace. *)
 val default_config : socket_path:string -> work_dir:string -> config
 

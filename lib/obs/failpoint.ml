@@ -1,19 +1,15 @@
 (* Deterministic fault injection for the fault-injection tool itself.
    A failpoint is a named site compiled into a crash path (cache
-   writes, queue appends, journal records, shard spawns); arming one -
-   programmatically or through ANAFAULT_FAILPOINTS - makes that site
+   writes, queue appends, journal records, domain sessions); arming one
+   - programmatically or through ANAFAULT_FAILPOINTS - makes that site
    misbehave on cue, so tests and smoke scripts can force every
    recovery path instead of waiting for the power to fail.
 
    Sudden death is Unix._exit: no at_exit, no channel flushing, the
-   closest a process can come to kill -9 from the inside.  The crash
-   action optionally carries a cookie path so a respawned process (a
-   supervised shard child, which inherits the same environment) crashes
-   only on its first life. *)
+   closest a process can come to kill -9 from the inside. *)
 
 (* Every site compiled into the tree, in one list.  [<int>] stands for
-   a decimal index: the campaign domain opening its engine session,
-   the shard a worker process runs. *)
+   a decimal index: the campaign domain opening its engine session. *)
 let sites =
   [
     "journal.record";
@@ -23,12 +19,8 @@ let sites =
     "cache.store.torn";
     "pipeline.store";
     "job.run";
-    "shard.spawn";
-    "shard.<int>.run";
     "parsim.session.<int>";
     "cancel.tombstone";
-    "cancel.sigterm";
-    "cancel.salvage";
   ]
 
 let slot = "<int>"
@@ -51,9 +43,7 @@ let matches site name =
 let declared name = List.exists (fun site -> matches site name) sites
 
 type action =
-  | Crash of string option
-      (* sudden death; [Some cookie]: only when [cookie] does not exist
-         yet (it is created just before dying) *)
+  | Crash (* sudden death: Unix._exit 70, nothing flushed *)
   | Fail (* raise [Injected] - a typed, catchable error *)
   | Delay of float (* sleep this many seconds, then continue *)
   | Torn of float (* write sites: commit only this fraction of the bytes *)
@@ -86,17 +76,6 @@ let arm ?(after = 1) name action =
 
 let die () = Unix._exit 70
 
-let crash cookie =
-  match cookie with
-  | None -> die ()
-  | Some path ->
-    if not (Sys.file_exists path) then begin
-      (* Touch the cookie first so the next life of this process (a
-         supervisor's respawn) sails past the point. *)
-      (try close_out (open_out path) with Sys_error _ -> ());
-      die ()
-    end
-
 (* [take name] returns the action to perform now, if any, consuming the
    point's charge.  Delay points stay armed (every hit delays); the
    destructive actions are one-shot per process. *)
@@ -120,7 +99,7 @@ let take name =
 let hit name =
   match take name with
   | None | Some (Torn _) -> ()
-  | Some (Crash cookie) -> crash cookie
+  | Some Crash -> die ()
   | Some Fail -> raise (Injected name)
   | Some (Delay s) -> Unix.sleepf s
 
@@ -130,9 +109,7 @@ let cut name payload =
     let n = String.length payload in
     let keep = max 0 (min (n - 1) (int_of_float (frac *. float_of_int n))) in
     Some (String.sub payload 0 keep)
-  | Some (Crash cookie) ->
-    crash cookie;
-    None
+  | Some Crash -> die ()
   | Some Fail -> raise (Injected name)
   | Some (Delay s) ->
     Unix.sleepf s;
@@ -151,10 +128,9 @@ let active name =
 
    SPEC    ::= point ( "," point )*
    point   ::= NAME "=" action [ "@" COUNT ]
-   action  ::= "crash" [ ":" COOKIE ] | "fail" | "delay" ":" SECONDS
-             | "torn" ":" FRACTION
+   action  ::= "crash" | "fail" | "delay" ":" SECONDS | "torn" ":" FRACTION
 
-   e.g.  journal.record=crash@3,cache.store=torn:0.5,shard.0.run=fail *)
+   e.g.  journal.record=crash@3,cache.store.torn=torn:0.5,parsim.session.0=fail *)
 
 let split_once ch s =
   match String.index_opt s ch with
@@ -192,7 +168,9 @@ let parse_point spec =
         in
         let act =
           match action with
-          | "crash" -> Ok (Crash arg)
+          | ("crash" | "fail") when arg <> None ->
+            Error (Printf.sprintf "failpoint %S: %s takes no argument" spec action)
+          | "crash" -> Ok Crash
           | "fail" -> Ok Fail
           | "delay" -> Result.map (fun s -> Delay s) (num "delay")
           | "torn" -> Result.map (fun f -> Torn f) (num "torn")

@@ -2,40 +2,37 @@
 
     A {e failpoint} is a named site compiled into code that must
     survive sudden death - cache writes, queue appends, journal
-    records, shard spawns.  Unarmed, a site costs one mutable read.
+    records, domain sessions.  Unarmed, a site costs one mutable read.
     Armed (programmatically via {!arm}, or through the
     [ANAFAULT_FAILPOINTS] environment variable via {!load_env}), the
     site misbehaves on cue, so tests and smoke scripts force every
     recovery path deterministically: kill -9 mid-job, a torn cache
-    write, a dying shard child.
+    write, a dying campaign domain.
 
     The spec language, comma-separated:
     {v
-    NAME=crash[:COOKIE][@N]   sudden death (Unix._exit 70, nothing
-                              flushed); with COOKIE, only when that
-                              file does not exist yet - it is created
-                              just before dying, so a supervised
-                              respawn inheriting the environment
-                              crashes once, then succeeds
+    NAME=crash[@N]            sudden death (Unix._exit 70, nothing
+                              flushed)
     NAME=fail[@N]             raise a typed, catchable error
     NAME=delay:SECONDS[@N]    sleep, then continue (fires every hit)
     NAME=torn:FRACTION[@N]    at a write site: commit only this
                               fraction of the bytes
     v}
     [@N] makes the point fire on its Nth hit (default: the first).
-    Crash, fail and torn points are one-shot per process.
+    Crash, fail and torn points are one-shot per process: the registry
+    is process-local, so a restarted process starts unarmed unless its
+    own environment arms it again.
 
     The sites the tree compiles in are listed in {!sites}; the spec
     language arms only those. *)
 
 (** Every failpoint site in the tree.  [<int>] in a name stands for a
-    decimal index: [shard.<int>.run] is hit by each shard worker,
-    [parsim.session.<int>] where each campaign domain opens its engine
-    session. *)
+    decimal index: [parsim.session.<int>] is hit where each campaign
+    domain opens its engine session. *)
 val sites : string list
 
 type action =
-  | Crash of string option  (** sudden death, optional one-shot cookie path *)
+  | Crash  (** sudden death: [Unix._exit 70], nothing flushed *)
   | Fail  (** raise {!Injected} at the site *)
   | Delay of float  (** sleep seconds *)
   | Torn of float  (** commit only this fraction of a write *)
@@ -67,8 +64,9 @@ val active : string -> bool
 
 (** Parse and arm a spec string (see the language above).  [Error],
     arming nothing, when the spec does not parse or names a point that
-    matches none of {!sites} ([shard.3.run] matches [shard.<int>.run]):
-    a typo fails loudly instead of arming nothing. *)
+    matches none of {!sites} ([parsim.session.3] matches
+    [parsim.session.<int>]): a typo fails loudly instead of arming
+    nothing. *)
 val configure : string -> (unit, string) result
 
 (** ["ANAFAULT_FAILPOINTS"] *)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The daemon smoke check (dune build @daemon-smoke):
 #
-#   1. start anafaultd (2-way sharding) on a throwaway Unix socket,
-#   2. submit the demo campaign through `anafault --remote` and diff
-#      its CSV against the serial in-process reference (full.csv),
+#   1. start anafaultd on a throwaway Unix socket,
+#   2. submit the demo campaign on 2 domains through `anafault --remote`
+#      and diff its CSV against the serial in-process reference
+#      (full.csv),
 #   3. submit the identical campaign again and require a cache hit:
 #      the client must announce it and the daemon's counters must show
 #      exactly one cache hit with no additional simulation work,
@@ -30,13 +31,12 @@ trap cleanup EXIT
 
 socket="$tmp/d.sock"
 
-"$anafaultd" --socket "$socket" --work-dir "$tmp/work" \
-  --shards 2 --worker-exe "$anafault" >"$tmp/daemon.log" 2>&1 &
+"$anafaultd" --socket "$socket" --work-dir "$tmp/work" >"$tmp/daemon.log" 2>&1 &
 daemon_pid=$!
 
 submit() {
   "$anafault" "$circuit" --faults "$faults" --observe 11 --limit 6 \
-    --remote "$socket" --csv "$1"
+    --domains 2 --remote "$socket" --csv "$1"
 }
 
 # Wait for the daemon to bind rather than sleeping a fixed time.
@@ -47,8 +47,6 @@ done
 [ -S "$socket" ] || { echo "daemon never bound $socket" >&2; exit 1; }
 
 submit "$tmp/first.csv" >"$tmp/first.out" 2>&1
-grep -q "sharded across 2 worker processes" "$tmp/first.out" \
-  || { echo "first submission did not shard:" >&2; cat "$tmp/first.out" >&2; exit 1; }
 
 submit "$tmp/second.csv" >"$tmp/second.out" 2>&1
 grep -q "served from the result cache" "$tmp/second.out" \
@@ -66,7 +64,7 @@ grep -q '"faults_simulated":6' "$tmp/stats.json" \
 wait "$daemon_pid"
 daemon_pid=
 
-# The daemon's (sharded, then cached) answers must match the serial
+# The daemon's (2-domain, then cached) answers must match the serial
 # in-process reference byte for byte.
 diff -u "$reference" "$tmp/first.csv"
 diff -u "$tmp/first.csv" "$tmp/second.csv"

@@ -1265,6 +1265,28 @@ let journal_tests =
         let j2 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
         check_int "intact lines all restored" 3 (Anafault.Journal.restored_count j2);
         Anafault.Journal.close j2);
+    Alcotest.test_case "a record after a torn tail survives the next resume" `Quick
+      (fun () ->
+        with_temp_journal @@ fun path ->
+        let fp = Anafault.Simulate.fingerprint config inverter faults in
+        let fault_arr = Array.of_list faults in
+        let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
+        let _ = run_serial ~journal:j config inverter faults in
+        Anafault.Journal.close j;
+        (* A crash mid-append: the last record loses its end, newline
+           included. *)
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (String.sub text 0 (String.length text - 11)));
+        let j2 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
+        check_int "the torn record is lost" 2 (Anafault.Journal.restored_count j2);
+        let _ = run_serial ~journal:j2 config inverter faults in
+        Anafault.Journal.close j2;
+        (* The re-simulated fault's record is a line of its own, so the
+           next life restores it instead of simulating it a third time. *)
+        let j3 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
+        check_int "every fault restored" 3 (Anafault.Journal.restored_count j3);
+        Anafault.Journal.close j3);
     Alcotest.test_case "a journal for another campaign is refused" `Quick (fun () ->
         with_temp_journal @@ fun path ->
         let fp = Anafault.Simulate.fingerprint config inverter faults in

@@ -1,8 +1,8 @@
 (* Tests for the first-class Campaign API and the anafaultd service:
    JSON codec round-trips (options, specs, events, results), the pinned
-   campaign fingerprint, the unified failure string codec, shard /
-   journal-merge equivalence with an unsharded run, and an in-process
-   daemon submit / cache-hit round trip. *)
+   campaign fingerprint, the unified failure string codec, the failpoint
+   registry, and an in-process daemon: submit / cache-hit round trips,
+   restart, cancellation. *)
 
 module Campaign = Anafault.Campaign
 module Journal = Anafault.Journal
@@ -243,9 +243,6 @@ let codec_tests =
             Campaign.Accepted { fingerprint = "abc123"; total = 3 };
             Campaign.Progress { completed = 1; total = 3 };
             Campaign.Cache_hit { fingerprint = "abc123" };
-            Campaign.Sharded { shards = 4 };
-            Campaign.Shard_restarted { shard = 2; attempt = 1 };
-            Campaign.Shard_lost { shard = 2; salvaged = 5; lost = 3 };
             Campaign.Cancelled
               { fingerprint = "abc123"; reason = "cancelled by user"; salvaged = 4 };
             Campaign.Failed { message = "no such node" };
@@ -401,91 +398,6 @@ let failure_tests =
           (Result.is_error (Outcome.failure_of_string "gremlins: in the matrix")));
   ]
 
-(* --- Sharding and journal merge ---------------------------------------- *)
-
-let shard_tests =
-  [
-    Alcotest.test_case "shard strings round-trip" `Quick (fun () ->
-        check_string "print" "1/4" (Campaign.shard_to_string (1, 4));
-        check_bool "parse" true (Campaign.shard_of_string "1/4" = Ok (1, 4));
-        check_bool "reject shape" true (Result.is_error (Campaign.shard_of_string "3"));
-        check_bool "reject range" true
-          (Result.is_error (Campaign.shard_of_string "4/4"));
-        check_bool "reject zero" true
-          (Result.is_error (Campaign.shard_of_string "0/0")));
-    Alcotest.test_case "shard indices partition the campaign" `Quick (fun () ->
-        let total = 11 in
-        List.iter
-          (fun count ->
-            let slices =
-              List.init count (fun index ->
-                  Campaign.shard_indices ~shard:(index, count) ~total)
-            in
-            let all = List.sort compare (List.concat slices) in
-            check_bool
-              (Printf.sprintf "%d-way partition" count)
-              true
-              (all = List.init total Fun.id))
-          [ 1; 2; 4 ]);
-    Alcotest.test_case "sharded journals merge into the unsharded campaign" `Slow
-      (fun () ->
-        let compiled = compile () in
-        let faults = fault_array () in
-        let total = Array.length faults in
-        (* The unsharded reference: run locally, keep the detection CSV. *)
-        let { Campaign.result = serial; _ } = Campaign.run_local compiled in
-        let serial_csv = Anafault.Report.csv_of_results serial.Campaign.results in
-        List.iter
-          (fun count ->
-            let label = Printf.sprintf "%d-way" count in
-            let shard_paths =
-              List.init count (fun i -> temp_path (Printf.sprintf ".shard%d" i))
-            in
-            List.iteri
-              (fun i path ->
-                let simulated =
-                  ok (label ^ " run_shard")
-                    (Campaign.run_shard ~journal_path:path ~shard:(i, count)
-                       compiled)
-                in
-                check_int
-                  (Printf.sprintf "%s shard %d simulates its slice" label i)
-                  (List.length
-                     (Campaign.shard_indices ~shard:(i, count) ~total))
-                  simulated)
-              shard_paths;
-            let merged_path = temp_path ".merged" in
-            let merged_count =
-              ok (label ^ " merge")
-                (Journal.merge ~out:merged_path
-                   ~fingerprint:compiled.Campaign.fingerprint ~faults
-                   shard_paths)
-            in
-            check_int (label ^ " merge holds every fault") total merged_count;
-            (* Interchangeable with a serial journal: resuming the
-               unsharded campaign from it restores everything - zero
-               faults left to simulate. *)
-            let journal =
-              ok (label ^ " reopen")
-                (Journal.start ~path:merged_path
-                   ~fingerprint:compiled.Campaign.fingerprint ~resume:true
-                   ~faults)
-            in
-            check_int (label ^ " fully restored") total
-              (Journal.restored_count journal);
-            let merged_result =
-              ok (label ^ " result_of_journal")
-                (Campaign.result_of_journal compiled journal)
-            in
-            Journal.close journal;
-            (* Byte-identical detection table. *)
-            check_string (label ^ " detection CSV") serial_csv
-              (Anafault.Report.csv_of_results merged_result.Campaign.results);
-            List.iter Sys.remove shard_paths;
-            Sys.remove merged_path)
-          [ 1; 2; 4 ]);
-  ]
-
 (* --- Failpoints --------------------------------------------------------- *)
 
 module Failpoint = Obs.Failpoint
@@ -537,10 +449,10 @@ let failpoint_tests =
            ignore
              (ok "configure"
                 (Failpoint.configure
-                   "job.run=fail, journal.record=delay:0.5@3 ,cache.store.torn=torn:0.25,shard.1.run=crash:/tmp/cookie"));
+                   "job.run=fail, journal.record=delay:0.5@3 ,cache.store.torn=torn:0.25,parsim.session.1=crash"));
            List.iter
              (fun n -> check_bool n true (Failpoint.active n))
-             [ "job.run"; "journal.record"; "cache.store.torn"; "shard.1.run" ]));
+             [ "job.run"; "journal.record"; "cache.store.torn"; "parsim.session.1" ]));
     Alcotest.test_case "spec language arms only declared sites" `Quick
       (with_reset (fun () ->
            List.iter
@@ -553,8 +465,8 @@ let failpoint_tests =
            List.iter
              (fun bad ->
                check_bool bad true (Result.is_error (Failpoint.configure bad)))
-             [ "jounral.record=fail"; "shard.x.run=fail"; "shard..run=fail";
-               "parsim.session.=fail"; "t.private=fail" ];
+             [ "jounral.record=fail"; "parsim.session.x=fail";
+               "parsim.session.1x=fail"; "parsim.session.=fail"; "t.private=fail" ];
            (* All or nothing: the good point beside a typo is not armed. *)
            check_bool "typo arms nothing" true
              (Result.is_error (Failpoint.configure "job.run=fail,job.rnu=fail"));
@@ -564,19 +476,20 @@ let failpoint_tests =
            List.iter
              (fun bad ->
                check_bool bad true (Result.is_error (Failpoint.configure bad)))
-             [ "noequals"; "x=explode"; "x=torn:lots"; "x=fail@zero"; "=fail" ]));
+             [ "noequals"; "x=explode"; "x=torn:lots"; "x=fail@zero"; "=fail";
+               "x=crash:/tmp/c"; "job.run=crash:/tmp/c" ]));
     Alcotest.test_case "load_env arms from the environment" `Quick
       (with_reset (fun () ->
-           Unix.putenv Failpoint.env_var "cancel.salvage=fail";
+           Unix.putenv Failpoint.env_var "cache.store=fail";
            Fun.protect ~finally:(fun () -> Unix.putenv Failpoint.env_var "")
            @@ fun () ->
            ignore (ok "load_env" (Failpoint.load_env ()));
-           check_bool "armed" true (Failpoint.active "cancel.salvage")));
+           check_bool "armed" true (Failpoint.active "cache.store")));
     Alcotest.test_case "load_env is a no-op when unset" `Quick
       (with_reset (fun () ->
            Unix.putenv Failpoint.env_var "";
            ignore (ok "load_env" (Failpoint.load_env ()));
-           check_bool "nothing armed" false (Failpoint.active "cancel.salvage")));
+           check_bool "nothing armed" false (Failpoint.active "cache.store")));
   ]
 
 (* --- The write-ahead job queue ------------------------------------------ *)
@@ -1013,7 +926,7 @@ let protocol_tests =
         check_bool "event is not a rejection" true
           (ok "fall through"
              (Protocol.rejected_of_json
-                (Campaign.event_to_json (Campaign.Sharded { shards = 2 })))
+                (Campaign.event_to_json (Campaign.Cache_hit { fingerprint = "x" })))
           = None));
   ]
 
@@ -1129,20 +1042,6 @@ let finished_of events =
   with
   | [ r ] -> r
   | _ -> Alcotest.fail "expected exactly one Finished event"
-
-(* Where dune built the anafault CLI, relative to the test's cwd (the
-   dune stanza depends on it). *)
-let anafault_exe () =
-  let candidates =
-    [
-      "../bin/anafault_main.exe";
-      Filename.concat (Filename.dirname Sys.executable_name)
-        "../bin/anafault_main.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some exe -> exe
-  | None -> Alcotest.fail "anafault binary not built next to the tests"
 
 let daemon_tests =
   [
@@ -1363,125 +1262,6 @@ let daemon_tests =
         check_bool "result is cached" true (finished_of events).Campaign.cached;
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
-    Alcotest.test_case "a crashed shard child is restarted and resumes" `Slow
-      (fun () ->
-        let exe = anafault_exe () in
-        let dir = daemon_socket_dir () in
-        let socket_path = Filename.concat dir "d.sock" in
-        (* Shard 0's first life dies suddenly (Unix._exit, nothing
-           flushed); the cookie makes its respawn - which inherits the
-           same environment - sail through. *)
-        let cookie = Filename.concat dir "crash.cookie" in
-        Unix.putenv Obs.Failpoint.env_var
-          (Printf.sprintf "shard.0.run=crash:%s" cookie);
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv Obs.Failpoint.env_var "")
-        @@ fun () ->
-        let cfg =
-          {
-            (Anafaultd.Server.default_config ~socket_path
-               ~work_dir:(Filename.concat dir "work"))
-            with
-            Anafaultd.Server.shards = 2;
-            shard_retries = 2;
-            worker_exe = Some exe;
-          }
-        in
-        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
-        let faults = fault_array () in
-        let events = submit_and_wait ~faults socket_path in
-        check_bool "the restart was announced" true
-          (List.exists
-             (function Campaign.Shard_restarted _ -> true | _ -> false)
-             events);
-        check_bool "the crash cookie was planted" true (Sys.file_exists cookie);
-        let result = finished_of events in
-        check_int "all faults accounted for" 3
-          (List.length result.Campaign.results);
-        check_bool "no fault marked crashed" true
-          (List.for_all
-             (fun (r : Anafault.Outcome.fault_result) ->
-               match r.Anafault.Outcome.outcome with
-               | Anafault.Outcome.Sim_failed (Anafault.Outcome.Crashed _) ->
-                 false
-               | _ -> true)
-             result.Campaign.results);
-        (* The supervised run produced the same detection table as an
-           undisturbed local one. *)
-        let local = Campaign.run_local (compile ()) in
-        check_string "matches the local run"
-          (Anafault.Report.csv_of_results local.Campaign.result.Campaign.results)
-          (Anafault.Report.csv_of_results result.Campaign.results);
-        check_bool "restart counted" true
-          (stat_int (one_shot socket_path Protocol.Stats) "shard_restarts" >= 1);
-        ignore (one_shot socket_path Protocol.Shutdown);
-        Thread.join server);
-    Alcotest.test_case "a shard dead past its budget degrades, uncached" `Slow
-      (fun () ->
-        let exe = anafault_exe () in
-        let dir = daemon_socket_dir () in
-        let socket_path = Filename.concat dir "d.sock" in
-        (* No cookie and no retries: shard 1 dies on every life. *)
-        Unix.putenv Obs.Failpoint.env_var "shard.1.run=crash";
-        let cfg =
-          {
-            (Anafaultd.Server.default_config ~socket_path
-               ~work_dir:(Filename.concat dir "work"))
-            with
-            Anafaultd.Server.shards = 2;
-            shard_retries = 0;
-            worker_exe = Some exe;
-          }
-        in
-        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
-        let faults = fault_array () in
-        let events = submit_and_wait ~faults socket_path in
-        Unix.putenv Obs.Failpoint.env_var "";
-        (* Shard 1 owns fault index 1 of 0..2: one fault lost, none
-           salvaged (the child dies before simulating anything). *)
-        (match
-           List.filter_map
-             (function
-               | Campaign.Shard_lost { shard; salvaged; lost } ->
-                 Some (shard, salvaged, lost)
-               | _ -> None)
-             events
-         with
-        | [ (shard, salvaged, lost) ] ->
-          check_int "the dead shard" 1 shard;
-          check_int "nothing salvaged" 0 salvaged;
-          check_int "one fault lost" 1 lost
-        | _ -> Alcotest.fail "expected exactly one Shard_lost event");
-        let result = finished_of events in
-        check_int "result stays total" 3 (List.length result.Campaign.results);
-        let crashed =
-          List.filter
-            (fun (r : Anafault.Outcome.fault_result) ->
-              match r.Anafault.Outcome.outcome with
-              | Anafault.Outcome.Sim_failed (Anafault.Outcome.Crashed _) -> true
-              | _ -> false)
-            result.Campaign.results
-        in
-        check_int "the lost slice carries typed crashes" 1 (List.length crashed);
-        (* A degraded result is never cached: with the failpoint gone,
-           resubmission re-simulates and completes fully. *)
-        let events2 = submit_and_wait ~faults socket_path in
-        check_bool "no cache hit for the degraded result" true
-          (not
-             (List.exists
-                (function Campaign.Cache_hit _ -> true | _ -> false)
-                events2));
-        let result2 = finished_of events2 in
-        check_bool "full result after the retry" true
-          (List.for_all
-             (fun (r : Anafault.Outcome.fault_result) ->
-               match r.Anafault.Outcome.outcome with
-               | Anafault.Outcome.Sim_failed (Anafault.Outcome.Crashed _) ->
-                 false
-               | _ -> true)
-             result2.Campaign.results);
-        ignore (one_shot socket_path Protocol.Shutdown);
-        Thread.join server);
     Alcotest.test_case "extract: cache, and chain into simulation" `Slow
       (fun () ->
         let dir = daemon_socket_dir () in
@@ -1634,37 +1414,6 @@ let daemon_tests =
         check_int "one job" 1 (stat_int stats "jobs");
         check_int "one coalesced submission" 1 (stat_int stats "coalesced");
         check_int "each fault simulated once" 3 (stat_int stats "faults_simulated");
-        ignore (one_shot socket_path Protocol.Shutdown);
-        Thread.join server);
-    Alcotest.test_case "a failed shard spawn kills and reaps its siblings" `Slow
-      (fun () ->
-        Obs.Failpoint.reset ();
-        Fun.protect ~finally:Obs.Failpoint.reset @@ fun () ->
-        let exe = anafault_exe () in
-        let dir = daemon_socket_dir () in
-        let socket_path = Filename.concat dir "d.sock" in
-        let cfg =
-          {
-            (Anafaultd.Server.default_config ~socket_path
-               ~work_dir:(Filename.concat dir "work"))
-            with
-            Anafaultd.Server.shards = 2;
-            worker_exe = Some exe;
-          }
-        in
-        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
-        (* Shard 0's child starts; the spawn of shard 1 fails. *)
-        Obs.Failpoint.arm ~after:2 "shard.spawn" Obs.Failpoint.Fail;
-        let events = submit_and_wait ~faults:(fault_array ()) socket_path in
-        (match List.rev events with
-        | Campaign.Failed _ :: _ -> ()
-        | _ -> Alcotest.fail "expected the stream to end with Failed");
-        (* The daemon runs in this process, so its shard children are
-           ours: none may be left running or unreaped. *)
-        check_bool "no shard child left behind" true
-          (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
-          | _ -> false);
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
     Alcotest.test_case "a submit with out-of-range options is refused" `Slow
@@ -1901,119 +1650,6 @@ let cancel_tests =
           (stat_int (one_shot socket_path Protocol.Stats) "cancelled");
         ignore (one_shot socket_path Protocol.Shutdown);
         Thread.join server);
-    Alcotest.test_case "daemon: cancelling a sharded job stops the children"
-      `Slow (fun () ->
-        let exe = anafault_exe () in
-        let dir = daemon_socket_dir () in
-        let socket_path = Filename.concat dir "d.sock" in
-        (* Pace the shard children (they inherit the environment); the
-           in-process daemon never loads it. *)
-        Unix.putenv Obs.Failpoint.env_var "journal.record=delay:0.4";
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv Obs.Failpoint.env_var "")
-        @@ fun () ->
-        let cfg =
-          {
-            (Anafaultd.Server.default_config ~socket_path
-               ~work_dir:(Filename.concat dir "work"))
-            with
-            Anafaultd.Server.shards = 2;
-            shard_retries = 2;
-            worker_exe = Some exe;
-            grace = 1.0;
-          }
-        in
-        let server = Thread.create (fun () -> Anafaultd.Server.run cfg) () in
-        let compiled = ok "compile" (Campaign.compile serial_spec) in
-        let fingerprint = compiled.Campaign.fingerprint in
-        let faults = Array.of_list compiled.Campaign.faults in
-        let fd = connect socket_path in
-        let salvaged_count =
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-          @@ fun () ->
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          Protocol.send oc
-            (Protocol.request_to_json
-               (Protocol.Submit
-                  { spec = serial_spec; client = None; deadline_s = None }));
-          let rec until_sharded () =
-            match ok "recv" (Protocol.recv ic) with
-            | None -> Alcotest.fail "stream ended before sharding"
-            | Some json -> begin
-              match ok "event" (Campaign.event_of_json ~faults json) with
-              | Campaign.Sharded _ -> ()
-              | Campaign.Finished _ | Campaign.Failed _ | Campaign.Cancelled _
-                ->
-                Alcotest.fail "campaign ended before it could be cancelled"
-              | _ -> until_sharded ()
-            end
-          in
-          until_sharded ();
-          (* Cancel once a shard result is journalled, so there is
-             salvage to keep. *)
-          let journalled i =
-            let path =
-              Filename.concat dir
-                (Printf.sprintf "work/%s.shard%d.journal" fingerprint i)
-            in
-            match In_channel.with_open_text path In_channel.input_all with
-            | exception Sys_error _ -> false
-            | text -> List.length (String.split_on_char '\n' (String.trim text)) > 1
-          in
-          poll "a shard result to be journalled" (fun () ->
-              journalled 0 || journalled 1);
-          (match one_shot socket_path (Protocol.Cancel { fingerprint }) with
-          | J.Obj fields ->
-            check_bool "cancel acknowledged" true
-              (List.assoc_opt "cancelled" fields = Some (J.Bool true))
-          | _ -> Alcotest.fail "cancel: expected an object");
-          let rec last () =
-            match ok "recv" (Protocol.recv ic) with
-            | None -> Alcotest.fail "stream ended without a terminal event"
-            | Some json -> begin
-              match ok "event" (Campaign.event_of_json ~faults json) with
-              | Campaign.Cancelled { salvaged; _ } -> salvaged
-              | Campaign.Finished _ | Campaign.Failed _ ->
-                Alcotest.fail "expected a Cancelled terminal event"
-              | _ -> last ()
-            end
-          in
-          last ()
-        in
-        check_bool "salvaged the journalled results" true (salvaged_count >= 1);
-        check_bool "salvage never exceeds the campaign" true
-          (salvaged_count <= 3);
-        (* With the pacing gone, the identical resubmission completes
-           fully - the cancelled attempt was never cached - and resumes
-           the salvage instead of simulating it again. *)
-        Unix.putenv Obs.Failpoint.env_var "";
-        let events = submit_and_wait ~spec:serial_spec ~faults socket_path in
-        check_bool "no cache hit after a cancel" true
-          (not
-             (List.exists
-                (function Campaign.Cache_hit _ -> true | _ -> false)
-                events));
-        let result = finished_of events in
-        check_int "complete result" 3 (List.length result.Campaign.results);
-        check_bool "no fault left cancelled or crashed" true
-          (List.for_all
-             (fun (r : Anafault.Outcome.fault_result) ->
-               match r.Anafault.Outcome.outcome with
-               | Anafault.Outcome.Sim_failed
-                   (Anafault.Outcome.Cancelled _ | Anafault.Outcome.Crashed _)
-                 ->
-                 false
-               | _ -> true)
-             result.Campaign.results);
-        let stats = one_shot socket_path Protocol.Stats in
-        check_int "one cancellation counted" 1 (stat_int stats "cancelled");
-        check_int "each fault simulated exactly once across both runs" 3
-          (stat_int stats "faults_simulated");
-        ignore (one_shot socket_path Protocol.Shutdown);
-        Thread.join server);
     Alcotest.test_case "daemon: a vanished client's job is cancelled" `Slow
       (fun () ->
         Obs.Failpoint.reset ();
@@ -2082,7 +1718,6 @@ let suites =
     ("campaign compile", compile_tests);
     ("campaign validation", validation_tests);
     ("failure codec", failure_tests);
-    ("campaign sharding", shard_tests);
     ("failpoints", failpoint_tests);
     ("queue wal", wal_tests);
     ("result cache", cache_tests);
