@@ -138,110 +138,161 @@ type mode =
   | Dc of { scale : float }
   | Tran of { h : float; time : float; vnode_prev : float array }
 
-let gv v i = if i < 0 then 0.0 else v.(i)
+let[@inline] gv v i = if i < 0 then 0.0 else v.(i)
 
 (* Exponential with linear extension beyond x = 40 to avoid overflow while
-   keeping the Jacobian consistent with the residual. *)
-let exp_lim x =
+   keeping the Jacobian consistent with the residual: the value goes to
+   [ev.(0)] and the slope to [ev.(1)] of an evaluation scratch, so no
+   float is boxed. *)
+let[@inline] exp_lim ev x =
   if x > 40.0 then begin
     let e40 = exp 40.0 in
-    (e40 *. (1.0 +. x -. 40.0), e40)
+    ev.(0) <- e40 *. (1.0 +. x -. 40.0);
+    ev.(1) <- e40
   end
   else begin
     let e = exp x in
-    (e, e)
+    ev.(0) <- e;
+    ev.(1) <- e
   end
 
-(* Companion model of a linear capacitor between unknowns [i] and [j]. *)
-let stamp_cap ~opts ~mode sv i j c st =
-  match mode with
-  | Dc _ -> ()
-  | Tran { h; _ } ->
-    let geq =
-      match opts.integration with
-      | Backward_euler -> c /. h
-      | Trapezoidal -> 2.0 *. c /. h
-    in
-    let const =
-      match opts.integration with
-      | Backward_euler -> geq *. st.q
-      | Trapezoidal -> (geq *. st.q) +. st.f
-    in
-    Solver.add_conductance sv i j geq;
-    Solver.add_rhs sv i const;
-    Solver.add_rhs sv j (-.const)
+(* --- Stamp plans -------------------------------------------------------- *)
 
-let stamp ~opts ~gmin ~mode ~n sv devices v =
-  Solver.begin_stamp sv ~n;
+(* A device array is compiled once per topology into a stamp plan: every
+   matrix entry the devices and the node pins stamp, in stamp order, as
+   solver targets, plus the right-hand-side row of every RHS entry.  The
+   per-device layout is fixed (the counts below); [stamp] walks the
+   devices with one cursor into each array and adds through the slots,
+   so an iteration makes no per-entry call, no per-entry backend match
+   and no allocation.  Companion-model entries are marked transient-only:
+   DC stamps none of them, and the sparse pattern of a DC solve must hold
+   exactly the coordinates it stamps.
+
+   Matrix entries / RHS rows per device:
+     CR 4 / 0    CC 4 / 2 (transient only)    CL 4 + 1 / 1 (the last
+     matrix entry and the RHS transient only)    CV 4 / 1    CI 0 / 2
+     CD 4 / 2    CM 8 / 4 (the two gate capacitors, transient only)
+     then 6 / 2
+   then one diagonal entry per pinned node row (gmin, and cmin in a
+   transient). *)
+type plan = {
+  targets : Solver.targets;
+  rhs : int array; (* ground -> the solver's dump row *)
+  pins : int array; (* node rows pinned to ground *)
+}
+
+let matrix_entries = function
+  | CR _ | CC _ | CV _ | CD _ -> 4
+  | CL _ -> 5
+  | CI _ -> 0
+  | CM _ -> 14
+
+let rhs_entries = function
+  | CR _ -> 0
+  | CL _ | CV _ -> 1
+  | CC _ | CI _ | CD _ -> 2
+  | CM _ -> 6
+
+let make_plan sv devices ~pins =
+  let count f = Array.fold_left (fun n d -> n + f d) 0 devices in
+  let keys = Array.make (count matrix_entries + Array.length pins) 0 in
+  let rhs = Array.make (count rhs_entries) 0 in
+  let km = ref 0 and kr = ref 0 and ground = Solver.capacity sv in
+  let m ?(tran = false) i j =
+    keys.(!km) <- Solver.key sv ~tran i j;
+    incr km
+  in
+  let g ?tran i j =
+    m ?tran i i;
+    m ?tran j j;
+    m ?tran i j;
+    m ?tran j i
+  in
+  let r i =
+    rhs.(!kr) <- (if i < 0 then ground else i);
+    incr kr
+  in
   Array.iter
     (fun dev ->
       match dev with
-      | CR { i; j; g } -> Solver.add_conductance sv i j g
-      | CC { i; j; c; st; _ } -> stamp_cap ~opts ~mode sv i j c st
-      | CL { i; j; br; ind; st; _ } -> begin
-        Solver.add sv i br 1.0;
-        Solver.add sv j br (-1.0);
-        Solver.add sv br i 1.0;
-        Solver.add sv br j (-1.0);
-        match mode with
-        | Dc _ -> () (* ideal short: v_i - v_j = 0 *)
-        | Tran { h; _ } -> begin
-          match opts.integration with
-          | Backward_euler ->
-            let r = ind /. h in
-            Solver.add sv br br (-.r);
-            Solver.add_rhs sv br (-.r *. st.q)
-          | Trapezoidal ->
-            let r = 2.0 *. ind /. h in
-            Solver.add sv br br (-.r);
-            Solver.add_rhs sv br ((-.r *. st.q) -. st.f)
-        end
-      end
-      | CV { i; j; br; wave } ->
-        let e =
-          match mode with
-          | Dc { scale } -> scale *. Netlist.Wave.dc_value wave
-          | Tran { time; _ } -> Netlist.Wave.value wave time
-        in
-        Solver.add sv i br 1.0;
-        Solver.add sv j br (-1.0);
-        Solver.add sv br i 1.0;
-        Solver.add sv br j (-1.0);
-        Solver.add_rhs sv br e
-      | CI { i; j; wave } ->
-        let cur =
-          match mode with
-          | Dc { scale } -> scale *. Netlist.Wave.dc_value wave
-          | Tran { time; _ } -> Netlist.Wave.value wave time
-        in
-        Solver.add_current sv i (-.cur);
-        Solver.add_current sv j cur
-      | CD { i; j; is_sat; nvt } ->
-        let vd = gv v i -. gv v j in
-        let e, de = exp_lim (vd /. nvt) in
-        let id = is_sat *. (e -. 1.0) in
-        let gd = (is_sat *. de /. nvt) +. gmin in
-        let ieq = id -. (gd *. vd) in
-        Solver.add_conductance sv i j gd;
-        Solver.add_current sv i (-.ieq);
-        Solver.add_current sv j ieq
-      | CM { d; g; s; model; w; l; cg; st_gs; st_gd } ->
-        stamp_cap ~opts ~mode sv g s cg st_gs;
-        stamp_cap ~opts ~mode sv g d cg st_gd;
-        let vgs = gv v g -. gv v s and vds = gv v d -. gv v s in
-        let e = Mosfet.eval model ~w ~l ~vgs ~vds in
-        let gds = e.Mosfet.gds +. gmin in
-        let ieq = e.Mosfet.ids -. (e.Mosfet.gm *. vgs) -. (gds *. vds) in
-        (* Current leaving the drain node: gm*vgs + gds*vds + ieq. *)
-        Solver.add sv d d gds;
-        Solver.add sv d g e.Mosfet.gm;
-        Solver.add sv d s (-.(e.Mosfet.gm +. gds));
-        Solver.add sv s d (-.gds);
-        Solver.add sv s g (-.e.Mosfet.gm);
-        Solver.add sv s s (e.Mosfet.gm +. gds);
-        Solver.add_current sv d (-.ieq);
-        Solver.add_current sv s ieq)
-    devices
+      | CR { i; j; _ } -> g i j
+      | CC { i; j; _ } ->
+        g ~tran:true i j;
+        r i;
+        r j
+      | CL { i; j; br; _ } ->
+        m i br;
+        m j br;
+        m br i;
+        m br j;
+        m ~tran:true br br;
+        r br
+      | CV { i; j; br; _ } ->
+        m i br;
+        m j br;
+        m br i;
+        m br j;
+        r br
+      | CI { i; j; _ } ->
+        r i;
+        r j
+      | CD { i; j; _ } ->
+        g i j;
+        r i;
+        r j
+      | CM { d; g = gate; s; _ } ->
+        g ~tran:true gate s;
+        g ~tran:true gate d;
+        r gate;
+        r s;
+        r gate;
+        r d;
+        m d d;
+        m d gate;
+        m d s;
+        m s d;
+        m s gate;
+        m s s;
+        r d;
+        r s)
+    devices;
+  Array.iter (fun i -> m i i) pins;
+  { targets = Solver.targets sv keys; rhs; pins }
+
+(* The adders of the device loop.  Top-level and inlined, so the float
+   they add is never boxed. *)
+let[@inline] add (a : float array) (sl : int array) k x =
+  let p = sl.(k) in
+  a.(p) <- a.(p) +. x
+
+(* A conductance between the four slots [k .. k+3] of one entry group:
+   (i,i), (j,j), (i,j), (j,i). *)
+let[@inline] add_g a sl k g =
+  add a sl k g;
+  add a sl (k + 1) g;
+  add a sl (k + 2) (-.g);
+  add a sl (k + 3) (-.g)
+
+let[@inline] add_rhs (b : float array) (rows : int array) k x =
+  let p = rows.(k) in
+  b.(p) <- b.(p) +. x
+
+(* Companion model of a linear capacitor: a conductance into four slots
+   from [km] and a current into two RHS rows from [kr]. *)
+let[@inline] stamp_cap ~integration ~h a sl km b rows kr c st =
+  let geq =
+    match integration with
+    | Backward_euler -> c /. h
+    | Trapezoidal -> 2.0 *. c /. h
+  in
+  let const =
+    match integration with
+    | Backward_euler -> geq *. st.q
+    | Trapezoidal -> (geq *. st.q) +. st.f
+  in
+  add_g a sl km geq;
+  add_rhs b rows kr const;
+  add_rhs b rows (kr + 1) (-.const)
 
 let output_names mna =
   Array.append (Mna.node_names mna)
@@ -250,16 +301,15 @@ let output_names mna =
 (* The solver context: one circuit topology's compiled devices plus the
    solver owning the buffers every solve reuses.  [size] is the number of
    active unknowns (may be below the solver capacity when a session
-   reserves overlay rows); node rows are [0 .. node_count-1] plus, for a
-   patched session, the single overlay node row [extra_node].  [names]
-   labels every active unknown, for diagnostics. *)
+   reserves overlay rows); the node rows are the plan's pinned rows.
+   [names] labels every active unknown, for diagnostics. *)
 type ctx = {
   opts : options;
   sv : Solver.t;
   size : int;
-  node_count : int;
-  extra_node : int option;
   devices : cdev array;
+  plan : plan;
+  ev : Mosfet.scratch; (* device evaluation scratch, one per session *)
   obs : Obs.sink;
   names : string array;
 }
@@ -268,21 +318,126 @@ let unknown_label ctx row =
   if row >= 0 && row < Array.length ctx.names then ctx.names.(row)
   else Printf.sprintf "unknown #%d" row
 
-let add_gmin_and_cmin ~gmin ~mode ctx =
-  let sv = ctx.sv in
-  let pin i =
-    Solver.add sv i i gmin;
-    match mode with
-    | Tran { h; vnode_prev; _ } when ctx.opts.cmin > 0.0 ->
-      let geq = ctx.opts.cmin /. h in
-      Solver.add sv i i geq;
-      Solver.add_rhs sv i (geq *. vnode_prev.(i))
-    | Tran _ | Dc _ -> ()
-  in
-  for i = 0 to ctx.node_count - 1 do
-    pin i
+(* Node rows pinned to ground by gmin (and cmin in a transient): every
+   base node row, then the overlay node row of a patch. *)
+let pinned_rows ~node_count ~extra_node =
+  Array.append (Array.init node_count Fun.id)
+    (match extra_node with Some i -> [| i |] | None -> [||])
+
+(* One pass of the device loop: assemble the Jacobian and right-hand side
+   at iterate [v] into the solver's storage.  Every cell receives the
+   same additions in the same order as stamping entry by entry would. *)
+let stamp ~gmin ~mode ctx v =
+  let opts = ctx.opts and plan = ctx.plan and sv = ctx.sv in
+  let tran = match mode with Dc _ -> false | Tran _ -> true in
+  let sl = Solver.begin_stamp sv ~n:ctx.size ~tran plan.targets in
+  let a = Solver.matrix sv and b = Solver.solution sv and rows = plan.rhs in
+  let ev = ctx.ev and integration = opts.integration in
+  let devices = ctx.devices in
+  let km = ref 0 and kr = ref 0 in
+  for di = 0 to Array.length devices - 1 do
+    match devices.(di) with
+    | CR { g; _ } ->
+      add_g a sl !km g;
+      km := !km + 4
+    | CC { c; st; _ } ->
+      (match mode with
+      | Dc _ -> ()
+      | Tran { h; _ } -> stamp_cap ~integration ~h a sl !km b rows !kr c st);
+      km := !km + 4;
+      kr := !kr + 2
+    | CL { ind; st; _ } ->
+      let k = !km in
+      add a sl k 1.0;
+      add a sl (k + 1) (-1.0);
+      add a sl (k + 2) 1.0;
+      add a sl (k + 3) (-1.0);
+      (match mode with
+      | Dc _ -> () (* ideal short: v_i - v_j = 0 *)
+      | Tran { h; _ } -> begin
+        match integration with
+        | Backward_euler ->
+          let r = ind /. h in
+          add a sl (k + 4) (-.r);
+          add_rhs b rows !kr (-.r *. st.q)
+        | Trapezoidal ->
+          let r = 2.0 *. ind /. h in
+          add a sl (k + 4) (-.r);
+          add_rhs b rows !kr ((-.r *. st.q) -. st.f)
+      end);
+      km := k + 5;
+      kr := !kr + 1
+    | CV { wave; _ } ->
+      let e =
+        match mode with
+        | Dc { scale } -> scale *. Netlist.Wave.dc_value wave
+        | Tran { time; _ } -> Netlist.Wave.value wave time
+      in
+      let k = !km in
+      add a sl k 1.0;
+      add a sl (k + 1) (-1.0);
+      add a sl (k + 2) 1.0;
+      add a sl (k + 3) (-1.0);
+      add_rhs b rows !kr e;
+      km := k + 4;
+      kr := !kr + 1
+    | CI { wave; _ } ->
+      let cur =
+        match mode with
+        | Dc { scale } -> scale *. Netlist.Wave.dc_value wave
+        | Tran { time; _ } -> Netlist.Wave.value wave time
+      in
+      add_rhs b rows !kr (-.cur);
+      add_rhs b rows (!kr + 1) cur;
+      kr := !kr + 2
+    | CD { i; j; is_sat; nvt } ->
+      let vd = gv v i -. gv v j in
+      exp_lim ev (vd /. nvt);
+      let id = is_sat *. (ev.(0) -. 1.0) in
+      let gd = (is_sat *. ev.(1) /. nvt) +. gmin in
+      let ieq = id -. (gd *. vd) in
+      add_g a sl !km gd;
+      add_rhs b rows !kr (-.ieq);
+      add_rhs b rows (!kr + 1) ieq;
+      km := !km + 4;
+      kr := !kr + 2
+    | CM { d; g; s; model; w; l; cg; st_gs; st_gd } ->
+      (match mode with
+      | Dc _ -> ()
+      | Tran { h; _ } ->
+        stamp_cap ~integration ~h a sl !km b rows !kr cg st_gs;
+        stamp_cap ~integration ~h a sl (!km + 4) b rows (!kr + 2) cg st_gd);
+      let k = !km + 8 and kb = !kr + 4 in
+      let vgs = gv v g -. gv v s and vds = gv v d -. gv v s in
+      ev.(Mosfet.vgs) <- vgs;
+      ev.(Mosfet.vds) <- vds;
+      Mosfet.eval model ~w ~l ev;
+      let gm = ev.(Mosfet.gm) in
+      let gds = ev.(Mosfet.gds) +. gmin in
+      let ieq = ev.(Mosfet.ids) -. (gm *. vgs) -. (gds *. vds) in
+      (* Current leaving the drain node: gm*vgs + gds*vds + ieq. *)
+      add a sl k gds;
+      add a sl (k + 1) gm;
+      add a sl (k + 2) (-.(gm +. gds));
+      add a sl (k + 3) (-.gds);
+      add a sl (k + 4) (-.gm);
+      add a sl (k + 5) (gm +. gds);
+      add_rhs b rows kb (-.ieq);
+      add_rhs b rows (kb + 1) ieq;
+      km := k + 6;
+      kr := kb + 2
   done;
-  Option.iter pin ctx.extra_node
+  let pins = plan.pins and k = !km in
+  for p = 0 to Array.length pins - 1 do
+    add a sl (k + p) gmin;
+    match mode with
+    | Tran { h; vnode_prev; _ } when opts.cmin > 0.0 ->
+      let i = pins.(p) in
+      let geq = opts.cmin /. h in
+      add a sl (k + p) geq;
+      b.(i) <- b.(i) +. (geq *. vnode_prev.(i))
+    | Tran _ | Dc _ -> ()
+  done
 
 (* Newton iteration limit of a transient solve, SPICE's ITL4: a step
    that has not converged by then is rejected and retried at half the
@@ -290,26 +445,40 @@ let add_gmin_and_cmin ~gmin ~mode ctx =
    [options.max_iter]. *)
 let tran_max_iter = 25
 
+(* Largest move of a node voltage from [v] to [x].  Step-length damping
+   applies to node voltages only: branch currents (e.g. through an
+   injected 10 mohm short) legitimately move by hundreds of amperes in
+   one Newton step. *)
+let[@inline] node_dv ctx x v =
+  let pins = ctx.plan.pins in
+  let max_dv = ref 0.0 in
+  for p = 0 to Array.length pins - 1 do
+    let i = pins.(p) in
+    max_dv := Float.max !max_dv (Float.abs (x.(i) -. v.(i)))
+  done;
+  !max_dv
+
 (* Damped Newton-Raphson, at most [max_iter] iterations.  Returns the
    converged iterate and the number of iterations, or the reason the
    solve failed ([`Singular row] when the last factorisation hit a
    singular pivot at the named unknown, [`No_conv] otherwise) - callers
    use the distinction to raise a typed {!Sim_error}.  With a live sink,
-   each solve reports its iteration count, the time spent in
-   factor+solve and how often the dv clamp fired; the [traced] flag
+   each solve reports its iteration count, the time spent stamping and
+   in factor+solve, and how often the dv clamp fired; the [traced] flag
    keeps the telemetry arithmetic entirely off the null-sink path. *)
 let newton ~max_iter ~gmin ~mode ctx v0 =
   let opts = ctx.opts in
   let size = ctx.size in
   let sv = ctx.sv in
   let traced = Obs.enabled ctx.obs in
-  let clamp_hits = ref 0 and lu_seconds = ref 0.0 in
+  let clamp_hits = ref 0 and lu_seconds = ref 0.0 and stamp_seconds = ref 0.0 in
   let finish result =
     if traced then begin
       let iters, ok =
         match result with Ok (_, k) -> (k, true) | Error (_, k) -> (k, false)
       in
       Obs.sample ctx.obs "engine.newton.iters_per_solve" (float_of_int iters);
+      Obs.sample ctx.obs "engine.stamp.seconds_per_solve" !stamp_seconds;
       Obs.sample ctx.obs "engine.lu.seconds_per_solve" !lu_seconds;
       if !clamp_hits > 0 then Obs.count ctx.obs "engine.newton.dv_clamp" !clamp_hits;
       if not ok then Obs.count ctx.obs "engine.newton.failed" 1;
@@ -318,26 +487,20 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
     result
   in
   let v = Array.copy v0 in
-  let node_dv x =
-    (* Step-length damping applies to node voltages only: branch
-       currents (e.g. through an injected 10 mohm short) legitimately
-       move by hundreds of amperes in one Newton step. *)
-    let max_dv = ref 0.0 in
-    for i = 0 to ctx.node_count - 1 do
-      max_dv := Float.max !max_dv (Float.abs (x.(i) -. v.(i)))
-    done;
-    Option.iter
-      (fun i -> max_dv := Float.max !max_dv (Float.abs (x.(i) -. v.(i))))
-      ctx.extra_node;
-    !max_dv
-  in
-  let factor_solve () =
-    Solver.finish sv;
-    if not traced then Solver.factor_solve sv
+  (* Traced, the stamp's end is the factorisation's start: one clock
+     read serves both. *)
+  let assemble_and_solve () =
+    if not traced then begin
+      stamp ~gmin ~mode ctx v;
+      Solver.factor_solve sv
+    end
     else begin
       let t0 = Obs.Clock.now () in
+      stamp ~gmin ~mode ctx v;
+      let t1 = Obs.Clock.now () in
+      stamp_seconds := !stamp_seconds +. (t1 -. t0);
       Fun.protect
-        ~finally:(fun () -> lu_seconds := !lu_seconds +. (Obs.Clock.now () -. t0))
+        ~finally:(fun () -> lu_seconds := !lu_seconds +. (Obs.Clock.now () -. t1))
         (fun () -> Solver.factor_solve sv)
     end
   in
@@ -350,9 +513,7 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
     | None -> ());
     if k >= max_iter then Error (`No_conv, total)
     else begin
-      stamp ~opts ~gmin ~mode ~n:size sv ctx.devices v;
-      add_gmin_and_cmin ~gmin ~mode ctx;
-      match factor_solve () with
+      match assemble_and_solve () with
       | exception Solver.Singular row -> Error (`Singular row, total + 1)
       | () ->
         let x = Solver.solution sv in
@@ -360,7 +521,7 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
         for i = 0 to size - 1 do
           max_delta := Float.max !max_delta (Float.abs (x.(i) -. v.(i)))
         done;
-        let max_dv = node_dv x in
+        let max_dv = node_dv ctx x v in
         if Float.is_nan !max_delta then Error (`No_conv, total + 1)
         else if max_dv > opts.dv_limit then begin
           incr clamp_hits;
@@ -450,13 +611,15 @@ let ctx_of_circuit ~opts ~obs circuit =
   let mna = Mna.make circuit in
   let devices = compile mna circuit in
   let size = Mna.size mna in
+  let node_count = Mna.node_count mna in
+  let sv = Solver.create opts.solver ~capacity:size in
   ( {
       opts;
-      sv = Solver.create opts.solver ~capacity:size;
+      sv;
       size;
-      node_count = Mna.node_count mna;
-      extra_node = None;
       devices;
+      plan = make_plan sv devices ~pins:(pinned_rows ~node_count ~extra_node:None);
+      ev = Mosfet.make_scratch ();
       obs;
       names = output_names mna;
     },
@@ -758,64 +921,80 @@ module Session = struct
      at [base_size + 1]. *)
   let reserve = 2
 
+  (* A compiled view of the session's circuit: the base, or a patch of
+     it, reified as a value so the batched transient can hold many
+     patched variants alive at once without toggling the view. *)
+  type patch_view = {
+    pv_circuit : Netlist.Circuit.t;
+    pv_devices : cdev array;
+    pv_plan : plan;
+    pv_size : int;
+    pv_names : string array;
+  }
+
   type t = {
     opts : options;
     obs : Obs.sink;
     circuit : Netlist.Circuit.t;
     mna : Mna.t;
-    base_devices : cdev array;
+    base : patch_view;
     base_size : int;
     base_node_count : int;
-    base_names : string array;
     (* The solver spans the base system plus the overlay reserve; on the
        sparse backend every fault patch stamps into the same accumulated
        pattern, so the whole fault list shares one symbolic analysis. *)
     sv : Solver.t;
+    ev : Mosfet.scratch;
     (* Active view, swapped by [with_patch]. *)
-    mutable act_circuit : Netlist.Circuit.t;
-    mutable act_devices : cdev array;
-    mutable act_size : int;
-    mutable act_extra_node : int option;
-    mutable act_names : string array;
+    mutable view : patch_view;
   }
 
   let create ?(options = default_options) ?(obs = Obs.null) circuit =
     let mna = Mna.make circuit in
     let base_size = Mna.size mna in
-    let base_devices = compile mna circuit in
-    let base_names = output_names mna in
+    let base_node_count = Mna.node_count mna in
+    let sv = Solver.create options.solver ~capacity:(base_size + reserve) in
+    let devices = compile mna circuit in
+    let base =
+      {
+        pv_circuit = circuit;
+        pv_devices = devices;
+        pv_plan =
+          make_plan sv devices ~pins:(pinned_rows ~node_count:base_node_count ~extra_node:None);
+        pv_size = base_size;
+        pv_names = output_names mna;
+      }
+    in
     {
       opts = options;
       obs;
       circuit;
       mna;
-      base_devices;
+      base;
       base_size;
-      base_node_count = Mna.node_count mna;
-      base_names;
-      sv = Solver.create options.solver ~capacity:(base_size + reserve);
-      act_circuit = circuit;
-      act_devices = base_devices;
-      act_size = base_size;
-      act_extra_node = None;
-      act_names = base_names;
+      base_node_count;
+      sv;
+      ev = Mosfet.make_scratch ();
+      view = base;
     }
 
   let circuit s = s.circuit
 
   let options s = s.opts
 
-  let ctx ?options s =
+  let ctx_of ?options s pv devices =
     {
       opts = Option.value ~default:s.opts options;
       sv = s.sv;
-      size = s.act_size;
-      node_count = s.base_node_count;
-      extra_node = s.act_extra_node;
-      devices = s.act_devices;
+      size = pv.pv_size;
+      devices;
+      plan = pv.pv_plan;
+      ev = s.ev;
       obs = s.obs;
-      names = s.act_names;
+      names = pv.pv_names;
     }
+
+  let ctx ?options s = ctx_of ?options s s.view s.view.pv_devices
 
   (* [?options] overrides the session's solver options for this one
      analysis (the buffers depend only on the topology, never on the
@@ -824,19 +1003,8 @@ module Session = struct
   let solve_dc ?options s = { mna = s.mna; v = dc_solve (ctx ?options s) }
 
   let transient ?options s ~tstep ~tstop ~uic =
-    transient_core (ctx ?options s) ~circuit:s.act_circuit ~names:s.act_names
+    transient_core (ctx ?options s) ~circuit:s.view.pv_circuit ~names:s.view.pv_names
       ~tstep ~tstop ~uic
-
-  (* A compiled patch: everything [with_patch] swaps into the active
-     view, reified as a value so the batched transient can hold many
-     patched variants alive at once without toggling the view. *)
-  type patch_view = {
-    pv_circuit : Netlist.Circuit.t;
-    pv_devices : cdev array;
-    pv_size : int;
-    pv_extra_node : int option;
-    pv_names : string array;
-  }
 
   (* Recompile only what [patched] changed relative to the base circuit.
      Fault injection rewrites circuits with Circuit.replace (same name,
@@ -893,7 +1061,7 @@ module Session = struct
       | _ :: _, [] -> raise (Patch_overflow "patch removed a device")
       | b :: bs, p :: ps ->
         let cd =
-          if b == p then s.base_devices.(i)
+          if b == p then s.base.pv_devices.(i)
           else if String.equal (Netlist.Device.name b) (Netlist.Device.name p)
           then compile_device ~nid ~bid p
           else raise (Patch_overflow "patch reordered devices")
@@ -929,34 +1097,22 @@ module Session = struct
         | Some (b, row) -> [ (row, "I(" ^ b ^ ")") ])
       |> List.sort compare |> List.map snd
     in
+    let devices = Array.of_list compiled in
     {
       pv_circuit = patched;
-      pv_devices = Array.of_list compiled;
+      pv_devices = devices;
+      pv_plan =
+        make_plan s.sv devices
+          ~pins:
+            (pinned_rows ~node_count:s.base_node_count
+               ~extra_node:(Option.map snd !extra_node));
       pv_size = !next_row;
-      pv_extra_node = Option.map snd !extra_node;
-      pv_names = Array.append s.base_names (Array.of_list extra_names);
-    }
-
-  let apply_view s pv =
-    s.act_circuit <- pv.pv_circuit;
-    s.act_devices <- pv.pv_devices;
-    s.act_size <- pv.pv_size;
-    s.act_extra_node <- pv.pv_extra_node;
-    s.act_names <- pv.pv_names
-
-  let base_view s =
-    {
-      pv_circuit = s.circuit;
-      pv_devices = s.base_devices;
-      pv_size = s.base_size;
-      pv_extra_node = None;
-      pv_names = s.base_names;
+      pv_names = Array.append s.base.pv_names (Array.of_list extra_names);
     }
 
   let with_patch s patched f =
-    let pv = compile_patch s patched in
-    apply_view s pv;
-    Fun.protect ~finally:(fun () -> apply_view s (base_view s)) (fun () -> f s)
+    s.view <- compile_patch s patched;
+    Fun.protect ~finally:(fun () -> s.view <- s.base) (fun () -> f s)
 
   (* --- Lock-step batched transient ----------------------------------- *)
 
@@ -974,16 +1130,7 @@ module Session = struct
     | (CR _ | CV _ | CI _ | CD _) as d -> d
 
   let ctx_of_view ?options s pv =
-    {
-      opts = Option.value ~default:s.opts options;
-      sv = s.sv;
-      size = pv.pv_size;
-      node_count = s.base_node_count;
-      extra_node = pv.pv_extra_node;
-      devices = Array.map clone_cdev pv.pv_devices;
-      obs = s.obs;
-      names = pv.pv_names;
-    }
+    ctx_of ?options s pv (Array.map clone_cdev pv.pv_devices)
 
   (* How one variant of a batched transient ended. *)
   type batch_outcome =
@@ -1012,12 +1159,12 @@ module Session = struct
       ~probe =
     let opts = Option.value ~default:s.opts options in
     let obs_idx =
-      let n = Array.length s.base_names in
+      let n = Array.length s.base.pv_names in
       let rec find i =
         if i >= n then
           invalid_arg
             ("Engine.Session.transient_batch: unknown observed signal " ^ observe)
-        else if String.equal s.base_names.(i) observe then i
+        else if String.equal s.base.pv_names.(i) observe then i
         else find (i + 1)
       in
       find 0
@@ -1037,23 +1184,15 @@ module Session = struct
             { bst = None; bctx = None; bsettled = Some (Batch_overflow msg); bsecs = 0.0 })
         variants
     in
-    (* One symbolic pass for the whole batch: stamp every variant's
-       pattern (values discarded) before any solve, so the sparse
-       backend compiles the union pattern once instead of decompiling on
-       each variant's first stamp.  Transient stamps are a superset of
-       DC stamps, so priming in Tran mode covers every solve that
-       follows. *)
+    (* One symbolic pass for the whole batch: reserve every variant's
+       pattern before any solve, so the sparse backend compiles the
+       union pattern once instead of decompiling on each variant's first
+       stamp.  Transient stamps are a superset of DC stamps, so priming
+       the transient targets covers every solve that follows. *)
     Solver.prime s.sv
       (Array.to_list bvars
       |> List.filter_map (fun bv ->
-             Option.map
-               (fun ctx () ->
-                 let zeros = Array.make ctx.size 0.0 in
-                 let mode = Tran { h = tstep; time = 0.0; vnode_prev = zeros } in
-                 stamp ~opts ~gmin:opts.gmin ~mode ~n:ctx.size s.sv ctx.devices
-                   zeros;
-                 add_gmin_and_cmin ~gmin:opts.gmin ~mode ctx)
-               bv.bctx));
+             Option.map (fun ctx -> (ctx.size, ctx.plan.targets)) bv.bctx));
     let settle bv st outcome =
       stepper_emit_counters st;
       bv.bst <- None;
@@ -1198,7 +1337,7 @@ let ac_impl ~opts ~obs circuit ~source ~freqs =
   | Some _ | None ->
     invalid_arg ("Engine.ac: no independent source named " ^ source));
   let ctx, mna = ctx_of_circuit ~opts ~obs circuit in
-  let devices = ctx.devices in
+  let devices = ctx.devices and ev = ctx.ev in
   let v_op = dc_solve ctx in
   let n = Mna.size mna in
   let node_count = Mna.node_count mna in
@@ -1252,19 +1391,22 @@ let ac_impl ~opts ~obs circuit ~source ~freqs =
           end
         | CD { i; j; is_sat; nvt } ->
           let vd = gv v_op i -. gv v_op j in
-          let _, de = exp_lim (vd /. nvt) in
-          let gd = (is_sat *. de /. nvt) +. opts.gmin in
+          exp_lim ev (vd /. nvt);
+          let gd = (is_sat *. ev.(1) /. nvt) +. opts.gmin in
           add_g i j (cx gd)
         | CM { d; g; s; model; w = mw; l = ml; cg; _ } ->
           let vgs = gv v_op g -. gv v_op s and vds = gv v_op d -. gv v_op s in
-          let e = Mosfet.eval model ~w:mw ~l:ml ~vgs ~vds in
-          let gds = e.Mosfet.gds +. opts.gmin in
+          ev.(Mosfet.vgs) <- vgs;
+          ev.(Mosfet.vds) <- vds;
+          Mosfet.eval model ~w:mw ~l:ml ev;
+          let gm = ev.(Mosfet.gm) in
+          let gds = ev.(Mosfet.gds) +. opts.gmin in
           add d d (cx gds);
-          add d g (cx e.Mosfet.gm);
-          add d s (cx (-.(e.Mosfet.gm +. gds)));
+          add d g (cx gm);
+          add d s (cx (-.(gm +. gds)));
           add s d (cx (-.gds));
-          add s g (cx (-.e.Mosfet.gm));
-          add s s (cx (e.Mosfet.gm +. gds));
+          add s g (cx (-.gm));
+          add s s (cx (gm +. gds));
           add_g g s (jw w cg);
           add_g g d (jw w cg))
       devices;
@@ -1277,6 +1419,44 @@ let ac_impl ~opts ~obs circuit ~source ~freqs =
   let points = List.map (fun f -> (f, solve_at f)) freqs in
   if Obs.enabled obs then Obs.count obs "engine.ac.points" (List.length points);
   Spectrum.make ~names:(output_names mna) ~points
+
+(* --- Internals for the test suite ------------------------------------- *)
+
+module Private = struct
+  type assembly = {
+    names : string array;
+    cells : (int * int * float) list;
+    rhs : float array;
+    solution : (float array, int) result;
+  }
+
+  let unknowns s = (Session.ctx s).names
+
+  let assemble s ~mode ~prev v =
+    let ctx = Session.ctx s in
+    init_device_states ctx.devices prev;
+    let mode =
+      match mode with
+      | `Dc scale -> Dc { scale }
+      | `Tran (h, time) -> Tran { h; time; vnode_prev = prev }
+    in
+    stamp ~gmin:ctx.opts.gmin ~mode ctx v;
+    let cells = ref [] in
+    for i = ctx.size - 1 downto 0 do
+      for j = ctx.size - 1 downto 0 do
+        match Solver.get ctx.sv i j with
+        | Some x -> cells := (i, j, x) :: !cells
+        | None -> ()
+      done
+    done;
+    let rhs = Array.sub (Solver.solution ctx.sv) 0 ctx.size in
+    let solution =
+      match Solver.factor_solve ctx.sv with
+      | () -> Ok (Array.sub (Solver.solution ctx.sv) 0 ctx.size)
+      | exception Solver.Singular row -> Error row
+    in
+    { names = ctx.names; cells = !cells; rhs; solution }
+end
 
 (* --- The unified analysis entry point --------------------------------- *)
 

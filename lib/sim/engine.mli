@@ -4,7 +4,14 @@
     netlist (possibly rewritten by fault injection) and produces transient
     waveforms.  Nonlinear solves use damped Newton-Raphson; DC falls back
     to gmin stepping then source stepping; transient steps adaptively
-    (iteration-count control) between source breakpoints. *)
+    (iteration-count control) between source breakpoints.
+
+    Each circuit topology's devices are compiled once into a stamp plan:
+    the {!Solver.targets} slot of every matrix entry and the row of every
+    right-hand-side entry, in stamp order.  A Newton iteration is then one
+    device loop adding into those slots, shared by both solver backends,
+    with no per-entry call and no allocation; the MOSFET and diode
+    evaluators write into a per-session scratch. *)
 
 type integration = Backward_euler | Trapezoidal
 
@@ -165,8 +172,8 @@ module Analysis : sig
 end
 
 (** [run ?options ?obs circuit analysis] executes [analysis] on
-    [circuit].  All kernel telemetry (Newton iterations per solve, LU
-    time, dv-clamp hits, gmin/source-stepping fallbacks, step
+    [circuit].  All kernel telemetry (Newton iterations per solve,
+    stamping and LU time, dv-clamp hits, gmin/source-stepping fallbacks, step
     accept/reject) flows into [obs] (default {!Obs.null}, which is
     free); the whole analysis is additionally wrapped in an
     ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises
@@ -182,10 +189,10 @@ val run :
 
 (** Batch solving of one circuit topology.
 
-    A session builds the MNA node map, the compiled device array and the
-    solver scratch buffers (system matrix, RHS, LU pivot and
-    substitution arrays) once, then reuses them across any number of
-    solves.  This is the paper's cost model made cheap: a fault
+    A session builds the MNA node map, the compiled device array with
+    its stamp plan and the solver scratch buffers (system matrix, RHS, LU
+    pivot and substitution arrays) once, then reuses them across any
+    number of solves.  This is the paper's cost model made cheap: a fault
     simulation campaign is one nominal run plus one run per fault, where
     each faulty circuit differs from the nominal one by a device or two.
     [with_patch] swaps in those few devices without re-deriving the node
@@ -234,7 +241,7 @@ module Session : sig
       produces - introducing at most one new node and one new branch;
       anything else raises {!Patch_overflow}.  Devices untouched by the
       patch keep their compiled form; only replaced and appended devices
-      are recompiled. *)
+      are recompiled, and the patched view gets its own stamp plan. *)
   val with_patch : t -> Netlist.Circuit.t -> (t -> 'a) -> 'a
 
   (** {2 Lock-step batched transients}
@@ -293,5 +300,40 @@ module Session : sig
     probe:
       (variant:int -> grid_index:int -> value:float -> [ `Continue | `Drop ]) ->
     batch_result array
+end
+
+(** {1 Internals for the test suite}
+
+    Not a stable interface: the property tests use it to check the
+    compiled stamp plan against an independent assembly. *)
+module Private : sig
+  (** One assembled system of a session's active view. *)
+  type assembly = {
+    names : string array;  (** the unknown of each row *)
+    cells : (int * int * float) list;
+        (** every stored matrix cell of the active system, [(row, col,
+            value)] in row-major order: all of them on the dense backend,
+            the pattern on the sparse one *)
+    rhs : float array;
+    solution : (float array, int) result;
+        (** after one factor-solve of the assembled system, or the
+            singular row *)
+  }
+
+  (** The unknown of each row of the session's active view. *)
+  val unknowns : Session.t -> string array
+
+  (** [assemble s ~mode ~prev v] sets the active view's integration
+      state from the solution [prev] as a transient start does, then
+      stamps once at iterate [v] ([`Dc scale]: the DC system with the
+      sources scaled; [`Tran (h, time)]: a transient step of length [h]
+      ending at [time], with [prev] as the previous node voltages) and
+      factor-solves that system once. *)
+  val assemble :
+    Session.t ->
+    mode:[ `Dc of float | `Tran of float * float ] ->
+    prev:float array ->
+    float array ->
+    assembly
 end
 

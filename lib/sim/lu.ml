@@ -9,8 +9,10 @@ let make_scratch n = { piv = Array.make n 0; y = Array.make n 0.0 }
 
 let scratch_capacity s = Array.length s.piv
 
-let factor_solve ?n scratch a b =
-  let n = match n with Some n -> n | None -> Array.length b in
+(* Row [piv.(i)] of the permuted system starts at [piv.(i) * stride];
+   each loop hoists that offset out of its inner loop ([rk] for the
+   pivot row, [ri] for the row being eliminated or substituted). *)
+let factor_solve ~n ~stride scratch a b =
   if Array.length scratch.piv < n || Array.length scratch.y < n then
     invalid_arg "Lu.factor_solve: scratch smaller than the system";
   let piv = scratch.piv and y = scratch.y in
@@ -21,49 +23,57 @@ let factor_solve ?n scratch a b =
     (* Partial pivot: largest magnitude in column k at or below row k. *)
     let best = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs a.(piv.(i)).(k) > Float.abs a.(piv.(!best)).(k) then best := i
+      if Float.abs a.((piv.(i) * stride) + k) > Float.abs a.((piv.(!best) * stride) + k)
+      then best := i
     done;
     if !best <> k then begin
       let t = piv.(k) in
       piv.(k) <- piv.(!best);
       piv.(!best) <- t
     end;
-    let akk = a.(piv.(k)).(k) in
+    let rk = piv.(k) * stride in
+    let akk = a.(rk + k) in
     (* Report the post-pivot row: the permutation maps column k's failed
        pivot back to a row in the caller's numbering, i.e. an MNA
        unknown the caller can name. *)
     if Float.abs akk < 1e-30 then raise (Singular piv.(k));
     for i = k + 1 to n - 1 do
-      let f = a.(piv.(i)).(k) /. akk in
+      let ri = piv.(i) * stride in
+      let f = a.(ri + k) /. akk in
       if f <> 0.0 then begin
-        a.(piv.(i)).(k) <- f;
+        a.(ri + k) <- f;
         for j = k + 1 to n - 1 do
-          a.(piv.(i)).(j) <- a.(piv.(i)).(j) -. (f *. a.(piv.(k)).(j))
+          a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
         done
       end
-      else a.(piv.(i)).(k) <- 0.0
+      else a.(ri + k) <- 0.0
     done
   done;
   (* Forward substitution on the permuted rows. *)
   for i = 0 to n - 1 do
+    let ri = piv.(i) * stride in
     let s = ref b.(piv.(i)) in
     for j = 0 to i - 1 do
-      s := !s -. (a.(piv.(i)).(j) *. y.(j))
+      s := !s -. (a.(ri + j) *. y.(j))
     done;
     y.(i) <- !s
   done;
   (* Back substitution. *)
   for i = n - 1 downto 0 do
+    let ri = piv.(i) * stride in
     let s = ref y.(i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (a.(piv.(i)).(j) *. b.(j))
+      s := !s -. (a.(ri + j) *. b.(j))
     done;
-    b.(i) <- !s /. a.(piv.(i)).(i)
+    b.(i) <- !s /. a.(ri + i)
   done
 
-let solve a b = factor_solve (make_scratch (Array.length b)) a b
+let solve a b =
+  let n = Array.length b in
+  if Array.length a <> n * n then invalid_arg "Lu.solve: matrix is not n x n";
+  factor_solve ~n ~stride:n (make_scratch n) a b
 
 let solve_copy a b =
-  let a = Array.map Array.copy a and b = Array.copy b in
+  let a = Array.copy a and b = Array.copy b in
   solve a b;
   b

@@ -1,10 +1,12 @@
 (** Dense LU factorisation with partial pivoting.
 
-    Circuit matrices here are tens of rows (the VCO has ~30 unknowns), so
+    Circuit matrices here are tens of rows (the VCO has 19 unknowns), so
     a dense solver is the right tool; sparsity machinery would cost more
-    than it saves.  The factorisation works in place on caller-provided
-    buffers so batch fault simulation can run thousands of Newton solves
-    without allocating. *)
+    than it saves.  The matrix is one flat row-major [float array]: row
+    [r] starts at [r * stride], so a stamp plan can address every cell by
+    one precomputed offset.  The factorisation works in place on
+    caller-provided buffers so batch fault simulation can run thousands
+    of Newton solves without allocating. *)
 
 exception Singular of int
 (** Row index, in the caller's original row numbering (i.e. the MNA
@@ -20,18 +22,20 @@ val make_scratch : int -> scratch
 (** Capacity the scratch was allocated for. *)
 val scratch_capacity : scratch -> int
 
-(** [factor_solve ?n scratch a b] overwrites the leading [n]x[n] block of
-    [a] with its LU factors and the first [n] entries of [b] with the
-    solution of [a x = b] ([n] defaults to the length of [b]).  No
-    allocation happens; all intermediates live in [scratch].  Raises
-    {!Singular} on a numerically singular matrix (pivot magnitude below
-    1e-30) and [Invalid_argument] if [scratch] is smaller than [n]. *)
-val factor_solve : ?n:int -> scratch -> float array array -> float array -> unit
+(** [factor_solve ~n ~stride scratch a b] overwrites the leading [n]x[n]
+    block of the row-major matrix [a] (row stride [stride]) with its LU
+    factors and the first [n] entries of [b] with the solution of
+    [a x = b].  No allocation happens; all intermediates live in
+    [scratch].  Raises {!Singular} on a numerically singular matrix
+    (pivot magnitude below 1e-30) and [Invalid_argument] if [scratch] is
+    smaller than [n]. *)
+val factor_solve : n:int -> stride:int -> scratch -> float array -> float array -> unit
 
-(** [solve a b] overwrites [a] with its LU factors and [b] with the
-    solution of [a x = b], allocating fresh scratch.  Raises {!Singular}
-    on a numerically singular matrix. *)
-val solve : float array array -> float array -> unit
+(** [solve a b] overwrites the row-major [n]x[n] matrix [a] (with [n] the
+    length of [b]) with its LU factors and [b] with the solution of
+    [a x = b], allocating fresh scratch.  Raises {!Singular} on a
+    numerically singular matrix. *)
+val solve : float array -> float array -> unit
 
 (** [solve_copy a b] is {!solve} on copies, leaving inputs intact. *)
-val solve_copy : float array array -> float array -> float array
+val solve_copy : float array -> float array -> float array

@@ -52,28 +52,3 @@ let unknown_name t i =
   else if i < n then t.nodes.(i)
   else if i - n < Array.length t.branches then "I(" ^ t.branches.(i - n) ^ ")"
   else Printf.sprintf "overlay[%d]" i
-
-type system = { a : float array array; b : float array }
-
-let fresh_system ?(extra = 0) t =
-  let n = size t + extra in
-  { a = Array.make_matrix n n 0.0; b = Array.make n 0.0 }
-
-let clear ?n sys =
-  let n = Option.value n ~default:(Array.length sys.b) in
-  for i = 0 to n - 1 do
-    sys.b.(i) <- 0.0;
-    Array.fill sys.a.(i) 0 n 0.0
-  done
-
-let add_jacobian sys i j v = if i >= 0 && j >= 0 then sys.a.(i).(j) <- sys.a.(i).(j) +. v
-
-let add_rhs sys i v = if i >= 0 then sys.b.(i) <- sys.b.(i) +. v
-
-let add_conductance sys i j g =
-  add_jacobian sys i i g;
-  add_jacobian sys j j g;
-  add_jacobian sys i j (-.g);
-  add_jacobian sys j i (-.g)
-
-let add_current sys i x = add_rhs sys i x

@@ -1,8 +1,8 @@
 (** Modified nodal analysis bookkeeping.
 
     Unknowns are the non-ground node voltages followed by one branch
-    current per voltage source and per inductor.  A {!system} is the dense
-    Jacobian/right-hand-side pair that device stamps accumulate into. *)
+    current per voltage source and per inductor.  The matrix storage that
+    device stamps accumulate into belongs to {!Solver}. *)
 
 type t
 
@@ -33,31 +33,3 @@ val branch_names : t -> string array
     [-1], or ["overlay[i]"] for a session overlay row beyond the base
     unknowns. *)
 val unknown_name : t -> int -> string
-
-type system = { a : float array array; b : float array }
-
-(** [fresh_system ?extra t] allocates a zeroed system sized for the
-    circuit's unknowns plus [extra] reserve rows (default 0).  The
-    reserve lets a batch session keep one set of solver buffers while
-    fault patches add an overlay node or branch. *)
-val fresh_system : ?extra:int -> t -> system
-
-(** [clear ?n sys] zeroes the leading [n]x[n] window (default: the whole
-    buffer) - sessions solve below capacity and need not touch the
-    reserved overlay rows. *)
-val clear : ?n:int -> system -> unit
-
-(** [add_conductance sys i j g] stamps conductance [g] between unknowns
-    [i] and [j] (either may be [-1] = ground). *)
-val add_conductance : system -> int -> int -> float -> unit
-
-(** [add_current sys i x] adds current [x] flowing {e into} node [i]
-    (ignored for ground). *)
-val add_current : system -> int -> float -> unit
-
-(** [add_jacobian sys i j v] adds [v] at matrix position [(i, j)];
-    no-op when either index is ground. *)
-val add_jacobian : system -> int -> int -> float -> unit
-
-(** [add_rhs sys i v] adds [v] to the right-hand side at row [i]. *)
-val add_rhs : system -> int -> float -> unit

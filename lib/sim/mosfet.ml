@@ -1,46 +1,65 @@
-type eval = { ids : float; gm : float; gds : float }
+type scratch = float array
 
-(* Shichman-Hodges for an NMOS with vds >= 0. *)
-let core ~beta ~vto ~lambda ~vgs ~vds =
-  let vov = vgs -. vto in
-  if vov <= 0.0 then { ids = 0.0; gm = 0.0; gds = 0.0 }
-  else if vds < vov then begin
-    let cm = 1.0 +. (lambda *. vds) in
-    let shape = (vov *. vds) -. (0.5 *. vds *. vds) in
-    {
-      ids = beta *. shape *. cm;
-      gm = beta *. vds *. cm;
-      gds = (beta *. (vov -. vds) *. cm) +. (beta *. shape *. lambda);
-    }
+let vgs = 0
+
+let vds = 1
+
+let ids = 2
+
+let gm = 3
+
+let gds = 4
+
+let make_scratch () = Array.make 5 0.0
+
+(* Shichman-Hodges for an NMOS with vds >= 0, written to the output
+   slots.  Inlined into [eval], so its float arguments stay unboxed. *)
+let[@inline] core s ~beta ~vto ~lambda ~vgs:vg ~vds:vd =
+  let vov = vg -. vto in
+  if vov <= 0.0 then begin
+    s.(ids) <- 0.0;
+    s.(gm) <- 0.0;
+    s.(gds) <- 0.0
+  end
+  else if vd < vov then begin
+    let cm = 1.0 +. (lambda *. vd) in
+    let shape = (vov *. vd) -. (0.5 *. vd *. vd) in
+    s.(ids) <- beta *. shape *. cm;
+    s.(gm) <- beta *. vd *. cm;
+    s.(gds) <- (beta *. (vov -. vd) *. cm) +. (beta *. shape *. lambda)
   end
   else begin
-    let cm = 1.0 +. (lambda *. vds) in
+    let cm = 1.0 +. (lambda *. vd) in
     let half = 0.5 *. beta *. vov *. vov in
-    { ids = half *. cm; gm = beta *. vov *. cm; gds = half *. lambda }
+    s.(ids) <- half *. cm;
+    s.(gm) <- beta *. vov *. cm;
+    s.(gds) <- half *. lambda
   end
 
 (* NMOS at arbitrary vds: for vds < 0 the physical source is the drawn
    drain; evaluate the mirrored device and map the partial derivatives
    back through ids(vgs,vds) = -f(vgs - vds, -vds). *)
-let eval_nmos ~beta ~vto ~lambda ~vgs ~vds =
-  if vds >= 0.0 then core ~beta ~vto ~lambda ~vgs ~vds
+let[@inline] eval_nmos s ~beta ~vto ~lambda ~vgs:vg ~vds:vd =
+  if vd >= 0.0 then core s ~beta ~vto ~lambda ~vgs:vg ~vds:vd
   else begin
-    let e = core ~beta ~vto ~lambda ~vgs:(vgs -. vds) ~vds:(-.vds) in
-    { ids = -.e.ids; gm = -.e.gm; gds = e.gm +. e.gds }
+    core s ~beta ~vto ~lambda ~vgs:(vg -. vd) ~vds:(-.vd);
+    let i = s.(ids) and g = s.(gm) and d = s.(gds) in
+    s.(ids) <- -.i;
+    s.(gm) <- -.g;
+    s.(gds) <- g +. d
   end
 
-let eval (model : Netlist.Device.mos_model) ~w ~l ~vgs ~vds =
+let eval (model : Netlist.Device.mos_model) ~w ~l s =
   let beta = model.kp *. w /. l in
+  let vg = s.(vgs) and vd = s.(vds) in
   match model.kind with
-  | Netlist.Device.Nmos -> eval_nmos ~beta ~vto:model.vto ~lambda:model.lambda ~vgs ~vds
+  | Netlist.Device.Nmos -> eval_nmos s ~beta ~vto:model.vto ~lambda:model.lambda ~vgs:vg ~vds:vd
   | Netlist.Device.Pmos ->
     (* ids_p(vgs,vds) = -f_n(-vgs,-vds) with the NMOS-equivalent
        threshold |vto|; gm/gds keep their sign through the double
        negation. *)
-    let e =
-      eval_nmos ~beta ~vto:(-.model.vto) ~lambda:model.lambda ~vgs:(-.vgs) ~vds:(-.vds)
-    in
-    { ids = -.e.ids; gm = e.gm; gds = e.gds }
+    eval_nmos s ~beta ~vto:(-.model.vto) ~lambda:model.lambda ~vgs:(-.vg) ~vds:(-.vd);
+    s.(ids) <- -.s.(ids)
 
 let region (model : Netlist.Device.mos_model) ~vgs ~vds =
   let vgs, vds =

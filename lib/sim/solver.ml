@@ -1,15 +1,14 @@
 (* The pluggable linear-solver layer.
 
    Everything between device stamping and the Newton update goes through
-   this module: [Engine] stamps into an opaque solver value and reads the
-   solution back out, never touching a concrete matrix representation.
-   The [Dense] arm wraps the seed path (an [Mna.system] plus [Lu]
-   scratch) and performs the identical float operations in the identical
-   order, so selecting it reproduces seed results bit for bit.  The
+   this module: [Engine] resolves its stamp plan to storage slots here,
+   adds into the storage this module owns, and reads the solution back
+   out, never knowing which matrix representation sits behind a slot.
+   The [Dense] arm is a flat row-major matrix factored by [Lu]; the
    [Sparse] arm compiles the stamp pattern once per topology and then
-   refactorises numerically (see {!Sparse}); [Auto] picks between them by
-   capacity, so small circuits keep the dense solver that beats sparse
-   machinery at their size. *)
+   refactorises numerically (see {!Sparse}); [Auto] picks between them
+   by capacity, so small circuits keep the dense solver that beats
+   sparse machinery at their size. *)
 
 type backend = Auto | Dense | Sparse
 
@@ -34,7 +33,9 @@ let backend_of_string = function
 exception Singular of int
 
 type dense = {
-  sys : Mna.system;
+  cap : int;
+  a : float array; (* row-major cap x cap, then the ground dump at cap * cap *)
+  b : float array; (* cap entries, then the ground dump at cap *)
   scratch : Lu.scratch;
   mutable dn : int; (* active size of the current stamp *)
   mutable solves : int; (* cumulative; [flush_stats] reports deltas *)
@@ -63,7 +64,9 @@ let create backend ~capacity =
   | Dense ->
     D
       {
-        sys = { Mna.a = Array.make_matrix capacity capacity 0.0; b = Array.make capacity 0.0 };
+        cap = capacity;
+        a = Array.make ((capacity * capacity) + 1) 0.0;
+        b = Array.make (capacity + 1) 0.0;
         scratch = Lu.make_scratch capacity;
         dn = 0;
         solves = 0;
@@ -84,55 +87,87 @@ let create backend ~capacity =
 let backend = function D _ -> Dense | S _ -> Sparse
 
 let capacity = function
-  | D d -> Lu.scratch_capacity d.scratch
+  | D d -> d.cap
   | S s -> Sparse.capacity s.sp
 
-let begin_stamp t ~n =
+(* Stamp targets: one coordinate key per stamped entry, in stamp order,
+   and the storage slot each resolves to.  A dense key is its cell offset
+   (ground: the dump cell), so dense slots are the keys themselves.  A
+   sparse slot indexes the compiled values and moves whenever the
+   pattern recompiles, which the generation stamp detects; the keys of
+   entries only a transient stamps are marked, so a DC pass discovers
+   exactly the coordinates it stamps. *)
+type targets = {
+  keys : int array;
+  slots : int array;
+  mutable gen : int; (* sparse generation the slots belong to *)
+  mutable complete : bool; (* the transient-only keys resolved too *)
+}
+
+let key t ~tran i j =
+  match t with
+  | D d -> if i < 0 || j < 0 then d.cap * d.cap else (i * d.cap) + j
+  | S s -> Sparse.key s.sp ~extra:tran i j
+
+let targets t keys =
+  match t with
+  | D _ -> { keys; slots = keys; gen = 0; complete = true }
+  | S _ -> { keys; slots = Array.make (Array.length keys) 0; gen = -1; complete = false }
+
+(* Pattern discovery matches stamping coordinate by coordinate:
+   coordinates outside the compiled pattern return the sparse matrix to
+   building mode and the grown union compiles once, before this stamp
+   rather than after it - the same pattern, ordering and values either
+   way. *)
+let begin_stamp t ~n ~tran tg =
   match t with
   | D d ->
-    if n > Array.length d.sys.Mna.b then
-      invalid_arg "Solver.begin_stamp: n exceeds capacity";
+    if n > d.cap then invalid_arg "Solver.begin_stamp: n exceeds capacity";
     d.dn <- n;
-    Mna.clear ~n d.sys
-  | S s -> Sparse.begin_stamp s.sp ~n
+    for i = 0 to n - 1 do
+      Array.fill d.a (i * d.cap) n 0.0
+    done;
+    Array.fill d.b 0 n 0.0;
+    tg.slots
+  | S s ->
+    Sparse.begin_stamp s.sp ~n;
+    if tg.gen <> Sparse.generation s.sp || (tran && not tg.complete) then begin
+      Sparse.reserve s.sp ~extras:tran tg.keys;
+      Sparse.finish s.sp;
+      tg.complete <- Sparse.resolve s.sp tg.keys tg.slots;
+      tg.gen <- Sparse.generation s.sp
+    end;
+    tg.slots
 
-let add t i j v =
+let matrix = function D d -> d.a | S s -> Sparse.values s.sp
+
+let solution = function D d -> d.b | S s -> Sparse.rhs s.sp
+
+let get t i j =
   match t with
-  | D d -> Mna.add_jacobian d.sys i j v
-  | S s -> Sparse.add s.sp i j v
+  | D d -> if i >= 0 && j >= 0 && i < d.dn && j < d.dn then Some d.a.((i * d.cap) + j) else None
+  | S s -> Sparse.get s.sp i j
 
-let add_rhs t i v =
-  match t with
-  | D d -> Mna.add_rhs d.sys i v
-  | S s -> Sparse.add_rhs s.sp i v
-
-let add_conductance t i j g =
-  add t i i g;
-  add t j j g;
-  add t i j (-.g);
-  add t j i (-.g)
-
-let add_current t i x = add_rhs t i x
-
-let finish t = match t with D _ -> () | S s -> Sparse.finish s.sp
-
-(* Pattern priming for a batch of stamp variants: run every pass (each
-   performs its own [begin_stamp] + stamps; values are discarded), then
-   compile the accumulated union pattern once.  The sparse backend keeps
-   pattern keys across [begin_stamp], so after priming no variant's
-   first real stamp decompiles the symbolic analysis.  Dense has no
-   pattern - priming is free there. *)
+(* Pattern priming for a batch of stamp variants: open every pass (each
+   may grow the active size) and reserve its transient coordinates, then
+   compile the accumulated union pattern once, so no variant's first real
+   stamp decompiles the symbolic analysis.  Dense has no pattern - priming
+   is free there. *)
 let prime t passes =
   match t with
   | D _ -> ()
-  | S _ ->
-    List.iter (fun pass -> pass ()) passes;
-    finish t
+  | S s ->
+    List.iter
+      (fun (n, tg) ->
+        Sparse.begin_stamp s.sp ~n;
+        Sparse.reserve s.sp ~extras:true tg.keys)
+      passes;
+    Sparse.finish s.sp
 
 let factor_solve t =
   match t with
   | D d -> begin
-    match Lu.factor_solve ~n:d.dn d.scratch d.sys.Mna.a d.sys.Mna.b with
+    match Lu.factor_solve ~n:d.dn ~stride:d.cap d.scratch d.a d.b with
     | () -> d.solves <- d.solves + 1
     | exception Lu.Singular row -> raise (Singular row)
   end
@@ -141,8 +176,6 @@ let factor_solve t =
     | () -> ()
     | exception Sparse.Singular i -> raise (Singular i)
   end
-
-let solution = function D d -> d.sys.Mna.b | S s -> Sparse.rhs s.sp
 
 (* Report work done since the previous flush.  Counter names are
    per-backend so a mixed campaign (dense nominal circuit, sparse

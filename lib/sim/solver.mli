@@ -1,20 +1,23 @@
 (** The pluggable linear-solver layer of the MNA core.
 
     A solver value owns all storage for one circuit topology's linear
-    systems: [Engine] drives the
-    {!begin_stamp}/{!add}/{!finish}/{!factor_solve} lifecycle on every
-    Newton iteration and reads the result through {!solution}, never
-    touching a concrete matrix representation.
+    systems.  [Engine] compiles each device list once into a stamp plan;
+    the plan's matrix coordinates become {!targets}, resolved here to
+    slots of the solver's storage.  Every Newton iteration then runs
+    {!begin_stamp}, adds into [(matrix t).(slot)] and
+    [(solution t).(row)], and calls {!factor_solve}: stamping makes no
+    call into this module per entry and never learns which backend it
+    writes to.
 
-    Two backends exist.  [Dense] wraps the seed path ({!Mna.system} plus
-    {!Lu} scratch) and executes the identical float operations in the
-    identical order, so it reproduces seed results bit for bit.
-    [Sparse] compiles the accumulated stamp pattern into compressed form
-    once per topology and afterwards refactorises numerically with a
-    frozen pivot order (see {!Sparse}); fault patches stamp into a
-    pattern superset, so a whole campaign shares one symbolic analysis.
-    [Auto] resolves to one of the two at {!create} time by comparing the
-    capacity against {!auto_threshold}. *)
+    Two backends exist.  [Dense] is a flat row-major matrix factored by
+    {!Lu}; a slot is a cell offset.  [Sparse] compiles the accumulated
+    stamp pattern into compressed form once per topology and afterwards
+    refactorises numerically with a frozen pivot order (see {!Sparse});
+    a slot is a compiled value index, re-resolved when the pattern
+    grows.  Fault patches stamp into a pattern superset, so a whole
+    campaign shares one symbolic analysis.  [Auto] resolves to one of the
+    two at {!create} time by comparing the capacity against
+    {!auto_threshold}. *)
 
 type backend = Auto | Dense | Sparse
 
@@ -44,42 +47,53 @@ val backend : t -> backend
 
 val capacity : t -> int
 
-(** [begin_stamp t ~n] opens a stamping pass for an [n]-unknown system,
-    clearing the previous values. *)
-val begin_stamp : t -> n:int -> unit
+(** [key t ~tran i j] encodes matrix coordinate [(i, j)] for
+    {!targets}; a negative index is ground, whose additions go to a dump
+    slot that is never read.  [~tran:true] marks an entry only transient
+    passes stamp (a companion model), so DC passes leave it out of the
+    sparse pattern. *)
+val key : t -> tran:bool -> int -> int -> int
 
-(** [add t i j v] accumulates [v] at matrix position [(i, j)]; no-op
-    when either index is [-1] (ground). *)
-val add : t -> int -> int -> float -> unit
+(** The matrix entries one stamp plan writes, in stamp order, each
+    resolved to a slot of {!matrix}. *)
+type targets
 
-(** [add_rhs t i v] accumulates [v] into right-hand-side row [i]. *)
-val add_rhs : t -> int -> float -> unit
+(** [targets t keys] declares the entries (from {!key}) of one plan for
+    solver [t]; the targets belong to that solver alone. *)
+val targets : t -> int array -> targets
 
-(** [add_conductance t i j g] stamps conductance [g] between unknowns
-    [i] and [j] (either may be ground). *)
-val add_conductance : t -> int -> int -> float -> unit
+(** [begin_stamp t ~n ~tran tg] opens a stamping pass for an [n]-unknown
+    system, clearing the previous values, and returns the slot of every
+    entry of [tg] in the storage this pass writes, re-resolved when the
+    sparse pattern moved.  A [~tran:false] pass must not write the
+    transient-only entries; every other entry must be stamped. *)
+val begin_stamp : t -> n:int -> tran:bool -> targets -> int array
 
-(** [add_current t i x] adds current [x] flowing {e into} node [i]. *)
-val add_current : t -> int -> float -> unit
+(** The matrix storage of the current pass; fetch it after
+    {!begin_stamp}, which may replace it. *)
+val matrix : t -> float array
 
-(** Seals the stamping pass (pattern compilation on the sparse path). *)
-val finish : t -> unit
+(** The buffer holding the right-hand side during stamping (index
+    [capacity t] is the dump for ground rows) and the solution after
+    {!factor_solve} (leading [n] entries). *)
+val solution : t -> float array
 
-(** [prime t passes] accumulates the stamp pattern of every pass (each
-    performs its own {!begin_stamp} and stamps; the values are
-    discarded) and compiles the union pattern once, so none of the
-    passes' later real stamps triggers a symbolic recompilation.  Batched
-    fault simulation primes one pass per variant before stepping any of
-    them.  No-op on the dense backend. *)
-val prime : t -> (unit -> unit) list -> unit
+(** [get t i j] is the stored value at [(i, j)] of the current pass:
+    [None] outside the active system or the sparse pattern.  For
+    inspection; stamping goes through slots. *)
+val get : t -> int -> int -> float option
+
+(** [prime t passes] makes the stamp pattern the union of every pass's
+    targets (transient entries included), each at its active size, and
+    compiles it once, so none of
+    the passes' later real stamps triggers a symbolic recompilation.
+    Batched fault simulation primes one pass per variant before stepping
+    any of them.  No-op on the dense backend. *)
+val prime : t -> (int * targets) list -> unit
 
 (** Factors the stamped system and leaves the solution in {!solution}.
     Raises {!Singular} when the matrix has no usable pivot. *)
 val factor_solve : t -> unit
-
-(** The buffer holding the right-hand side during stamping and the
-    solution after {!factor_solve} (leading [n] entries). *)
-val solution : t -> float array
 
 (** [flush_stats t obs] emits the work done since the previous flush as
     per-backend counters ([solver.dense.factor_solve];

@@ -1,17 +1,19 @@
 (* Sparse LU backend for the MNA core.
 
    The matrix lives in two representations.  While the nonzero pattern is
-   still being discovered ("building" mode) stamps accumulate into a
-   hashtable keyed by (row, col).  The first factorisation compiles the
-   union of every coordinate ever stamped into a CSC structure (columns
-   sorted, one slot per coordinate) and from then on stamping is a binary
-   search into the compiled pattern - an MNA topology stamps the same
-   coordinates on every Newton iteration, so the compiled path is the
-   steady state.  A stamp that misses the pattern (a fault patch touching
-   new coordinates, the first transient step adding companion-model
-   entries to a DC-only pattern) decompiles back to the hashtable and the
-   next factorisation re-compiles the grown union; the pattern only ever
-   grows, so a session settles after a handful of rebuilds.
+   still being discovered ("building" mode) coordinates accumulate in a
+   hashtable keyed by (row, col).  Compilation turns the union of every
+   coordinate ever reserved into a CSC structure (columns sorted, one
+   slot per coordinate), and from then on a stamp plan writes straight
+   into value slots it resolved once per compilation - an MNA topology
+   stamps the same coordinates on every Newton iteration, so the compiled
+   path is the steady state.  A plan that reserves coordinates outside the
+   pattern (a fault patch touching new coordinates, the first transient
+   step adding companion-model entries to a DC-only pattern) decompiles
+   back to the hashtable, and the grown union is re-compiled before that
+   stamp; the pattern only ever grows, so a session settles after a
+   handful of rebuilds.  {!generation} changes with every decompile and
+   compile, which is how a plan knows its slots are stale.
 
    Factorisation is Gilbert-Peierls left-looking LU with threshold
    partial pivoting (after CSparse's cs_lu).  The first ("full")
@@ -47,15 +49,17 @@ let pivot_tol = 1e-3
 
 type t = {
   cap : int;
-  b : float array; (* right-hand side, overwritten with the solution *)
+  b : float array; (* right-hand side, overwritten with the solution;
+                      index [cap] is the ground dump *)
   mutable n : int; (* active unknowns of the current stamp *)
   mutable pat_n : int; (* factorised order: max [n] ever seen *)
   (* --- compiled matrix: CSC over the accumulated pattern --- *)
   mutable colptr : int array; (* length pat_n + 1 *)
   mutable rowind : int array; (* rows, sorted within each column *)
-  mutable vals : float array;
+  mutable vals : float array; (* one past the last slot: the ground dump *)
   mutable diag_slot : int array; (* slot of (r, r) per row, for padding *)
   mutable compiled : bool;
+  mutable gen : int; (* bumped by every compile and decompile *)
   building : (int, float) Hashtbl.t; (* key = row * cap + col *)
   (* --- factorisation --- *)
   mutable q : int array; (* column order: factor col k holds A(:, q.(k)) *)
@@ -86,14 +90,15 @@ let create ~capacity =
   let cap = max capacity 1 in
   {
     cap;
-    b = Array.make cap 0.0;
+    b = Array.make (cap + 1) 0.0;
     n = 0;
     pat_n = 0;
     colptr = [| 0 |];
     rowind = [||];
-    vals = [||];
+    vals = [| 0.0 |];
     diag_slot = [||];
     compiled = false;
+    gen = 0;
     building = Hashtbl.create 256;
     q = [||];
     pinv = Array.make cap (-1);
@@ -121,6 +126,10 @@ let capacity t = t.cap
 
 let rhs t = t.b
 
+let values t = t.vals
+
+let generation t = t.gen
+
 let nnz t = if t.compiled then Array.length t.rowind else Hashtbl.length t.building
 
 let factor_nnz t = if t.have_factor then t.lp.(t.pat_n) + t.up.(t.pat_n) else 0
@@ -139,6 +148,7 @@ let decompile t =
     done
   done;
   t.compiled <- false;
+  t.gen <- t.gen + 1;
   t.have_factor <- false
 
 let begin_stamp t ~n =
@@ -157,12 +167,6 @@ let begin_stamp t ~n =
        survive from one stamp to the next. *)
     Hashtbl.filter_map_inplace (fun _ _ -> Some 0.0) t.building
 
-let add_building t i j v =
-  let key = (i * t.cap) + j in
-  match Hashtbl.find_opt t.building key with
-  | Some v0 -> Hashtbl.replace t.building key (v0 +. v)
-  | None -> Hashtbl.replace t.building key v
-
 (* Binary search for row [i] within column [j] of the compiled pattern;
    returns the slot or -1. *)
 let find_slot t i j =
@@ -175,20 +179,63 @@ let find_slot t i j =
   done;
   !slot
 
-let add t i j v =
-  if i >= 0 && j >= 0 then
-    if not t.compiled then add_building t i j v
-    else begin
-      let slot = find_slot t i j in
-      if slot >= 0 then t.vals.(slot) <- t.vals.(slot) +. v
-      else begin
-        (* Pattern growth: fall back to building mode for this stamp. *)
-        decompile t;
-        add_building t i j v
-      end
-    end
+(* Coordinate keys: row * cap + col; -1 is ground (never stored); a
+   key [k] that only passes with extras stamp is kept as [-2 - k]. *)
+let key t ?(extra = false) i j =
+  if i < 0 || j < 0 then -1
+  else
+    let k = (i * t.cap) + j in
+    if extra then -2 - k else k
 
-let add_rhs t i v = if i >= 0 then t.b.(i) <- t.b.(i) +. v
+let decode ~extras c = if c >= 0 then c else if c <= -2 && extras then -2 - c else -1
+
+let mem t k = t.compiled && find_slot t (k / t.cap) (k mod t.cap) >= 0
+
+(* A key outside the compiled pattern sends the matrix back to building
+   mode.  Right after [begin_stamp] every kept value is +0.0, and a key
+   first seen here starts at -0.0, the exact additive identity: the
+   stamp that follows then leaves every cell with the same bits as
+   accumulating that stamp in the hashtable would (a new cell takes its
+   first addend as is, an old one adds it to +0.0). *)
+let reserve t ~extras keys =
+  let n = Array.length keys in
+  let rec inside p =
+    p >= n
+    ||
+    let k = decode ~extras keys.(p) in
+    (k < 0 || mem t k) && inside (p + 1)
+  in
+  if not (t.compiled && inside 0) then begin
+    if t.compiled then decompile t;
+    Array.iter
+      (fun c ->
+        let k = decode ~extras c in
+        if k >= 0 && not (Hashtbl.mem t.building k) then Hashtbl.add t.building k (-0.0))
+      keys
+  end
+
+let resolve t keys slots =
+  if not t.compiled then invalid_arg "Sparse.resolve: pattern not compiled";
+  let dump = Array.length t.rowind and complete = ref true in
+  Array.iteri
+    (fun p c ->
+      let k = decode ~extras:true c in
+      slots.(p) <-
+        (if k < 0 then dump
+         else
+           match find_slot t (k / t.cap) (k mod t.cap) with
+           | -1 ->
+             if c >= 0 then invalid_arg "Sparse.resolve: key outside the pattern";
+             complete := false;
+             dump
+           | slot -> slot))
+    keys;
+  !complete
+
+let get t i j =
+  if t.compiled && i >= 0 && j >= 0 then
+    match find_slot t i j with -1 -> None | p -> Some t.vals.(p)
+  else None
 
 (* --- pattern compilation ----------------------------------------------- *)
 
@@ -256,7 +303,7 @@ let compile t =
   let nz = List.length entries in
   let colptr = Array.make (m + 1) 0 in
   let rowind = Array.make nz 0 in
-  let vals = Array.make nz 0.0 in
+  let vals = Array.make (nz + 1) 0.0 in
   let diag_slot = Array.make m (-1) in
   let p = ref 0 in
   List.iter
@@ -275,6 +322,7 @@ let compile t =
   t.vals <- vals;
   t.diag_slot <- diag_slot;
   t.compiled <- true;
+  t.gen <- t.gen + 1;
   t.have_factor <- false;
   Hashtbl.reset t.building;
   t.q <- min_degree_order m colptr rowind;

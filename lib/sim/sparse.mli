@@ -32,8 +32,9 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
-(** The right-hand-side buffer (length [capacity]); {!factor_solve}
-    overwrites its leading active entries with the solution. *)
+(** The right-hand-side buffer (length [capacity + 1]; index [capacity]
+    is the dump for ground rows); {!factor_solve} overwrites its leading
+    active entries with the solution. *)
 val rhs : t -> float array
 
 (** [begin_stamp t ~n] opens a stamping pass for an [n]-unknown system:
@@ -41,15 +42,44 @@ val rhs : t -> float array
     right-hand side. *)
 val begin_stamp : t -> n:int -> unit
 
-(** [add t i j v] accumulates [v] at matrix position [(i, j)]; no-op
-    when either index is negative (ground). *)
-val add : t -> int -> int -> float -> unit
+(** [key t ?extra i j] encodes coordinate [(i, j)] for {!reserve} and
+    {!resolve}: [-1] when either index is negative (ground); with
+    [~extra:true] the coordinate is stamped only by passes that include
+    extras. *)
+val key : t -> ?extra:bool -> int -> int -> int
 
-(** [add_rhs t i v] accumulates [v] into the right-hand side. *)
-val add_rhs : t -> int -> float -> unit
+(** [reserve t ~extras keys] makes every key of [keys] (extras only when
+    [extras]) part of the pattern.  When one lies outside the compiled
+    pattern the matrix returns to building mode and the next {!finish}
+    compiles the grown union.  Called right after {!begin_stamp}, a
+    reserve, a {!finish} and additions into the resolved slots leave
+    every value with the bits the same additions would give if
+    accumulated coordinate by coordinate. *)
+val reserve : t -> extras:bool -> int array -> unit
 
 (** Seals the stamping pass, compiling the pattern if it grew. *)
 val finish : t -> unit
+
+(** Changes whenever the pattern is compiled or decompiled, i.e. whenever
+    slots written by {!resolve} may have moved. *)
+val generation : t -> int
+
+(** [resolve t keys slots] writes the index in {!values} of every key
+    into [slots] (the ground dump, one past the last value slot, for
+    ground), and answers whether every extra key is in the pattern too;
+    an extra key outside it resolves to the dump.  Raises
+    [Invalid_argument] when the pattern is not compiled or lacks a key
+    that is not an extra. *)
+val resolve : t -> int array -> int array -> bool
+
+(** [get t i j] is the compiled value at [(i, j)], [None] outside the
+    pattern or before compilation. *)
+val get : t -> int -> int -> float option
+
+(** The compiled values, indexed by the slots of {!resolve}.
+    Compilation replaces the array, so fetch it after the slots are
+    resolved. *)
+val values : t -> float array
 
 (** Factors the stamped system and overwrites the leading [n] entries of
     {!rhs} with the solution.  Chooses refactorisation when the stored

@@ -7,17 +7,17 @@ let checkf tol = Alcotest.(check (float tol))
 let lu_tests =
   [
     Alcotest.test_case "solves 2x2" `Quick (fun () ->
-        let a = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
+        let a = [| 2.0; 1.0; 1.0; 3.0 |] in
         let x = Sim.Lu.solve_copy a [| 5.0; 10.0 |] in
         checkf 1e-12 "x0" 1.0 x.(0);
         checkf 1e-12 "x1" 3.0 x.(1));
     Alcotest.test_case "pivots when diagonal is zero" `Quick (fun () ->
-        let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
+        let a = [| 0.0; 1.0; 1.0; 0.0 |] in
         let x = Sim.Lu.solve_copy a [| 2.0; 3.0 |] in
         checkf 1e-12 "x0" 3.0 x.(0);
         checkf 1e-12 "x1" 2.0 x.(1));
     Alcotest.test_case "raises on singular" `Quick (fun () ->
-        let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+        let a = [| 1.0; 2.0; 2.0; 4.0 |] in
         match Sim.Lu.solve_copy a [| 1.0; 2.0 |] with
         | exception Sim.Lu.Singular _ -> ()
         | _ -> Alcotest.fail "expected Singular");
@@ -35,17 +35,17 @@ let lu_qcheck =
     Test.make ~name:"lu residual small on random 6x6" ~count:200
       (make (gen_system 6)) (fun (flat, b) ->
         let n = 6 in
-        let a = Array.init n (fun i -> Array.sub flat (i * n) n) in
+        let a = Array.copy flat in
         (* Diagonal boost keeps the matrices comfortably nonsingular. *)
         for i = 0 to n - 1 do
-          a.(i).(i) <- a.(i).(i) +. 50.0
+          a.((i * n) + i) <- a.((i * n) + i) +. 50.0
         done;
         let x = Sim.Lu.solve_copy a b in
         let ok = ref true in
         for i = 0 to n - 1 do
           let s = ref 0.0 in
           for j = 0 to n - 1 do
-            s := !s +. (a.(i).(j) *. x.(j))
+            s := !s +. (a.((i * n) + j) *. x.(j))
           done;
           if Float.abs (!s -. b.(i)) > 1e-6 then ok := false
         done;
@@ -53,37 +53,47 @@ let lu_qcheck =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* The evaluator's outputs at one bias, read back out of its scratch. *)
+type mos_eval = { ids : float; gm : float; gds : float }
+
+let mos_eval model ~w ~l ~vgs ~vds =
+  let s = Sim.Mosfet.make_scratch () in
+  s.(Sim.Mosfet.vgs) <- vgs;
+  s.(Sim.Mosfet.vds) <- vds;
+  Sim.Mosfet.eval model ~w ~l s;
+  { ids = s.(Sim.Mosfet.ids); gm = s.(Sim.Mosfet.gm); gds = s.(Sim.Mosfet.gds) }
+
 let mosfet_tests =
   let nmos = Netlist.Device.default_nmos in
   let pmos = Netlist.Device.default_pmos in
-  let eval_n = Sim.Mosfet.eval nmos ~w:10e-6 ~l:1e-6 in
-  let eval_p = Sim.Mosfet.eval pmos ~w:10e-6 ~l:1e-6 in
+  let eval_n = mos_eval nmos ~w:10e-6 ~l:1e-6 in
+  let eval_p = mos_eval pmos ~w:10e-6 ~l:1e-6 in
   [
     Alcotest.test_case "cutoff" `Quick (fun () ->
         let e = eval_n ~vgs:0.2 ~vds:3.0 in
-        checkf 1e-15 "ids" 0.0 e.Sim.Mosfet.ids);
+        checkf 1e-15 "ids" 0.0 e.ids);
     Alcotest.test_case "saturation current" `Quick (fun () ->
         (* beta = 60u*10 = 600u; vov = 1.2; ids = 0.5*600u*1.44*(1+0.02*3). *)
         let e = eval_n ~vgs:2.0 ~vds:3.0 in
-        checkf 1e-9 "ids" (0.5 *. 600e-6 *. 1.44 *. 1.06) e.Sim.Mosfet.ids;
-        check_bool "gm > 0" true (e.Sim.Mosfet.gm > 0.0);
-        check_bool "gds > 0" true (e.Sim.Mosfet.gds > 0.0));
+        checkf 1e-9 "ids" (0.5 *. 600e-6 *. 1.44 *. 1.06) e.ids;
+        check_bool "gm > 0" true (e.gm > 0.0);
+        check_bool "gds > 0" true (e.gds > 0.0));
     Alcotest.test_case "linear region" `Quick (fun () ->
         let e = eval_n ~vgs:2.0 ~vds:0.1 in
         let expect = 600e-6 *. ((1.2 *. 0.1) -. 0.005) *. (1.0 +. (0.02 *. 0.1)) in
-        checkf 1e-9 "ids" expect e.Sim.Mosfet.ids);
+        checkf 1e-9 "ids" expect e.ids);
     Alcotest.test_case "reverse conduction antisymmetry" `Quick (fun () ->
         (* With lambda = 0 the channel is symmetric: swapping D and S
            negates the current. *)
         let m = { nmos with Netlist.Device.lambda = 0.0 } in
-        let ev = Sim.Mosfet.eval m ~w:10e-6 ~l:1e-6 in
+        let ev = mos_eval m ~w:10e-6 ~l:1e-6 in
         let fwd = ev ~vgs:2.0 ~vds:1.0 in
         let rev = ev ~vgs:1.0 ~vds:(-1.0) in
-        checkf 1e-12 "antisym" fwd.Sim.Mosfet.ids (-.rev.Sim.Mosfet.ids));
+        checkf 1e-12 "antisym" fwd.ids (-.rev.ids));
     Alcotest.test_case "pmos mirrors nmos" `Quick (fun () ->
         let ep = eval_p ~vgs:(-2.0) ~vds:(-3.0) in
-        check_bool "negative current" true (ep.Sim.Mosfet.ids < 0.0);
-        check_bool "gm positive" true (ep.Sim.Mosfet.gm > 0.0));
+        check_bool "negative current" true (ep.ids < 0.0);
+        check_bool "gm positive" true (ep.gm > 0.0));
     Alcotest.test_case "regions" `Quick (fun () ->
         Alcotest.(check string) "off" "off" (Sim.Mosfet.region nmos ~vgs:0.1 ~vds:1.0);
         Alcotest.(check string) "lin" "linear" (Sim.Mosfet.region nmos ~vgs:3.0 ~vds:0.5);
@@ -105,15 +115,15 @@ let mosfet_qcheck =
           model.Netlist.Device.mname
       in
       Test.make ~name ~count:500 (make bias) (fun (vgs, vds) ->
-          let ev = Sim.Mosfet.eval model ~w:10e-6 ~l:1e-6 in
+          let ev = mos_eval model ~w:10e-6 ~l:1e-6 in
           let e = ev ~vgs ~vds in
           let dh = 1e-7 in
           let e_g = ev ~vgs:(vgs +. dh) ~vds in
           let e_d = ev ~vgs ~vds:(vds +. dh) in
-          let fd_gm = (e_g.Sim.Mosfet.ids -. e.Sim.Mosfet.ids) /. dh in
-          let fd_gds = (e_d.Sim.Mosfet.ids -. e.Sim.Mosfet.ids) /. dh in
+          let fd_gm = (e_g.ids -. e.ids) /. dh in
+          let fd_gds = (e_d.ids -. e.ids) /. dh in
           let close a b = Float.abs (a -. b) <= 1e-4 +. (1e-3 *. Float.abs b) in
-          close fd_gm e.Sim.Mosfet.gm && close fd_gds e.Sim.Mosfet.gds))
+          close fd_gm e.gm && close fd_gds e.gds))
     models
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -749,6 +759,20 @@ let mna_edge_tests =
         Alcotest.(check string) "name" "I(V1)" (Sim.Mna.unknown_name m 0));
   ]
 
+(* One stamping pass through the sparse backend's slot interface:
+   reserve the coordinates, compile, add through the resolved slots. *)
+let sparse_stamp sp ~n entries rhs =
+  Sim.Sparse.begin_stamp sp ~n;
+  let keys = Array.of_list (List.map (fun (i, j, _) -> Sim.Sparse.key sp i j) entries) in
+  Sim.Sparse.reserve sp ~extras:false keys;
+  Sim.Sparse.finish sp;
+  let slots = Array.make (Array.length keys) 0 in
+  ignore (Sim.Sparse.resolve sp keys slots);
+  let vals = Sim.Sparse.values sp in
+  List.iteri (fun k (_, _, v) -> vals.(slots.(k)) <- vals.(slots.(k)) +. v) entries;
+  let b = Sim.Sparse.rhs sp in
+  List.iter (fun (i, v) -> b.(i) <- b.(i) +. v) rhs
+
 (* The solver layer itself: backend selection, the sparse backend's
    stamp/compile/factor lifecycle, and dense/sparse agreement on whole
    analyses. *)
@@ -775,14 +799,9 @@ let solver_tests =
         check_bool "big is sparse" true (Sim.Solver.backend big = Sim.Solver.Sparse));
     Alcotest.test_case "sparse solves a stamped 2x2" `Quick (fun () ->
         let sp = Sim.Sparse.create ~capacity:2 in
-        Sim.Sparse.begin_stamp sp ~n:2;
-        Sim.Sparse.add sp 0 0 2.0;
-        Sim.Sparse.add sp 0 1 1.0;
-        Sim.Sparse.add sp 1 0 1.0;
-        Sim.Sparse.add sp 1 1 3.0;
-        Sim.Sparse.add_rhs sp 0 5.0;
-        Sim.Sparse.add_rhs sp 1 10.0;
-        Sim.Sparse.finish sp;
+        sparse_stamp sp ~n:2
+          [ (0, 0, 2.0); (0, 1, 1.0); (1, 0, 1.0); (1, 1, 3.0) ]
+          [ (0, 5.0); (1, 10.0) ];
         Sim.Sparse.factor_solve sp;
         let x = Sim.Sparse.rhs sp in
         checkf 1e-12 "x0" 1.0 x.(0);
@@ -790,14 +809,10 @@ let solver_tests =
     Alcotest.test_case "sparse refactorises on a stable pattern" `Quick (fun () ->
         let sp = Sim.Sparse.create ~capacity:3 in
         for round = 1 to 3 do
-          Sim.Sparse.begin_stamp sp ~n:3;
-          for i = 0 to 2 do
-            Sim.Sparse.add sp i i (4.0 +. float_of_int round);
-            Sim.Sparse.add_rhs sp i 1.0
-          done;
-          Sim.Sparse.add sp 0 2 1.0;
-          Sim.Sparse.add sp 2 0 1.0;
-          Sim.Sparse.finish sp;
+          let d = 4.0 +. float_of_int round in
+          sparse_stamp sp ~n:3
+            [ (0, 0, d); (1, 1, d); (2, 2, d); (0, 2, 1.0); (2, 0, 1.0) ]
+            [ (0, 1.0); (1, 1.0); (2, 1.0) ];
           Sim.Sparse.factor_solve sp
         done;
         let full, refactor, solves, symbolic, _ = Sim.Sparse.stats sp in
@@ -808,12 +823,7 @@ let solver_tests =
     Alcotest.test_case "sparse raises Singular on a rank-1 system" `Quick
       (fun () ->
         let sp = Sim.Sparse.create ~capacity:2 in
-        Sim.Sparse.begin_stamp sp ~n:2;
-        Sim.Sparse.add sp 0 0 1.0;
-        Sim.Sparse.add sp 0 1 2.0;
-        Sim.Sparse.add sp 1 0 2.0;
-        Sim.Sparse.add sp 1 1 4.0;
-        Sim.Sparse.finish sp;
+        sparse_stamp sp ~n:2 [ (0, 0, 1.0); (0, 1, 2.0); (1, 0, 2.0); (1, 1, 4.0) ] [];
         match Sim.Sparse.factor_solve sp with
         | exception Sim.Sparse.Singular i ->
             check_bool "original index" true (i = 0 || i = 1)
@@ -942,7 +952,7 @@ let clu_tests =
     Alcotest.test_case "Lu.Singular reports the post-pivot row" `Quick (fun () ->
         (* Column 0 pivots on row 1, so the vanished second pivot lives in
            original row 0 - the payload must say 0, not 1. *)
-        let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+        let a = [| 1.0; 2.0; 2.0; 4.0 |] in
         match Sim.Lu.solve_copy a [| 1.0; 2.0 |] with
         | exception Sim.Lu.Singular row -> Alcotest.(check int) "row" 0 row
         | _ -> Alcotest.fail "expected Singular");
@@ -952,6 +962,353 @@ let clu_tests =
         match Sim.Clu.solve_copy a [| r 1.0; r 2.0 |] with
         | exception Sim.Clu.Singular row -> Alcotest.(check int) "row" 0 row
         | _ -> Alcotest.fail "expected Singular");
+  ]
+
+(* --- The stamp plan against a naive assembly ---------------------------- *)
+
+(* A test-local MNA assembly of a device list, written entry by entry the
+   way the seed stamped: every coordinate accumulates its additions in
+   stamp order, starting from [init (i, j)].  [row] maps a node or branch
+   name to its unknown (ground: -1). *)
+let naive_assembly ~options ~mode ~prev ~row ~node_rows ~init devices v =
+  let open Sim.Engine in
+  let cells = Hashtbl.create 64 and rhs = Array.make (Array.length v) 0.0 in
+  let add i j x =
+    if i >= 0 && j >= 0 then begin
+      let old = match Hashtbl.find_opt cells (i, j) with Some y -> y | None -> init (i, j) in
+      Hashtbl.replace cells (i, j) (old +. x)
+    end
+  in
+  let add_rhs i x = if i >= 0 then rhs.(i) <- rhs.(i) +. x in
+  let cond i j g =
+    add i i g;
+    add j j g;
+    add i j (-.g);
+    add j i (-.g)
+  in
+  let gv w i = if i < 0 then 0.0 else w.(i) in
+  let cap i j c =
+    match mode with
+    | `Dc _ -> ()
+    | `Tran (h, _) ->
+      (* State as a transient start sets it: the previous voltage across,
+         no previous current. *)
+      let q = gv prev i -. gv prev j and f = 0.0 in
+      let geq, const =
+        match options.integration with
+        | Backward_euler -> let geq = c /. h in (geq, geq *. q)
+        | Trapezoidal -> let geq = 2.0 *. c /. h in (geq, (geq *. q) +. f)
+      in
+      cond i j geq;
+      add_rhs i const;
+      add_rhs j (-.const)
+  in
+  let source wave =
+    match mode with
+    | `Dc scale -> scale *. Netlist.Wave.dc_value wave
+    | `Tran (_, time) -> Netlist.Wave.value wave time
+  in
+  let gmin = options.gmin in
+  List.iter
+    (fun dev ->
+      match (dev : Netlist.Device.t) with
+      | R { n1; n2; value; _ } -> cond (row n1) (row n2) (1.0 /. value)
+      | C { n1; n2; value; _ } -> cap (row n1) (row n2) value
+      | L { name; n1; n2; value; _ } ->
+        let i = row n1 and j = row n2 and br = row ("I(" ^ name ^ ")") in
+        add i br 1.0;
+        add j br (-1.0);
+        add br i 1.0;
+        add br j (-1.0);
+        (match mode with
+        | `Dc _ -> ()
+        | `Tran (h, _) ->
+          let q = prev.(br) and f = gv prev i -. gv prev j in
+          (match options.integration with
+          | Backward_euler ->
+            let r = value /. h in
+            add br br (-.r);
+            add_rhs br (-.r *. q)
+          | Trapezoidal ->
+            let r = 2.0 *. value /. h in
+            add br br (-.r);
+            add_rhs br ((-.r *. q) -. f)))
+      | V { name; np; nn; wave } ->
+        let i = row np and j = row nn and br = row ("I(" ^ name ^ ")") in
+        add i br 1.0;
+        add j br (-1.0);
+        add br i 1.0;
+        add br j (-1.0);
+        add_rhs br (source wave)
+      | I { np; nn; wave; _ } ->
+        let cur = source wave in
+        add_rhs (row np) (-.cur);
+        add_rhs (row nn) cur
+      | D { na; nc; model; _ } ->
+        let i = row na and j = row nc in
+        let nvt = model.n_emission *. 0.025852 in
+        let vd = gv v i -. gv v j in
+        let x = vd /. nvt in
+        let e, de = if x > 40.0 then (exp 40.0 *. (1.0 +. x -. 40.0), exp 40.0) else (exp x, exp x) in
+        let id = model.is_sat *. (e -. 1.0) in
+        let gd = (model.is_sat *. de /. nvt) +. gmin in
+        let ieq = id -. (gd *. vd) in
+        cond i j gd;
+        add_rhs i (-.ieq);
+        add_rhs j ieq
+      | M { d; g; s; model; w; l; _ } ->
+        let d = row d and g = row g and s = row s in
+        let cg = 0.5 *. model.cox *. w *. l in
+        cap g s cg;
+        cap g d cg;
+        let vgs = gv v g -. gv v s and vds = gv v d -. gv v s in
+        let e = mos_eval model ~w ~l ~vgs ~vds in
+        let gds = e.gds +. gmin in
+        let ieq = e.ids -. (e.gm *. vgs) -. (gds *. vds) in
+        add d d gds;
+        add d g e.gm;
+        add d s (-.(e.gm +. gds));
+        add s d (-.gds);
+        add s g (-.e.gm);
+        add s s (e.gm +. gds);
+        add_rhs d (-.ieq);
+        add_rhs s ieq)
+    devices;
+  List.iter
+    (fun i ->
+      add i i gmin;
+      match mode with
+      | `Tran (h, _) when options.cmin > 0.0 ->
+        let geq = options.cmin /. h in
+        add i i geq;
+        add_rhs i (geq *. prev.(i))
+      | `Tran _ | `Dc _ -> ())
+    node_rows;
+  (cells, rhs)
+
+(* Circuits the plan must assemble: the solver-bench generators, small
+   random MOS/RC circuits of the kind Row_synth lays out (plus an
+   inductor, a current source and a diode, so every device kind is
+   stamped), and the paper's VCO. *)
+let plan_circuit_gen =
+  let open QCheck.Gen in
+  let nets = [ "0"; "vdd"; "a"; "b"; "c"; "d" ] in
+  let net = oneofl nets in
+  let mos i =
+    map
+      (fun (p, (d, g, s), w_um) ->
+        let model = if p then Netlist.Device.default_pmos else Netlist.Device.default_nmos in
+        Netlist.Device.M
+          { name = Printf.sprintf "M%d" i; d; g; s; b = (if p then "vdd" else "0"); model;
+            w = float_of_int w_um *. 1e-6; l = 1e-6 })
+      (triple bool (triple net net net) (int_range 2 40))
+  in
+  let random_mos =
+    int_range 1 6 >>= fun n ->
+    map2
+      (fun ms (a, b) ->
+        Netlist.Circuit.of_devices "random"
+          ([ Netlist.Device.V
+               { name = "VDD"; np = "vdd"; nn = "0";
+                 wave = Netlist.Wave.Pulse
+                     { v1 = 0.0; v2 = 5.0; delay = 0.0; rise = 5e-8; fall = 5e-8;
+                       width = 1e-6; period = 0.0 } };
+             Netlist.Device.C { name = "C1"; n1 = "a"; n2 = "0"; value = 5e-13; ic = None };
+             Netlist.Device.L { name = "L1"; n1 = a; n2 = "b"; value = 1e-6; ic = None };
+             Netlist.Device.I { name = "I1"; np = "c"; nn = b; wave = Netlist.Wave.Dc 1e-5 };
+             Netlist.Device.D
+               { name = "D1"; na = "d"; nc = "0"; model = Netlist.Device.default_diode };
+             Netlist.Device.R { name = "R1"; n1 = "vdd"; n2 = "d"; value = 1e4 } ]
+          @ ms))
+      (flatten_l (List.init n mos))
+      (pair net net)
+  in
+  frequency
+    [
+      (3, random_mos);
+      (1, map (fun n -> Synth.Circuit_synth.rc_ladder ~diodes:true ~sections:n ()) (int_range 1 17));
+      ( 1,
+        map2
+          (fun (r, c) caps -> Synth.Circuit_synth.resistor_grid ~caps ~rows:r ~cols:c ())
+          (pair (int_range 2 4) (int_range 2 4))
+          bool );
+      (1, return (Vco.Schematic.schematic ()));
+    ]
+
+(* A fault-patched view of [c]: none, an overlay-branch bridge (source
+   model) or a resistive one, an overlay-node open (resistor or source
+   model), or a stuck-open transistor. *)
+let plan_patch c pick =
+  let devices = Array.of_list (Netlist.Circuit.devices c) in
+  let nets = Array.of_list (List.filter (fun n -> n <> "0") (Netlist.Circuit.nodes c)) in
+  let at k a = a.(k mod Array.length a) in
+  let fault kind = Faults.Fault.make ~id:"#p" ~kind ~mechanism:"test" () in
+  let bridge model =
+    let a = at pick nets and b = at (pick / 7) nets in
+    Faults.Inject.apply ~model c (fault (Faults.Fault.Bridge { net_a = a; net_b = if a = b then "0" else b }))
+  in
+  let break model =
+    let dev = at (pick / 3) devices in
+    let ports = List.mapi (fun p n -> (p, n)) (Netlist.Device.nodes dev) in
+    match List.filter (fun (_, n) -> n <> "0") ports with
+    | [] -> c
+    | ps ->
+      let port, net = List.nth ps (pick mod List.length ps) in
+      Faults.Inject.apply ~model c
+        (fault
+           (Faults.Fault.Break
+              { net; moved = [ { Faults.Fault.device = Netlist.Device.name dev; port } ] }))
+  in
+  match pick mod 6 with
+  | 0 -> c
+  | 1 -> bridge Faults.Inject.Source
+  | 2 -> bridge Faults.Inject.default_resistor
+  | 3 -> break Faults.Inject.default_resistor
+  | 4 -> break Faults.Inject.Source
+  | _ -> (
+    match Array.to_list devices |> List.filter (function Netlist.Device.M _ -> true | _ -> false) with
+    | [] -> c
+    | ms ->
+      Faults.Inject.apply ~model:Faults.Inject.Source c
+        (fault (Faults.Fault.Stuck_open { device = Netlist.Device.name (List.nth ms (pick mod List.length ms)) })))
+
+let bits x = Int64.bits_of_float x
+
+let same_bits a b = Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+(* One session per case: a DC pass, a transient pass (on the sparse
+   backend the pattern grows by the companion models, so the matrix is
+   decompiled and recompiled) and a second transient pass (the
+   steady-state slots and, sparse, a numeric refactorisation).  Each
+   pass must equal the naive assembly bit for bit, and so must its
+   solution: dense through [Lu], sparse through a reference [Sparse]
+   instance fed the naive entries in the same sequence of passes. *)
+let plan_matches_naive ~backend ~integration c patched seed =
+  let options = { Sim.Engine.default_options with solver = backend; integration } in
+  let s = Sim.Engine.Session.create ~options c in
+  let rng = Random.State.make [| seed |] in
+  Sim.Engine.Session.with_patch s patched (fun s ->
+      let names = Sim.Engine.Private.unknowns s in
+      let n = Array.length names in
+      let index = Hashtbl.create 64 in
+      Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+      let row name = if name = Netlist.Device.ground then -1 else Hashtbl.find index name in
+      let node_rows =
+        List.filter
+          (fun i -> not (String.length names.(i) > 2 && String.sub names.(i) 0 2 = "I("))
+          (List.init n Fun.id)
+      in
+      let devices = Netlist.Circuit.devices patched in
+      let vector () = Array.init n (fun _ -> Random.State.float rng 6.0 -. 1.0) in
+      (* The stored cells of the previous pass: on the sparse backend the
+         pattern, whose kept cells restart at +0.0 while a cell first
+         seen takes its first addend as is (starts at -0.0). *)
+      let pattern = Hashtbl.create 64 in
+      let reference = Sim.Sparse.create ~capacity:n in
+      let check mode =
+        let prev = vector () and v = vector () in
+        let init key =
+          if backend = Sim.Solver.Dense || Hashtbl.mem pattern key then 0.0 else -0.0
+        in
+        let cells, rhs =
+          naive_assembly ~options ~mode ~prev ~row ~node_rows ~init devices v
+        in
+        let got = Sim.Engine.Private.assemble s ~mode ~prev v in
+        let stored = Hashtbl.create 64 in
+        let cells_ok =
+          List.for_all
+            (fun (i, j, x) ->
+              Hashtbl.replace stored (i, j) ();
+              let want = match Hashtbl.find_opt cells (i, j) with Some y -> y | None -> 0.0 in
+              bits want = bits x)
+            got.cells
+          && Hashtbl.fold (fun key _ ok -> ok && Hashtbl.mem stored key) cells true
+        in
+        Hashtbl.reset pattern;
+        Hashtbl.iter (fun key () -> Hashtbl.replace pattern key ()) stored;
+        (* The same system solved outside the plan. *)
+        let expected =
+          match backend with
+          | Sim.Solver.Sparse ->
+            let entries = Hashtbl.fold (fun (i, j) x acc -> (i, j, x) :: acc) cells [] in
+            Sim.Sparse.begin_stamp reference ~n;
+            let keys = Array.of_list (List.map (fun (i, j, _) -> Sim.Sparse.key reference i j) entries) in
+            Sim.Sparse.reserve reference ~extras:false keys;
+            Sim.Sparse.finish reference;
+            let slots = Array.make (Array.length keys) 0 in
+            ignore (Sim.Sparse.resolve reference keys slots);
+            let vals = Sim.Sparse.values reference in
+            List.iteri (fun k (_, _, x) -> vals.(slots.(k)) <- x) entries;
+            Array.blit rhs 0 (Sim.Sparse.rhs reference) 0 n;
+            (match Sim.Sparse.factor_solve reference with
+            | () -> Ok (Array.sub (Sim.Sparse.rhs reference) 0 n)
+            | exception Sim.Sparse.Singular i -> Error i)
+          | Sim.Solver.Dense | Sim.Solver.Auto ->
+            let a = Array.make (n * n) 0.0 in
+            Hashtbl.iter (fun (i, j) x -> a.((i * n) + j) <- x) cells;
+            (match Sim.Lu.solve_copy a rhs with
+            | x -> Ok x
+            | exception Sim.Lu.Singular i -> Error i)
+        in
+        let solution_ok =
+          match (expected, got.solution) with
+          | Ok x, Ok y -> same_bits x y
+          | Error i, Error j -> i = j
+          | Ok _, Error _ | Error _, Ok _ -> false
+        in
+        cells_ok && same_bits rhs got.rhs && solution_ok
+      in
+      let h = 1e-9 *. (1.0 +. Random.State.float rng 9.0) in
+      check (`Dc (0.5 +. Random.State.float rng 0.5))
+      && check (`Tran (h, 3e-8))
+      && check (`Tran (h /. 2.0, 6e-8)))
+
+let plan_qcheck =
+  let open QCheck in
+  let case =
+    Gen.(quad plan_circuit_gen (int_bound 10_000) (int_bound 10_000) bool)
+  in
+  let print (c, pick, seed, trap) =
+    Format.asprintf "pick=%d seed=%d trap=%b@.%a" pick seed trap Netlist.Circuit.pp c
+  in
+  List.map
+    (fun backend ->
+      Test.make ~count:200
+        ~name:
+          (Printf.sprintf "%s stamp plan equals a naive assembly, bit for bit"
+             (Sim.Solver.backend_to_string backend))
+        (make ~print case)
+        (fun (c, pick, seed, trap) ->
+          let integration = if trap then Sim.Engine.Trapezoidal else Sim.Engine.Backward_euler in
+          plan_matches_naive ~backend ~integration c (plan_patch c pick) seed))
+    [ Sim.Solver.Dense; Sim.Solver.Sparse ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+(* Per-iteration allocation of the Newton loop on the paper's VCO.  The
+   compiled stamp plan adds through precomputed slots and the device
+   evaluators write into a session scratch, so what is left per
+   iteration is the per-step bookkeeping (the accepted sample, the mode
+   record) spread over the iterations of each step. *)
+let alloc_tests =
+  [
+    Alcotest.test_case "VCO transient allocates little per Newton iteration" `Quick
+      (fun () ->
+        let s = Sim.Engine.Session.create (Vco.Schematic.schematic ()) in
+        let run () =
+          Sim.Engine.Session.transient s ~tstep:Vco.Schematic.tran.Netlist.Parser.tstep
+            ~tstop:1e-6 ~uic:true
+        in
+        ignore (run ());
+        let w0 = Gc.minor_words () in
+        let _, st = run () in
+        let words = Gc.minor_words () -. w0 in
+        let per_iter = words /. float_of_int st.Sim.Engine.newton_iterations in
+        (* 46 words on this kernel.  The bound leaves a 4x margin and
+           fails a stamp that boxes a float per matrix entry (about
+           1,700 words). *)
+        check_bool
+          (Printf.sprintf "%.1f minor words per iteration, bound 200" per_iter)
+          true (per_iter < 200.0));
   ]
 
 let suites =
@@ -970,4 +1327,6 @@ let suites =
     ("sim.mna.edges", mna_edge_tests);
     ("sim.solver", solver_tests);
     ("sim.clu.scratch", clu_tests);
+    ("sim.plan.properties", plan_qcheck);
+    ("sim.alloc", alloc_tests);
   ]
