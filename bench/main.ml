@@ -1,37 +1,30 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's experiment index), plus the two
-   timing experiments the perf workloads do not cover.  Speed claims
+   paper's evaluation (see DESIGN.md's experiment index), plus the one
+   timing experiment the perf workloads do not cover.  Speed claims
    otherwise come from bench/perf's BENCH_*.json records.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- quick   # skip the slow experiments
      dune exec bench/main.exe -- obs     # only the telemetry-overhead experiment
-     dune exec bench/main.exe -- solver  # only the solver-backend crossover
 *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   List.iter
     (fun a ->
-      if not (List.mem a [ "quick"; "obs"; "solver" ]) then begin
-        Printf.eprintf "unknown argument %S (usage: main.exe [quick|obs|solver])\n" a;
+      if not (List.mem a [ "quick"; "obs" ]) then begin
+        Printf.eprintf "unknown argument %S (usage: main.exe [quick|obs])\n" a;
         exit 2
       end)
     args;
   let quick = List.mem "quick" args in
   let obs_only = List.mem "obs" args in
-  let solver_only = List.mem "solver" args in
   Printf.printf
     "Reproduction harness: Sebeke/Teixeira/Ohletz, DATE 1995\n\
      'Automatic Fault Extraction and Simulation of Layout Realistic Faults\n\
      for Integrated Analogue Circuits'\n";
   if obs_only then begin
     Exp_obs.run ();
-    Helpers.banner "Done";
-    exit 0
-  end;
-  if solver_only then begin
-    Exp_solver.run ();
     Helpers.banner "Done";
     exit 0
   end;
@@ -46,7 +39,6 @@ let () =
     Exp_montecarlo.run ();
     Exp_testprep.run ();
     Exp_ablation.run fig5_run;
-    Exp_obs.run ();
-    Exp_solver.run ()
+    Exp_obs.run ()
   end;
   Helpers.banner "Done"

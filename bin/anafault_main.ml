@@ -2,7 +2,7 @@
 
      dune exec bin/anafault_main.exe -- CIRCUIT.cir
          [--faults faults.flt | --universe] [--observe NODE]
-         [--model source|resistor] [--solver auto|dense|sparse]
+         [--model source|resistor]
          [--tol-v V] [--tol-t S]
          [--domains N] [--batch N] [--limit N] [--csv FILE] [--plot]
          [--trace FILE.jsonl] [--metrics]
@@ -346,8 +346,8 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
 (* The CLI's flags collapse into a Campaign.spec: the deck and fault
    list travel as text, so the same value can run locally, go over the
    wire, or be saved and re-run via --spec. *)
-let spec_of_cli input fault_file universe observe model_name solver_name tol_v
-    tol_t domains batch limit retries_spec budget_iters budget_steps
+let spec_of_cli input fault_file universe observe model_name tol_v tol_t
+    domains batch limit retries_spec budget_iters budget_steps
     budget_seconds =
   let deck = read_file input in
   let faults =
@@ -366,7 +366,7 @@ let spec_of_cli input fault_file universe observe model_name solver_name tol_v
     | None -> faults
   in
   match
-    Campaign.options_of_cli ~model:model_name ~solver:solver_name ~tol_v ~tol_t
+    Campaign.options_of_cli ~model:model_name ~tol_v ~tol_t
       ~retries:retries_spec ~domains ~batch ?budget_iters ?budget_steps
       ?budget_seconds ()
   with
@@ -394,7 +394,7 @@ let load_spec path =
     | Ok spec -> spec
   end
 
-let run input fault_file universe observe model_name solver_name tol_v tol_t
+let run input fault_file universe observe model_name tol_v tol_t
     domains batch limit csv_file plot trace metrics journal_path resume
     retries_spec budget_iters budget_steps budget_seconds abort_after remote
     remote_retries remote_backoff remote_timeout client_name remote_stats
@@ -427,8 +427,8 @@ let run input fault_file universe observe model_name solver_name tol_v tol_t
       | Some path, _ -> Some (load_spec path)
       | None, Some input ->
         Some
-          (spec_of_cli input fault_file universe observe model_name solver_name
-             tol_v tol_t domains batch limit retries_spec budget_iters
+          (spec_of_cli input fault_file universe observe model_name tol_v
+             tol_t domains batch limit retries_spec budget_iters
              budget_steps budget_seconds)
       | None, None -> None
     in
@@ -462,12 +462,6 @@ let observe =
 
 let model_name =
   Arg.(value & opt string "source" & info [ "model" ] ~docv:"MODEL" ~doc:"Fault model: source or resistor.")
-
-let solver_name =
-  Arg.(value & opt string "auto"
-       & info [ "solver" ] ~docv:"BACKEND"
-           ~doc:"Linear-solver backend: auto (dense below the size \
-                 threshold, sparse above), dense, or sparse.")
 
 let tol_v =
   Arg.(value & opt float Anafault.Detect.paper_tolerance.Anafault.Detect.tol_v
@@ -614,7 +608,7 @@ let cmd =
     (Cmd.info "anafault" ~doc)
     Term.(
       const run $ input $ fault_file $ universe $ observe $ model_name
-      $ solver_name $ tol_v $ tol_t $ domains $ batch $ limit $ csv_file $ plot
+      $ tol_v $ tol_t $ domains $ batch $ limit $ csv_file $ plot
       $ trace $ metrics $ journal_path $ resume $ retries_spec $ budget_iters
       $ budget_steps $ budget_seconds $ abort_after $ remote $ remote_retries
       $ remote_backoff $ remote_timeout $ client_name $ remote_stats

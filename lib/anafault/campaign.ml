@@ -109,7 +109,6 @@ let sim_options_to_json (o : Sim.Engine.options) =
       ("cmin", J.Float o.Sim.Engine.cmin);
       ("integration", J.String (integration_to_string o.Sim.Engine.integration));
       ("budget", budget_to_json o.Sim.Engine.budget);
-      ("solver", J.String (Sim.Solver.backend_to_string o.Sim.Engine.solver));
     ]
 
 let sim_options_of_json json =
@@ -129,11 +128,6 @@ let sim_options_of_json json =
   let* budget =
     J.get fields "budget" ~default:d.Sim.Engine.budget budget_of_json
   in
-  let* solver =
-    J.get fields "solver" ~default:d.Sim.Engine.solver (fun v ->
-        let* s = J.as_str v in
-        Sim.Solver.backend_of_string s)
-  in
   Ok
     {
       Sim.Engine.gmin;
@@ -144,7 +138,6 @@ let sim_options_of_json json =
       cmin;
       integration;
       budget;
-      solver;
       (* Run-state, never serialised: the submitting side's token is
          meaningless in another process. *)
       cancel = Cancel.never;
@@ -209,7 +202,7 @@ let options_of_json json =
   let* batch = J.get fields "batch" ~default:d.batch J.as_int in
   validate_options { model; tolerance; sim; retries; samples; domains; batch }
 
-let options_of_cli ?(model = "source") ?(solver = "auto")
+let options_of_cli ?(model = "source")
     ?(tol_v = Detect.paper_tolerance.Detect.tol_v)
     ?(tol_t = Detect.paper_tolerance.Detect.tol_t) ?(retries = "swap-model")
     ?(samples = 400) ?(domains = 1) ?(batch = 0) ?budget_iters ?budget_steps
@@ -220,7 +213,6 @@ let options_of_cli ?(model = "source") ?(solver = "auto")
     | "resistor" -> Ok Faults.Inject.default_resistor
     | other -> Error (Printf.sprintf "unknown model %S (source|resistor)" other)
   in
-  let* solver = Sim.Solver.backend_of_string solver in
   let* retries = retries_of_spec retries in
   validate_options
     {
@@ -235,7 +227,6 @@ let options_of_cli ?(model = "source") ?(solver = "auto")
               max_steps = budget_steps;
               deadline_seconds = budget_seconds;
             };
-          solver;
         };
       retries;
       samples;

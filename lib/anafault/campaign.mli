@@ -15,9 +15,9 @@
 
     Everything about a campaign that is not the circuit, the stimulus or
     the fault list, collapsed into one documented record: fault model,
-    detection tolerance, kernel options (solver backend, integration
-    method, work budget included), retry ladder, output grid, scheduler
-    width and lock-step batch width.  The record round-trips through
+    detection tolerance, kernel options (integration method and work
+    budget included), retry ladder, output grid, scheduler width and
+    lock-step batch width.  The record round-trips through
     JSON ({!options_to_json}/{!options_of_json}) and builds from
     CLI-shaped primitives ({!options_of_cli}). *)
 type options = {
@@ -46,12 +46,10 @@ val options_of_json : Obs.Json.t -> (options, string) result
 
 (** [options_of_cli ()] builds {!options} from the CLI's primitive
     flags, validating each, ranges as {!options_of_json} does: [model]
-    is ["source"]/["resistor"], [solver] ["auto"]/["dense"]/["sparse"],
-    [retries] a comma-separated ladder (or ["none"]), the [budget_*]
-    knobs the per-fault work budget. *)
+    is ["source"]/["resistor"], [retries] a comma-separated ladder (or
+    ["none"]), the [budget_*] knobs the per-fault work budget. *)
 val options_of_cli :
   ?model:string ->
-  ?solver:string ->
   ?tol_v:float ->
   ?tol_t:float ->
   ?retries:string ->

@@ -406,7 +406,7 @@ let options_signature (o : Sim.Engine.options) =
   let b = o.Sim.Engine.budget in
   let opt f = function None -> "-" | Some v -> f v in
   Printf.sprintf
-    "gmin=%.17g;reltol=%.17g;abstol=%.17g;max_iter=%d;tran_max_iter=%d;dv_limit=%.17g;cmin=%.17g;integration=%s;budget=%s/%s/%s;solver=%s"
+    "gmin=%.17g;reltol=%.17g;abstol=%.17g;max_iter=%d;tran_max_iter=%d;dv_limit=%.17g;cmin=%.17g;integration=%s;budget=%s/%s/%s"
     o.Sim.Engine.gmin o.Sim.Engine.reltol o.Sim.Engine.abstol
     o.Sim.Engine.max_iter Sim.Engine.tran_max_iter o.Sim.Engine.dv_limit
     o.Sim.Engine.cmin
@@ -416,7 +416,6 @@ let options_signature (o : Sim.Engine.options) =
     (opt string_of_int b.Sim.Engine.max_newton_iterations)
     (opt string_of_int b.Sim.Engine.max_steps)
     (opt (Printf.sprintf "%.17g") b.Sim.Engine.deadline_seconds)
-    (Sim.Solver.backend_to_string o.Sim.Engine.solver)
 
 (* Everything that can change a per-fault result is hashed; the domain
    count and the telemetry sink deliberately are not (results are

@@ -21,7 +21,6 @@ type options = {
   cmin : float;
   integration : integration;
   budget : budget;
-  solver : Solver.backend;
   (* Pure run-state, not configuration: excluded from campaign
      fingerprints so cancellable and uncancellable runs of the same
      campaign share journals and cache entries. *)
@@ -38,7 +37,6 @@ let default_options =
     cmin = 1e-16;
     integration = Backward_euler;
     budget = unlimited;
-    solver = Solver.Auto;
     cancel = Cancel.never;
   }
 
@@ -163,10 +161,10 @@ let[@inline] exp_lim ev x =
    solver targets, plus the right-hand-side row of every RHS entry.  The
    per-device layout is fixed (the counts below); [stamp] walks the
    devices with one cursor into each array and adds through the slots,
-   so an iteration makes no per-entry call, no per-entry backend match
-   and no allocation.  Companion-model entries are marked transient-only:
-   DC stamps none of them, and the sparse pattern of a DC solve must hold
-   exactly the coordinates it stamps.
+   so an iteration makes no per-entry call and no allocation.
+   Companion-model entries are marked transient-only: DC stamps none of
+   them, and the pattern of a DC solve must hold exactly the coordinates
+   it stamps.
 
    Matrix entries / RHS rows per device:
      CR 4 / 0    CC 4 / 2 (transient only)    CL 4 + 1 / 1 (the last
@@ -176,7 +174,7 @@ let[@inline] exp_lim ev x =
    then one diagonal entry per pinned node row (gmin, and cmin in a
    transient). *)
 type plan = {
-  targets : Solver.targets;
+  targets : Sparse.targets;
   rhs : int array; (* ground -> the solver's dump row *)
   pins : int array; (* node rows pinned to ground *)
 }
@@ -197,9 +195,9 @@ let make_plan sv devices ~pins =
   let count f = Array.fold_left (fun n d -> n + f d) 0 devices in
   let keys = Array.make (count matrix_entries + Array.length pins) 0 in
   let rhs = Array.make (count rhs_entries) 0 in
-  let km = ref 0 and kr = ref 0 and ground = Solver.capacity sv in
+  let km = ref 0 and kr = ref 0 and ground = Sparse.capacity sv in
   let m ?(tran = false) i j =
-    keys.(!km) <- Solver.key sv ~tran i j;
+    keys.(!km) <- Sparse.key sv ~tran i j;
     incr km
   in
   let g ?tran i j =
@@ -257,7 +255,7 @@ let make_plan sv devices ~pins =
         r s)
     devices;
   Array.iter (fun i -> m i i) pins;
-  { targets = Solver.targets sv keys; rhs; pins }
+  { targets = Sparse.targets keys; rhs; pins }
 
 (* The adders of the device loop.  Top-level and inlined, so the float
    they add is never boxed. *)
@@ -305,7 +303,7 @@ let output_names mna =
    [names] labels every active unknown, for diagnostics. *)
 type ctx = {
   opts : options;
-  sv : Solver.t;
+  sv : Sparse.t;
   size : int;
   devices : cdev array;
   plan : plan;
@@ -330,8 +328,8 @@ let pinned_rows ~node_count ~extra_node =
 let stamp ~gmin ~mode ctx v =
   let opts = ctx.opts and plan = ctx.plan and sv = ctx.sv in
   let tran = match mode with Dc _ -> false | Tran _ -> true in
-  let sl = Solver.begin_stamp sv ~n:ctx.size ~tran plan.targets in
-  let a = Solver.matrix sv and b = Solver.solution sv and rows = plan.rhs in
+  let sl = Sparse.begin_stamp sv ~n:ctx.size ~tran plan.targets in
+  let a = Sparse.values sv and b = Sparse.rhs sv and rows = plan.rhs in
   let ev = ctx.ev and integration = opts.integration in
   let devices = ctx.devices in
   let km = ref 0 and kr = ref 0 in
@@ -482,7 +480,7 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
       Obs.sample ctx.obs "engine.lu.seconds_per_solve" !lu_seconds;
       if !clamp_hits > 0 then Obs.count ctx.obs "engine.newton.dv_clamp" !clamp_hits;
       if not ok then Obs.count ctx.obs "engine.newton.failed" 1;
-      Solver.flush_stats sv ctx.obs
+      Sparse.flush_stats sv ctx.obs
     end;
     result
   in
@@ -492,7 +490,7 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
   let assemble_and_solve () =
     if not traced then begin
       stamp ~gmin ~mode ctx v;
-      Solver.factor_solve sv
+      Sparse.factor_solve sv
     end
     else begin
       let t0 = Obs.Clock.now () in
@@ -501,7 +499,7 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
       stamp_seconds := !stamp_seconds +. (t1 -. t0);
       Fun.protect
         ~finally:(fun () -> lu_seconds := !lu_seconds +. (Obs.Clock.now () -. t1))
-        (fun () -> Solver.factor_solve sv)
+        (fun () -> Sparse.factor_solve sv)
     end
   in
   let rec iterate k total =
@@ -514,9 +512,9 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
     if k >= max_iter then Error (`No_conv, total)
     else begin
       match assemble_and_solve () with
-      | exception Solver.Singular row -> Error (`Singular row, total + 1)
+      | exception Sparse.Singular row -> Error (`Singular row, total + 1)
       | () ->
-        let x = Solver.solution sv in
+        let x = Sparse.rhs sv in
         let max_delta = ref 0.0 in
         for i = 0 to size - 1 do
           max_delta := Float.max !max_delta (Float.abs (x.(i) -. v.(i)))
@@ -612,7 +610,7 @@ let ctx_of_circuit ~opts ~obs circuit =
   let devices = compile mna circuit in
   let size = Mna.size mna in
   let node_count = Mna.node_count mna in
-  let sv = Solver.create opts.solver ~capacity:size in
+  let sv = Sparse.create ~capacity:size in
   ( {
       opts;
       sv;
@@ -940,10 +938,10 @@ module Session = struct
     base : patch_view;
     base_size : int;
     base_node_count : int;
-    (* The solver spans the base system plus the overlay reserve; on the
-       sparse backend every fault patch stamps into the same accumulated
-       pattern, so the whole fault list shares one symbolic analysis. *)
-    sv : Solver.t;
+    (* The solver spans the base system plus the overlay reserve; every
+       fault patch stamps into the same accumulated pattern, so the whole
+       fault list shares one symbolic analysis. *)
+    sv : Sparse.t;
     ev : Mosfet.scratch;
     (* Active view, swapped by [with_patch]. *)
     mutable view : patch_view;
@@ -953,7 +951,7 @@ module Session = struct
     let mna = Mna.make circuit in
     let base_size = Mna.size mna in
     let base_node_count = Mna.node_count mna in
-    let sv = Solver.create options.solver ~capacity:(base_size + reserve) in
+    let sv = Sparse.create ~capacity:(base_size + reserve) in
     let devices = compile mna circuit in
     let base =
       {
@@ -1185,11 +1183,11 @@ module Session = struct
         variants
     in
     (* One symbolic pass for the whole batch: reserve every variant's
-       pattern before any solve, so the sparse backend compiles the
-       union pattern once instead of decompiling on each variant's first
+       pattern before any solve, so the solver compiles the union
+       pattern once instead of decompiling on each variant's first
        stamp.  Transient stamps are a superset of DC stamps, so priming
        the transient targets covers every solve that follows. *)
-    Solver.prime s.sv
+    Sparse.prime s.sv
       (Array.to_list bvars
       |> List.filter_map (fun bv ->
              Option.map (fun ctx -> (ctx.size, ctx.plan.targets)) bv.bctx));
@@ -1256,7 +1254,7 @@ module Session = struct
           end)
         bvars
     done;
-    if Obs.enabled s.obs && Solver.backend s.sv = Solver.Sparse then begin
+    if Obs.enabled s.obs then begin
       let shared = ref 0 in
       Array.iter
         (fun bv ->
@@ -1444,16 +1442,16 @@ module Private = struct
     let cells = ref [] in
     for i = ctx.size - 1 downto 0 do
       for j = ctx.size - 1 downto 0 do
-        match Solver.get ctx.sv i j with
+        match Sparse.get ctx.sv i j with
         | Some x -> cells := (i, j, x) :: !cells
         | None -> ()
       done
     done;
-    let rhs = Array.sub (Solver.solution ctx.sv) 0 ctx.size in
+    let rhs = Array.sub (Sparse.rhs ctx.sv) 0 ctx.size in
     let solution =
-      match Solver.factor_solve ctx.sv with
-      | () -> Ok (Array.sub (Solver.solution ctx.sv) 0 ctx.size)
-      | exception Solver.Singular row -> Error row
+      match Sparse.factor_solve ctx.sv with
+      | () -> Ok (Array.sub (Sparse.rhs ctx.sv) 0 ctx.size)
+      | exception Sparse.Singular row -> Error row
     in
     { names = ctx.names; cells = !cells; rhs; solution }
 end

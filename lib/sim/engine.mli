@@ -7,11 +7,12 @@
     (iteration-count control) between source breakpoints.
 
     Each circuit topology's devices are compiled once into a stamp plan:
-    the {!Solver.targets} slot of every matrix entry and the row of every
+    the {!Sparse.targets} slot of every matrix entry and the row of every
     right-hand-side entry, in stamp order.  A Newton iteration is then one
-    device loop adding into those slots, shared by both solver backends,
-    with no per-entry call and no allocation; the MOSFET and diode
-    evaluators write into a per-session scratch. *)
+    device loop adding into those slots, with no per-entry call and no
+    allocation, followed by one sparse LU solve that refactorises with
+    the pivot order of the topology's first factorisation; the MOSFET
+    and diode evaluators write into a per-session scratch. *)
 
 type integration = Backward_euler | Trapezoidal
 
@@ -49,9 +50,6 @@ type options = {
           trapezoidal integration rings on; use [Trapezoidal] for
           accuracy-sensitive lightly-damped circuits *)
   budget : budget;  (** work limits for each analysis (default {!unlimited}) *)
-  solver : Solver.backend;
-      (** linear-solver backend (default [Auto]: dense below
-          {!Solver.auto_threshold} unknowns, sparse at or above it) *)
   cancel : Cancel.t;
       (** cooperative cancellation token polled once per Newton
           iteration and once per proposed transient step (default
@@ -190,8 +188,8 @@ val run :
 (** Batch solving of one circuit topology.
 
     A session builds the MNA node map, the compiled device array with
-    its stamp plan and the solver scratch buffers (system matrix, RHS, LU
-    pivot and substitution arrays) once, then reuses them across any
+    its stamp plan and the solver state (stamp pattern, symbolic
+    analysis, factors and right-hand side) once, then reuses them across any
     number of solves.  This is the paper's cost model made cheap: a fault
     simulation campaign is one nominal run plus one run per fault, where
     each faulty circuit differs from the nominal one by a device or two.
@@ -250,8 +248,8 @@ module Session : sig
       base circuit through one shared checkpoint grid, interleaved on
       the session's single solver.  Each variant keeps its own adaptive
       step size, integration state and work budget; what is shared is
-      the session's buffers and - on the sparse backend - one symbolic
-      analysis of the union stamp pattern, primed before any solve.  The
+      the session's buffers and one symbolic analysis of the union stamp
+      pattern, primed before any solve.  The
       per-variant float operations are exactly those of a serial
       {!transient} of the same patch, so waveforms and detection results
       are unchanged by batching. *)
@@ -312,8 +310,7 @@ module Private : sig
     names : string array;  (** the unknown of each row *)
     cells : (int * int * float) list;
         (** every stored matrix cell of the active system, [(row, col,
-            value)] in row-major order: all of them on the dense backend,
-            the pattern on the sparse one *)
+            value)] of the stamp pattern, in row-major order *)
     rhs : float array;
     solution : (float array, int) result;
         (** after one factor-solve of the assembled system, or the

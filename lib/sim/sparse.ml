@@ -1,4 +1,4 @@
-(* Sparse LU backend for the MNA core.
+(* The linear solver of the MNA core: sparse LU.
 
    The matrix lives in two representations.  While the nonzero pattern is
    still being discovered ("building" mode) coordinates accumulate in a
@@ -12,8 +12,9 @@
    step adding companion-model entries to a DC-only pattern) decompiles
    back to the hashtable, and the grown union is re-compiled before that
    stamp; the pattern only ever grows, so a session settles after a
-   handful of rebuilds.  {!generation} changes with every decompile and
-   compile, which is how a plan knows its slots are stale.
+   handful of rebuilds.  A generation counter changes with every
+   decompile and compile, which is how a plan's targets know their slots
+   are stale.
 
    Factorisation is Gilbert-Peierls left-looking LU with threshold
    partial pivoting (after CSparse's cs_lu).  The first ("full")
@@ -47,6 +48,16 @@ let pivot_eps = 1e-30
    refactorisations of the same topology. *)
 let pivot_tol = 1e-3
 
+(* A refactorisation keeps a stored pivot while it stays within another
+   factor [pivot_tol] of its column's largest entry, so no multiplier
+   exceeds 1e6.  Tighter, a campaign's variants would keep overturning
+   each other's pivot orders (at [pivot_tol] itself the paper's VCO
+   universe repivots 7,189 times instead of 253); looser, a fault can
+   leave a stored pivot tiny but nonzero (a 10 mOhm bridge beside it, or
+   a 0 V bridge's branch row, whose overlay diagonal was padded to 1
+   when the pivots were chosen) and the solve loses every digit. *)
+let refactor_tol = pivot_tol *. pivot_tol
+
 type t = {
   cap : int;
   b : float array; (* right-hand side, overwritten with the solution;
@@ -78,12 +89,15 @@ type t = {
   pstack : int array;
   xi : int array;
   work : float array;
-  (* --- counters (cumulative; Solver reports deltas) --- *)
+  (* --- counters (cumulative; [flush_stats] reports deltas) --- *)
   mutable stat_full : int;
   mutable stat_refactor : int;
-  mutable stat_solve : int;
   mutable stat_symbolic : int;
   mutable stat_repivot : int;
+  mutable r_full : int; (* the counters at the last flush *)
+  mutable r_refactor : int;
+  mutable r_symbolic : int;
+  mutable r_repivot : int;
 }
 
 let create ~capacity =
@@ -117,9 +131,12 @@ let create ~capacity =
     work = Array.make cap 0.0;
     stat_full = 0;
     stat_refactor = 0;
-    stat_solve = 0;
     stat_symbolic = 0;
     stat_repivot = 0;
+    r_full = 0;
+    r_refactor = 0;
+    r_symbolic = 0;
+    r_repivot = 0;
   }
 
 let capacity t = t.cap
@@ -128,14 +145,11 @@ let rhs t = t.b
 
 let values t = t.vals
 
-let generation t = t.gen
-
 let nnz t = if t.compiled then Array.length t.rowind else Hashtbl.length t.building
 
 let factor_nnz t = if t.have_factor then t.lp.(t.pat_n) + t.up.(t.pat_n) else 0
 
-let stats t =
-  (t.stat_full, t.stat_refactor, t.stat_solve, t.stat_symbolic, t.stat_repivot)
+let stats t = (t.stat_full, t.stat_refactor, t.stat_symbolic, t.stat_repivot)
 
 (* --- stamping ---------------------------------------------------------- *)
 
@@ -151,7 +165,7 @@ let decompile t =
   t.gen <- t.gen + 1;
   t.have_factor <- false
 
-let begin_stamp t ~n =
+let open_pass t ~n =
   if n > t.cap then invalid_arg "Sparse.begin_stamp: n exceeds capacity";
   t.n <- n;
   if n > t.pat_n then begin
@@ -180,19 +194,20 @@ let find_slot t i j =
   !slot
 
 (* Coordinate keys: row * cap + col; -1 is ground (never stored); a
-   key [k] that only passes with extras stamp is kept as [-2 - k]. *)
-let key t ?(extra = false) i j =
+   key [k] that only transient passes stamp (an "extra") is kept as
+   [-2 - k]. *)
+let key t ?(tran = false) i j =
   if i < 0 || j < 0 then -1
   else
     let k = (i * t.cap) + j in
-    if extra then -2 - k else k
+    if tran then -2 - k else k
 
 let decode ~extras c = if c >= 0 then c else if c <= -2 && extras then -2 - c else -1
 
 let mem t k = t.compiled && find_slot t (k / t.cap) (k mod t.cap) >= 0
 
 (* A key outside the compiled pattern sends the matrix back to building
-   mode.  Right after [begin_stamp] every kept value is +0.0, and a key
+   mode.  Right after [open_pass] every kept value is +0.0, and a key
    first seen here starts at -0.0, the exact additive identity: the
    stamp that follows then leaves every cell with the same bits as
    accumulating that stamp in the hashtable would (a new cell takes its
@@ -329,6 +344,50 @@ let compile t =
   t.stat_symbolic <- t.stat_symbolic + 1
 
 let finish t = if not t.compiled then compile t
+
+(* --- stamp targets ------------------------------------------------------ *)
+
+(* One stamp plan's coordinate keys, in stamp order, and the value slot
+   each resolves to.  Slots move whenever the pattern recompiles, which
+   the generation stamp detects; the keys of entries only a transient
+   stamps are marked, so a DC pass discovers exactly the coordinates it
+   stamps. *)
+type targets = {
+  keys : int array;
+  slots : int array;
+  mutable tgen : int; (* generation the slots belong to *)
+  mutable complete : bool; (* the transient-only keys resolved too *)
+}
+
+let targets keys =
+  { keys; slots = Array.make (Array.length keys) 0; tgen = -1; complete = false }
+
+(* Pattern discovery matches stamping coordinate by coordinate:
+   coordinates outside the compiled pattern return the matrix to
+   building mode and the grown union compiles once, before this stamp
+   rather than after it - the same pattern, ordering and values either
+   way. *)
+let begin_stamp t ~n ~tran tg =
+  open_pass t ~n;
+  if tg.tgen <> t.gen || (tran && not tg.complete) then begin
+    reserve t ~extras:tran tg.keys;
+    finish t;
+    tg.complete <- resolve t tg.keys tg.slots;
+    tg.tgen <- t.gen
+  end;
+  tg.slots
+
+(* Pattern priming for a batch of stamp variants: open every pass (each
+   may grow the active size) and reserve its transient coordinates, then
+   compile the accumulated union pattern once, so no variant's first real
+   stamp decompiles the symbolic analysis. *)
+let prime t passes =
+  List.iter
+    (fun (n, tg) ->
+      open_pass t ~n;
+      reserve t ~extras:true tg.keys)
+    passes;
+  finish t
 
 (* --- factorisation ----------------------------------------------------- *)
 
@@ -522,7 +581,8 @@ exception Stale_pivot
 
 (* Numeric refactorisation: same pattern, same pivot order, new values.
    No DFS, no pivot search.  Raises {!Stale_pivot} when a reused pivot
-   has degenerated, in which case the caller re-runs {!full_factor}. *)
+   has degenerated, absolutely or relative to its column, in which case
+   the caller re-runs {!full_factor}. *)
 let refactor t =
   let m = t.pat_n in
   for k = 0 to m - 1 do
@@ -544,24 +604,29 @@ let refactor t =
         done
     done;
     let pivot = t.x.(k) in
-    if Float.abs pivot < pivot_eps then begin
-      for p = t.up.(k) to udiag do
-        t.x.(t.ui.(p)) <- 0.0
+    (* The reused pivot must keep [refactor_tol] of the largest entry it
+       eliminates now: a fault that moves a conductance by orders of
+       magnitude can leave it tiny but nonzero, and its multipliers
+       would then swamp every digit of the solve. *)
+    let amax = ref 0.0 in
+    if Float.abs pivot >= pivot_eps then
+      for pl = t.lp.(k) + 1 to t.lp.(k + 1) - 1 do
+        let i = t.li.(pl) in
+        let xi = t.x.(i) in
+        if Float.abs xi > !amax then amax := Float.abs xi;
+        t.lx.(pl) <- xi /. pivot;
+        t.x.(i) <- 0.0
       done;
+    t.ux.(udiag) <- pivot;
+    for p = t.up.(k) to udiag do
+      t.x.(t.ui.(p)) <- 0.0
+    done;
+    if Float.abs pivot < pivot_eps || Float.abs pivot < refactor_tol *. !amax then begin
       for pl = t.lp.(k) to t.lp.(k + 1) - 1 do
         t.x.(t.li.(pl)) <- 0.0
       done;
       raise Stale_pivot
-    end;
-    t.ux.(udiag) <- pivot;
-    for pl = t.lp.(k) + 1 to t.lp.(k + 1) - 1 do
-      let i = t.li.(pl) in
-      t.lx.(pl) <- t.x.(i) /. pivot;
-      t.x.(i) <- 0.0
-    done;
-    for p = t.up.(k) to udiag do
-      t.x.(t.ui.(p)) <- 0.0
-    done
+    end
   done;
   t.stat_refactor <- t.stat_refactor + 1
 
@@ -606,6 +671,31 @@ let factor_solve t =
     done;
     for k = 0 to m - 1 do
       t.b.(t.q.(k)) <- w.(k)
-    done;
-    t.stat_solve <- t.stat_solve + 1
+    done
+  end
+
+(* Report the work done since the previous flush.  A solve is always
+   exactly one full factorisation or one refactorisation, so it has no
+   counter of its own; the pattern and factor sizes can only change when
+   the pattern recompiles or a full factorisation runs, so they are
+   sampled only then, while the fill-in is sampled per flush that
+   solved. *)
+let flush_stats t obs =
+  if Obs.enabled obs then begin
+    let emit name now prev = if now > prev then Obs.count obs name (now - prev) in
+    emit "solver.sparse.full_factor" t.stat_full t.r_full;
+    emit "solver.sparse.refactor" t.stat_refactor t.r_refactor;
+    emit "solver.sparse.symbolic" t.stat_symbolic t.r_symbolic;
+    emit "solver.sparse.repivot" t.stat_repivot t.r_repivot;
+    let nnz = nnz t and fnnz = factor_nnz t in
+    if t.stat_full > t.r_full || t.stat_symbolic > t.r_symbolic then begin
+      Obs.sample obs "solver.sparse.nnz" (float_of_int nnz);
+      Obs.sample obs "solver.sparse.factor_nnz" (float_of_int fnnz)
+    end;
+    if t.stat_full > t.r_full || t.stat_refactor > t.r_refactor then
+      Obs.sample obs "solver.sparse.fill_in" (float_of_int (max 0 (fnnz - nnz)));
+    t.r_full <- t.stat_full;
+    t.r_refactor <- t.stat_refactor;
+    t.r_symbolic <- t.stat_symbolic;
+    t.r_repivot <- t.stat_repivot
   end

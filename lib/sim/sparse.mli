@@ -1,8 +1,14 @@
-(** Sparse LU backend for the MNA core.
+(** The linear solver of the MNA core: sparse LU.
+
+    A solver instance owns all storage for one circuit topology's linear
+    systems.  [Engine] compiles each device list once into a stamp plan
+    whose matrix coordinates become {!targets}; every Newton iteration
+    then runs {!begin_stamp}, adds into [(values t).(slot)] and
+    [(rhs t).(row)], and calls {!factor_solve}, with no call into this
+    module per entry.
 
     The nonzero pattern of an MNA system is fixed per circuit topology,
-    so this backend splits the work the dense solver redoes on every
-    Newton iteration into three amortised tiers:
+    so the work splits into three amortised tiers:
 
     - {e pattern compilation} (per topology, and per pattern growth): the
       union of every coordinate ever stamped becomes a CSC structure with
@@ -14,17 +20,19 @@
       and pivot order are replayed on the new values - no graph
       traversal, no pivot search.
 
-    A solver instance owns all of its storage; batch sessions keep one
-    instance per topology and stamp fault patches into a pattern superset
-    (the pattern only grows), so consecutive faults share the symbolic
-    work.  Inactive overlay rows are padded with a unit diagonal, which
-    keeps one pivot sequence valid across active-size changes without
-    perturbing the active unknowns. *)
+    Batch sessions keep one instance per topology and stamp fault
+    patches into a pattern superset (the pattern only grows, and
+    {!prime} compiles a whole batch's union up front), so consecutive
+    faults share the symbolic work.  Inactive overlay rows are padded
+    with a unit diagonal, which keeps one pivot sequence valid across
+    active-size changes without perturbing the active unknowns. *)
 
 type t
 
 exception Singular of int
-(** Original (pre-ordering) index of the unknown whose pivot vanished. *)
+(** The system has no usable pivot; the payload is the index of the
+    offending unknown in the caller's (original MNA) numbering, ready
+    for {!Mna.unknown_name}. *)
 
 (** [create ~capacity] allocates an instance for systems of up to
     [capacity] unknowns. *)
@@ -32,68 +40,72 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
-(** The right-hand-side buffer (length [capacity + 1]; index [capacity]
-    is the dump for ground rows); {!factor_solve} overwrites its leading
-    active entries with the solution. *)
-val rhs : t -> float array
+(** [key t ?tran i j] encodes matrix coordinate [(i, j)] for
+    {!targets}; a negative index is ground, whose additions go to a dump
+    slot that is never read.  [~tran:true] marks an entry only transient
+    passes stamp (a companion model), so DC passes leave it out of the
+    pattern. *)
+val key : t -> ?tran:bool -> int -> int -> int
 
-(** [begin_stamp t ~n] opens a stamping pass for an [n]-unknown system:
-    zeroes the values (keeping the accumulated pattern) and the leading
-    right-hand side. *)
-val begin_stamp : t -> n:int -> unit
+(** The matrix entries one stamp plan writes, in stamp order, each
+    resolved to a slot of {!values}. *)
+type targets
 
-(** [key t ?extra i j] encodes coordinate [(i, j)] for {!reserve} and
-    {!resolve}: [-1] when either index is negative (ground); with
-    [~extra:true] the coordinate is stamped only by passes that include
-    extras. *)
-val key : t -> ?extra:bool -> int -> int -> int
+(** [targets keys] declares the entries (from {!key}) of one plan.  The
+    keys encode coordinates for one solver, and the targets are used
+    with that solver alone. *)
+val targets : int array -> targets
 
-(** [reserve t ~extras keys] makes every key of [keys] (extras only when
-    [extras]) part of the pattern.  When one lies outside the compiled
-    pattern the matrix returns to building mode and the next {!finish}
-    compiles the grown union.  Called right after {!begin_stamp}, a
-    reserve, a {!finish} and additions into the resolved slots leave
-    every value with the bits the same additions would give if
-    accumulated coordinate by coordinate. *)
-val reserve : t -> extras:bool -> int array -> unit
+(** [begin_stamp t ~n ~tran tg] opens a stamping pass for an [n]-unknown
+    system, zeroing the values (keeping the accumulated pattern) and the
+    leading right-hand side, and returns the slot of every entry of [tg]
+    in {!values}, re-resolved when the pattern moved.  An entry outside
+    the compiled pattern grows it: the union is recompiled before this
+    pass, with the same pattern, ordering and values as accumulating the
+    pass coordinate by coordinate would give.  A [~tran:false] pass must
+    not write the transient-only entries; every other entry must be
+    stamped. *)
+val begin_stamp : t -> n:int -> tran:bool -> targets -> int array
 
-(** Seals the stamping pass, compiling the pattern if it grew. *)
-val finish : t -> unit
-
-(** Changes whenever the pattern is compiled or decompiled, i.e. whenever
-    slots written by {!resolve} may have moved. *)
-val generation : t -> int
-
-(** [resolve t keys slots] writes the index in {!values} of every key
-    into [slots] (the ground dump, one past the last value slot, for
-    ground), and answers whether every extra key is in the pattern too;
-    an extra key outside it resolves to the dump.  Raises
-    [Invalid_argument] when the pattern is not compiled or lacks a key
-    that is not an extra. *)
-val resolve : t -> int array -> int array -> bool
-
-(** [get t i j] is the compiled value at [(i, j)], [None] outside the
-    pattern or before compilation. *)
-val get : t -> int -> int -> float option
-
-(** The compiled values, indexed by the slots of {!resolve}.
-    Compilation replaces the array, so fetch it after the slots are
-    resolved. *)
+(** The compiled values, indexed by the slots of {!begin_stamp}.
+    Compilation replaces the array, so fetch it after {!begin_stamp}. *)
 val values : t -> float array
 
+(** The buffer holding the right-hand side during stamping (length
+    [capacity + 1]; index [capacity] is the dump for ground rows) and
+    the solution after {!factor_solve} (leading [n] entries). *)
+val rhs : t -> float array
+
+(** [get t i j] is the stored value at [(i, j)] of the current pass:
+    [None] outside the compiled pattern.  For inspection; stamping goes
+    through slots. *)
+val get : t -> int -> int -> float option
+
+(** [prime t passes] makes the pattern the union of every pass's
+    targets (transient entries included), each at its active size, and
+    compiles it once, so none of the passes' later real stamps triggers
+    a symbolic recompilation.  Batched fault simulation primes one pass
+    per variant before stepping any of them. *)
+val prime : t -> (int * targets) list -> unit
+
 (** Factors the stamped system and overwrites the leading [n] entries of
-    {!rhs} with the solution.  Chooses refactorisation when the stored
-    pivot sequence is still valid, full factorisation otherwise.
+    {!rhs} with the solution.  Refactorises with the stored pivot
+    sequence while it is valid and every reused pivot keeps at least
+    1e-6 of the largest entry it eliminates; factors afresh otherwise.
     Raises {!Singular} when no usable pivot exists. *)
 val factor_solve : t -> unit
 
-(** Nonzeros of the compiled stamp pattern. *)
-val nnz : t -> int
+(** Cumulative (full factorisations, refactorisations, symbolic
+    compilations, pivot-sequence rebuilds).  Every solve is exactly one
+    full factorisation or one refactorisation (a rebuild counts as a
+    full factorisation), so solves are their sum. *)
+val stats : t -> int * int * int * int
 
-(** Nonzeros of the current L + U factors (0 before any factorisation);
-    [factor_nnz - nnz] is the fill-in. *)
-val factor_nnz : t -> int
-
-(** Cumulative (full factorisations, refactorisations, solves, symbolic
-    compilations, pivot-sequence rebuilds). *)
-val stats : t -> int * int * int * int * int
+(** [flush_stats t obs] emits the work done since the previous flush:
+    counters [solver.sparse.full_factor]/[refactor]/[symbolic]/[repivot]
+    (there is no solve counter: it would always equal [full_factor +
+    refactor]), a [fill_in] sample (factor nonzeros minus pattern
+    nonzeros) per flush that solved, and [nnz]/[factor_nnz] samples
+    only when a full factorisation or a symbolic compilation happened,
+    since neither can change otherwise.  Free under a null sink. *)
+val flush_stats : t -> Obs.sink -> unit

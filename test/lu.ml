@@ -1,8 +1,7 @@
 exception Singular of int
 
-(* Pivot permutation and forward-substitution buffers.  A batch caller
-   (Engine.Session) allocates one scratch per circuit topology and
-   factors thousands of Newton systems into it without allocating. *)
+(* Pivot permutation and forward-substitution buffers, reusable across
+   systems of up to the capacity they were made for. *)
 type scratch = { piv : int array; y : float array }
 
 let make_scratch n = { piv = Array.make n 0; y = Array.make n 0.0 }

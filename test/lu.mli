@@ -1,12 +1,8 @@
-(** Dense LU factorisation with partial pivoting.
-
-    Circuit matrices here are tens of rows (the VCO has 19 unknowns), so
-    a dense solver is the right tool; sparsity machinery would cost more
-    than it saves.  The matrix is one flat row-major [float array]: row
-    [r] starts at [r * stride], so a stamp plan can address every cell by
-    one precomputed offset.  The factorisation works in place on
-    caller-provided buffers so batch fault simulation can run thousands
-    of Newton solves without allocating. *)
+(** Dense LU factorisation with partial pivoting: the test suite's
+    reference oracle, an independent solve of the systems the sparse
+    solver factors.  The matrix is one flat row-major [float array]: row
+    [r] starts at [r * stride].  The factorisation works in place on
+    caller-provided buffers. *)
 
 exception Singular of int
 (** Row index, in the caller's original row numbering (i.e. the MNA

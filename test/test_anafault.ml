@@ -1057,14 +1057,11 @@ let batch_tests =
         in
         Alcotest.(check (list (pair string string)))
           "same outcomes" (key serial) (key batched);
-        (* The 4x4 grid is dense and, at the paper's 2 V tolerance, drops
-           one variant.  A 10x10 grid (101 unknowns: the sparse backend
-           under Auto) at a 1 mV tolerance detects most faults early, so
-           lock-step batches drop most variants mid-run (34 of these 40)
-           while sharing one sparse pattern. *)
+        (* At the paper's 2 V tolerance the 4x4 grid drops one variant.
+           A 10x10 grid (101 unknowns) at a 1 mV tolerance detects most
+           faults early, so lock-step batches drop most variants mid-run
+           (34 of these 40) while sharing one stamp pattern. *)
         let rows = 10 and cols = 10 in
-        check_bool "sparse territory" true
-          ((rows * cols) + 1 >= Sim.Solver.auto_threshold);
         let circuit = Synth.Circuit_synth.resistor_grid ~rows ~cols () in
         let grid_faults =
           Faults.Universe.build circuit |> List.filteri (fun i _ -> i < 40)

@@ -81,9 +81,8 @@ let codec_tests =
     Alcotest.test_case "CLI-built options round-trip" `Quick (fun () ->
         let opts =
           ok "options_of_cli"
-            (Campaign.options_of_cli ~model:"resistor" ~solver:"sparse"
-               ~tol_v:1.5 ~tol_t:0.3e-6 ~retries:"swap-model,cut-tstep=0.25"
-               ~samples:200 ~domains:3 ~batch:4 ~budget_iters:1000
+            (Campaign.options_of_cli ~model:"resistor" ~tol_v:1.5 ~tol_t:0.3e-6
+               ~retries:"swap-model,cut-tstep=0.25" ~samples:200 ~domains:3 ~batch:4 ~budget_iters:1000
                ~budget_steps:5000 ~budget_seconds:2.5 ())
         in
         let back =
@@ -98,8 +97,6 @@ let codec_tests =
     Alcotest.test_case "options_of_cli rejects bad input" `Quick (fun () ->
         check_bool "bad model" true
           (Result.is_error (Campaign.options_of_cli ~model:"wires" ()));
-        check_bool "bad solver" true
-          (Result.is_error (Campaign.options_of_cli ~solver:"quantum" ()));
         check_bool "bad retries" true
           (Result.is_error (Campaign.options_of_cli ~retries:"warp-time" ()));
         check_bool "one sample" true
@@ -118,11 +115,7 @@ let codec_tests =
             Campaign.model = Faults.Inject.default_resistor;
             tolerance = { Anafault.Detect.tol_v = 0.25; tol_t = 3e-7 };
             sim =
-              {
-                Sim.Engine.default_options with
-                Sim.Engine.solver = Sim.Solver.Sparse;
-                max_iter = 77;
-              };
+              { Sim.Engine.default_options with Sim.Engine.max_iter = 77 };
             retries = [];
             samples = 123;
             domains = 3;
@@ -272,7 +265,7 @@ let codec_tests =
 (* The campaign fingerprint is the content address of every cache entry
    and journal; silent drift would orphan them all.  This golden value
    may only change with a deliberate fingerprint-format bump. *)
-let pinned_fingerprint = "aa89f123868c8d931f703ea663f55dbe"
+let pinned_fingerprint = "dab021f90df8f7eeb5348b4748b3752f"
 
 let fingerprint_tests =
   [
@@ -766,6 +759,14 @@ let decoder_table () =
     ( "options: absent fields keep the defaults",
       Campaign.options_of_json (obj [ ("samples", i 7) ])
       = Ok { Campaign.default_options with Campaign.samples = 7 } );
+    ( "options: a legacy solver key is an unknown field",
+      Campaign.options_of_json
+        (obj [ ("sim", obj [ ("solver", s "dense"); ("max_iter", i 77) ]) ])
+      = Ok
+          {
+            Campaign.default_options with
+            Campaign.sim = { Sim.Engine.default_options with Sim.Engine.max_iter = 77 };
+          } );
     ("options: samples must be an integer",
       refused (Campaign.options_of_json (obj [ ("samples", s "7") ])));
     ("spec: the deck is required",
