@@ -20,9 +20,10 @@
    flags bound the work spent on each fault; --retries configures the
    escalation ladder tried when a fault's simulation fails to converge.
 
-   --batch sets the lock-step batch width: how many faulty variants
-   advance together through one shared time grid per chunk of stolen
-   work (0 = automatic; 1 = the per-fault serial path).
+   --batch sets the chunk width: how many faults a domain steals at
+   once, primes one sparse pattern for, and runs one after another,
+   each stopped the moment its detection verdict is final (0 =
+   automatic; 1 = full-length serial runs).
 
    Remote mode: --remote SOCKET submits the campaign to a running
    anafaultd daemon instead of simulating in-process, streaming its
@@ -477,10 +478,11 @@ let domains =
 let batch =
   Arg.(value & opt int 0
        & info [ "batch" ] ~docv:"N"
-           ~doc:"Lock-step batch width: simulate $(docv) faulty variants \
-                 together through one shared time grid, dropping each the \
-                 moment its detection verdict is final.  0 (default) picks \
-                 a width automatically; 1 forces the per-fault serial path.")
+           ~doc:"Chunk width: simulate faults $(docv) at a time on one \
+                 primed sparse pattern, stopping each transient the moment \
+                 its detection verdict is final.  0 (default) picks a width \
+                 automatically; 1 runs every fault full length, unprimed \
+                 (the serial reference).")
 
 let limit =
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Simulate only the first $(docv) faults of the list.")

@@ -46,7 +46,8 @@ let () =
   List.iter
     (fun (label, model) ->
       let result =
-        Anafault.Simulate.run_one_in { config with model } session ~nominal fault
+        List.hd
+          (Anafault.Simulate.run_chunk { config with model } session ~nominal [ fault ])
       in
       let outcome =
         match result.Anafault.Simulate.outcome with

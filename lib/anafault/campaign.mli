@@ -8,7 +8,7 @@
     through the same {!compile}/{!run_local} machinery, differing only
     in who drives the loop.  {!default_options} is the one encoding of
     the paper's working point; {!config_of_options} turns it into the
-    {!Simulate.config} the [run_one_in]/[run_batch] engine room
+    {!Simulate.config} the [run_chunk] engine room
     underneath runs on (see the migration notes in DESIGN.md). *)
 
 (** {1 Options}
@@ -17,7 +17,7 @@
     the fault list, collapsed into one documented record: fault model,
     detection tolerance, kernel options (integration method and work
     budget included), retry ladder, output grid, scheduler width and
-    lock-step batch width.  The record round-trips through
+    chunk width.  The record round-trips through
     JSON ({!options_to_json}/{!options_of_json}) and builds from
     CLI-shaped primitives ({!options_of_cli}). *)
 type options = {
@@ -28,7 +28,9 @@ type options = {
   retries : Outcome.strategy list;  (** escalation ladder after failures *)
   samples : int;  (** output grid size (the paper's 400-step run) *)
   domains : int;  (** scheduler width; 1 = serial *)
-  batch : int;  (** lock-step batch width; 0 = automatic *)
+  batch : int;
+      (** chunk width: faults sharing one primed session, run with early
+          stopping; 0 = automatic, 1 = full-length serial reference *)
 }
 
 (** The paper's working point: source model, 2 V / 0.2 us tolerance,

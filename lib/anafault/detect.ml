@@ -20,8 +20,8 @@ let paper_tolerance = { tol_v = 2.0; tol_t = 0.2e-6 }
 
    There is one algorithm, [Incremental]: faulty samples arrive one grid
    point at a time and the verdict is final the moment it can no longer
-   change.  The batched campaign loop feeds it as variants step and
-   drops a variant on a final verdict; [analyse] feeds it a whole
+   change.  The campaign loop feeds it as a fault's transient steps and
+   stops the run on a final detection; [analyse] feeds it a whole
    faulty waveform. *)
 
 (* A divergence run still open when the data ends is flushed as a

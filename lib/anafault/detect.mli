@@ -27,8 +27,8 @@ val paper_tolerance : tolerance
 (** [analyse ~tolerance ~signal ~nominal ~faulty] is the earliest
     nominal-grid sample time at which the fault is visible, if any.  The
     faulty response is sampled on the nominal grid and folded through
-    one {!Incremental} detector - the same algorithm the batched
-    campaign loop drops variants with - so whole-waveform and prefix
+    one {!Incremental} detector - the same algorithm the campaign
+    loop stops runs early with - so whole-waveform and prefix
     verdicts cannot disagree.  Degenerate inputs are typed failures: a
     nominal waveform with fewer than two samples, a non-increasing
     nominal time grid ([dt <= 0]), an empty faulty waveform or a
@@ -53,11 +53,11 @@ val first_detection :
   faulty:Sim.Waveform.t ->
   float option
 
-(** Prefix-decidable detection, for the lock-step batched campaign loop:
+(** Prefix-decidable detection, for the campaign loop's early stopping:
     faulty samples on the nominal grid are fed one at a time, and the
     verdict becomes final the moment it can no longer change - for most
-    detected faults well before tstop, which is what lets the batch
-    drop them early.  The tail flush only ever fires at the last grid
+    detected faults well before tstop, which is what lets a fault's
+    transient stop early.  The tail flush only ever fires at the last grid
     index, so it never produces a premature [Detected]. *)
 module Incremental : sig
   type t

@@ -2,18 +2,17 @@
 
    Per-fault Newton costs vary wildly (a stuck-open fault converges far
    slower than a low-ohmic bridge), so every domain pulls the next chunk
-   of fault indices from the pool's shared counter.  The chunk width is
-   the lock-step batch width: each chunk is simulated as one batch
-   through Simulate.run_batch (a one-fault batch is the per-fault
-   run_one_in cycle), so batches are the unit of work stealing.  Each
-   domain owns one engine session (sessions are single-threaded), writes
-   results into its own slots of a shared buffer, and keeps its own load
-   counters.  A fault whose simulation raises is recorded as Sim_failed
-   through Simulate.guard, so one bad fault never aborts the run; a
-   domain that dies outright (session setup or an unclassifiable error
-   mid-chunk) marks the faults it had claimed with a typed failure and
-   reports itself in [died], so the campaign can never silently succeed
-   with holes. *)
+   of fault indices from the pool's shared counter and hands it to
+   Simulate.run_chunk, which primes the domain's session once for the
+   chunk and runs its faults one after another (a one-fault chunk is the
+   serial reference).  Each domain owns one engine session (sessions
+   are single-threaded), writes results into its own slots of a shared
+   buffer, and keeps its own load counters.  A fault whose simulation
+   raises is recorded as Sim_failed through Simulate.guard, so one bad
+   fault never aborts the run; a domain that dies outright (session
+   setup or an unclassifiable error mid-chunk) marks the faults it had
+   claimed with a typed failure and reports itself in [died], so the
+   campaign can never silently succeed with holes. *)
 
 type domain_stats = {
   domain : int;
@@ -126,7 +125,7 @@ let execute ?progress ?journal ?(clamp = true) config circuit faults =
           in
           if todo <> [] then begin
             let rs =
-              Simulate.run_batch config slot.sess ~nominal (List.map (Array.get faults) todo)
+              Simulate.run_chunk config slot.sess ~nominal (List.map (Array.get faults) todo)
             in
             List.iter2 (record slot) todo rs;
             (* Quarantine: a kernel failure may leave device state or an

@@ -9,13 +9,12 @@
     one at one domain, where the pool spawns nothing and the caller's
     domain takes every chunk in fault order.
 
-    The chunk a domain claims is the lock-step batch width
-    ({!Simulate.effective_batch}) and is simulated as one
-    {!Simulate.run_batch}, so batches are the unit of work stealing; at
-    width 1 every chunk is the per-fault {!Simulate.run_one_in} cycle -
-    the serial reference.  Each domain owns one {!Sim.Engine.Session},
-    so the per-topology setup is paid once per domain rather than once
-    per fault.
+    A domain claims a chunk of {!Simulate.effective_batch} faults and
+    simulates it with one {!Simulate.run_chunk} call, so chunks are the
+    unit of work stealing; at width 1 every chunk is one fault run full
+    length - the serial reference.  Each domain owns one
+    {!Sim.Engine.Session}, so the per-topology setup is paid once per
+    domain rather than once per fault.
 
     A fault whose simulation raises is reported as
     {!Simulate.Sim_failed}; the exception never escapes the domain, and

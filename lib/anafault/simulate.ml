@@ -7,15 +7,17 @@ type config = {
   retries : Outcome.strategy list;
   samples : int;
   domains : int;
-  batch : int;  (* lock-step batch width; 0 = auto *)
+  batch : int;  (* chunk width; 0 = auto *)
   obs : Obs.sink;
 }
 
-(* Resolve the lock-step batch width.  Explicit [batch] wins; the auto
-   rule keeps at least four batches per domain in flight so work
-   stealing still balances, and clamps at 16 where the crossover
-   experiment shows the shared-pattern benefit saturating.  Small
-   campaigns resolve to width 1 - the exact serial path. *)
+(* Resolve the chunk width.  Explicit [batch] wins; the auto rule keeps
+   at least four chunks per domain in flight so work stealing still
+   balances, and clamps at 16, which bounds the patches a chunk compiles
+   before its first solve.  No measurement in this tree re-derives the
+   16: past a few faults a wider chunk only spreads one symbolic
+   analysis thinner.  Small campaigns resolve to width 1 - the serial
+   reference. *)
 let effective_batch config ~total =
   if config.batch > 0 then config.batch
   else max 1 (min 16 (total / (max 1 config.domains * 4)))
@@ -70,27 +72,15 @@ type run = {
 let nominal_options config =
   { config.sim_options with Sim.Engine.budget = Sim.Engine.unlimited }
 
-let simulate_with ~options config circuit =
-  let { Netlist.Parser.tstep; tstop; uic } = config.tran in
-  let result =
-    Sim.Engine.run ~options ~obs:config.obs circuit
-      (Sim.Engine.Analysis.Tran { tstep; tstop; uic })
-  in
-  ( Sim.Waveform.resample (Sim.Engine.Analysis.waveform result) ~n:config.samples,
-    Sim.Engine.Analysis.stats result )
-
-let simulate config circuit = simulate_with ~options:config.sim_options config circuit
-
-let simulate_session ?options config session =
-  let { Netlist.Parser.tstep; tstop; uic } = config.tran in
-  let wf, stats =
-    Sim.Engine.Session.transient ?options session ~tstep ~tstop ~uic
-  in
-  (Sim.Waveform.resample wf ~n:config.samples, stats)
-
 let nominal config circuit =
   Obs.span config.obs "anafault.nominal" (fun _ ->
-      simulate_with ~options:(nominal_options config) config circuit)
+      let { Netlist.Parser.tstep; tstop; uic } = config.tran in
+      let result =
+        Sim.Engine.run ~options:(nominal_options config) ~obs:config.obs circuit
+          (Sim.Engine.Analysis.Tran { tstep; tstop; uic })
+      in
+      ( Sim.Waveform.resample (Sim.Engine.Analysis.waveform result) ~n:config.samples,
+        Sim.Engine.Analysis.stats result ))
 
 let session config circuit =
   Sim.Engine.Session.create ~options:config.sim_options ~obs:config.obs circuit
@@ -149,7 +139,7 @@ let classify_exn = function
    recorded, so a report can show the original failure even when a retry
    succeeded - or both messages when both failed.  [attempt cfg] returns
    [(outcome, stats)] and may raise; exceptions the taxonomy does not
-   cover (e.g. [Patch_overflow]) propagate to the caller's handlers. *)
+   cover propagate to the caller's {!guard}. *)
 let run_ladder config ~sp ~finish attempt =
   let note (s : Outcome.strategy) =
     if s <> Outcome.Baseline then begin
@@ -210,44 +200,6 @@ let fault_span config fault f =
       end;
       result)
 
-(* The per-fault cycle: inject, simulate, compare, through the retry
-   ladder.  Each attempt patches the session with the injected devices
-   and simulates in the shared buffers; an injection that rewrites more
-   than the overlay holds pays a full rebuild instead, and the fault
-   stays on the rebuild path for its remaining rungs. *)
-let run_one_in config sess ~nominal fault =
-  fault_span config fault (fun sp ->
-      let t0 = Sys.time () in
-      let finish ~attempts outcome stats =
-        { fault; outcome; attempts; stats; cpu_seconds = Sys.time () -. t0 }
-      in
-      let base = Sim.Engine.Session.circuit sess in
-      let rebuilt = ref false in
-      let rebuild cfg faulty_circuit =
-        if not !rebuilt then begin
-          rebuilt := true;
-          Obs.set sp "path" (Obs.Str "rebuild");
-          Obs.count config.obs "session.rebuild" 1
-        end;
-        simulate cfg faulty_circuit
-      in
-      let attempt cfg =
-        let faulty_circuit = Faults.Inject.apply ~model:cfg.model base fault in
-        let faulty, stats =
-          if !rebuilt then rebuild cfg faulty_circuit
-          else
-            match
-              Sim.Engine.Session.with_patch sess faulty_circuit (fun s ->
-                  simulate_session ~options:cfg.sim_options cfg s)
-            with
-            | simulated -> simulated
-            | exception Sim.Engine.Patch_overflow _ -> rebuild cfg faulty_circuit
-        in
-        (detect_outcome config ~nominal ~faulty, stats)
-      in
-      Obs.set sp "path" (Obs.Str "session");
-      run_ladder config ~sp ~finish attempt)
-
 let guard fault thunk =
   match thunk () with
   | result -> result
@@ -260,140 +212,127 @@ let guard fault thunk =
       cpu_seconds = 0.0;
     }
 
-(* --- The lock-step batched cycle --------------------------------------- *)
+(* --- The fault cycle ---------------------------------------------------- *)
 
-(* [run_batch config sess ~nominal faults] simulates the whole list in
-   one lock-step batch on [sess]: every variant is patched into the
-   session, the sparse pattern is primed once, and all variants advance
-   together through the nominal grid.  An {!Detect.Incremental} detector
-   per variant retires ("drops") a fault the moment its verdict is
-   final, so a hard fault pays only the prefix of the transient it needs
-   to be detected.  Variants that run to tstop are post-processed with
-   exactly the serial path's resample + compare, so their recorded
-   outcomes are bit-identical to [run_one_in]'s; dropped variants read
-   the observed signal straight off the accepted samples (one
-   interpolation instead of the serial path's resample-then-interpolate
-   two), which agrees to rounding error and quantizes to the same grid
-   instant.  Any variant the batch cannot carry - patch overflow, its
-   own solve failing (the retry ladder may still rescue it), an
-   injection error - falls back to the serial per-fault path on the same
-   session, preserving the ladder and outcome taxonomy exactly.
-   Results come back in input order. *)
-let run_batch config sess ~nominal faults =
-  let fallback fault = guard fault (fun () -> run_one_in config sess ~nominal fault) in
-  let batch_core faults =
-    let base = Sim.Engine.Session.circuit sess in
-    let grid = Sim.Waveform.times nominal in
-    match Sim.Waveform.samples nominal config.observed with
-    | exception Not_found -> List.map fallback faults
-    | nom -> begin
-      let items = Array.of_list faults in
-      let n_items = Array.length items in
-      let results : fault_result option array = Array.make n_items None in
-      (* Injection happens up front; a fault that cannot be injected (or
-         whose detector cannot be built) takes the serial path, which
-         reproduces the ladder's classification verbatim. *)
-      let variant_idx = ref [] in
-      let circuits = ref [] in
-      let detectors = ref [] in
-      Array.iteri
-        (fun i fault ->
-          match Faults.Inject.apply ~model:config.model base fault with
-          | exception Not_found -> results.(i) <- Some (fallback fault)
-          | circuit -> begin
-            match
-              Detect.Incremental.create ~tolerance:config.tolerance
-                ~times:grid ~nom
-            with
-            | Error _ -> results.(i) <- Some (fallback fault)
-            | Ok det ->
-              variant_idx := i :: !variant_idx;
-              circuits := circuit :: !circuits;
-              detectors := det :: !detectors
-          end)
-        items;
-      let variant_idx = Array.of_list (List.rev !variant_idx) in
-      let variants = Array.of_list (List.rev !circuits) in
-      let dets = Array.of_list (List.rev !detectors) in
-      let drop_at = Array.make (Array.length variants) (-1) in
-      (* The incremental detector's threshold comparisons are silently
-         false on NaN, so a diverged variant could walk the whole grid
-         and tabulate as undetected.  A non-finite sample retires the
-         variant to the serial path, whose [Detect.analyse] reports the
-         poison as a typed failure. *)
-      let non_finite = Array.make (Array.length variants) false in
-      let probe ~variant ~grid_index:_ ~value =
-        if not (Float.is_finite value) then begin
-          non_finite.(variant) <- true;
-          `Drop
-        end
-        else begin
-          match Detect.Incremental.feed dets.(variant) value with
-          | Detect.Incremental.Pending | Detect.Incremental.Clear -> `Continue
-          | Detect.Incremental.Detected i ->
-            drop_at.(variant) <- i;
-            `Drop
-        end
-      in
-      (if Array.length variants > 0 then begin
-         let { Netlist.Parser.tstep; tstop; uic } = config.tran in
-         let bres =
-           Sim.Engine.Session.transient_batch ~options:config.sim_options sess
-             ~variants ~observe:config.observed ~grid ~tstep ~tstop ~uic ~probe
-         in
-         Array.iteri
-           (fun v { Sim.Engine.Session.outcome; seconds } ->
-             let i = variant_idx.(v) in
-             let fault = items.(i) in
-             let settle outcome stats =
-               fault_span config fault (fun sp ->
-                   Obs.set sp "path" (Obs.Str "batch");
-                   {
-                     fault;
-                     outcome;
-                     attempts =
-                       [ { strategy = Outcome.Baseline; failure = None } ];
-                     stats;
-                     cpu_seconds = seconds;
-                   })
-             in
-             match outcome with
-             | Sim.Engine.Session.Batch_finished (wf, stats) ->
-               let faulty = Sim.Waveform.resample wf ~n:config.samples in
-               results.(i) <- Some (settle (detect_outcome config ~nominal ~faulty) stats)
-             | Sim.Engine.Session.Batch_dropped { stats; _ } ->
-               if non_finite.(v) then
-                 (* Dropped for poison, not detection: the serial rerun
-                    classifies it (Detect.analyse's finiteness guard). *)
-                 results.(i) <- Some (fallback fault)
-               else begin
-                 Obs.count config.obs "batch.drops" 1;
-                 results.(i) <- Some (settle (Detected grid.(drop_at.(v))) stats)
-               end
-             | Sim.Engine.Session.Batch_failed _
-             | Sim.Engine.Session.Batch_overflow _ ->
-               results.(i) <- Some (fallback fault))
-           bres
-       end);
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with Some r -> r | None -> fallback items.(i))
-           results)
-    end
+let compile sess faulty =
+  match Sim.Engine.Session.patch sess faulty with
+  | patch -> Some patch
+  | exception Sim.Engine.Patch_overflow _ -> None
+
+(* A fresh detector on the nominal grid, fed the attempt's observed
+   signal as the run passes each grid time; it stops the run the moment
+   its verdict is a detection.  Its threshold tests are silently false on
+   NaN, so a non-finite sample ends the feeding instead: the run goes on
+   to tstop and the whole-waveform comparison reports the poison as a
+   typed failure. *)
+let detector_probe config (grid, nom) =
+  match Detect.Incremental.create ~tolerance:config.tolerance ~times:grid ~nom with
+  | Error _ -> None
+  | Ok det ->
+    let detected = ref None and poisoned = ref false in
+    let feed _ value =
+      if !poisoned then `Continue
+      else if not (Float.is_finite value) then begin
+        poisoned := true;
+        `Continue
+      end
+      else
+        match Detect.Incremental.feed det value with
+        | Detect.Incremental.Pending | Detect.Incremental.Clear -> `Continue
+        | Detect.Incremental.Detected i ->
+          detected := Some grid.(i);
+          `Stop
+    in
+    Some ({ Sim.Engine.Session.observe = config.observed; grid; feed }, detected)
+
+(* One attempt: one transient of [faulty] - as [patch] on the session, or,
+   past the overlay reserve, on a session opened on [faulty] - and one
+   comparison.  With [watch] (the nominal grid and observed samples) a
+   detector probe ends a detected fault's run early. *)
+let simulate_attempt config cfg sess ~nominal ~watch faulty patch =
+  let probe = Option.bind watch (detector_probe config) in
+  let run s =
+    let { Netlist.Parser.tstep; tstop; uic } = cfg.tran in
+    Sim.Engine.Session.transient ~options:cfg.sim_options
+      ?probe:(Option.map fst probe) s ~tstep ~tstop ~uic
   in
-  match faults with
-  | [] -> []
-  | [ fault ] -> [ fallback fault ]
-  | faults -> begin
-    (* A failure of the batch machinery itself must not take the whole
-       chunk down: retire to the per-fault serial path. *)
-    match batch_core faults with
-    | results -> results
-    | exception _ ->
-      Obs.count config.obs "batch.fallback" 1;
-      List.map fallback faults
-  end
+  let wf, stats =
+    match patch with
+    | Some patch -> Sim.Engine.Session.with_patch sess patch run
+    | None -> run (Sim.Engine.Session.create ~obs:config.obs faulty)
+  in
+  match Option.bind probe (fun (_, detected) -> !detected) with
+  | Some t ->
+    Obs.count config.obs "batch.drops" 1;
+    (Detected t, stats)
+  | None ->
+    (detect_outcome config ~nominal ~faulty:(Sim.Waveform.resample wf ~n:config.samples), stats)
+
+(* One fault through its retry ladder.  The baseline rung runs the patch
+   the chunk already compiled ([prepared]; [None] when injection raised,
+   so the rung re-injects and the ladder classifies the error); every
+   later rung injects and compiles its own.  A fault that overflowed the
+   overlay stays on sessions of its own for its remaining rungs. *)
+let run_fault config sess ~nominal ~watch fault prepared =
+  fault_span config fault (fun sp ->
+      let t0 = Sys.time () in
+      let finish ~attempts outcome stats =
+        { fault; outcome; attempts; stats; cpu_seconds = Sys.time () -. t0 }
+      in
+      let base = Sim.Engine.Session.circuit sess in
+      let rebuilt = ref false in
+      let pending = ref prepared in
+      let attempt cfg =
+        let faulty, patch =
+          match !pending with
+          | Some prepared ->
+            pending := None;
+            prepared
+          | None ->
+            let faulty = Faults.Inject.apply ~model:cfg.model base fault in
+            (faulty, if !rebuilt then None else compile sess faulty)
+        in
+        if Option.is_none patch && not !rebuilt then begin
+          rebuilt := true;
+          Obs.set sp "path" (Obs.Str "rebuild");
+          Obs.count config.obs "session.rebuild" 1
+        end;
+        simulate_attempt config cfg sess ~nominal ~watch faulty patch
+      in
+      Obs.set sp "path" (Obs.Str (if Option.is_some watch then "batch" else "session"));
+      run_ladder config ~sp ~finish attempt)
+
+(* The fault cycle of one chunk (see the interface).  A one-fault chunk
+   - every chunk at width 1 - is the serial reference the golden digests
+   are built from, so it runs unprimed and full length. *)
+let run_chunk config sess ~nominal faults =
+  let watch =
+    match faults with
+    | [] | [ _ ] -> None
+    | _ :: _ :: _ -> (
+      match Sim.Waveform.samples nominal config.observed with
+      | nom -> Some (Sim.Waveform.times nominal, nom)
+      | exception Not_found -> None)
+  in
+  let base = Sim.Engine.Session.circuit sess in
+  let prepared =
+    List.map
+      (fun fault ->
+        match
+          let faulty = Faults.Inject.apply ~model:config.model base fault in
+          (faulty, compile sess faulty)
+        with
+        | prepared -> Some prepared
+        | exception _ -> None)
+      faults
+  in
+  if Option.is_some watch then
+    Sim.Engine.Session.prime sess
+      (List.filter_map (fun p -> Option.bind p snd) prepared);
+  List.map2
+    (fun fault prepared ->
+      guard fault (fun () -> run_fault config sess ~nominal ~watch fault prepared))
+    faults prepared
 
 (* --- Campaign fingerprint --------------------------------------------- *)
 

@@ -13,7 +13,7 @@
     {!Journal} for resumable campaigns.
 
     This module is the engine room.  Front ends should not call
-    [run_one_in]/[run_batch] directly: describe the campaign as
+    [run_chunk] directly: describe the campaign as
     a {!Campaign.spec} and execute it with {!Campaign.run_local} (or
     submit it to a running [anafaultd]).  The migration guide lives in
     DESIGN.md. *)
@@ -39,19 +39,19 @@ type config = {
   samples : int;  (** output grid size (the paper uses a 400-step run) *)
   domains : int;  (** scheduler width for {!Parsim.execute}; 1 = serial *)
   batch : int;
-      (** lock-step batch width for {!run_batch}: how many faulty
-          variants advance together through one shared time grid.  0
-          (the default) resolves automatically via {!effective_batch};
-          1 forces the exact per-fault serial path *)
+      (** chunk width for {!run_chunk}: how many faults share one primed
+          sparse pattern and run with early stopping.  0 (the default)
+          resolves automatically via {!effective_batch}; 1 forces the
+          serial reference (full-length runs, no priming) *)
   obs : Obs.sink;  (** telemetry sink threaded through the kernel, the
                        sessions and the per-fault loop *)
 }
 
-(** The lock-step batch width actually used for a campaign of [total]
-    faults: an explicit [config.batch] verbatim, otherwise an automatic
-    width that keeps at least four batches per domain available for work
-    stealing, clamps at 16, and degenerates to 1 (the exact serial path)
-    for small campaigns. *)
+(** The chunk width actually used for a campaign of [total] faults: an
+    explicit [config.batch] verbatim, otherwise an automatic width that
+    keeps at least four chunks per domain available for work stealing,
+    clamps at 16, and degenerates to 1 (the serial reference) for small
+    campaigns. *)
 val effective_batch : config -> total:int -> int
 
 (** The last non-ground node of the circuit - by SPICE habit the
@@ -117,49 +117,42 @@ val nominal : config -> Netlist.Circuit.t -> Sim.Waveform.t * Sim.Engine.stats
 
 (** [session config circuit] opens an engine session on the nominal
     circuit with the config's simulator options and telemetry sink -
-    the shared state for a batch of {!run_one_in} calls. *)
+    the shared state {!run_chunk} patches every fault into. *)
 val session : config -> Netlist.Circuit.t -> Sim.Engine.Session.t
-
-(** [run_one_in config session ~nominal fault] injects, simulates and
-    compares one fault through the shared session: the fault is applied
-    as a device patch, simulated in the session's buffers, and the
-    nominal view is restored afterwards.  An injection that exceeds the
-    session's patch capacity is simulated on a full rebuild instead
-    (counted once per fault as ["session.rebuild"]), for that rung and
-    every later one.  Runs the retry ladder; emits one ["anafault.fault"]
-    span tagged with the fault, its path ([session] or [rebuild]),
-    outcome, failure class, attempt count and winning strategy. *)
-val run_one_in :
-  config ->
-  Sim.Engine.Session.t ->
-  nominal:Sim.Waveform.t ->
-  Faults.Fault.t ->
-  fault_result
 
 (** [guard fault thunk] isolates a per-fault failure: any exception the
     simulation paths do not already map becomes a
-    [Sim_failed (Crashed _)] result instead of aborting the batch. *)
+    [Sim_failed (Crashed _)] result instead of aborting the chunk. *)
 val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
 
-(** [run_batch config session ~nominal faults] simulates the whole list
-    as one lock-step batch on [session]
-    ({!Sim.Engine.Session.transient_batch}): all variants share the
-    session buffers and one sparse symbolic pattern, advance together
-    through the nominal output grid, and each is dropped (counted as
-    ["batch.drops"]) the moment its {!Detect.Incremental} verdict is
-    final - a detected fault pays only the transient prefix needed to
-    detect it.  Variants that run to tstop are compared exactly like
-    {!run_one_in}, so their outcomes are bit-identical to the serial
-    path; dropped variants report detection at the same grid instant the
-    serial comparison finds (the observed values differ only by a
-    rounding-level interpolation difference).  Faults the batch cannot
-    carry - injection errors, patch overflow, kernel failures (which may
-    still be rescued by the retry ladder) - fall back to {!run_one_in}
-    individually; a failure of the batch machinery itself retires the
-    whole list to the serial path (counted as ["batch.fallback"]).
-    Results are returned in input order; every fault gets the usual
-    ["anafault.fault"] span.  A width-1 batch {e is} the serial path. *)
-val run_batch :
+(** [run_chunk config session ~nominal faults] is the fault cycle - inject,
+    simulate, compare - for one chunk of faults, with results in input
+    order:
+    + every fault is injected and compiled as a patch of [session]
+      ({!Sim.Engine.Session.patch});
+    + with two or more faults, the session's sparse pattern is primed
+      with the union of those patches once
+      ({!Sim.Engine.Session.prime});
+    + each fault runs its retry ladder in turn, every attempt one
+      {!Sim.Engine.Session.transient} of its patch.  With two or more
+      faults that transient carries a {!Detect.Incremental} probe on the
+      nominal grid and stops the moment the fault is detected (counted
+      as ["batch.drops"]); its verdict is the grid instant the
+      whole-waveform comparison finds (the probed value differs from
+      the resampled one by rounding at most).  A stopped run never
+      reaches a kernel failure its full-length run would hit later.  A
+      single-fault chunk - every chunk at width 1 - runs full length
+      without priming: the serial reference;
+    + a patch that exceeds the session's overlay reserve runs the same
+      attempt on a session opened on the faulty circuit (counted once
+      per fault as ["session.rebuild"]).
+
+    Each fault emits one ["anafault.fault"] span tagged with the fault,
+    its path ([batch], [session] or [rebuild]), outcome, failure class,
+    attempt count and winning strategy.  A fault whose simulation raises
+    an exception outside the failure taxonomy becomes a [Crashed]
+    result ({!guard}). *)
+val run_chunk :
   config ->
   Sim.Engine.Session.t ->
   nominal:Sim.Waveform.t ->

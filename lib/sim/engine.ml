@@ -699,13 +699,9 @@ let breakpoints circuit ~tstop =
   |> List.filter (fun t -> t > 0.0 && t < tstop)
   |> List.sort_uniq compare
 
-(* One in-flight adaptive transient, reified: the loop state of the
-   former inline transient loop as a record, so a caller can advance it
-   step by step.  [transient_core] drives one stepper to completion;
-   [Session.transient_batch] interleaves many of them through a shared
-   checkpoint grid.  The float operations and their order are exactly
-   those of the old inline loop, so reifying the state changes no
-   result. *)
+(* One in-flight adaptive transient: the loop state as a record, so
+   [transient_core] can pause it at a probe's checkpoints and stop it
+   early without changing a single float operation of the run. *)
 type stepper = {
   sctx : ctx;
   tstop : float;
@@ -891,18 +887,64 @@ let stepper_value st idx tau =
       bracket tn vn older
     end
 
-let transient_core ctx ~circuit ~names ~tstep ~tstop ~uic =
+(* See Session.probe. *)
+type probe = {
+  observe : string;
+  grid : float array;
+  feed : int -> float -> [ `Continue | `Stop ];
+}
+
+(* Raises [Not_found] for an unknown signal, as {!Waveform.samples}
+   does, so a caller classifies a probed run the way it classifies the
+   comparison of an unprobed one. *)
+let signal_index names observe =
+  let rec find i =
+    if i >= Array.length names then raise Not_found
+    else if String.equal names.(i) observe then i
+    else find (i + 1)
+  in
+  find 0
+
+(* Run to tstop, or until the probe stops it; either way the waveform
+   holds every accepted sample.  Probing reads the stepper and never
+   steers it, so an unstopped probed run is the unprobed run. *)
+let transient_core ?probe ctx ~circuit ~tstep ~tstop ~uic =
+  let watched = Option.map (fun p -> (p, signal_index ctx.names p.observe)) probe in
   let st = stepper_start ctx ~circuit ~tstep ~tstop ~uic in
-  Fun.protect ~finally:(fun () -> stepper_emit_counters st)
+  Fun.protect ~finally:(fun () ->
+      stepper_emit_counters st;
+      (* A probed run solves on the chunk's primed pattern (see
+         Session.prime): its Newton solves are the factorisations that
+         share the chunk's symbolic analysis. *)
+      if Option.is_some probe && st.total_iters > 0 then
+        Obs.count ctx.obs "batch.shared_factorisations" st.total_iters)
   @@ fun () ->
-  while not (stepper_done st) do
-    stepper_step st
-  done;
-  (Waveform.make ~names ~samples:(List.rev st.samples), stepper_stats st)
+  let advance_to tau =
+    while (not (stepper_done st)) && st.t < tau do
+      stepper_step st
+    done
+  in
+  let stopped =
+    match watched with
+    | None -> false
+    | Some ({ grid; feed; _ }, idx) ->
+      let rec walk i =
+        i < Array.length grid
+        && begin
+          advance_to grid.(i);
+          match feed i (stepper_value st idx grid.(i)) with
+          | `Stop -> true
+          | `Continue -> walk (i + 1)
+        end
+      in
+      walk 0
+  in
+  if not stopped then advance_to Float.infinity;
+  (Waveform.make ~names:ctx.names ~samples:(List.rev st.samples), stepper_stats st)
 
 let transient_impl ~opts ~obs circuit ~tstep ~tstop ~uic =
-  let ctx, mna = ctx_of_circuit ~opts ~obs circuit in
-  transient_core ctx ~circuit ~names:(output_names mna) ~tstep ~tstop ~uic
+  let ctx, _ = ctx_of_circuit ~opts ~obs circuit in
+  transient_core ctx ~circuit ~tstep ~tstop ~uic
 
 (* --- Sessions: batch solving of one circuit topology ------------------ *)
 
@@ -920,9 +962,9 @@ module Session = struct
   let reserve = 2
 
   (* A compiled view of the session's circuit: the base, or a patch of
-     it, reified as a value so the batched transient can hold many
-     patched variants alive at once without toggling the view. *)
-  type patch_view = {
+     it, reified as a value so a caller can compile a whole chunk of
+     patches, prime their union pattern, and only then solve them. *)
+  type patch = {
     pv_circuit : Netlist.Circuit.t;
     pv_devices : cdev array;
     pv_plan : plan;
@@ -930,12 +972,18 @@ module Session = struct
     pv_names : string array;
   }
 
+  type nonrec probe = probe = {
+    observe : string;
+    grid : float array;
+    feed : int -> float -> [ `Continue | `Stop ];
+  }
+
   type t = {
     opts : options;
     obs : Obs.sink;
     circuit : Netlist.Circuit.t;
     mna : Mna.t;
-    base : patch_view;
+    base : patch;
     base_size : int;
     base_node_count : int;
     (* The solver spans the base system plus the overlay reserve; every
@@ -944,7 +992,7 @@ module Session = struct
     sv : Sparse.t;
     ev : Mosfet.scratch;
     (* Active view, swapped by [with_patch]. *)
-    mutable view : patch_view;
+    mutable view : patch;
   }
 
   let create ?(options = default_options) ?(obs = Obs.null) circuit =
@@ -980,19 +1028,18 @@ module Session = struct
 
   let options s = s.opts
 
-  let ctx_of ?options s pv devices =
+  let ctx ?options s =
+    let pv = s.view in
     {
       opts = Option.value ~default:s.opts options;
       sv = s.sv;
       size = pv.pv_size;
-      devices;
+      devices = pv.pv_devices;
       plan = pv.pv_plan;
       ev = s.ev;
       obs = s.obs;
       names = pv.pv_names;
     }
-
-  let ctx ?options s = ctx_of ?options s s.view s.view.pv_devices
 
   (* [?options] overrides the session's solver options for this one
      analysis (the buffers depend only on the topology, never on the
@@ -1000,17 +1047,17 @@ module Session = struct
      tolerances without rebuilding the session. *)
   let solve_dc ?options s = { mna = s.mna; v = dc_solve (ctx ?options s) }
 
-  let transient ?options s ~tstep ~tstop ~uic =
-    transient_core (ctx ?options s) ~circuit:s.view.pv_circuit ~names:s.view.pv_names
-      ~tstep ~tstop ~uic
+  let transient ?options ?probe s ~tstep ~tstop ~uic =
+    transient_core ?probe (ctx ?options s) ~circuit:s.view.pv_circuit ~tstep ~tstop ~uic
 
   (* Recompile only what [patched] changed relative to the base circuit.
      Fault injection rewrites circuits with Circuit.replace (same name,
      same position) and Circuit.add (appended), so a positional walk
      recognises untouched devices by physical equality and reuses their
      compiled form.  Anything structurally different raises
-     Patch_overflow and the caller falls back to a full rebuild. *)
-  let compile_patch s patched =
+     Patch_overflow and the caller opens a session on [patched]
+     instead. *)
+  let patch s patched =
     (* Overlay rows are allocated in order of first use, so a patch that
        adds only a node (break/split) or only a branch (bridging V
        source) costs exactly one extra row - the same system size a full
@@ -1075,7 +1122,7 @@ module Session = struct
       with
       | compiled -> compiled
       | exception Patch_overflow msg ->
-        (* The caller pays a full rebuild for this patch. *)
+        (* The caller pays a session of its own for this patch. *)
         Obs.count s.obs "session.patch_overflow" 1;
         raise (Patch_overflow msg)
     in
@@ -1108,173 +1155,14 @@ module Session = struct
       pv_names = Array.append s.base.pv_names (Array.of_list extra_names);
     }
 
-  let with_patch s patched f =
-    s.view <- compile_patch s patched;
+  (* Transient stamps are a superset of DC stamps, so priming the
+     transient targets covers every solve that follows. *)
+  let prime s patches =
+    Sparse.prime s.sv (List.map (fun pv -> (pv.pv_size, pv.pv_plan.targets)) patches)
+
+  let with_patch s pv f =
+    s.view <- pv;
     Fun.protect ~finally:(fun () -> s.view <- s.base) (fun () -> f s)
-
-  (* --- Lock-step batched transient ----------------------------------- *)
-
-  (* Compiled patches share untouched devices with the base array by
-     physical equality, including their mutable integration state; a
-     batch interleaves many transients, so every variant gets private
-     state records (values are copied, so a clone taken after DC carries
-     the operating point forward exactly like the serial path). *)
-  let clone_state st = { q = st.q; f = st.f }
-
-  let clone_cdev = function
-    | CC r -> CC { r with st = clone_state r.st }
-    | CL r -> CL { r with st = clone_state r.st }
-    | CM r -> CM { r with st_gs = clone_state r.st_gs; st_gd = clone_state r.st_gd }
-    | (CR _ | CV _ | CI _ | CD _) as d -> d
-
-  let ctx_of_view ?options s pv =
-    ctx_of ?options s pv (Array.map clone_cdev pv.pv_devices)
-
-  (* How one variant of a batched transient ended. *)
-  type batch_outcome =
-    | Batch_finished of Waveform.t * stats
-        (** ran to [tstop]; the waveform holds every accepted sample *)
-    | Batch_dropped of { grid_index : int; stats : stats }
-        (** the probe returned [`Drop] at this checkpoint - the variant
-            was retired early, its detection already final *)
-    | Batch_failed of { error : error; detail : string; stats : stats }
-        (** the variant's own solve failed ({!Sim_error} payload) *)
-    | Batch_overflow of string
-        (** the patch exceeded the overlay reserve; the caller must fall
-            back to a full per-fault rebuild *)
-
-  type batch_result = { outcome : batch_outcome; seconds : float }
-
-  (* Per-variant bookkeeping of the lock-step loop. *)
-  type bvar = {
-    mutable bst : stepper option;  (* None until started / after settle *)
-    mutable bctx : ctx option;  (* None when the patch overflowed *)
-    mutable bsettled : batch_outcome option;
-    mutable bsecs : float;
-  }
-
-  let transient_batch ?options s ~variants ~observe ~grid ~tstep ~tstop ~uic
-      ~probe =
-    let opts = Option.value ~default:s.opts options in
-    let obs_idx =
-      let n = Array.length s.base.pv_names in
-      let rec find i =
-        if i >= n then
-          invalid_arg
-            ("Engine.Session.transient_batch: unknown observed signal " ^ observe)
-        else if String.equal s.base.pv_names.(i) observe then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    let bvars =
-      Array.map
-        (fun circuit ->
-          match compile_patch s circuit with
-          | pv ->
-            {
-              bst = None;
-              bctx = Some (ctx_of_view ~options:opts s pv);
-              bsettled = None;
-              bsecs = 0.0;
-            }
-          | exception Patch_overflow msg ->
-            { bst = None; bctx = None; bsettled = Some (Batch_overflow msg); bsecs = 0.0 })
-        variants
-    in
-    (* One symbolic pass for the whole batch: reserve every variant's
-       pattern before any solve, so the solver compiles the union
-       pattern once instead of decompiling on each variant's first
-       stamp.  Transient stamps are a superset of DC stamps, so priming
-       the transient targets covers every solve that follows. *)
-    Sparse.prime s.sv
-      (Array.to_list bvars
-      |> List.filter_map (fun bv ->
-             Option.map (fun ctx -> (ctx.size, ctx.plan.targets)) bv.bctx));
-    let settle bv st outcome =
-      stepper_emit_counters st;
-      bv.bst <- None;
-      bv.bsettled <- Some outcome
-    in
-    (* DC operating point + initial state, per variant, in batch order -
-       the same solves the serial path performs, against the shared
-       (already primed) solver. *)
-    Array.iteri
-      (fun vi bv ->
-        match bv.bctx with
-        | None -> ()
-        | Some ctx -> begin
-          let t0 = Obs.Clock.now () in
-          (match stepper_start ctx ~circuit:variants.(vi) ~tstep ~tstop ~uic with
-          | st -> bv.bst <- Some st
-          | exception Sim_error (error, detail) ->
-            bv.bsettled <-
-              Some
-                (Batch_failed
-                   {
-                     error;
-                     detail;
-                     stats =
-                       { newton_iterations = 0; accepted_steps = 0; rejected_steps = 0 };
-                   }));
-          bv.bsecs <- bv.bsecs +. (Obs.Clock.now () -. t0)
-        end)
-      bvars;
-    (* The lock-step grid walk: advance every live variant to the next
-       checkpoint, read the observed signal with the same interpolation
-       {!Waveform.resample} would apply, and let the probe retire
-       variants whose fate is already decided. *)
-    let ngrid = Array.length grid in
-    for gi = 0 to ngrid - 1 do
-      let tau = grid.(gi) in
-      Array.iteri
-        (fun vi bv ->
-          match bv.bst with
-          | None -> ()
-          | Some st -> begin
-            let t0 = Obs.Clock.now () in
-            (try
-               while (not (stepper_done st)) && st.t < tau do
-                 stepper_step st
-               done;
-               let value = stepper_value st obs_idx tau in
-               match probe ~variant:vi ~grid_index:gi ~value with
-               | `Continue ->
-                 if gi = ngrid - 1 then
-                   settle bv st
-                     (Batch_finished
-                        ( Waveform.make ~names:st.sctx.names
-                            ~samples:(List.rev st.samples),
-                          stepper_stats st ))
-               | `Drop ->
-                 settle bv st (Batch_dropped { grid_index = gi; stats = stepper_stats st })
-             with Sim_error (error, detail) ->
-               settle bv st (Batch_failed { error; detail; stats = stepper_stats st }));
-            bv.bsecs <- bv.bsecs +. (Obs.Clock.now () -. t0)
-          end)
-        bvars
-    done;
-    if Obs.enabled s.obs then begin
-      let shared = ref 0 in
-      Array.iter
-        (fun bv ->
-          match bv.bsettled with
-          | Some (Batch_finished (_, st) )
-          | Some (Batch_dropped { stats = st; _ })
-          | Some (Batch_failed { stats = st; _ }) ->
-            shared := !shared + st.newton_iterations
-          | Some (Batch_overflow _) | None -> ())
-        bvars;
-      if !shared > 0 then Obs.count s.obs "batch.shared_factorisations" !shared
-    end;
-    Array.map
-      (fun bv ->
-        match bv.bsettled with
-        | Some outcome -> { outcome; seconds = bv.bsecs }
-        | None ->
-          (* A variant can only be unsettled if the grid was empty. *)
-          invalid_arg "Engine.Session.transient_batch: empty grid")
-      bvars
 end
 
 (* --- DC transfer sweep ------------------------------------------------ *)
@@ -1305,7 +1193,7 @@ let dc_sweep_impl ~opts ~obs circuit ~source ~values =
   let prev = ref None in
   List.map
     (fun value ->
-      Session.with_patch session (at value) (fun s ->
+      Session.with_patch session (Session.patch session (at value)) (fun s ->
           let ctx = Session.ctx s in
           let v =
             let warm =

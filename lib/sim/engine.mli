@@ -96,7 +96,7 @@ exception Sim_error of error * string
 exception Patch_overflow of string
 (** A session patch needed more than the reserved overlay capacity (one
     new node, one new branch) or changed the circuit structurally; the
-    caller should fall back to a full rebuild. *)
+    caller simulates the faulty circuit on a session of its own. *)
 
 type solution
 
@@ -193,7 +193,7 @@ val run :
     number of solves.  This is the paper's cost model made cheap: a fault
     simulation campaign is one nominal run plus one run per fault, where
     each faulty circuit differs from the nominal one by a device or two.
-    [with_patch] swaps in those few devices without re-deriving the node
+    [patch] and [with_patch] swap in those few devices without re-deriving the node
     map; the buffers reserve one overlay node row (a split-net open adds
     at most one node) and one overlay branch row (a bridge modelled as a
     0 V source adds one branch current).
@@ -205,8 +205,8 @@ module Session : sig
 
   (** [create ?options ?obs circuit] compiles [circuit] and allocates
       the shared solver state.  Kernel telemetry of every solve through
-      this session flows into [obs]; [with_patch] additionally reports
-      patch counts and overlay-row occupancy. *)
+      this session flows into [obs]; [patch] additionally reports patch
+      counts and overlay-row occupancy. *)
   val create : ?options:options -> ?obs:Obs.sink -> Netlist.Circuit.t -> t
 
   (** The base (nominal) circuit the session was built from. *)
@@ -221,83 +221,57 @@ module Session : sig
       use it to relax tolerances without rebuilding the session. *)
   val solve_dc : ?options:options -> t -> solution
 
+  (** A checkpoint probe for {!transient}: the run pauses at each time
+      of [grid] (ascending; typically the nominal run's resampled times)
+      once its accepted steps have passed it, reads the signal
+      [observe] (a waveform name: node voltage or ["I(branch)"]) there,
+      interpolated exactly as {!Waveform.resample} would, and hands
+      [feed] the grid index and value.  [`Stop] ends the run early. *)
+  type probe = {
+    observe : string;
+    grid : float array;
+    feed : int -> float -> [ `Continue | `Stop ];
+  }
+
   (** Transient analysis of the session's active circuit, reusing the
       session buffers; same semantics as {!run} of {!Analysis.Tran}, same
-      [?options] override as {!solve_dc}. *)
+      [?options] override as {!solve_dc}.  With [probe] the run can stop
+      early; the waveform then holds the samples accepted up to the
+      stop, and the stats the work done so far.  A probe only reads the
+      run, so a run it never stops is bit-identical to an unprobed one.
+      A probed run also counts its Newton iterations as
+      ["batch.shared_factorisations"].  Raises [Not_found] when
+      [probe.observe] names no signal, as {!Waveform.samples} does. *)
   val transient :
     ?options:options ->
+    ?probe:probe ->
     t ->
     tstep:float ->
     tstop:float ->
     uic:bool ->
     Waveform.t * stats
 
-  (** [with_patch t patched f] runs [f] with the session's active circuit
-      swapped for [patched], then restores the nominal view (also on
-      exception).  [patched] must be the base circuit rewritten through
-      [Circuit.replace] / [Circuit.add] - the shapes fault injection
-      produces - introducing at most one new node and one new branch;
-      anything else raises {!Patch_overflow}.  Devices untouched by the
-      patch keep their compiled form; only replaced and appended devices
-      are recompiled, and the patched view gets its own stamp plan. *)
-  val with_patch : t -> Netlist.Circuit.t -> (t -> 'a) -> 'a
+  (** A compiled patch of the session's base circuit. *)
+  type patch
 
-  (** {2 Lock-step batched transients}
+  (** [patch t patched] compiles [patched], which must be the base
+      circuit rewritten through [Circuit.replace] / [Circuit.add] - the
+      shapes fault injection produces - introducing at most one new node
+      and one new branch; anything else raises {!Patch_overflow}.
+      Devices untouched by the patch keep their compiled form; only
+      replaced and appended devices are recompiled, and the patch gets
+      its own stamp plan.  Counted as ["session.patch"]. *)
+  val patch : t -> Netlist.Circuit.t -> patch
 
-      [transient_batch] steps several patched variants of the session's
-      base circuit through one shared checkpoint grid, interleaved on
-      the session's single solver.  Each variant keeps its own adaptive
-      step size, integration state and work budget; what is shared is
-      the session's buffers and one symbolic analysis of the union stamp
-      pattern, primed before any solve.  The
-      per-variant float operations are exactly those of a serial
-      {!transient} of the same patch, so waveforms and detection results
-      are unchanged by batching. *)
+  (** [prime t patches] compiles the union of the patches' stamp
+      patterns into the session's solver once, so none of their later
+      solves pays a symbolic analysis: a chunk of faults shares one. *)
+  val prime : t -> patch list -> unit
 
-  (** How one variant of a batched transient ended. *)
-  type batch_outcome =
-    | Batch_finished of Waveform.t * stats
-        (** ran to [tstop]; the waveform holds every accepted sample *)
-    | Batch_dropped of { grid_index : int; stats : stats }
-        (** the probe returned [`Drop] at checkpoint [grid_index]; the
-            variant was retired early *)
-    | Batch_failed of { error : error; detail : string; stats : stats }
-        (** this variant's own solve failed ({!Sim_error} payload); the
-            other variants are unaffected *)
-    | Batch_overflow of string
-        (** the patch exceeded the overlay reserve; the caller must fall
-            back to a full per-fault rebuild *)
-
-  type batch_result = {
-    outcome : batch_outcome;
-    seconds : float;  (** wall clock spent advancing this variant *)
-  }
-
-  (** [transient_batch t ~variants ~observe ~grid ~tstep ~tstop ~uic
-      ~probe] runs every circuit of [variants] (each a patch of the base
-      circuit, as for {!with_patch}) in lock-step.  At each time of
-      [grid] (ascending, typically the nominal run's resampled times,
-      ending at the nominal stop time) every live variant is advanced
-      past that time and the observed signal [observe] (a waveform name:
-      node voltage or ["I(branch)"]) is interpolated exactly as
-      {!Waveform.resample} would; [probe] then decides whether the
-      variant continues or is dropped.  Budgets apply per variant; a
-      deadline is measured from that variant's own start.  Raises
-      [Invalid_argument] when [observe] names no signal, the grid is
-      empty, or the time parameters are invalid; per-variant failures
-      are returned, not raised. *)
-  val transient_batch :
-    ?options:options ->
-    t ->
-    variants:Netlist.Circuit.t array ->
-    observe:string ->
-    grid:float array ->
-    tstep:float ->
-    tstop:float ->
-    uic:bool ->
-    probe:
-      (variant:int -> grid_index:int -> value:float -> [ `Continue | `Drop ]) ->
-    batch_result array
+  (** [with_patch t p f] runs [f] with the session's active circuit
+      swapped for the patch [p], then restores the nominal view (also on
+      exception). *)
+  val with_patch : t -> patch -> (t -> 'a) -> 'a
 end
 
 (** {1 Internals for the test suite}

@@ -377,9 +377,9 @@ let begin_stamp t ~n ~tran tg =
   end;
   tg.slots
 
-(* Pattern priming for a batch of stamp variants: open every pass (each
+(* Pattern priming for a chunk of stamp plans: open every pass (each
    may grow the active size) and reserve its transient coordinates, then
-   compile the accumulated union pattern once, so no variant's first real
+   compile the accumulated union pattern once, so no plan's first real
    stamp decompiles the symbolic analysis. *)
 let prime t passes =
   List.iter

@@ -84,8 +84,8 @@ val get : t -> int -> int -> float option
 (** [prime t passes] makes the pattern the union of every pass's
     targets (transient entries included), each at its active size, and
     compiles it once, so none of the passes' later real stamps triggers
-    a symbolic recompilation.  Batched fault simulation primes one pass
-    per variant before stepping any of them. *)
+    a symbolic recompilation.  Chunked fault simulation primes one pass
+    per fault patch before solving any of them. *)
 val prime : t -> (int * targets) list -> unit
 
 (** Factors the stamped system and overwrites the leading [n] entries of

@@ -378,7 +378,7 @@ let detect_qcheck =
         | Ok got -> got = expected
         | Error msg -> Test.fail_report msg);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 (* A testable circuit: NMOS inverter driven by a pulse; bridging the
    output to ground or opening the driver changes the response hard. *)
@@ -425,7 +425,8 @@ let key (run : Anafault.Simulate.run) =
     run.Anafault.Simulate.results
 
 (* The serial reference: the campaign loop at one domain and width-1
-   chunks, i.e. the per-fault run_one_in cycle in fault order. *)
+   chunks, i.e. one full-length fault cycle after another in fault
+   order. *)
 let run_serial ?progress ?journal config circuit faults =
   fst
     (Anafault.Parsim.execute ?progress ?journal
@@ -949,14 +950,17 @@ let robust_tests =
         let config = { config with obs } in
         let nominal, _ = Anafault.Simulate.nominal config inverter in
         let sess = Anafault.Simulate.session config inverter in
-        let in_session = Anafault.Simulate.run_one_in config sess ~nominal ghost_bridge in
+        let in_session =
+          List.hd (Anafault.Simulate.run_chunk config sess ~nominal [ ghost_bridge ])
+        in
+        let scratch =
+          Sim.Engine.run
+            (Faults.Inject.apply ~model:config.model inverter ghost_bridge)
+            (Sim.Engine.Analysis.Tran
+               { tstep = tran.tstep; tstop = tran.tstop; uic = tran.uic })
+        in
         let faulty =
-          Sim.Waveform.resample ~n:config.samples
-            (Sim.Engine.Analysis.waveform
-               (Sim.Engine.run
-                  (Faults.Inject.apply ~model:config.model inverter ghost_bridge)
-                  (Sim.Engine.Analysis.Tran
-                     { tstep = tran.tstep; tstop = tran.tstop; uic = tran.uic })))
+          Sim.Waveform.resample ~n:config.samples (Sim.Engine.Analysis.waveform scratch)
         in
         let from_scratch =
           match
@@ -969,8 +973,18 @@ let robust_tests =
         in
         check_bool "session path agrees with rebuild path" true
           (in_session.outcome = from_scratch);
+        check_int "same Newton work as a one-shot run"
+          (Sim.Engine.Analysis.stats scratch).Sim.Engine.newton_iterations
+          in_session.stats.Sim.Engine.newton_iterations;
         check_int "rebuild counted once" 1
-          (counter_total (Obs.drain obs) "session.rebuild"));
+          (counter_total (Obs.drain obs) "session.rebuild");
+        (* In a chunk of two the overflowing fault takes the same attempt,
+           probe included, on a session of its own. *)
+        let chunked =
+          Anafault.Simulate.run_chunk config sess ~nominal [ benign_bridge; ghost_bridge ]
+        in
+        check_bool "chunked overflow agrees" true
+          ((List.nth chunked 1).outcome = from_scratch));
     Alcotest.test_case "a poisoned session is quarantined, later faults unaffected"
       `Quick (fun () ->
         let obs = Obs.memory () in
@@ -1009,7 +1023,7 @@ let robust_tests =
           (match List.rev calls with (3, 3) :: _ -> true | _ -> false));
   ]
 
-(* --- Lock-step batched fault simulation ------------------------------- *)
+(* --- Chunked fault simulation with early stopping ---------------------- *)
 
 let find_result (run : Anafault.Simulate.run) id =
   List.find
@@ -1057,10 +1071,10 @@ let batch_tests =
         in
         Alcotest.(check (list (pair string string)))
           "same outcomes" (key serial) (key batched);
-        (* At the paper's 2 V tolerance the 4x4 grid drops one variant.
+        (* At the paper's 2 V tolerance the 4x4 grid stops one run early.
            A 10x10 grid (101 unknowns) at a 1 mV tolerance detects most
-           faults early, so lock-step batches drop most variants mid-run
-           (34 of these 40) while sharing one stamp pattern. *)
+           faults early, so chunks stop most runs mid-transient (34 of
+           these 40) while sharing one primed stamp pattern. *)
         let rows = 10 and cols = 10 in
         let circuit = Synth.Circuit_synth.resistor_grid ~rows ~cols () in
         let grid_faults =
@@ -1111,6 +1125,30 @@ let batch_tests =
         | _ -> Alcotest.fail "expected the bridge detected in both runs");
         check_bool "fewer accepted steps for the dropped variant" true
           (b.stats.Sim.Engine.accepted_steps < s.stats.Sim.Engine.accepted_steps));
+    Alcotest.test_case "a failed baseline rung is simulated once" `Quick
+      (fun () ->
+        (* One chunk of three: the singular bridge fails its baseline and
+           the swap-model rung rescues it, between two benign faults.
+           Every rung is one patch, so the chunk patches the session once
+           per fault plus once for the rescuing rung - a baseline re-run
+           would patch a fifth time. *)
+        let quiet_gate =
+          Faults.Fault.make ~id:"#4"
+            ~kind:(Faults.Fault.Bridge { net_a = "in"; net_b = "in" })
+            ~mechanism:"metal1_short" ~prob:1e-9 ()
+        in
+        let chunk = [ benign_bridge; singular_bridge; quiet_gate ] in
+        let obs = Obs.memory () in
+        let batched, _ =
+          Anafault.Parsim.execute { config with batch = 3; obs } inverter chunk
+        in
+        check_int "one patch per fault plus the rescuing rung" 4
+          (counter_total (Obs.drain obs) "session.patch");
+        let r = find_result batched "#S" in
+        check_int "baseline plus swap-model" 2 (List.length r.attempts);
+        Alcotest.(check (list (pair string string)))
+          "same outcomes as serial" (key (run_serial config inverter chunk))
+          (key batched));
     Alcotest.test_case "batch width does not change the fingerprint" `Quick
       (fun () ->
         check_bool "interchangeable journals" true
@@ -1384,13 +1422,69 @@ let journal_tests =
               inverter faults));
   ]
 
+(* Generated width parity: a random synthesized circuit (a diode-clamped
+   RC ladder or a resistor grid, of random size) and a random subset of
+   its fault universe, at the paper's tolerance or a 1 mV one that
+   detects (and so stops) most faults early.  Widths 3 and 16 must give
+   width 1's detection table byte for byte. *)
+let width_qcheck =
+  let open QCheck in
+  let circuit =
+    Gen.(
+      oneof
+        [
+          map
+            (fun n -> Synth.Circuit_synth.rc_ladder ~diodes:true ~sections:n ())
+            (int_range 1 16);
+          map
+            (fun (rows, cols) -> Synth.Circuit_synth.resistor_grid ~rows ~cols ())
+            (pair (int_range 2 4) (int_range 2 4));
+        ])
+  in
+  let case =
+    Gen.(
+      circuit >>= fun c ->
+      let universe = Faults.Universe.build c in
+      map2
+        (fun keep tol_v ->
+          let chosen =
+            List.combine keep universe |> List.filter_map (fun (k, f) -> if k then Some f else None)
+          in
+          (c, List.filteri (fun i _ -> i < 12) chosen, tol_v))
+        (list_size (return (List.length universe)) bool)
+        (oneofl [ 2.0; 1e-3 ]))
+  in
+  let print (c, faults, tol_v) =
+    Printf.sprintf "%d devices, tol_v=%g, faults %s" (Netlist.Circuit.device_count c) tol_v
+      (String.concat " " (List.map (fun f -> f.Faults.Fault.id) faults))
+  in
+  [
+    Test.make ~name:"widths 1, 3 and 16 give one table" ~count:20
+      (make ~print case) (fun (circuit, faults, tol_v) ->
+        let tran = { Netlist.Parser.tstep = 1e-7; tstop = 4e-6; uic = false } in
+        let observed = Anafault.Simulate.default_observed circuit in
+        let config =
+          {
+            (Anafault.Campaign.(config_of_options default_options ~tran ~observed)) with
+            tolerance = { Anafault.Detect.tol_v; tol_t = 0.2e-6 };
+          }
+        in
+        let csv_at batch =
+          let run, _ = Anafault.Parsim.execute { config with batch } circuit faults in
+          Anafault.Report.csv_of_results run.Anafault.Simulate.results
+        in
+        let reference = csv_at 1 in
+        List.for_all (fun width -> csv_at width = reference) [ 3; 16 ]);
+  ]
+  |> List.map Prop.to_alcotest
+
 let suites =
   [
     ("anafault.detect", detect_tests);
     ("anafault.analyse", analyse_tests);
     ("anafault.incremental", incremental_tests @ detect_qcheck);
     ("anafault.simulate", simulate_tests);
-    ("anafault.batch", batch_tests);
+    ("anafault.batch", batch_tests @ width_qcheck);
     ("anafault.parsim", parsim_tests);
     ("anafault.coverage", coverage_tests);
     ("anafault.report", report_tests);

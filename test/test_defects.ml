@@ -283,7 +283,7 @@ let merge_qcheck =
         && List.for_all2 (fun e (f, _) -> same_cand e f) expect collapsed
         && List.fold_left (fun n (_, k) -> n + k) 0 collapsed = List.length cands);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let suites =
   [

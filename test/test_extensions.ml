@@ -545,7 +545,7 @@ let synth_qcheck =
         in
         drc = [] && lvs = []);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let suites =
   [

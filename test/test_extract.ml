@@ -216,7 +216,7 @@ let extraction_qcheck =
                 ext.Extract.Extraction.channels)
         && List.length ext.Extract.Extraction.terminals = 3 * List.length devices);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let suites =
   [ ("extract", extraction_tests); ("extract.properties", extraction_qcheck) ]

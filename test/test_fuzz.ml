@@ -160,7 +160,7 @@ let properties =
         with_temp_channel text recv_all;
         true);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let fixed_tests =
   [

@@ -287,7 +287,7 @@ let qcheck_tests =
     Test.make ~name:"facing symmetric" ~count:500 arb_pair (fun (a, b) ->
         Geom.Rect.facing a b = Geom.Rect.facing b a);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let suites =
   [

@@ -314,7 +314,7 @@ let qcheck_tests =
         | Some y -> Float.abs (y -. x) <= 1e-5 *. Float.abs x
         | None -> false);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let suites =
   [

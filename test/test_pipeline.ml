@@ -699,7 +699,7 @@ let oracle_qcheck =
         in
         splits_match ~extra ext);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let oracle_tests =
   [

@@ -51,7 +51,7 @@ let lu_qcheck =
         done;
         !ok);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 (* The evaluator's outputs at one bias, read back out of its scratch. *)
 type mos_eval = { ids : float; gm : float; gds : float }
@@ -125,7 +125,7 @@ let mosfet_qcheck =
           let close a b = Float.abs (a -. b) <= 1e-4 +. (1e-3 *. Float.abs b) in
           close fd_gm e.gm && close fd_gds e.gds))
     models
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let waveform_tests =
   let wf =
@@ -475,6 +475,10 @@ let ac_tests =
         | None -> Alcotest.fail "no corner found");
   ]
 
+(* Compile [patched] as a patch of [s] and run [f] on it. *)
+let with_patch s patched f =
+  Sim.Engine.Session.with_patch s (Sim.Engine.Session.patch s patched) f
+
 let session_tests =
   let divider = parse "div\nV1 in 0 10\nR1 in out 1k\nR2 out 0 1k\n.end\n" in
   let v_out sol = Sim.Engine.voltage sol "out" in
@@ -509,7 +513,7 @@ let session_tests =
         in
         (* out: 1k || 1k against 1k -> 10 * (500/1500). *)
         let v =
-          Sim.Engine.Session.with_patch s patched (fun s ->
+          with_patch s patched (fun s ->
               v_out (Sim.Engine.Session.solve_dc s))
         in
         checkf 1e-6 "patched" (10.0 /. 3.0) v;
@@ -526,7 +530,7 @@ let session_tests =
             (Netlist.Device.R { name = "RB"; n1 = "nx"; n2 = "0"; value = 1e3 })
         in
         let v =
-          Sim.Engine.Session.with_patch s patched (fun s ->
+          with_patch s patched (fun s ->
               v_out (Sim.Engine.Session.solve_dc s))
         in
         checkf 1e-6 "patched" (20.0 /. 3.0) v);
@@ -538,7 +542,7 @@ let session_tests =
                { name = "VB"; np = "out"; nn = "0"; wave = Netlist.Wave.Dc 0.0 })
         in
         let v =
-          Sim.Engine.Session.with_patch s patched (fun s ->
+          with_patch s patched (fun s ->
               v_out (Sim.Engine.Session.solve_dc s))
         in
         checkf 1e-9 "shorted" 0.0 v);
@@ -553,7 +557,7 @@ let session_tests =
             (Netlist.Device.R { name = "R2"; n1 = "nb"; n2 = "0"; value = 1e3 })
         in
         (match
-           Sim.Engine.Session.with_patch s patched (fun s ->
+           with_patch s patched (fun s ->
                v_out (Sim.Engine.Session.solve_dc s))
          with
         | exception Sim.Engine.Patch_overflow _ -> ()
@@ -563,7 +567,7 @@ let session_tests =
     Alcotest.test_case "removing a device overflows the patch" `Quick (fun () ->
         let s = Sim.Engine.Session.create divider in
         let patched = Netlist.Circuit.remove divider "R2" in
-        match Sim.Engine.Session.with_patch s patched (fun _ -> ()) with
+        match with_patch s patched (fun _ -> ()) with
         | exception Sim.Engine.Patch_overflow _ -> ()
         | _ -> Alcotest.fail "expected Patch_overflow");
   ]
@@ -639,7 +643,7 @@ let engine_qcheck =
         let v = Sim.Waveform.value_at wf "out" (tstop /. 2.0) in
         Float.abs (v -. 1.0) < 0.02);
   ]
-  |> List.map QCheck_alcotest.to_alcotest
+  |> List.map Prop.to_alcotest
 
 let robustness_tests =
   [
@@ -871,7 +875,7 @@ let solver_tests =
             (Netlist.Device.R { name = "RF"; n1 = "out"; n2 = "0"; value = 1e3 })
         in
         let v =
-          Sim.Engine.Session.with_patch s patched (fun s ->
+          with_patch s patched (fun s ->
               v_out (Sim.Engine.Session.solve_dc s))
         in
         checkf 1e-6 "patched" (10.0 /. 3.0) v;
@@ -884,7 +888,7 @@ let solver_tests =
             (Netlist.Device.R { name = "RB"; n1 = "nx"; n2 = "0"; value = 1e3 })
         in
         let v =
-          Sim.Engine.Session.with_patch s grown (fun s ->
+          with_patch s grown (fun s ->
               v_out (Sim.Engine.Session.solve_dc s))
         in
         checkf 1e-6 "grown patch" (20.0 /. 3.0) v;
@@ -1225,7 +1229,7 @@ let plan_matches_naive ~oracle ~solution_ok ~integration c patched seed =
   let options = { Sim.Engine.default_options with integration } in
   let s = Sim.Engine.Session.create ~options c in
   let rng = Random.State.make [| seed |] in
-  Sim.Engine.Session.with_patch s patched (fun s ->
+  with_patch s patched (fun s ->
       let n, row, node_rows = unknown_rows s in
       let devices = Netlist.Circuit.devices patched in
       let vector () = Array.init n (fun _ -> Random.State.float rng 6.0 -. 1.0) in
@@ -1322,7 +1326,7 @@ let frozen_pivots_hold ~integration c pick seed =
   (* The nominal system and each fault patch's, as its size, its
      naive cells and right-hand side, and its targets. *)
   let system patched =
-    Sim.Engine.Session.with_patch s patched (fun s ->
+    with_patch s patched (fun s ->
         let n, row, node_rows = unknown_rows s in
         let cells, rhs =
           naive_assembly ~options ~mode ~prev:(Array.sub prev 0 n) ~row ~node_rows
@@ -1356,7 +1360,7 @@ let frozen_pivots_hold ~integration c pick seed =
          faults
 
 let plan_qcheck =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Prop.to_alcotest
     [
       QCheck.Test.make ~count:200 ~name:"sparse stamp plan equals a naive assembly, bit for bit"
         plan_case (fun (c, pick, seed, trap) ->
