@@ -354,9 +354,14 @@ let spec_of_cli input fault_file universe observe model_name tol_v tol_t
   let faults =
     match (fault_file, universe) with
     | Some path, _ -> Faults.Fault_list.load path
-    | None, true ->
-      let parsed = Netlist.Parser.parse_file input in
-      Faults.Universe.build parsed.Netlist.Parser.circuit
+    | None, true -> begin
+      (* The same report Campaign.compile gives a malformed deck. *)
+      match Netlist.Parser.parse deck with
+      | parsed -> Faults.Universe.build parsed.Netlist.Parser.circuit
+      | exception Netlist.Parser.Parse_error (line, msg) ->
+        Format.eprintf "error: deck line %d: %s@." line msg;
+        exit 1
+    end
     | None, false ->
       Format.eprintf "error: need --faults FILE or --universe@.";
       exit 1

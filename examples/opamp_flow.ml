@@ -80,28 +80,4 @@ let () =
       domains = 4 }
   in
   let run = Cat.run_fault_simulation config circuit lift.Defects.Lift.faults in
-  Format.printf "%a@." Anafault.Report.pp_summary run;
-
-  banner "AC fault simulation (closed-loop magnitude signatures)";
-  let ac_config =
-    { (Anafault.Ac_sim.default_config ~source:"VINP" ~observed:"out") with
-      freqs = Sim.Spectrum.log_grid ~f_start:100.0 ~f_stop:100e6 ~per_decade:5;
-      tol_db = 1.0 }
-  in
-  let ac_run = Anafault.Ac_sim.run ac_config circuit lift.Defects.Lift.faults in
-  Format.printf "%a@." Anafault.Ac_sim.pp_summary ac_run;
-  let d_tr, _, _ = Anafault.Simulate.tally run in
-  let d_ac, _, _ = Anafault.Ac_sim.tally ac_run in
-  let both =
-    List.fold_left2
-      (fun acc (tr : Anafault.Simulate.fault_result) (ac : Anafault.Ac_sim.fault_result) ->
-        match (tr.outcome, ac.outcome) with
-        | Anafault.Simulate.Detected _, _ | _, Anafault.Ac_sim.Detected _ -> acc + 1
-        | _ -> acc)
-      0 run.Anafault.Simulate.results ac_run.Anafault.Ac_sim.results
-  in
-  Printf.printf
-    "transient detects %d, AC detects %d, union %d of %d faults -\n\
-     the two test preparations complement each other.\n"
-    d_tr d_ac both
-    (List.length lift.Defects.Lift.faults)
+  Format.printf "%a@." Anafault.Report.pp_summary run

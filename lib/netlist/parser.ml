@@ -288,7 +288,12 @@ let parse text =
           in
           match List.filter (fun w -> String.uppercase_ascii w <> "UIC") rest with
           | tstep :: tstop :: _ ->
-            tran := Some { tstep = num ln tstep; tstop = num ln tstop; uic }
+            let tstep = num ln tstep and tstop = num ln tstop in
+            (* Eng.parse reads "1e999" as infinity: a transient to an
+               infinite tstop would never finish. *)
+            if not (0.0 < tstep && tstep <= tstop && Float.is_finite tstop) then
+              err ln ".tran needs finite 0 < tstep <= tstop, got %g %g" tstep tstop;
+            tran := Some { tstep; tstop; uic }
           | _ -> err ln ".tran needs tstep and tstop"
         end
         | c when String.length c > 0 && c.[0] = '.' -> err ln "unknown card %S" card
@@ -302,8 +307,3 @@ let parse text =
       end)
     top;
   { circuit = !circuit; tran = !tran }
-
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      parse (really_input_string ic (in_channel_length ic)))

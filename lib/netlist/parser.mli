@@ -11,11 +11,11 @@
 exception Parse_error of int * string
 (** Line number (of the logical, continuation-joined line) and message. *)
 
-(** A [.tran tstep tstop [UIC]] request. *)
+(** A [.tran tstep tstop [UIC]] request.  The parser refuses, with a
+    {!Parse_error} on the card's line, any card whose values are not
+    finite with [0 < tstep <= tstop]. *)
 type tran = { tstep : float; tstop : float; uic : bool }
 
 type deck = { circuit : Circuit.t; tran : tran option }
 
 val parse : string -> deck
-
-val parse_file : string -> deck

@@ -603,30 +603,6 @@ let dc_solve ctx =
     end
   end
 
-(* A throwaway context with exactly-sized buffers, for the one-shot
-   analyses below. *)
-let ctx_of_circuit ~opts ~obs circuit =
-  let mna = Mna.make circuit in
-  let devices = compile mna circuit in
-  let size = Mna.size mna in
-  let node_count = Mna.node_count mna in
-  let sv = Sparse.create ~capacity:size in
-  ( {
-      opts;
-      sv;
-      size;
-      devices;
-      plan = make_plan sv devices ~pins:(pinned_rows ~node_count ~extra_node:None);
-      ev = Mosfet.make_scratch ();
-      obs;
-      names = output_names mna;
-    },
-    mna )
-
-let op_impl ~opts ~obs circuit =
-  let ctx, mna = ctx_of_circuit ~opts ~obs circuit in
-  { mna; v = dc_solve ctx }
-
 (* Initial transient state: DC operating point, or zeros plus capacitor
    ICs when [uic]. *)
 let initial_state ~uic ctx =
@@ -727,8 +703,10 @@ type stepper = {
 }
 
 let stepper_start ctx ~circuit ~tstep ~tstop ~uic =
-  if tstep <= 0.0 || tstop <= 0.0 || tstep > tstop then
-    invalid_arg "Engine.transient: need 0 < tstep <= tstop";
+  (* Written positively so a NaN or infinite value fails it too: an
+     infinite tstop would step forever. *)
+  if not (0.0 < tstep && tstep <= tstop && Float.is_finite tstop) then
+    invalid_arg "Engine.transient: need 0 < tstep <= tstop, both finite";
   let v = initial_state ~uic ctx in
   init_device_states ctx.devices v;
   {
@@ -941,10 +919,6 @@ let transient_core ?probe ctx ~circuit ~tstep ~tstop ~uic =
   in
   if not stopped then advance_to Float.infinity;
   (Waveform.make ~names:ctx.names ~samples:(List.rev st.samples), stepper_stats st)
-
-let transient_impl ~opts ~obs circuit ~tstep ~tstop ~uic =
-  let ctx, _ = ctx_of_circuit ~opts ~obs circuit in
-  transient_core ctx ~circuit ~tstep ~tstop ~uic
 
 (* --- Sessions: batch solving of one circuit topology ------------------ *)
 
@@ -1173,8 +1147,7 @@ end
    branch.  The sweep is a natural session batch: only the swept source's
    wave changes between points, so the node map and solver buffers are
    shared across the whole sweep. *)
-let dc_sweep_impl ~opts ~obs circuit ~source ~values =
-  let options = opts in
+let dc_sweep_impl ~options ~obs circuit ~source ~values =
   (match Netlist.Circuit.find circuit source with
   | Some (Netlist.Device.V _) | Some (Netlist.Device.I _) -> ()
   | Some _ | None ->
@@ -1208,103 +1181,6 @@ let dc_sweep_impl ~opts ~obs circuit ~source ~values =
           prev := Some v;
           (value, { mna = s.Session.mna; v })))
     values
-
-(* --- AC (small-signal) analysis -------------------------------------- *)
-
-(* Linearise every device at the DC operating point and solve the complex
-   MNA system once per frequency.  The designated source drives with unit
-   magnitude and zero phase; every other independent source is quenched
-   (V -> short, I -> open), as in SPICE. *)
-let ac_impl ~opts ~obs circuit ~source ~freqs =
-  (* Validate the source name against the circuit before any solving so
-     a typo fails fast - even with an empty frequency list. *)
-  (match Netlist.Circuit.find circuit source with
-  | Some (Netlist.Device.V _) | Some (Netlist.Device.I _) -> ()
-  | Some _ | None ->
-    invalid_arg ("Engine.ac: no independent source named " ^ source));
-  let ctx, mna = ctx_of_circuit ~opts ~obs circuit in
-  let devices = ctx.devices and ev = ctx.ev in
-  let v_op = dc_solve ctx in
-  let n = Mna.size mna in
-  let node_count = Mna.node_count mna in
-  let cx re = { Complex.re; im = 0.0 } in
-  let jw w c = { Complex.re = 0.0; im = w *. c } in
-  let dev_names =
-    Array.of_list (List.map Netlist.Device.name (Netlist.Circuit.devices circuit))
-  in
-  (* One complex system plus one Clu scratch for the whole sweep - the
-     same begin-stamp / factor-solve lifecycle the real-valued solver
-     runs, sized once per topology. *)
-  let a = Array.make_matrix n n Complex.zero in
-  let b = Array.make n Complex.zero in
-  let scratch = Clu.make_scratch n in
-  let solve_at freq =
-    let w = 2.0 *. Float.pi *. freq in
-    for i = 0 to n - 1 do
-      Array.fill a.(i) 0 n Complex.zero;
-      b.(i) <- Complex.zero
-    done;
-    let add i j z = if i >= 0 && j >= 0 then a.(i).(j) <- Complex.add a.(i).(j) z in
-    let add_rhs i z = if i >= 0 then b.(i) <- Complex.add b.(i) z in
-    let add_g i j z =
-      add i i z;
-      add j j z;
-      add i j (Complex.neg z);
-      add j i (Complex.neg z)
-    in
-    Array.iteri
-      (fun di dev ->
-        let name = dev_names.(di) in
-        match dev with
-        | CR { i; j; g } -> add_g i j (cx g)
-        | CC { i; j; c; _ } -> add_g i j (jw w c)
-        | CL { i; j; br; ind; _ } ->
-          add i br Complex.one;
-          add j br (Complex.neg Complex.one);
-          add br i Complex.one;
-          add br j (Complex.neg Complex.one);
-          add br br (Complex.neg (jw w ind))
-        | CV { i; j; br; _ } ->
-          add i br Complex.one;
-          add j br (Complex.neg Complex.one);
-          add br i Complex.one;
-          add br j (Complex.neg Complex.one);
-          if String.equal name source then add_rhs br Complex.one
-        | CI { i; j; _ } ->
-          if String.equal name source then begin
-            add_rhs i (Complex.neg Complex.one);
-            add_rhs j Complex.one
-          end
-        | CD { i; j; is_sat; nvt } ->
-          let vd = gv v_op i -. gv v_op j in
-          exp_lim ev (vd /. nvt);
-          let gd = (is_sat *. ev.(1) /. nvt) +. opts.gmin in
-          add_g i j (cx gd)
-        | CM { d; g; s; model; w = mw; l = ml; cg; _ } ->
-          let vgs = gv v_op g -. gv v_op s and vds = gv v_op d -. gv v_op s in
-          ev.(Mosfet.vgs) <- vgs;
-          ev.(Mosfet.vds) <- vds;
-          Mosfet.eval model ~w:mw ~l:ml ev;
-          let gm = ev.(Mosfet.gm) in
-          let gds = ev.(Mosfet.gds) +. opts.gmin in
-          add d d (cx gds);
-          add d g (cx gm);
-          add d s (cx (-.(gm +. gds)));
-          add s d (cx (-.gds));
-          add s g (cx (-.gm));
-          add s s (cx (gm +. gds));
-          add_g g s (jw w cg);
-          add_g g d (jw w cg))
-      devices;
-    for i = 0 to node_count - 1 do
-      a.(i).(i) <- Complex.add a.(i).(i) (cx opts.gmin)
-    done;
-    Clu.factor_solve ~n scratch a b;
-    Array.sub b 0 n
-  in
-  let points = List.map (fun f -> (f, solve_at f)) freqs in
-  if Obs.enabled obs then Obs.count obs "engine.ac.points" (List.length points);
-  Spectrum.make ~names:(output_names mna) ~points
 
 (* --- Internals for the test suite ------------------------------------- *)
 
@@ -1351,25 +1227,21 @@ module Analysis = struct
     | Op
     | Tran of { tstep : float; tstop : float; uic : bool }
     | Dc_sweep of { source : string; values : float list }
-    | Ac of { source : string; freqs : float list }
 
   type result =
     | Op_result of solution
     | Tran_result of Waveform.t * stats
     | Sweep_result of (float * solution) list
-    | Ac_result of Spectrum.t
 
   let kind = function
     | Op -> "op"
     | Tran _ -> "tran"
     | Dc_sweep _ -> "dc_sweep"
-    | Ac _ -> "ac"
 
   let mismatch want = function
     | Op_result _ -> invalid_arg ("Engine.Analysis: op result, wanted " ^ want)
     | Tran_result _ -> invalid_arg ("Engine.Analysis: tran result, wanted " ^ want)
     | Sweep_result _ -> invalid_arg ("Engine.Analysis: sweep result, wanted " ^ want)
-    | Ac_result _ -> invalid_arg ("Engine.Analysis: ac result, wanted " ^ want)
 
   let solution = function Op_result s -> s | r -> mismatch "solution" r
 
@@ -1378,21 +1250,22 @@ module Analysis = struct
   let stats = function Tran_result (_, st) -> st | r -> mismatch "stats" r
 
   let sweep = function Sweep_result pts -> pts | r -> mismatch "sweep" r
-
-  let spectrum = function Ac_result sp -> sp | r -> mismatch "spectrum" r
 end
 
+(* Op and Tran run on a fresh session, so every analysis - one-shot, a
+   campaign's nominal, each fault - builds its solver context in
+   [Session.create]. *)
 let run ?(options = default_options) ?(obs = Obs.null) circuit analysis =
-  let opts = options in
   Obs.span obs "engine.analysis"
     ~attrs:[ ("kind", Obs.Str (Analysis.kind analysis)) ]
     (fun _ ->
       match analysis with
-      | Analysis.Op -> Analysis.Op_result (op_impl ~opts ~obs circuit)
+      | Analysis.Op ->
+        Analysis.Op_result (Session.solve_dc (Session.create ~options ~obs circuit))
       | Analysis.Tran { tstep; tstop; uic } ->
-        let wf, stats = transient_impl ~opts ~obs circuit ~tstep ~tstop ~uic in
+        let wf, stats =
+          Session.transient (Session.create ~options ~obs circuit) ~tstep ~tstop ~uic
+        in
         Analysis.Tran_result (wf, stats)
       | Analysis.Dc_sweep { source; values } ->
-        Analysis.Sweep_result (dc_sweep_impl ~opts ~obs circuit ~source ~values)
-      | Analysis.Ac { source; freqs } ->
-        Analysis.Ac_result (ac_impl ~opts ~obs circuit ~source ~freqs))
+        Analysis.Sweep_result (dc_sweep_impl ~options ~obs circuit ~source ~values))

@@ -137,21 +137,13 @@ module Analysis : sig
         (** DC transfer characteristic: the operating point re-solved for
             each value of the named V or I source, warm-starting from the
             previous point (continuation) *)
-    | Ac of { source : string; freqs : float list }
-        (** small-signal analysis: every device is linearised around the
-            DC operating point and the complex MNA system is solved at
-            each frequency (Hz, increasing).  The named V or I source
-            drives with unit magnitude and all other independent sources
-            are quenched, so each node's phasor is the transfer function
-            to that node *)
 
   type result =
     | Op_result of solution
     | Tran_result of Waveform.t * stats
     | Sweep_result of (float * solution) list
-    | Ac_result of Spectrum.t
 
-  (** ["op"], ["tran"], ["dc_sweep"] or ["ac"] - the tag {!run} stamps
+  (** ["op"], ["tran"] or ["dc_sweep"] - the tag {!run} stamps
       on its telemetry span. *)
   val kind : t -> string
 
@@ -165,19 +157,19 @@ module Analysis : sig
   val stats : result -> stats
 
   val sweep : result -> (float * solution) list
-
-  val spectrum : result -> Spectrum.t
 end
 
 (** [run ?options ?obs circuit analysis] executes [analysis] on
-    [circuit].  All kernel telemetry (Newton iterations per solve,
+    [circuit].  [Op] and [Tran] run on a fresh {!Session.create}, through
+    {!Session.solve_dc} and {!Session.transient}; [Dc_sweep] runs its
+    points as patches of one session.  All kernel telemetry (Newton iterations per solve,
     stamping and LU time, dv-clamp hits, gmin/source-stepping fallbacks, step
     accept/reject) flows into [obs] (default {!Obs.null}, which is
     free); the whole analysis is additionally wrapped in an
     ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises
     {!Sim_error} when the kernel gives up, and [Invalid_argument] for a
-    malformed request ([tstep] outside [(0, tstop]], a sweep or AC
-    source that names no independent source). *)
+    malformed request ([tstep] outside [(0, tstop]], a non-finite
+    [tstop], a sweep source that names no independent source). *)
 val run :
   ?options:options ->
   ?obs:Obs.sink ->

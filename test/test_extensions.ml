@@ -1,7 +1,6 @@
 (* Tests for the capabilities layered on top of the paper's core flow:
    the fault-list file format, L2RFM, Monte-Carlo IFA, yield estimation,
-   SVG rendering, and the AC / DC-sweep analyses with their fault
-   loops. *)
+   SVG rendering, DC sweeps, test preparation and diagnosis. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -219,105 +218,6 @@ let svg_tests =
         check_bool "width" true (contains svg "width=\"333\""));
   ]
 
-(* --- AC analysis --- *)
-
-let clu_tests =
-  [
-    Alcotest.test_case "solves complex 2x2" `Quick (fun () ->
-        let i = Complex.i in
-        let one = Complex.one in
-        let a = [| [| Complex.add one i; Complex.zero |]; [| one; i |] |] in
-        let b = [| Complex.add one i; Complex.add one i |] in
-        let x = Sim.Clu.solve_copy a b in
-        (* first row: (1+i) x0 = 1+i -> x0 = 1; second: x0 + i x1 = 1+i -> x1 = 1 *)
-        checkf 1e-12 "x0 re" 1.0 x.(0).Complex.re;
-        checkf 1e-12 "x0 im" 0.0 x.(0).Complex.im;
-        checkf 1e-12 "x1 re" 1.0 x.(1).Complex.re);
-    Alcotest.test_case "raises on singular" `Quick (fun () ->
-        let a = [| [| Complex.one; Complex.one |]; [| Complex.one; Complex.one |] |] in
-        match Sim.Clu.solve_copy a [| Complex.one; Complex.one |] with
-        | exception Sim.Clu.Singular _ -> ()
-        | _ -> Alcotest.fail "expected Singular");
-  ]
-
-let rc_lowpass =
-  parse "rc lowpass\nVIN in 0 DC 0\nR1 in out 1k\nC1 out 0 159.155n\n.end\n"
-(* corner = 1/(2 pi R C) = 1 kHz *)
-
-let ac_tests =
-  [
-    Alcotest.test_case "rc lowpass magnitude and corner" `Quick (fun () ->
-        let freqs = Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:1e6 ~per_decade:20 in
-        let sp =
-          Sim.Engine.(
-            Analysis.spectrum
-              (run rc_lowpass (Analysis.Ac { source = "VIN"; freqs })))
-        in
-        let mag = Sim.Spectrum.magnitude_db sp "out" in
-        checkf 0.01 "dc gain" 0.0 mag.(0);
-        (match Sim.Spectrum.corner_frequency sp "out" with
-        | Some f -> checkf 30.0 "corner" 1000.0 f
-        | None -> Alcotest.fail "no corner");
-        (* well above the corner the analytic first-order magnitude must
-           hold at every grid point *)
-        let freqs = Sim.Spectrum.frequencies sp in
-        Array.iteri
-          (fun i f ->
-            if f >= 1e4 then begin
-              let expect = -10.0 *. log10 (1.0 +. ((f /. 1000.0) ** 2.0)) in
-              checkf 0.1 (Printf.sprintf "mag at %.0f" f) expect mag.(i)
-            end)
-          freqs);
-    Alcotest.test_case "rc lowpass phase approaches -90" `Quick (fun () ->
-        let freqs = Sim.Spectrum.log_grid ~f_start:1.0 ~f_stop:1e6 ~per_decade:10 in
-        let sp =
-          Sim.Engine.(
-            Analysis.spectrum
-              (run rc_lowpass (Analysis.Ac { source = "VIN"; freqs })))
-        in
-        let ph = Sim.Spectrum.phase_deg sp "out" in
-        checkf 2.0 "dc phase" 0.0 ph.(0);
-        checkf 3.0 "hf phase" (-90.0) ph.(Array.length ph - 1));
-    Alcotest.test_case "other sources are quenched" `Quick (fun () ->
-        let c =
-          parse "t\nVIN in 0 DC 0\nVOFF x 0 5\nR1 in out 1k\nR2 out x 1k\n.end\n"
-        in
-        let sp =
-          Sim.Engine.(
-            Analysis.spectrum
-              (run c (Analysis.Ac { source = "VIN"; freqs = [ 1e3 ] })))
-        in
-        (* VOFF acts as ground: out = in / 2. *)
-        checkf 1e-9 "divider" 0.5 (Complex.norm (Sim.Spectrum.phasor sp "out" 0)));
-    Alcotest.test_case "unknown source rejected" `Quick (fun () ->
-        match
-          Sim.Engine.(
-            Analysis.spectrum
-              (run rc_lowpass (Analysis.Ac { source = "VBOGUS"; freqs = [ 1e3 ] })))
-        with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
-    Alcotest.test_case "mos amplifier inverts and amplifies" `Quick (fun () ->
-        let c =
-          parse
-            ("amp\nVDD vdd 0 5\nVIN gate 0 DC 1.3\nRD vdd out 20k\n"
-           ^ "M1 out gate 0 0 NM W=20u L=1u\n.model NM NMOS VTO=0.8 KP=60u LAMBDA=0.02\n.end\n")
-        in
-        let sp =
-          Sim.Engine.(
-            Analysis.spectrum
-              (run c (Analysis.Ac { source = "VIN"; freqs = [ 100.0 ] })))
-        in
-        let h = Sim.Spectrum.phasor sp "out" 0 in
-        check_bool "gain > 3" true (Complex.norm h > 3.0);
-        checkf 5.0 "inverting" 180.0 (Float.abs (Complex.arg h *. 180.0 /. Float.pi)));
-    Alcotest.test_case "log grid covers the requested span" `Quick (fun () ->
-        let g = Sim.Spectrum.log_grid ~f_start:10.0 ~f_stop:1e4 ~per_decade:10 in
-        checkf 1e-9 "start" 10.0 (List.hd g);
-        checkf 1e-6 "stop" 1e4 (List.nth g (List.length g - 1));
-        check_bool "monotone" true (List.sort compare g = g));
-  ]
-
 (* --- DC sweep --- *)
 
 let dc_sweep_tests =
@@ -359,39 +259,6 @@ let dc_sweep_tests =
         with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
-  ]
-
-(* --- AC fault simulation --- *)
-
-let ac_sim_tests =
-  [
-    Alcotest.test_case "lowpass faults detected, nominal silent" `Quick (fun () ->
-        let config =
-          { (Anafault.Ac_sim.default_config ~source:"VIN" ~observed:"out") with
-            freqs = Sim.Spectrum.log_grid ~f_start:10.0 ~f_stop:1e6 ~per_decade:5 }
-        in
-        let faults = Faults.Universe.build rc_lowpass in
-        let run = Anafault.Ac_sim.run config rc_lowpass faults in
-        let d, _, f = Anafault.Ac_sim.tally run in
-        check_int "no failures" 0 f;
-        (* R1 short, R1 open, C1 short, C1 open all bend the response. *)
-        check_bool "most detected" true (d >= 3));
-    Alcotest.test_case "capacitor open shifts only high frequencies" `Quick (fun () ->
-        let config =
-          { (Anafault.Ac_sim.default_config ~source:"VIN" ~observed:"out") with
-            freqs = Sim.Spectrum.log_grid ~f_start:10.0 ~f_stop:1e6 ~per_decade:5 }
-        in
-        let cap_open =
-          Faults.Fault.make ~id:"#c"
-            ~kind:(Faults.Fault.Break
-                     { net = "out"; moved = [ { Faults.Fault.device = "C1"; port = 0 } ] })
-            ~mechanism:"m" ()
-        in
-        let run = Anafault.Ac_sim.run config rc_lowpass [ cap_open ] in
-        match run.Anafault.Ac_sim.results with
-        | [ { outcome = Anafault.Ac_sim.Detected f; _ } ] ->
-          check_bool "above the corner" true (f > 500.0)
-        | _ -> Alcotest.fail "expected detection");
   ]
 
 (* --- test preparation + diagnosis --- *)
@@ -554,10 +421,7 @@ let suites =
     ("defects.monte_carlo", monte_carlo_tests);
     ("defects.yield", yield_tests);
     ("layout.svg", svg_tests);
-    ("sim.clu", clu_tests);
-    ("sim.ac", ac_tests);
     ("sim.dc_sweep", dc_sweep_tests);
-    ("anafault.ac_sim", ac_sim_tests);
     ("synth.properties", synth_qcheck);
     ("anafault.testprep", testprep_tests);
     ("anafault.diagnose", diagnose_tests);

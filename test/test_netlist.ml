@@ -226,6 +226,16 @@ let more_parser_tests =
         match Netlist.Parser.parse "t\nR1 a 0 1k\nR1 b 0 1k\n.end\n" with
         | exception Netlist.Parser.Parse_error (3, _) -> ()
         | _ -> Alcotest.fail "expected Parse_error");
+    Alcotest.test_case ".tran needs finite 0 < tstep <= tstop" `Quick (fun () ->
+        (* "1e999" reads as infinity; a run to it would never finish. *)
+        List.iter
+          (fun card ->
+            match Netlist.Parser.parse ("t\nR1 a 0 1k\n" ^ card ^ "\n.end\n") with
+            | exception Netlist.Parser.Parse_error (3, _) -> ()
+            | exception Netlist.Parser.Parse_error (n, m) ->
+              Alcotest.failf "%s: error on line %d (%s), want 3" card n m
+            | _ -> Alcotest.failf "%s: expected Parse_error" card)
+          [ ".tran 10n 1e999"; ".tran 0 4u"; ".tran 1u 10n" ]);
     Alcotest.test_case "printer round-trips inductors and diodes" `Quick (fun () ->
         let deck =
           Netlist.Parser.parse "t\nL1 a b 1m IC=1m\nD1 b 0 DX\n.model DX D IS=2e-14 N=1.5\n.end\n"
