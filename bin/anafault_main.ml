@@ -344,6 +344,14 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
 
 (* --- Spec assembly ----------------------------------------------------- *)
 
+(* A malformed fault list gets the report a malformed deck gets. *)
+let faults_or_exit source parse =
+  match parse () with
+  | faults -> faults
+  | exception Faults.Fault_list.Parse_error (line, msg) ->
+    Format.eprintf "error: %s line %d: %s@." source line msg;
+    exit 1
+
 (* The CLI's flags collapse into a Campaign.spec: the deck and fault
    list travel as text, so the same value can run locally, go over the
    wire, or be saved and re-run via --spec. *)
@@ -353,7 +361,7 @@ let spec_of_cli input fault_file universe observe model_name tol_v tol_t
   let deck = read_file input in
   let faults =
     match (fault_file, universe) with
-    | Some path, _ -> Faults.Fault_list.load path
+    | Some path, _ -> faults_or_exit path (fun () -> Faults.Fault_list.load path)
     | None, true -> begin
       (* The same report Campaign.compile gives a malformed deck. *)
       match Netlist.Parser.parse deck with
@@ -397,7 +405,13 @@ let load_spec path =
     | Error msg ->
       Format.eprintf "error: %s: %s@." path msg;
       exit 1
-    | Ok spec -> spec
+    | Ok spec ->
+      (* Checked here so the remote path, which decodes results against
+         the fault list, refuses it as the local compile does. *)
+      ignore
+        (faults_or_exit (path ^ ": fault list") (fun () ->
+             Faults.Fault_list.of_string spec.Campaign.faults));
+      spec
   end
 
 let run input fault_file universe observe model_name tol_v tol_t

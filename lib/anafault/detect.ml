@@ -20,9 +20,8 @@ let paper_tolerance = { tol_v = 2.0; tol_t = 0.2e-6 }
 
    There is one algorithm, [Incremental]: faulty samples arrive one grid
    point at a time and the verdict is final the moment it can no longer
-   change.  The campaign loop feeds it as a fault's transient steps and
-   stops the run on a final detection; [analyse] feeds it a whole
-   faulty waveform. *)
+   change.  The campaign loop feeds it as a fault's transient steps, and
+   its verdict is the fault attempt's outcome. *)
 
 (* A divergence run still open when the data ends is flushed as a
    detection at the last index, provided it has already persisted for
@@ -156,39 +155,3 @@ module Incremental = struct
     end;
     st.decided
 end
-
-(* The whole-waveform entry point: the faulty response is sampled on the
-   nominal grid and folded through one [Incremental] detector, stopping
-   at its final verdict.  Every degenerate input that would make the
-   comparison meaningless comes back as [Error] instead of an exception,
-   so a campaign records a typed per-fault failure rather than crashing
-   its domain.  A missing signal still raises [Not_found] - that is a
-   bad injection, not a degenerate waveform, and the campaign taxonomy
-   already classifies it. *)
-let analyse ~tolerance ~signal ~nominal ~faulty =
-  if Array.length (Sim.Waveform.times faulty) = 0 then Error "faulty waveform is empty"
-  else begin
-    let times = Sim.Waveform.times nominal in
-    let nom = Sim.Waveform.samples nominal signal in
-    let flt = Array.map (Sim.Waveform.value_at faulty signal) times in
-    match Incremental.create ~tolerance ~times ~nom with
-    | Error msg -> Error msg
-    (* Threshold comparisons are silently false on NaN and saturate on
-       infinities, so a diverged response must fail typed here rather
-       than tabulate as undetected. *)
-    | Ok _ when not (Array.for_all Float.is_finite flt) ->
-      Error "faulty response contains non-finite samples"
-    | Ok det ->
-      let rec fold i =
-        match Incremental.feed det flt.(i) with
-        | Incremental.Pending -> fold (i + 1)
-        | Incremental.Detected j -> Ok (Some times.(j))
-        | Incremental.Clear -> Ok None
-      in
-      fold 0
-  end
-
-let first_detection ~tolerance ~signal ~nominal ~faulty =
-  match analyse ~tolerance ~signal ~nominal ~faulty with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Detect: " ^ msg)

@@ -24,41 +24,16 @@ type tolerance = { tol_v : float; tol_t : float }
 (** The paper's working point: 2 V / 0.2 us. *)
 val paper_tolerance : tolerance
 
-(** [analyse ~tolerance ~signal ~nominal ~faulty] is the earliest
-    nominal-grid sample time at which the fault is visible, if any.  The
-    faulty response is sampled on the nominal grid and folded through
-    one {!Incremental} detector - the same algorithm the campaign
-    loop stops runs early with - so whole-waveform and prefix
-    verdicts cannot disagree.  Degenerate inputs are typed failures: a
-    nominal waveform with fewer than two samples, a non-increasing
-    nominal time grid ([dt <= 0]), an empty faulty waveform or a
-    non-finite sample on either side comes back as [Error] instead of an
-    exception, so a campaign can record a per-fault failure rather than
-    crash its domain.  A missing [signal] still raises [Not_found] (a
-    bad injection, which the campaign taxonomy already classifies). *)
-val analyse :
-  tolerance:tolerance ->
-  signal:string ->
-  nominal:Sim.Waveform.t ->
-  faulty:Sim.Waveform.t ->
-  (float option, string) result
-
-(** [first_detection] is {!analyse} for callers that treat a degenerate
-    input as a programming error: [Error msg] raises
-    [Invalid_argument]. *)
-val first_detection :
-  tolerance:tolerance ->
-  signal:string ->
-  nominal:Sim.Waveform.t ->
-  faulty:Sim.Waveform.t ->
-  float option
-
-(** Prefix-decidable detection, for the campaign loop's early stopping:
-    faulty samples on the nominal grid are fed one at a time, and the
-    verdict becomes final the moment it can no longer change - for most
-    detected faults well before tstop, which is what lets a fault's
-    transient stop early.  The tail flush only ever fires at the last grid
-    index, so it never produces a premature [Detected]. *)
+(** Prefix-decidable detection, the campaign loop's one comparison:
+    faulty samples on the nominal grid are fed one at a time as the
+    fault's transient steps ({!Simulate.run_chunk} feeds it through an
+    engine probe), and the verdict becomes final the moment it can no
+    longer change - for most detected faults well before tstop, which is
+    what lets a fault's transient stop early.  The tail flush only ever
+    fires at the last grid index, so it never produces a premature
+    [Detected].  Threshold tests are silently false on NaN, so a caller
+    must keep non-finite samples out ({!Simulate.detector} turns one into
+    a typed failure). *)
 module Incremental : sig
   type t
 
@@ -69,7 +44,9 @@ module Incremental : sig
 
   (** [create ~tolerance ~times ~nom] starts a detector against the
       nominal response [nom] sampled at [times] (the shared grid).
-      [Error] on degenerate grids, as for {!analyse}. *)
+      Degenerate inputs come back as [Error] instead of an exception: a
+      grid of fewer than two samples, a non-increasing grid ([dt <= 0]),
+      a length mismatch or a non-finite nominal sample. *)
   val create :
     tolerance:tolerance ->
     times:float array ->

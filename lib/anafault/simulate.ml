@@ -88,18 +88,6 @@ let session config circuit =
 let zero_stats =
   { Sim.Engine.newton_iterations = 0; accepted_steps = 0; rejected_steps = 0 }
 
-(* Degenerate comparison inputs become a typed per-fault failure; a
-   missing observed signal still raises [Not_found], which the ladder
-   classifies as a bad injection (matching the historical behaviour). *)
-let detect_outcome config ~nominal ~faulty =
-  match
-    Detect.analyse ~tolerance:config.tolerance ~signal:config.observed
-      ~nominal ~faulty
-  with
-  | Ok (Some t) -> Detected t
-  | Ok None -> Undetected
-  | Error msg -> Sim_failed (Crashed ("detect: " ^ msg))
-
 (* --- The retry ladder ------------------------------------------------- *)
 
 let swap_model = function
@@ -219,61 +207,77 @@ let compile sess faulty =
   | patch -> Some patch
   | exception Sim.Engine.Patch_overflow _ -> None
 
-(* A fresh detector on the nominal grid, fed the attempt's observed
-   signal as the run passes each grid time; it stops the run the moment
-   its verdict is a detection.  Its threshold tests are silently false on
-   NaN, so a non-finite sample ends the feeding instead: the run goes on
-   to tstop and the whole-waveform comparison reports the poison as a
-   typed failure. *)
-let detector_probe config (grid, nom) =
-  match Detect.Incremental.create ~tolerance:config.tolerance ~times:grid ~nom with
-  | Error _ -> None
-  | Ok det ->
-    let detected = ref None and poisoned = ref false in
-    let feed _ value =
-      if !poisoned then `Continue
-      else if not (Float.is_finite value) then begin
-        poisoned := true;
+(* --- The in-run detector -------------------------------------------------- *)
+
+(* A fresh detector on the nominal grid, fed the attempt's observed value
+   as the run passes each grid time; its verdict is the attempt's outcome.
+   Its threshold tests are silently false on NaN, so a non-finite sample
+   that arrives before the verdict is final poisons the attempt instead;
+   feeding then ends, and the run still goes on to tstop, where a kernel
+   failure keeps its retry.  Only a detection returns [`Stop], and only
+   when [stop] (a primed chunk) asks for it. *)
+let detector config ~times ~nom ~stop =
+  let state =
+    ref
+      (match Detect.Incremental.create ~tolerance:config.tolerance ~times ~nom with
+      | Ok det -> `Feeding det
+      | Error msg -> `Final (Sim_failed (Crashed ("detect: " ^ msg))))
+  in
+  let feed _ value =
+    match !state with
+    | `Final _ -> `Continue
+    | `Feeding _ when not (Float.is_finite value) ->
+      state := `Final (Sim_failed (Crashed "detect: faulty response contains non-finite samples"));
+      `Continue
+    | `Feeding det -> (
+      match Detect.Incremental.feed det value with
+      | Detect.Incremental.Pending -> `Continue
+      | Detect.Incremental.Clear ->
+        state := `Final Undetected;
         `Continue
-      end
-      else
-        match Detect.Incremental.feed det value with
-        | Detect.Incremental.Pending | Detect.Incremental.Clear -> `Continue
-        | Detect.Incremental.Detected i ->
-          detected := Some grid.(i);
-          `Stop
-    in
-    Some ({ Sim.Engine.Session.observe = config.observed; grid; feed }, detected)
+      | Detect.Incremental.Detected i ->
+        state := `Final (Detected times.(i));
+        if stop then `Stop else `Continue)
+  in
+  let outcome () =
+    match !state with
+    | `Final outcome -> outcome
+    (* the engine feeds every grid time of a run the probe did not stop *)
+    | `Feeding _ -> assert false
+  in
+  ({ Sim.Engine.Session.observe = config.observed; grid = times; feed }, outcome)
 
 (* One attempt: one transient of [faulty] - as [patch] on the session, or,
-   past the overlay reserve, on a session opened on [faulty] - and one
-   comparison.  With [watch] (the nominal grid and observed samples) a
-   detector probe ends a detected fault's run early. *)
-let simulate_attempt config cfg sess ~nominal ~watch faulty patch =
-  let probe = Option.bind watch (detector_probe config) in
+   past the overlay reserve, on a session opened on [faulty] - judged by
+   its detector.  In a [primed] chunk a detection ends the run, counted as
+   a drop. *)
+let simulate_attempt config cfg sess ~nominal ~primed faulty patch =
+  let probe, outcome =
+    detector config ~times:(Sim.Waveform.times nominal)
+      ~nom:(Sim.Waveform.samples nominal config.observed)
+      ~stop:primed
+  in
   let run s =
     let { Netlist.Parser.tstep; tstop; uic } = cfg.tran in
-    Sim.Engine.Session.transient ~options:cfg.sim_options
-      ?probe:(Option.map fst probe) s ~tstep ~tstop ~uic
+    Sim.Engine.Session.transient ~options:cfg.sim_options ~probe s ~tstep ~tstop ~uic
   in
-  let wf, stats =
+  let _, stats =
     match patch with
     | Some patch -> Sim.Engine.Session.with_patch sess patch run
     | None -> run (Sim.Engine.Session.create ~obs:config.obs faulty)
   in
-  match Option.bind probe (fun (_, detected) -> !detected) with
-  | Some t ->
-    Obs.count config.obs "batch.drops" 1;
-    (Detected t, stats)
-  | None ->
-    (detect_outcome config ~nominal ~faulty:(Sim.Waveform.resample wf ~n:config.samples), stats)
+  let outcome = outcome () in
+  (match outcome with
+  | Detected _ when primed -> Obs.count config.obs "batch.drops" 1
+  | Detected _ | Undetected | Sim_failed _ -> ());
+  (outcome, stats)
 
 (* One fault through its retry ladder.  The baseline rung runs the patch
    the chunk already compiled ([prepared]; [None] when injection raised,
    so the rung re-injects and the ladder classifies the error); every
    later rung injects and compiles its own.  A fault that overflowed the
    overlay stays on sessions of its own for its remaining rungs. *)
-let run_fault config sess ~nominal ~watch fault prepared =
+let run_fault config sess ~nominal ~primed fault prepared =
   fault_span config fault (fun sp ->
       let t0 = Sys.time () in
       let finish ~attempts outcome stats =
@@ -297,23 +301,15 @@ let run_fault config sess ~nominal ~watch fault prepared =
           Obs.set sp "path" (Obs.Str "rebuild");
           Obs.count config.obs "session.rebuild" 1
         end;
-        simulate_attempt config cfg sess ~nominal ~watch faulty patch
+        simulate_attempt config cfg sess ~nominal ~primed faulty patch
       in
-      Obs.set sp "path" (Obs.Str (if Option.is_some watch then "batch" else "session"));
+      Obs.set sp "path" (Obs.Str (if primed then "batch" else "session"));
       run_ladder config ~sp ~finish attempt)
 
 (* The fault cycle of one chunk (see the interface).  A one-fault chunk
-   - every chunk at width 1 - is the serial reference the golden digests
-   are built from, so it runs unprimed and full length. *)
+   - every chunk at width 1 - runs unprimed and full length. *)
 let run_chunk config sess ~nominal faults =
-  let watch =
-    match faults with
-    | [] | [ _ ] -> None
-    | _ :: _ :: _ -> (
-      match Sim.Waveform.samples nominal config.observed with
-      | nom -> Some (Sim.Waveform.times nominal, nom)
-      | exception Not_found -> None)
-  in
+  let primed = match faults with [] | [ _ ] -> false | _ :: _ :: _ -> true in
   let base = Sim.Engine.Session.circuit sess in
   let prepared =
     List.map
@@ -326,13 +322,21 @@ let run_chunk config sess ~nominal faults =
         | exception _ -> None)
       faults
   in
-  if Option.is_some watch then
+  if primed then
     Sim.Engine.Session.prime sess
       (List.filter_map (fun p -> Option.bind p snd) prepared);
-  List.map2
-    (fun fault prepared ->
-      guard fault (fun () -> run_fault config sess ~nominal ~watch fault prepared))
-    faults prepared
+  let before = Sim.Engine.Session.newton_iterations sess in
+  let results =
+    List.map2
+      (fun fault prepared ->
+        guard fault (fun () -> run_fault config sess ~nominal ~primed fault prepared))
+      faults prepared
+  in
+  (* The Newton solves a primed chunk runs on its session are the
+     factorisations that share the chunk's symbolic analysis. *)
+  let shared = Sim.Engine.Session.newton_iterations sess - before in
+  if primed && shared > 0 then Obs.count config.obs "batch.shared_factorisations" shared;
+  results
 
 (* --- Campaign fingerprint --------------------------------------------- *)
 

@@ -41,8 +41,8 @@ type config = {
   batch : int;
       (** chunk width for {!run_chunk}: how many faults share one primed
           sparse pattern and run with early stopping.  0 (the default)
-          resolves automatically via {!effective_batch}; 1 forces the
-          serial reference (full-length runs, no priming) *)
+          resolves automatically via {!effective_batch}; 1 forces
+          full-length runs without priming *)
   obs : Obs.sink;  (** telemetry sink threaded through the kernel, the
                        sessions and the per-fault loop *)
 }
@@ -50,7 +50,7 @@ type config = {
 (** The chunk width actually used for a campaign of [total] faults: an
     explicit [config.batch] verbatim, otherwise an automatic width that
     keeps at least four chunks per domain available for work stealing,
-    clamps at 16, and degenerates to 1 (the serial reference) for small
+    clamps at 16, and degenerates to 1 (full-length runs) for small
     campaigns. *)
 val effective_batch : config -> total:int -> int
 
@@ -112,7 +112,8 @@ val zero_stats : Sim.Engine.stats
 
 (** [nominal config circuit] runs the fault-free simulation (unbudgeted),
     resampled onto the uniform output grid, inside an
-    ["anafault.nominal"] span. *)
+    ["anafault.nominal"] span.  Its times are the grid every fault
+    attempt's {!detector} is fed on. *)
 val nominal : config -> Netlist.Circuit.t -> Sim.Waveform.t * Sim.Engine.stats
 
 (** [session config circuit] opens an engine session on the nominal
@@ -125,6 +126,25 @@ val session : config -> Netlist.Circuit.t -> Sim.Engine.Session.t
     [Sim_failed (Crashed _)] result instead of aborting the chunk. *)
 val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
 
+(** [detector config ~times ~nom ~stop] is the comparison of one fault
+    attempt: an engine probe on the nominal grid [times] that feeds each
+    observed value of the run to a fresh {!Detect.Incremental} detector
+    against [nom], and a reader of the attempt's outcome once the run
+    has returned.  The outcome is [Detected t] at the grid instant [t]
+    where the detector fires, [Undetected] when its verdict is clear, and
+    [Sim_failed (Crashed "detect: faulty response contains non-finite
+    samples")] when a non-finite value arrives before the verdict is
+    final; a detection that is final first stands.  Feeding never stops
+    the run except on a detection with [stop]; a poisoned run goes on to
+    tstop, so a later kernel failure still raises.  A degenerate nominal
+    grid gives [Sim_failed (Crashed "detect: <reason>")]. *)
+val detector :
+  config ->
+  times:float array ->
+  nom:float array ->
+  stop:bool ->
+  Sim.Engine.Session.probe * (unit -> outcome)
+
 (** [run_chunk config session ~nominal faults] is the fault cycle - inject,
     simulate, compare - for one chunk of faults, with results in input
     order:
@@ -134,15 +154,16 @@ val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
       with the union of those patches once
       ({!Sim.Engine.Session.prime});
     + each fault runs its retry ladder in turn, every attempt one
-      {!Sim.Engine.Session.transient} of its patch.  With two or more
-      faults that transient carries a {!Detect.Incremental} probe on the
-      nominal grid and stops the moment the fault is detected (counted
-      as ["batch.drops"]); its verdict is the grid instant the
-      whole-waveform comparison finds (the probed value differs from
-      the resampled one by rounding at most).  A stopped run never
-      reaches a kernel failure its full-length run would hit later.  A
+      {!Sim.Engine.Session.transient} of its patch judged by its
+      {!detector} on the nominal grid: the probe's verdict is the
+      attempt's outcome.  With two or more faults the run stops the
+      moment the fault is detected (counted as ["batch.drops"]), and the
+      Newton iterations the chunk runs on its primed session, failed
+      attempts included, count as ["batch.shared_factorisations"].  A
+      stopped run never reaches a
+      kernel failure its full-length run would hit later.  A
       single-fault chunk - every chunk at width 1 - runs full length
-      without priming: the serial reference;
+      without priming;
     + a patch that exceeds the session's overlay reserve runs the same
       attempt on a session opened on the faulty circuit (counted once
       per fault as ["session.rebuild"]).

@@ -873,8 +873,8 @@ type probe = {
 }
 
 (* Raises [Not_found] for an unknown signal, as {!Waveform.samples}
-   does, so a caller classifies a probed run the way it classifies the
-   comparison of an unprobed one. *)
+   does, so a caller classifies an unknown observed node the same way
+   whether it looks the node up in a waveform or probes a run. *)
 let signal_index names observe =
   let rec find i =
     if i >= Array.length names then raise Not_found
@@ -885,17 +885,14 @@ let signal_index names observe =
 
 (* Run to tstop, or until the probe stops it; either way the waveform
    holds every accepted sample.  Probing reads the stepper and never
-   steers it, so an unstopped probed run is the unprobed run. *)
-let transient_core ?probe ctx ~circuit ~tstep ~tstop ~uic =
+   steers it, so an unstopped probed run is the unprobed run.  [tally]
+   receives the run's Newton iterations, also when the run fails. *)
+let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
   let watched = Option.map (fun p -> (p, signal_index ctx.names p.observe)) probe in
   let st = stepper_start ctx ~circuit ~tstep ~tstop ~uic in
   Fun.protect ~finally:(fun () ->
       stepper_emit_counters st;
-      (* A probed run solves on the chunk's primed pattern (see
-         Session.prime): its Newton solves are the factorisations that
-         share the chunk's symbolic analysis. *)
-      if Option.is_some probe && st.total_iters > 0 then
-        Obs.count ctx.obs "batch.shared_factorisations" st.total_iters)
+      tally st.total_iters)
   @@ fun () ->
   let advance_to tau =
     while (not (stepper_done st)) && st.t < tau do
@@ -967,6 +964,7 @@ module Session = struct
     ev : Mosfet.scratch;
     (* Active view, swapped by [with_patch]. *)
     mutable view : patch;
+    mutable newton_iterations : int;
   }
 
   let create ?(options = default_options) ?(obs = Obs.null) circuit =
@@ -996,6 +994,7 @@ module Session = struct
       sv;
       ev = Mosfet.make_scratch ();
       view = base;
+      newton_iterations = 0;
     }
 
   let circuit s = s.circuit
@@ -1022,7 +1021,11 @@ module Session = struct
   let solve_dc ?options s = { mna = s.mna; v = dc_solve (ctx ?options s) }
 
   let transient ?options ?probe s ~tstep ~tstop ~uic =
-    transient_core ?probe (ctx ?options s) ~circuit:s.view.pv_circuit ~tstep ~tstop ~uic
+    transient_core ?probe (ctx ?options s)
+      ~tally:(fun n -> s.newton_iterations <- s.newton_iterations + n)
+      ~circuit:s.view.pv_circuit ~tstep ~tstop ~uic
+
+  let newton_iterations s = s.newton_iterations
 
   (* Recompile only what [patched] changed relative to the base circuit.
      Fault injection rewrites circuits with Circuit.replace (same name,

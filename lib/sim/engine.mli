@@ -218,7 +218,9 @@ module Session : sig
       once its accepted steps have passed it, reads the signal
       [observe] (a waveform name: node voltage or ["I(branch)"]) there,
       interpolated exactly as {!Waveform.resample} would, and hands
-      [feed] the grid index and value.  [`Stop] ends the run early. *)
+      [feed] the grid index and value.  [`Stop] ends the run early.  The
+      fault loop judges every fault attempt by such a probe: its feed is
+      the comparison with the nominal response. *)
   type probe = {
     observe : string;
     grid : float array;
@@ -231,9 +233,8 @@ module Session : sig
       early; the waveform then holds the samples accepted up to the
       stop, and the stats the work done so far.  A probe only reads the
       run, so a run it never stops is bit-identical to an unprobed one.
-      A probed run also counts its Newton iterations as
-      ["batch.shared_factorisations"].  Raises [Not_found] when
-      [probe.observe] names no signal, as {!Waveform.samples} does. *)
+      Raises [Not_found] when [probe.observe] names no signal, as
+      {!Waveform.samples} does. *)
   val transient :
     ?options:options ->
     ?probe:probe ->
@@ -242,6 +243,10 @@ module Session : sig
     tstop:float ->
     uic:bool ->
     Waveform.t * stats
+
+  (** Newton iterations of every {!transient} run on this session so
+      far, runs that failed included. *)
+  val newton_iterations : t -> int
 
   (** A compiled patch of the session's base circuit. *)
   type patch

@@ -22,7 +22,7 @@ let square ~period ~delay t =
 let nominal = wave (square ~period:0.8e-6 ~delay:0.0)
 
 let detect f =
-  Anafault.Detect.first_detection ~tolerance:tol ~signal:"out" ~nominal
+  Detect_oracle.first_detection ~tolerance:tol ~signal:"out" ~nominal
     ~faulty:(wave f)
 
 let detect_tests =
@@ -58,7 +58,7 @@ let detect_tests =
         check_bool "detected" true (detect f <> None));
     Alcotest.test_case "unknown signal raises" `Quick (fun () ->
         match
-          Anafault.Detect.first_detection ~tolerance:tol ~signal:"ghost" ~nominal
+          Detect_oracle.first_detection ~tolerance:tol ~signal:"ghost" ~nominal
             ~faulty:nominal
         with
         | exception Not_found -> ()
@@ -112,24 +112,24 @@ let analyse_tests =
     Alcotest.test_case "analyse agrees with first_detection" `Quick (fun () ->
         let faulty = wave (fun _ -> 0.0) in
         let expected =
-          Anafault.Detect.first_detection ~tolerance:tol ~signal:"out" ~nominal
+          Detect_oracle.first_detection ~tolerance:tol ~signal:"out" ~nominal
             ~faulty
         in
         (match
-           Anafault.Detect.analyse ~tolerance:tol ~signal:"out" ~nominal ~faulty
+           Detect_oracle.analyse ~tolerance:tol ~signal:"out" ~nominal ~faulty
          with
         | Ok got -> check_bool "same" true (got = expected)
         | Error msg -> Alcotest.fail msg));
     Alcotest.test_case "degenerate inputs come back as Error, not exceptions"
       `Quick (fun () ->
         expect_error "short nominal"
-          (Anafault.Detect.analyse ~tolerance:tol ~signal:"out"
+          (Detect_oracle.analyse ~tolerance:tol ~signal:"out"
              ~nominal:one_sample_wave ~faulty:nominal);
         expect_error "flat time grid"
-          (Anafault.Detect.analyse ~tolerance:tol ~signal:"out"
+          (Detect_oracle.analyse ~tolerance:tol ~signal:"out"
              ~nominal:flat_grid_wave ~faulty:nominal);
         expect_error "empty faulty"
-          (Anafault.Detect.analyse ~tolerance:tol ~signal:"out" ~nominal
+          (Detect_oracle.analyse ~tolerance:tol ~signal:"out" ~nominal
              ~faulty:(Sim.Waveform.make ~names:[| "out" |] ~samples:[])));
     Alcotest.test_case "non-finite samples come back as typed errors" `Quick
       (fun () ->
@@ -139,7 +139,7 @@ let analyse_tests =
               [ (0.0, [| 0.0 |]); (2.0e-6, [| Float.nan |]); (4.0e-6, [| 0.0 |]) ]
         in
         (match
-           Anafault.Detect.analyse ~tolerance:tol ~signal:"out"
+           Detect_oracle.analyse ~tolerance:tol ~signal:"out"
              ~nominal:nan_wave ~faulty:nominal
          with
         | Error msg ->
@@ -147,7 +147,7 @@ let analyse_tests =
             (msg = "nominal response contains non-finite samples")
         | Ok _ -> Alcotest.fail "NaN nominal: expected Error");
         (match
-           Anafault.Detect.analyse ~tolerance:tol ~signal:"out" ~nominal
+           Detect_oracle.analyse ~tolerance:tol ~signal:"out" ~nominal
              ~faulty:nan_wave
          with
         | Error msg ->
@@ -164,7 +164,7 @@ let analyse_tests =
     Alcotest.test_case "analyse keeps Not_found for a missing signal" `Quick
       (fun () ->
         match
-          Anafault.Detect.analyse ~tolerance:tol ~signal:"ghost" ~nominal
+          Detect_oracle.analyse ~tolerance:tol ~signal:"ghost" ~nominal
             ~faulty:nominal
         with
         | exception Not_found -> ()
@@ -372,7 +372,7 @@ let detect_qcheck =
           Option.map (Array.get times) (reference_index ~tolerance ~times ~nom ~flt)
         in
         match
-          Anafault.Detect.analyse ~tolerance ~signal:"out" ~nominal:(wave_of nom)
+          Detect_oracle.analyse ~tolerance ~signal:"out" ~nominal:(wave_of nom)
             ~faulty:(wave_of flt)
         with
         | Ok got -> got = expected
@@ -964,7 +964,7 @@ let robust_tests =
         in
         let from_scratch =
           match
-            Anafault.Detect.analyse ~tolerance:config.tolerance ~signal:"out"
+            Detect_oracle.analyse ~tolerance:config.tolerance ~signal:"out"
               ~nominal ~faulty
           with
           | Ok (Some t) -> Anafault.Simulate.Detected t
@@ -1021,6 +1021,102 @@ let robust_tests =
         check_bool "monotone" true (monotone calls);
         check_bool "ends at (total, total)" true
           (match List.rev calls with (3, 3) :: _ -> true | _ -> false));
+  ]
+
+(* --- The attempt's in-run detector ---------------------------------------- *)
+
+(* Drive [Simulate.detector] the way the engine does: one value per grid
+   time, until a [`Stop].  Returns the outcome and the samples fed. *)
+let judge ?(stop = true) values =
+  let probe, outcome =
+    Anafault.Simulate.detector config ~times:grid
+      ~nom:(Sim.Waveform.samples nominal "out")
+      ~stop
+  in
+  let rec go i =
+    if i >= Array.length grid then i
+    else
+      match probe.Sim.Engine.Session.feed i (values i) with
+      | `Stop -> i + 1
+      | `Continue -> go (i + 1)
+  in
+  let fed = go 0 in
+  (outcome (), fed)
+
+let poisoned_outcome =
+  Anafault.Simulate.Sim_failed
+    (Anafault.Simulate.Crashed "detect: faulty response contains non-finite samples")
+
+let nominal_at i = (Sim.Waveform.samples nominal "out").(i)
+
+let outcome_t =
+  Alcotest.testable
+    (fun ppf o -> Format.pp_print_string ppf (Anafault.Outcome.outcome_to_string o))
+    ( = )
+
+let detector_tests =
+  [
+    Alcotest.test_case "a stuck fault is detected and stops the run" `Quick
+      (fun () ->
+        let got, fed = judge (fun _ -> 0.0) in
+        let expected = detect (fun _ -> 0.0) in
+        Alcotest.check outcome_t "the oracle's instant"
+          (Anafault.Simulate.Detected (Option.get expected)) got;
+        check_bool "stopped early" true (fed < Array.length grid / 2));
+    Alcotest.test_case "an unstopped detector feeds the whole grid" `Quick
+      (fun () ->
+        let got, fed = judge ~stop:false (fun _ -> 0.0) in
+        check_bool "detected" true
+          (match got with Anafault.Simulate.Detected _ -> true | _ -> false);
+        check_int "every grid time fed" (Array.length grid) fed);
+    Alcotest.test_case "a clear verdict is undetected" `Quick (fun () ->
+        let got, _ = judge nominal_at in
+        Alcotest.check outcome_t "undetected" Anafault.Simulate.Undetected got);
+    Alcotest.test_case "poison before the verdict is a typed crash" `Quick
+      (fun () ->
+        (* NaN at sample 3, long before a stuck-low response is detected;
+           the run must go on (no [`Stop]) so a later kernel failure can
+           still raise. *)
+        let values i = if i = 3 then Float.nan else 0.0 in
+        let got, fed = judge values in
+        Alcotest.check outcome_t "crashed" poisoned_outcome got;
+        check_int "never stopped" (Array.length grid) fed;
+        let got, _ = judge (fun i -> if i = 3 then Float.infinity else nominal_at i) in
+        Alcotest.check outcome_t "infinity too" poisoned_outcome got);
+    Alcotest.test_case "a detection final before the poison stands" `Quick
+      (fun () ->
+        let _, fed = judge (fun _ -> 0.0) in
+        let values i = if i >= fed then Float.nan else 0.0 in
+        let expected = Anafault.Simulate.Detected (Option.get (detect (fun _ -> 0.0))) in
+        let stopped, _ = judge values in
+        Alcotest.check outcome_t "primed chunk" expected stopped;
+        let full, _ = judge ~stop:false values in
+        Alcotest.check outcome_t "full-length run" expected full;
+        (* The whole-waveform oracle sees the poison anywhere in the
+           waveform: it is the stricter, superseded rule. *)
+        let wave_of_values =
+          Sim.Waveform.make ~names:[| "out" |]
+            ~samples:(Array.to_list (Array.mapi (fun i t -> (t, [| values i |])) grid))
+        in
+        check_bool "the oracle reports the poison" true
+          (Result.is_error
+             (Detect_oracle.analyse ~tolerance:tol ~signal:"out" ~nominal
+                ~faulty:wave_of_values)));
+    Alcotest.test_case "a degenerate nominal grid is a typed crash" `Quick
+      (fun () ->
+        let probe, outcome =
+          Anafault.Simulate.detector config ~times:[| 1.0; 1.0; 1.0 |]
+            ~nom:[| 0.0; 0.0; 0.0 |] ~stop:true
+        in
+        Array.iteri
+          (fun i _ ->
+            check_bool "never stops" true (probe.Sim.Engine.Session.feed i 0.0 = `Continue))
+          probe.Sim.Engine.Session.grid;
+        match outcome () with
+        | Anafault.Simulate.Sim_failed (Anafault.Simulate.Crashed msg) ->
+          check_bool "names the detector" true
+            (String.length msg > 8 && String.sub msg 0 8 = "detect: ")
+        | o -> Alcotest.failf "expected Crashed, got %s" (Anafault.Outcome.outcome_to_string o));
   ]
 
 (* --- Chunked fault simulation with early stopping ---------------------- *)
@@ -1422,12 +1518,11 @@ let journal_tests =
               inverter faults));
   ]
 
-(* Generated width parity: a random synthesized circuit (a diode-clamped
-   RC ladder or a resistor grid, of random size) and a random subset of
-   its fault universe, at the paper's tolerance or a 1 mV one that
-   detects (and so stops) most faults early.  Widths 3 and 16 must give
-   width 1's detection table byte for byte. *)
-let width_qcheck =
+(* A random synthesized circuit (a diode-clamped RC ladder or a
+   resistor grid, of random size), a random subset of its fault universe
+   and a tolerance: the paper's, or a 1 mV one that detects (and so
+   stops) most faults early. *)
+let synth_campaign =
   let open QCheck in
   let circuit =
     Gen.(
@@ -1458,17 +1553,25 @@ let width_qcheck =
     Printf.sprintf "%d devices, tol_v=%g, faults %s" (Netlist.Circuit.device_count c) tol_v
       (String.concat " " (List.map (fun f -> f.Faults.Fault.id) faults))
   in
+  make ~print case
+
+let synth_tran = { Netlist.Parser.tstep = 1e-7; tstop = 4e-6; uic = false }
+
+let synth_config circuit tol_v =
+  let observed = Anafault.Simulate.default_observed circuit in
+  {
+    (Anafault.Campaign.(config_of_options default_options ~tran:synth_tran ~observed)) with
+    tolerance = { Anafault.Detect.tol_v; tol_t = 0.2e-6 };
+  }
+
+(* Generated width parity: widths 3 and 16 must give width 1's detection
+   table byte for byte. *)
+let width_qcheck =
+  let open QCheck in
   [
-    Test.make ~name:"widths 1, 3 and 16 give one table" ~count:20
-      (make ~print case) (fun (circuit, faults, tol_v) ->
-        let tran = { Netlist.Parser.tstep = 1e-7; tstop = 4e-6; uic = false } in
-        let observed = Anafault.Simulate.default_observed circuit in
-        let config =
-          {
-            (Anafault.Campaign.(config_of_options default_options ~tran ~observed)) with
-            tolerance = { Anafault.Detect.tol_v; tol_t = 0.2e-6 };
-          }
-        in
+    Test.make ~name:"widths 1, 3 and 16 give one table" ~count:20 synth_campaign
+      (fun (circuit, faults, tol_v) ->
+        let config = synth_config circuit tol_v in
         let csv_at batch =
           let run, _ = Anafault.Parsim.execute { config with batch } circuit faults in
           Anafault.Report.csv_of_results run.Anafault.Simulate.results
@@ -1478,13 +1581,96 @@ let width_qcheck =
   ]
   |> List.map Prop.to_alcotest
 
+(* The moved counter: the factorisations sharing a primed chunk's
+   symbolic analysis are counted by the fault loop, so an unprimed
+   campaign counts none, and a primed one counts exactly its faults'
+   Newton iterations. *)
+let counter_tests =
+  [
+    Alcotest.test_case "shared factorisations are counted for primed chunks only"
+      `Quick (fun () ->
+        let at batch =
+          let obs = Obs.memory () in
+          let run, _ = Anafault.Parsim.execute { config with batch; obs } inverter faults in
+          (run, counter_total (Obs.drain obs) "batch.shared_factorisations")
+        in
+        let _, unprimed = at 1 in
+        check_int "width 1 counts none" 0 unprimed;
+        let run, primed = at 3 in
+        let iterations =
+          List.fold_left
+            (fun acc (r : Anafault.Simulate.fault_result) ->
+              acc + r.stats.Sim.Engine.newton_iterations)
+            0 run.Anafault.Simulate.results
+        in
+        check_bool "the faults did Newton work" true (iterations > 0);
+        check_int "width 3 counts its faults' iterations" iterations primed);
+  ]
+
+(* Generated oracle: a random synthesized circuit and a random subset of
+   its fault universe, run at widths 1 and 3.  Each fault's outcome must
+   be the whole-waveform oracle's verdict on the fault's full-length
+   one-shot transient, resampled onto the output grid - an independent
+   comparison, where the width-parity property only checks the in-run
+   detector against itself.  Without a retry ladder a kernel failure
+   must fail on both sides. *)
+let oracle_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"every outcome equals the whole-waveform oracle" ~count:12
+      synth_campaign (fun (circuit, faults, tol_v) ->
+        let config = { (synth_config circuit tol_v) with retries = [] } in
+        let nominal, _ = Anafault.Simulate.nominal config circuit in
+        let { Netlist.Parser.tstep; tstop; uic } = synth_tran in
+        let oracle fault =
+          match
+            Sim.Engine.run
+              (Faults.Inject.apply ~model:config.model circuit fault)
+              (Sim.Engine.Analysis.Tran { tstep; tstop; uic })
+          with
+          | exception Sim.Engine.Sim_error _ -> None
+          | result -> (
+            let faulty =
+              Sim.Waveform.resample ~n:config.samples (Sim.Engine.Analysis.waveform result)
+            in
+            match
+              Detect_oracle.analyse ~tolerance:config.tolerance ~signal:config.observed
+                ~nominal ~faulty
+            with
+            | Ok (Some t) -> Some (Anafault.Simulate.Detected t)
+            | Ok None -> Some Anafault.Simulate.Undetected
+            | Error msg ->
+              Some (Anafault.Simulate.Sim_failed (Anafault.Simulate.Crashed ("detect: " ^ msg))))
+        in
+        let expected = List.map oracle faults in
+        List.for_all
+          (fun batch ->
+            let run, _ = Anafault.Parsim.execute { config with batch } circuit faults in
+            List.for_all2
+              (fun (r : Anafault.Simulate.fault_result) expected ->
+                match (expected, r.outcome) with
+                | None, Anafault.Simulate.Sim_failed _ -> true
+                | Some o, got when o = got -> true
+                | _, got ->
+                  Test.fail_reportf "width %d, fault %s: got %s, oracle %s" batch
+                    r.fault.Faults.Fault.id
+                    (Anafault.Outcome.outcome_to_string got)
+                    (match expected with
+                    | None -> "kernel failure"
+                    | Some o -> Anafault.Outcome.outcome_to_string o))
+              run.Anafault.Simulate.results expected)
+          [ 1; 3 ]);
+  ]
+  |> List.map Prop.to_alcotest
+
 let suites =
   [
     ("anafault.detect", detect_tests);
     ("anafault.analyse", analyse_tests);
     ("anafault.incremental", incremental_tests @ detect_qcheck);
+    ("anafault.detector", detector_tests);
     ("anafault.simulate", simulate_tests);
-    ("anafault.batch", batch_tests @ width_qcheck);
+    ("anafault.batch", batch_tests @ width_qcheck @ counter_tests @ oracle_qcheck);
     ("anafault.parsim", parsim_tests);
     ("anafault.coverage", coverage_tests);
     ("anafault.report", report_tests);
