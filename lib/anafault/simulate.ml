@@ -332,8 +332,9 @@ let run_chunk config sess ~nominal faults =
         guard fault (fun () -> run_fault config sess ~nominal ~primed fault prepared))
       faults prepared
   in
-  (* The Newton solves a primed chunk runs on its session are the
-     factorisations that share the chunk's symbolic analysis. *)
+  (* The Newton solves a primed chunk runs on its session share the
+     chunk's symbolic analysis: each is a factorisation, or a reuse of
+     the factors when the matrix has not changed since the last one. *)
   let shared = Sim.Engine.Session.newton_iterations sess - before in
   if primed && shared > 0 then Obs.count config.obs "batch.shared_factorisations" shared;
   results

@@ -686,6 +686,7 @@ type stepper = {
   eps : float;
   mutable v : float array;
   vnode_prev : float array;
+  record : int; (* the one unknown a probed run records, or -1: every one *)
   mutable samples : (float * float array) list; (* newest first *)
   mutable bps : float list;
   mutable h : float;
@@ -702,7 +703,11 @@ type stepper = {
   deadline : float option;
 }
 
-let stepper_start ctx ~circuit ~tstep ~tstop ~uic =
+(* The sample kept of an accepted state [v]: every unknown, or only
+   unknown [record]. *)
+let recorded record v = if record < 0 then Array.copy v else [| v.(record) |]
+
+let stepper_start ~record ctx ~circuit ~tstep ~tstop ~uic =
   (* Written positively so a NaN or infinite value fails it too: an
      infinite tstop would step forever. *)
   if not (0.0 < tstep && tstep <= tstop && Float.is_finite tstop) then
@@ -717,7 +722,8 @@ let stepper_start ctx ~circuit ~tstep ~tstop ~uic =
     eps = tstop *. 1e-12;
     v;
     vnode_prev = Array.copy v;
-    samples = [ (0.0, Array.copy v) ];
+    record;
+    samples = [ (0.0, recorded record v) ];
     bps = breakpoints circuit ~tstop;
     h = tstep /. 10.0;
     t = 0.0;
@@ -821,7 +827,7 @@ let stepper_step st =
     st.v <- v';
     st.t <- st.t +. h_try;
     st.at_edge <- to_edge;
-    st.samples <- (st.t, Array.copy v') :: st.samples;
+    st.samples <- (st.t, recorded st.record v') :: st.samples;
     if iters <= 8 then st.h <- Float.min (st.h *. 1.5) st.hmax
   | Error (why, iters) ->
     (* Rejected solves count against the iteration budget: the work was
@@ -843,23 +849,24 @@ let stepper_step st =
              Printf.sprintf "transient stalled at t=%.4g (step %.3g)%s" st.t st.h where ))
     end
 
-(* Interpolated value of unknown [idx] on the stepper's accepted-sample
-   history at time [tau], replicating {!Waveform.value_at}'s bracketing
-   and clamping on the reversed sample list - a checkpoint probe must see
-   the same float the resampled waveform would hold at a grid point. *)
-let stepper_value st idx tau =
+(* Interpolated value of the recorded unknown (a probed run's samples
+   hold only it, at index 0) at time [tau], replicating
+   {!Waveform.value_at}'s bracketing and clamping on the reversed sample
+   list - a checkpoint probe must see the same float the resampled
+   waveform would hold at a grid point. *)
+let stepper_value st tau =
   match st.samples with
   | [] -> assert false (* stepper_start always records the t=0 sample *)
   | (tn, vn) :: older ->
-    if tau >= tn then vn.(idx)
+    if tau >= tn then vn.(0)
     else begin
       let rec bracket t1 v1 = function
-        | [] -> v1.(idx) (* unreachable: tau >= 0 and the t=0 sample is last *)
+        | [] -> v1.(0) (* unreachable: tau >= 0 and the t=0 sample is last *)
         | (t0, v0) :: older ->
           if t0 <= tau then
-            if tau <= t0 then v0.(idx)
-            else if t1 <= t0 then v1.(idx)
-            else v0.(idx) +. ((v1.(idx) -. v0.(idx)) *. (tau -. t0) /. (t1 -. t0))
+            if tau <= t0 then v0.(0)
+            else if t1 <= t0 then v1.(0)
+            else v0.(0) +. ((v1.(0) -. v0.(0)) *. (tau -. t0) /. (t1 -. t0))
           else bracket t0 v0 older
       in
       bracket tn vn older
@@ -884,12 +891,14 @@ let signal_index names observe =
   find 0
 
 (* Run to tstop, or until the probe stops it; either way the waveform
-   holds every accepted sample.  Probing reads the stepper and never
-   steers it, so an unstopped probed run is the unprobed run.  [tally]
-   receives the run's Newton iterations, also when the run fails. *)
+   holds every accepted sample, of every signal in an unprobed run and of
+   the observed one alone in a probed run.  Probing reads the stepper and
+   never steers it, so an unstopped probed run takes the unprobed run's
+   steps.  [tally] receives the run's Newton iterations, also when the
+   run fails. *)
 let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
-  let watched = Option.map (fun p -> (p, signal_index ctx.names p.observe)) probe in
-  let st = stepper_start ctx ~circuit ~tstep ~tstop ~uic in
+  let record = match probe with Some p -> signal_index ctx.names p.observe | None -> -1 in
+  let st = stepper_start ~record ctx ~circuit ~tstep ~tstop ~uic in
   Fun.protect ~finally:(fun () ->
       stepper_emit_counters st;
       tally st.total_iters)
@@ -900,14 +909,14 @@ let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
     done
   in
   let stopped =
-    match watched with
+    match probe with
     | None -> false
-    | Some ({ grid; feed; _ }, idx) ->
+    | Some { grid; feed; _ } ->
       let rec walk i =
         i < Array.length grid
         && begin
           advance_to grid.(i);
-          match feed i (stepper_value st idx grid.(i)) with
+          match feed i (stepper_value st grid.(i)) with
           | `Stop -> true
           | `Continue -> walk (i + 1)
         end
@@ -915,7 +924,8 @@ let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
       walk 0
   in
   if not stopped then advance_to Float.infinity;
-  (Waveform.make ~names:ctx.names ~samples:(List.rev st.samples), stepper_stats st)
+  let names = match probe with Some p -> [| p.observe |] | None -> ctx.names in
+  (Waveform.make ~names ~samples:(List.rev st.samples), stepper_stats st)
 
 (* --- Sessions: batch solving of one circuit topology ------------------ *)
 

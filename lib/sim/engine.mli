@@ -229,10 +229,13 @@ module Session : sig
 
   (** Transient analysis of the session's active circuit, reusing the
       session buffers; same semantics as {!run} of {!Analysis.Tran}, same
-      [?options] override as {!solve_dc}.  With [probe] the run can stop
-      early; the waveform then holds the samples accepted up to the
-      stop, and the stats the work done so far.  A probe only reads the
-      run, so a run it never stops is bit-identical to an unprobed one.
+      [?options] override as {!solve_dc}.  With [probe] the run records
+      only the signal [probe.observe]: the waveform holds that one
+      signal, at every accepted step up to the end of the run or the
+      probe's stop, and the stats the work done so far.  A probe only
+      reads the run, so a run it never stops takes the same steps as an
+      unprobed one, and its one signal is bit-identical to the unprobed
+      run's.
       Raises [Not_found] when [probe.observe] names no signal, as
       {!Waveform.samples} does. *)
   val transient :

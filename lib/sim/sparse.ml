@@ -25,6 +25,16 @@
    exists for.  A refactorisation whose reused pivot degenerates falls
    back to one full factorisation with fresh pivoting.
 
+   A solve whose values equal, bit for bit, those of the refactorisation
+   that produced the stored factors skips factorising altogether
+   ("reuse"): refactorising them again would recompute the same factors
+   to the last bit, with the same pattern, pivots and operation order.
+   A linear circuit's matrix depends only on the step size, so the
+   confirming Newton iteration of each step, and every step at an
+   unchanged h, reuse.  Only a refactorisation arms the rule: after a
+   full factorisation the next solve refactorises even on equal values,
+   so a reused factor is always one [refactor] would recompute.
+
    Columns are pre-ordered by a greedy minimum-degree pass over the
    symmetrised pattern (static fill reduction); rows are permuted by
    pivoting only.
@@ -82,6 +92,12 @@ type t = {
   mutable ui : int array;
   mutable ux : float array;
   mutable have_factor : bool;
+  (* --- reuse: while [snap_valid], the factors came from [refactor] on
+     the values in [snap].  Every path that drops the factors (compile,
+     decompile, [Singular]) goes through [full_factor], which clears
+     it. --- *)
+  mutable snap : float array; (* length nnz: no ground dump *)
+  mutable snap_valid : bool;
   (* --- workspace (sized cap once) --- *)
   x : float array;
   flag : int array;
@@ -94,10 +110,12 @@ type t = {
   mutable stat_refactor : int;
   mutable stat_symbolic : int;
   mutable stat_repivot : int;
+  mutable stat_reuse : int;
   mutable r_full : int; (* the counters at the last flush *)
   mutable r_refactor : int;
   mutable r_symbolic : int;
   mutable r_repivot : int;
+  mutable r_reuse : int;
 }
 
 let create ~capacity =
@@ -123,6 +141,8 @@ let create ~capacity =
     ui = [||];
     ux = [||];
     have_factor = false;
+    snap = [||];
+    snap_valid = false;
     x = Array.make cap 0.0;
     flag = Array.make cap (-1);
     rstack = Array.make cap 0;
@@ -133,10 +153,12 @@ let create ~capacity =
     stat_refactor = 0;
     stat_symbolic = 0;
     stat_repivot = 0;
+    stat_reuse = 0;
     r_full = 0;
     r_refactor = 0;
     r_symbolic = 0;
     r_repivot = 0;
+    r_reuse = 0;
   }
 
 let capacity t = t.cap
@@ -149,7 +171,16 @@ let nnz t = if t.compiled then Array.length t.rowind else Hashtbl.length t.build
 
 let factor_nnz t = if t.have_factor then t.lp.(t.pat_n) + t.up.(t.pat_n) else 0
 
-let stats t = (t.stat_full, t.stat_refactor, t.stat_symbolic, t.stat_repivot)
+type stats = { full : int; refactor : int; reuse : int; symbolic : int; repivot : int }
+
+let stats t =
+  {
+    full = t.stat_full;
+    refactor = t.stat_refactor;
+    reuse = t.stat_reuse;
+    symbolic = t.stat_symbolic;
+    repivot = t.stat_repivot;
+  }
 
 (* --- stamping ---------------------------------------------------------- *)
 
@@ -336,6 +367,7 @@ let compile t =
   t.rowind <- rowind;
   t.vals <- vals;
   t.diag_slot <- diag_slot;
+  t.snap <- Array.make nz 0.0;
   t.compiled <- true;
   t.gen <- t.gen + 1;
   t.have_factor <- false;
@@ -444,6 +476,7 @@ let dfs t root k top0 =
 let full_factor t =
   let m = t.pat_n in
   let lnz = ref 0 and unz = ref 0 in
+  t.snap_valid <- false;
   Array.fill t.pinv 0 m (-1);
   for i = 0 to m - 1 do
     t.flag.(i) <- -1;
@@ -630,6 +663,25 @@ let refactor t =
   done;
   t.stat_refactor <- t.stat_refactor + 1
 
+(* Whether the stored factors are those [refactor] would compute from the
+   current values: they came from a refactorisation, and the values equal
+   its snapshot bit for bit.  One scan; at the first difference the rest
+   of the values are copied into the snapshot, ready for the
+   refactorisation that follows. *)
+let unchanged t =
+  let v = t.vals and s = t.snap in
+  let nz = Array.length s in
+  let p = ref 0 in
+  if t.snap_valid then
+    while !p < nz && Int64.bits_of_float v.(!p) = Int64.bits_of_float s.(!p) do
+      incr p
+    done;
+  if t.snap_valid && !p = nz then true
+  else begin
+    Array.blit v !p s !p (nz - !p);
+    false
+  end
+
 let factor_solve t =
   if not t.compiled then compile t;
   let m = t.pat_n in
@@ -642,9 +694,10 @@ let factor_solve t =
       t.b.(r) <- 0.0
     done;
     (if not t.have_factor then full_factor t
+     else if unchanged t then t.stat_reuse <- t.stat_reuse + 1
      else
        match refactor t with
-       | () -> ()
+       | () -> t.snap_valid <- true
        | exception Stale_pivot ->
          t.stat_repivot <- t.stat_repivot + 1;
          full_factor t);
@@ -675,11 +728,11 @@ let factor_solve t =
   end
 
 (* Report the work done since the previous flush.  A solve is always
-   exactly one full factorisation or one refactorisation, so it has no
-   counter of its own; the pattern and factor sizes can only change when
-   the pattern recompiles or a full factorisation runs, so they are
-   sampled only then, while the fill-in is sampled per flush that
-   solved. *)
+   exactly one full factorisation, one refactorisation or one reuse, so
+   it has no counter of its own; the pattern and factor sizes can only
+   change when the pattern recompiles or a full factorisation runs, so
+   they are sampled only then, while the fill-in is sampled per flush
+   that solved. *)
 let flush_stats t obs =
   if Obs.enabled obs then begin
     let emit name now prev = if now > prev then Obs.count obs name (now - prev) in
@@ -687,15 +740,18 @@ let flush_stats t obs =
     emit "solver.sparse.refactor" t.stat_refactor t.r_refactor;
     emit "solver.sparse.symbolic" t.stat_symbolic t.r_symbolic;
     emit "solver.sparse.repivot" t.stat_repivot t.r_repivot;
+    emit "solver.sparse.reuse" t.stat_reuse t.r_reuse;
     let nnz = nnz t and fnnz = factor_nnz t in
     if t.stat_full > t.r_full || t.stat_symbolic > t.r_symbolic then begin
       Obs.sample obs "solver.sparse.nnz" (float_of_int nnz);
       Obs.sample obs "solver.sparse.factor_nnz" (float_of_int fnnz)
     end;
-    if t.stat_full > t.r_full || t.stat_refactor > t.r_refactor then
+    if t.stat_full > t.r_full || t.stat_refactor > t.r_refactor || t.stat_reuse > t.r_reuse
+    then
       Obs.sample obs "solver.sparse.fill_in" (float_of_int (max 0 (fnnz - nnz)));
     t.r_full <- t.stat_full;
     t.r_refactor <- t.stat_refactor;
     t.r_symbolic <- t.stat_symbolic;
-    t.r_repivot <- t.stat_repivot
+    t.r_repivot <- t.stat_repivot;
+    t.r_reuse <- t.stat_reuse
   end

@@ -16,9 +16,14 @@
     - {e full factorisation} (once per compiled pattern, and on pivot
       decay): Gilbert-Peierls left-looking LU with threshold partial
       pivoting, recording the factor pattern and the pivot order;
-    - {e numeric refactorisation} (every other solve): the stored pattern
-      and pivot order are replayed on the new values - no graph
-      traversal, no pivot search.
+    - {e numeric refactorisation} (every other solve that cannot reuse,
+      below): the stored pattern and pivot order are replayed on the
+      new values - no graph traversal, no pivot search;
+    - {e reuse} (a solve whose values equal, bit for bit, those of the
+      refactorisation that made the stored factors): no factorisation at
+      all, since refactorising would recompute the same factors to the
+      last bit.  A linear circuit's matrix depends only on the step size,
+      so most of its solves reuse.
 
     Batch sessions keep one instance per topology and stamp fault
     patches into a pattern superset (the pattern only grows, and
@@ -89,23 +94,31 @@ val get : t -> int -> int -> float option
 val prime : t -> (int * targets) list -> unit
 
 (** Factors the stamped system and overwrites the leading [n] entries of
-    {!rhs} with the solution.  Refactorises with the stored pivot
-    sequence while it is valid and every reused pivot keeps at least
-    1e-6 of the largest entry it eliminates; factors afresh otherwise.
-    Raises {!Singular} when no usable pivot exists. *)
+    {!rhs} with the solution.  Reuses the stored factors when they came
+    from a refactorisation of exactly these values (compared bit for
+    bit, inactive rows padded; no tolerance); refactorises with the
+    stored pivot sequence while it is valid and every reused pivot keeps
+    at least 1e-6 of the largest entry it eliminates; factors afresh
+    otherwise.  A solve after a full factorisation always refactorises,
+    so reused factors are bit-identical to what refactorising would
+    give.  Raises {!Singular} when no usable pivot exists. *)
 val factor_solve : t -> unit
 
-(** Cumulative (full factorisations, refactorisations, symbolic
-    compilations, pivot-sequence rebuilds).  Every solve is exactly one
-    full factorisation or one refactorisation (a rebuild counts as a
-    full factorisation), so solves are their sum. *)
-val stats : t -> int * int * int * int
+(** Cumulative work counts: full factorisations, refactorisations,
+    reuses of unchanged factors, symbolic compilations and
+    pivot-sequence rebuilds.  Every solve is exactly one full
+    factorisation, one refactorisation or one reuse (a rebuild counts as
+    a full factorisation), so solves are [full + refactor + reuse]. *)
+type stats = { full : int; refactor : int; reuse : int; symbolic : int; repivot : int }
+
+val stats : t -> stats
 
 (** [flush_stats t obs] emits the work done since the previous flush:
-    counters [solver.sparse.full_factor]/[refactor]/[symbolic]/[repivot]
-    (there is no solve counter: it would always equal [full_factor +
-    refactor]), a [fill_in] sample (factor nonzeros minus pattern
-    nonzeros) per flush that solved, and [nnz]/[factor_nnz] samples
-    only when a full factorisation or a symbolic compilation happened,
-    since neither can change otherwise.  Free under a null sink. *)
+    counters [solver.sparse.full_factor]/[refactor]/[reuse]/[symbolic]/
+    [repivot] (there is no solve counter: it would always equal
+    [full_factor + refactor + reuse]), a [fill_in] sample (factor
+    nonzeros minus pattern nonzeros) per flush that solved, reuse-only
+    flushes included, and [nnz]/[factor_nnz] samples only when a full
+    factorisation or a symbolic compilation happened, since neither can
+    change otherwise.  Free under a null sink. *)
 val flush_stats : t -> Obs.sink -> unit

@@ -4,6 +4,10 @@
 let check_bool = Alcotest.(check bool)
 let checkf tol = Alcotest.(check (float tol))
 
+let bits x = Int64.bits_of_float x
+
+let same_bits a b = Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
 let lu_tests =
   [
     Alcotest.test_case "solves 2x2" `Quick (fun () ->
@@ -487,6 +491,23 @@ let session_tests =
                   (Sim.Waveform.value_at wf "out" t))
               [ ("session", wf_session); ("one-shot", wf_standalone) ])
           [ 2e-4; 1e-3; 2e-3 ]);
+    Alcotest.test_case "a probed run records only the observed signal" `Quick (fun () ->
+        let c = parse "rc\nV1 in 0 PULSE(0 5 0 1u 1u 5u 10u)\nR1 in out 1k\nC1 out 0 1n\n.end\n" in
+        let s = Sim.Engine.Session.create c in
+        let run ?probe () = Sim.Engine.Session.transient ?probe s ~tstep:1e-7 ~tstop:4e-6 ~uic:true in
+        let full, st = run () in
+        let fed = ref 0 in
+        let probe =
+          { Sim.Engine.Session.observe = "out"; grid = [| 1e-6; 2e-6; 3e-6 |];
+            feed = (fun _ _ -> incr fed; `Continue) }
+        in
+        let probed, st' = run ~probe () in
+        Alcotest.(check (array string)) "one signal" [| "out" |] (Sim.Waveform.names probed);
+        Alcotest.(check int) "every grid time fed" 3 !fed;
+        check_bool "same steps" true (st = st');
+        check_bool "same times" true (same_bits (Sim.Waveform.times full) (Sim.Waveform.times probed));
+        check_bool "same samples" true
+          (same_bits (Sim.Waveform.samples full "out") (Sim.Waveform.samples probed "out")));
     Alcotest.test_case "with_patch applies an added resistor and restores" `Quick
       (fun () ->
         let s = Sim.Engine.Session.create divider in
@@ -783,16 +804,22 @@ let solver_tests =
         checkf 1e-12 "x1" 3.0 x.(1));
     Alcotest.test_case "sparse refactorises on a stable pattern" `Quick (fun () ->
         let sp = Sim.Sparse.create ~capacity:3 in
-        for round = 1 to 3 do
-          let d = 4.0 +. float_of_int round in
+        let solve d =
           sparse_stamp sp ~n:3
             [ (0, 0, d); (1, 1, d); (2, 2, d); (0, 2, 1.0); (2, 0, 1.0) ]
             [ (0, 1.0); (1, 1.0); (2, 1.0) ];
-          Sim.Sparse.factor_solve sp
-        done;
-        let full, refactor, symbolic, _ = Sim.Sparse.stats sp in
+          Sim.Sparse.factor_solve sp;
+          Array.sub (Sim.Sparse.rhs sp) 0 3
+        in
+        let last = List.fold_left (fun _ round -> solve (4.0 +. float_of_int round)) [||] [ 1; 2; 3 ] in
+        (* The fourth round repeats the third's values: its factors are
+           the third's refactorisation, reused. *)
+        check_bool "a reused solve is bit-identical" true (same_bits last (solve 7.0));
+        let { Sim.Sparse.full; refactor; reuse; symbolic; _ } = Sim.Sparse.stats sp in
         Alcotest.(check int) "one full factorisation" 1 full;
-        Alcotest.(check int) "rest are refactorisations" 2 refactor;
+        Alcotest.(check int) "two refactorisations" 2 refactor;
+        Alcotest.(check int) "one reuse" 1 reuse;
+        Alcotest.(check int) "every solve is exactly one of them" 4 (full + refactor + reuse);
         Alcotest.(check int) "one symbolic pass" 1 symbolic);
     Alcotest.test_case "sparse raises Singular on a rank-1 system" `Quick
       (fun () ->
@@ -1013,6 +1040,20 @@ let naive_assembly ~options ~mode ~prev ~row ~node_rows ~init devices v =
     node_rows;
   (cells, rhs)
 
+(* The solver-bench generators: RC ladders (with diodes when [diodes])
+   and resistor grids, with or without capacitors. *)
+let synth_circuit_gen ~diodes =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun n -> Synth.Circuit_synth.rc_ladder ~diodes ~sections:n ()) (int_range 1 17));
+      ( 1,
+        map2
+          (fun (r, c) caps -> Synth.Circuit_synth.resistor_grid ~caps ~rows:r ~cols:c ())
+          (pair (int_range 2 4) (int_range 2 4))
+          bool );
+    ]
+
 (* Circuits the plan must assemble: the solver-bench generators, small
    random MOS/RC circuits of the kind Row_synth lays out (plus an
    inductor, a current source and a diode, so every device kind is
@@ -1053,12 +1094,7 @@ let plan_circuit_gen =
   frequency
     [
       (3, random_mos);
-      (1, map (fun n -> Synth.Circuit_synth.rc_ladder ~diodes:true ~sections:n ()) (int_range 1 17));
-      ( 1,
-        map2
-          (fun (r, c) caps -> Synth.Circuit_synth.resistor_grid ~caps ~rows:r ~cols:c ())
-          (pair (int_range 2 4) (int_range 2 4))
-          bool );
+      (2, synth_circuit_gen ~diodes:true);
       (1, return (Vco.Schematic.schematic ()));
     ]
 
@@ -1098,10 +1134,6 @@ let plan_patch c pick =
     | ms ->
       Faults.Inject.apply ~model:Faults.Inject.Source c
         (fault (Faults.Fault.Stuck_open { device = Netlist.Device.name (List.nth ms (pick mod List.length ms)) })))
-
-let bits x = Int64.bits_of_float x
-
-let same_bits a b = Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
 
 (* [x] agrees with [want] to [tol] relative, measured through the
    system [cells] x = [rhs] that both solve: |A (x - want)| <= tol (|A|
@@ -1274,16 +1306,128 @@ let frozen_pivots_hold ~integration c pick seed =
     Result.is_error (solve nominal)
     || List.for_all
          (fun ((n, cells, rhs, _, _) as sys) ->
-           let _, _, _, repivots = Sim.Sparse.stats sp in
+           let repivots = (Sim.Sparse.stats sp).repivot in
            let got = solve sys in
-           let _, _, _, repivots' = Sim.Sparse.stats sp in
-           repivots' > repivots
+           (Sim.Sparse.stats sp).repivot > repivots
            ||
            match (lu_solve ~n cells rhs, got) with
            | Ok want, Ok x -> agree 1e-9 ~n cells rhs want x
            | Error _, Error _ -> true
            | Ok _, Error _ | Error _, Ok _ -> false)
          faults
+
+(* Reuse of unchanged factors against a solver that never reuses.  Solver
+   [sp] and [reference] see the same random sequence of passes over a
+   linear circuit's DC and transient systems (two step sizes), nominal
+   and four fault patches (bridges and opens, so the active size moves
+   and inactive overlay rows are padded): first nominal passes alone,
+   then a [prime] with every system, which recompiles the grown pattern,
+   then passes over all of them; about half the passes repeat the
+   previous one, and the 100 S bridges repivot now and then.  Before
+   each repeated pass the reference first solves the same system with
+   every value doubled (exact in binary, so every pivot decision is the
+   same), which forces it to refactorise the repeat, where [sp] reuses
+   whenever a refactorisation made its factors.  Every solution must
+   match bit for bit, [sp]'s solves must split into full factorisations,
+   refactorisations and reuses, and the two must agree on everything
+   but the split.  Returns that verdict and what the sequence reached,
+   for the coverage check below. *)
+type reuse_run = { agreed : bool; reused : bool; repivoted : bool; recompiled : bool; resized : bool }
+
+let reuse_run c pick seed =
+  let options = Sim.Engine.default_options in
+  let s = Sim.Engine.Session.create ~options c in
+  let rng = Random.State.make [| seed |] in
+  let base = Array.length (Sim.Engine.Private.unknowns s) in
+  let vector () = Array.init (base + 2) (fun _ -> Random.State.float rng 6.0 -. 1.0) in
+  let v = vector () and prev = vector () in
+  let h = 1e-9 *. (1.0 +. Random.State.float rng 9.0) in
+  let sp = Sim.Sparse.create ~capacity:(base + 2) in
+  let reference = Sim.Sparse.create ~capacity:(base + 2) in
+  (* One pass: its size, its cells as a sorted list of bits (two passes
+     with equal [matrix] stamp the same values), its entries and
+     right-hand side, and its targets in each solver. *)
+  let pass patched mode =
+    with_patch s patched (fun s ->
+        let n, row, node_rows = unknown_rows s in
+        let cells, rhs =
+          naive_assembly ~options ~mode ~prev:(Array.sub prev 0 n) ~row ~node_rows
+            ~init:(fun _ -> 0.0)
+            (Netlist.Circuit.devices patched) (Array.sub v 0 n)
+        in
+        let matrix =
+          (n, List.sort compare (Hashtbl.fold (fun (i, j) x l -> (i, j, bits x) :: l) cells []))
+        in
+        let entries, tg = cell_targets sp cells in
+        let _, tg_ref = cell_targets reference cells in
+        (matrix, entries, rhs, tg, tg_ref))
+  in
+  let passes_of patched =
+    List.map (pass patched) [ `Dc 1.0; `Tran (h, 3e-8); `Tran (h /. 2.0, 6e-8) ]
+  in
+  let nominal = Array.of_list (passes_of c) in
+  let all =
+    Array.append nominal
+      (Array.of_list
+         (List.concat_map (fun k -> passes_of (plan_patch c ((6 * pick) + k))) [ 1; 2; 3; 4 ]))
+  in
+  let n_of ((n, _), _, _, _, _) = n in
+  let solves = ref 0 and ok = ref true and last = ref None and resized = ref false in
+  let solve ((matrix, entries, rhs, tg, tg_ref) as p) =
+    (match !last with Some (n, _) -> if n <> n_of p then resized := true | None -> ());
+    if !last = Some matrix then begin
+      let doubled = List.map (fun (i, j, x) -> (i, j, 2.0 *. x)) entries in
+      ignore (sparse_solve reference ~n:(n_of p) doubled tg_ref rhs)
+    end;
+    let got = sparse_solve sp ~n:(n_of p) entries tg rhs in
+    let want = sparse_solve reference ~n:(n_of p) entries tg_ref rhs in
+    if Result.is_ok got then incr solves;
+    last := Some matrix;
+    ok :=
+      !ok
+      &&
+      match (got, want) with
+      | Ok x, Ok y -> same_bits x y
+      | Error i, Error j -> i = j
+      | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  let walk pool count =
+    let p = ref pool.(Random.State.int rng (Array.length pool)) in
+    for _ = 1 to count do
+      if Random.State.bool rng then p := pool.(Random.State.int rng (Array.length pool));
+      solve !p
+    done
+  in
+  walk nominal 6;
+  let symbolic = (Sim.Sparse.stats sp).symbolic in
+  let targets which = Array.to_list (Array.map (fun p -> (n_of p, which p)) all) in
+  Sim.Sparse.prime sp (targets (fun (_, _, _, tg, _) -> tg));
+  Sim.Sparse.prime reference (targets (fun (_, _, _, _, tg) -> tg));
+  let recompiled = (Sim.Sparse.stats sp).symbolic > symbolic in
+  (* A recompilation drops the factors, so the next pass is no repeat. *)
+  if recompiled then last := None;
+  walk all 16;
+  let st = Sim.Sparse.stats sp and st_ref = Sim.Sparse.stats reference in
+  {
+    agreed =
+      !ok
+      && st.full + st.refactor + st.reuse = !solves
+      && st_ref.reuse = 0 && st.full = st_ref.full && st.repivot = st_ref.repivot
+      && st.symbolic = st_ref.symbolic;
+    reused = st.reuse > 0;
+    repivoted = st.repivot > 0;
+    recompiled;
+    resized = !resized;
+  }
+
+let reuse_gen =
+  QCheck.Gen.(triple (synth_circuit_gen ~diodes:false) (int_bound 10_000) (int_bound 10_000))
+
+let reuse_case =
+  QCheck.make
+    ~print:(fun (c, pick, seed) ->
+      Format.asprintf "pick=%d seed=%d@.%a" pick seed Netlist.Circuit.pp c)
+    reuse_gen
 
 let plan_qcheck =
   List.map Prop.to_alcotest
@@ -1310,6 +1454,23 @@ let plan_qcheck =
       QCheck.Test.make ~count:1000 ~name:"frozen pivots survive fault values"
         plan_case (fun (c, pick, seed, trap) ->
           frozen_pivots_hold ~integration:(integration_of trap) c pick seed);
+      QCheck.Test.make ~count:300 ~name:"reusing unchanged factors equals refactorising, bit for bit"
+        reuse_case (fun (c, pick, seed) -> (reuse_run c pick seed).agreed);
+    ]
+  @ [
+      (* The property passes vacuously if its sequences never reach the
+         cases it is about: between them, 40 of its cases must reuse,
+         repivot, recompile on a prime and change the active size. *)
+      Alcotest.test_case "reuse sequences reach reuse, repivot, recompile and resize" `Quick
+        (fun () ->
+          let cases = QCheck.Gen.generate ~rand:(Random.State.make [| Prop.seed |]) ~n:40 reuse_gen in
+          let runs = List.map (fun (c, pick, seed) -> reuse_run c pick seed) cases in
+          let some f = List.exists f runs in
+          check_bool "all agree" true (List.for_all (fun r -> r.agreed) runs);
+          check_bool "some reuse" true (some (fun r -> r.reused));
+          check_bool "some repivot" true (some (fun r -> r.repivoted));
+          check_bool "some prime recompiles" true (some (fun r -> r.recompiled));
+          check_bool "some change of active size" true (some (fun r -> r.resized)));
     ]
 
 (* Per-iteration allocation of the Newton loop on the paper's VCO.  The
@@ -1337,6 +1498,45 @@ let alloc_tests =
         check_bool
           (Printf.sprintf "%.1f minor words per iteration, bound 200" per_iter)
           true (per_iter < 200.0));
+    Alcotest.test_case "reusing unchanged factors allocates nothing" `Quick (fun () ->
+        (* A linear RC ladder before its pulse edge: the step settles at
+           tstep, so the matrix repeats and most solves reuse (176 of
+           184).  The per-iteration words (92 here) are the accepted-step
+           bookkeeping; the reuse path itself must allocate nothing,
+           which the loop below checks directly. *)
+        let c = Synth.Circuit_synth.rc_ladder ~sections:4 () in
+        let run s = Sim.Engine.Session.transient s ~tstep:5e-9 ~tstop:9e-7 ~uic:true in
+        let obs = Obs.memory () in
+        let _, st = run (Sim.Engine.Session.create ~obs c) in
+        let counters = (Obs.Summary.of_events (Obs.drain obs)).Obs.Summary.counters in
+        let reuses = Option.value ~default:0 (List.assoc_opt "solver.sparse.reuse" counters) in
+        let iters = st.Sim.Engine.newton_iterations in
+        check_bool
+          (Printf.sprintf "%d of %d solves reuse" reuses iters)
+          true (2 * reuses > iters);
+        let s = Sim.Engine.Session.create c in
+        ignore (run s);
+        let w0 = Gc.minor_words () in
+        let _, st = run s in
+        let words = Gc.minor_words () -. w0 in
+        let per_iter = words /. float_of_int st.Sim.Engine.newton_iterations in
+        check_bool
+          (Printf.sprintf "%.1f minor words per iteration, bound 200" per_iter)
+          true (per_iter < 200.0);
+        (* The reuse path alone: stamp and solve one system repeatedly. *)
+        let sp = Sim.Sparse.create ~capacity:3 in
+        let entries = [ (0, 0, 5.0); (1, 1, 5.0); (2, 2, 5.0); (0, 2, 1.0); (2, 0, 1.0) ] in
+        for _ = 1 to 2 do
+          sparse_stamp sp ~n:3 entries [ (0, 1.0) ];
+          Sim.Sparse.factor_solve sp
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          Sim.Sparse.factor_solve sp
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "1,000 reuses" 1000 (Sim.Sparse.stats sp).reuse;
+        check_bool (Printf.sprintf "%.0f minor words for 1,000 reuses" words) true (words < 100.0));
   ]
 
 let suites =
