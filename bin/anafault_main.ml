@@ -21,9 +21,9 @@
    escalation ladder tried when a fault's simulation fails to converge.
 
    --batch sets the chunk width: how many faults a domain steals at
-   once, primes one sparse pattern for, and runs one after another,
-   each stopped the moment its detection verdict is final (0 =
-   automatic; 1 = full-length serial runs).
+   once, primes one sparse pattern for, and runs one after another.
+   Every fault's run stops the moment it is detected, at every width,
+   so the width never changes a result (0 = automatic).
 
    Remote mode: --remote SOCKET submits the campaign to a running
    anafaultd daemon instead of simulating in-process, streaming its
@@ -47,15 +47,13 @@
    campaign resumes exactly where the stop landed.
 
    Exit codes: 0 success; 1 usage errors, a failed nominal simulation,
-   or a campaign in which every fault failed; 3 a campaign stopped by
-   --abort-after or by a cancellation (the journal keeps what
-   completed); 4 one or more worker domains died (their claimed faults
-   carry typed failures in the report). *)
+   or a campaign in which every fault failed; 3 a campaign stopped by a
+   cancellation (the journal keeps what completed); 4 one or more
+   worker domains died (their claimed faults carry typed failures in
+   the report). *)
 
 module Campaign = Anafault.Campaign
 module Protocol = Anafaultd.Protocol
-
-exception Aborted of int
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -254,8 +252,7 @@ let run_remote opts socket_path (spec : Campaign.spec) csv_file deadline =
 
 (* --- Local execution --------------------------------------------------- *)
 
-let run_local spec observe_spec trace metrics plot csv_file journal_path resume
-    abort_after =
+let run_local spec observe_spec trace metrics plot csv_file journal_path resume =
   let obs = if trace <> None || metrics then Obs.memory () else Obs.null in
   match Campaign.compile ~obs spec with
   | Error msg -> fail "%s" msg
@@ -286,23 +283,12 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
           Some j
       end
     in
-    let progress =
-      Option.map
-        (fun n completed _total ->
-          if completed >= n then raise (Aborted completed))
-        abort_after
-    in
     Format.printf "observing %s, %d faults, %s model@." compiled.Campaign.observed
       (List.length faults)
       (match observe_spec with
       | `Model name -> name
       | `Spec -> "spec-configured");
-    match Campaign.run_local ?progress ?journal compiled with
-    | exception Aborted n ->
-      Option.iter Anafault.Journal.close journal;
-      Format.eprintf
-        "aborted after %d faults (journal holds every completed result)@." n;
-      3
+    match Campaign.run_local ?journal compiled with
     | exception Sim.Engine.Sim_error (err, detail) ->
       Option.iter Anafault.Journal.close journal;
       Format.eprintf "error: nominal simulation failed (%s): %s@."
@@ -416,7 +402,7 @@ let load_spec path =
 
 let run input fault_file universe observe model_name tol_v tol_t
     domains batch limit csv_file plot trace metrics journal_path resume
-    retries_spec budget_iters budget_steps budget_seconds abort_after remote
+    retries_spec budget_iters budget_steps budget_seconds remote
     remote_retries remote_backoff remote_timeout client_name remote_stats
     remote_shutdown spec_file deadline cancel_fp =
   (match Obs.Failpoint.load_env () with
@@ -462,7 +448,7 @@ let run input fault_file universe observe model_name tol_v tol_t
           if spec_file <> None then `Spec else `Model model_name
         in
         run_local spec observe_spec trace metrics plot csv_file journal_path
-          resume abort_after
+          resume
     end
   end
 
@@ -498,10 +484,9 @@ let batch =
   Arg.(value & opt int 0
        & info [ "batch" ] ~docv:"N"
            ~doc:"Chunk width: simulate faults $(docv) at a time on one \
-                 primed sparse pattern, stopping each transient the moment \
-                 its detection verdict is final.  0 (default) picks a width \
-                 automatically; 1 runs every fault full length, unprimed \
-                 (the serial reference).")
+                 primed sparse pattern.  Each transient stops the moment its \
+                 fault is detected, at every width, so the width changes no \
+                 result.  0 (default) picks a width automatically.")
 
 let limit =
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Simulate only the first $(docv) faults of the list.")
@@ -550,13 +535,6 @@ let budget_seconds =
   Arg.(value & opt (some float) None
        & info [ "budget-seconds" ] ~docv:"S"
            ~doc:"Per-fault wall-clock deadline in seconds.")
-
-let abort_after =
-  Arg.(value & opt (some int) None
-       & info [ "abort-after" ] ~docv:"N"
-           ~doc:"Stop the campaign (exit 3) once $(docv) faults completed - \
-                 simulates a mid-campaign kill for testing --journal/--resume; \
-                 exact at one domain with batch width 1.")
 
 let remote =
   Arg.(value & opt (some string) None
@@ -631,7 +609,7 @@ let cmd =
       const run $ input $ fault_file $ universe $ observe $ model_name
       $ tol_v $ tol_t $ domains $ batch $ limit $ csv_file $ plot
       $ trace $ metrics $ journal_path $ resume $ retries_spec $ budget_iters
-      $ budget_steps $ budget_seconds $ abort_after $ remote $ remote_retries
+      $ budget_steps $ budget_seconds $ remote $ remote_retries
       $ remote_backoff $ remote_timeout $ client_name $ remote_stats
       $ remote_shutdown $ spec_file $ deadline $ cancel_fp)
 

@@ -29,8 +29,8 @@ type options = {
   samples : int;  (** output grid size (the paper's 400-step run) *)
   domains : int;  (** scheduler width; 1 = serial *)
   batch : int;
-      (** chunk width: faults sharing one primed session, run with early
-          stopping; 0 = automatic, 1 = full-length serial reference *)
+      (** chunk width: faults sharing one primed session; 0 = automatic.
+          Pure schedule: every width gives the same results *)
 }
 
 (** The paper's working point: source model, 2 V / 0.2 us tolerance,

@@ -4,8 +4,7 @@
    slower than a low-ohmic bridge), so every domain pulls the next chunk
    of fault indices from the pool's shared counter and hands it to
    Simulate.run_chunk, which primes the domain's session once for the
-   chunk and runs its faults one after another (a one-fault chunk is the
-   serial reference).  Each domain owns one engine session (sessions
+   chunk and runs its faults one after another.  Each domain owns one engine session (sessions
    are single-threaded), writes results into its own slots of a shared
    buffer, and keeps its own load counters.  A fault whose simulation
    raises is recorded as Sim_failed through Simulate.guard, so one bad
@@ -33,9 +32,9 @@ type slot = {
   mutable indices : int list;  (* completion order, newest first *)
 }
 
-(* A raising progress callback (the CLI's abort knob) must stop every
-   domain, not just retire the one that called it: the wrapper keeps it
-   apart from the errors that kill a domain. *)
+(* A raising progress callback (a caller stopping the campaign) must
+   stop every domain, not just retire the one that called it: the
+   wrapper keeps it apart from the errors that kill a domain. *)
 exception Progress_raised of exn
 
 let crashed fault failure =

@@ -11,8 +11,8 @@
 
     A domain claims a chunk of {!Simulate.effective_batch} faults and
     simulates it with one {!Simulate.run_chunk} call, so chunks are the
-    unit of work stealing; at width 1 every chunk is one fault run full
-    length - the serial reference.  Each domain owns one
+    unit of work stealing; every width runs each fault by the same rule,
+    so the width never changes a result.  Each domain owns one
     {!Sim.Engine.Session}, so the per-topology setup is paid once per
     domain rather than once per fault.
 
@@ -65,11 +65,10 @@ type domain_stats = {
     join one final (total, total) call is made unless the last call
     already delivered it, so a one-domain run reports exactly once per
     fault.  A progress callback that raises stops every domain, and the
-    exception is re-raised here after the join - the CLI's
-    [--abort-after] knob.  With [journal], completed faults are
-    prefilled before any domain starts (never re-simulated) and fresh
-    results are recorded as they finish, under the journal's internal
-    lock. *)
+    exception is re-raised here after the join.  With [journal],
+    completed faults are prefilled before any domain starts (never
+    re-simulated) and fresh results are recorded as they finish, under
+    the journal's internal lock. *)
 val execute :
   ?progress:(int -> int -> unit) ->
   ?journal:Journal.t ->

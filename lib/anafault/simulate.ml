@@ -214,9 +214,8 @@ let compile sess faulty =
    Its threshold tests are silently false on NaN, so a non-finite sample
    that arrives before the verdict is final poisons the attempt instead;
    feeding then ends, and the run still goes on to tstop, where a kernel
-   failure keeps its retry.  Only a detection returns [`Stop], and only
-   when [stop] (a primed chunk) asks for it. *)
-let detector config ~times ~nom ~stop =
+   failure keeps its retry.  Only a detection returns [`Stop]. *)
+let detector config ~times ~nom =
   let state =
     ref
       (match Detect.Incremental.create ~tolerance:config.tolerance ~times ~nom with
@@ -237,7 +236,7 @@ let detector config ~times ~nom ~stop =
         `Continue
       | Detect.Incremental.Detected i ->
         state := `Final (Detected times.(i));
-        if stop then `Stop else `Continue)
+        `Stop)
   in
   let outcome () =
     match !state with
@@ -249,13 +248,11 @@ let detector config ~times ~nom ~stop =
 
 (* One attempt: one transient of [faulty] - as [patch] on the session, or,
    past the overlay reserve, on a session opened on [faulty] - judged by
-   its detector.  In a [primed] chunk a detection ends the run, counted as
-   a drop. *)
-let simulate_attempt config cfg sess ~nominal ~primed faulty patch =
+   its detector.  A detection ends the run, counted as a drop. *)
+let simulate_attempt config cfg sess ~nominal faulty patch =
   let probe, outcome =
     detector config ~times:(Sim.Waveform.times nominal)
       ~nom:(Sim.Waveform.samples nominal config.observed)
-      ~stop:primed
   in
   let run s =
     let { Netlist.Parser.tstep; tstop; uic } = cfg.tran in
@@ -268,8 +265,8 @@ let simulate_attempt config cfg sess ~nominal ~primed faulty patch =
   in
   let outcome = outcome () in
   (match outcome with
-  | Detected _ when primed -> Obs.count config.obs "batch.drops" 1
-  | Detected _ | Undetected | Sim_failed _ -> ());
+  | Detected _ -> Obs.count config.obs "batch.drops" 1
+  | Undetected | Sim_failed _ -> ());
   (outcome, stats)
 
 (* One fault through its retry ladder.  The baseline rung runs the patch
@@ -277,7 +274,7 @@ let simulate_attempt config cfg sess ~nominal ~primed faulty patch =
    so the rung re-injects and the ladder classifies the error); every
    later rung injects and compiles its own.  A fault that overflowed the
    overlay stays on sessions of its own for its remaining rungs. *)
-let run_fault config sess ~nominal ~primed fault prepared =
+let run_fault config sess ~nominal fault prepared =
   fault_span config fault (fun sp ->
       let t0 = Sys.time () in
       let finish ~attempts outcome stats =
@@ -301,15 +298,12 @@ let run_fault config sess ~nominal ~primed fault prepared =
           Obs.set sp "path" (Obs.Str "rebuild");
           Obs.count config.obs "session.rebuild" 1
         end;
-        simulate_attempt config cfg sess ~nominal ~primed faulty patch
+        simulate_attempt config cfg sess ~nominal faulty patch
       in
-      Obs.set sp "path" (Obs.Str (if primed then "batch" else "session"));
       run_ladder config ~sp ~finish attempt)
 
-(* The fault cycle of one chunk (see the interface).  A one-fault chunk
-   - every chunk at width 1 - runs unprimed and full length. *)
+(* The fault cycle of one chunk (see the interface). *)
 let run_chunk config sess ~nominal faults =
-  let primed = match faults with [] | [ _ ] -> false | _ :: _ :: _ -> true in
   let base = Sim.Engine.Session.circuit sess in
   let prepared =
     List.map
@@ -322,21 +316,19 @@ let run_chunk config sess ~nominal faults =
         | exception _ -> None)
       faults
   in
-  if primed then
-    Sim.Engine.Session.prime sess
-      (List.filter_map (fun p -> Option.bind p snd) prepared);
+  Sim.Engine.Session.prime sess (List.filter_map (fun p -> Option.bind p snd) prepared);
   let before = Sim.Engine.Session.newton_iterations sess in
   let results =
     List.map2
       (fun fault prepared ->
-        guard fault (fun () -> run_fault config sess ~nominal ~primed fault prepared))
+        guard fault (fun () -> run_fault config sess ~nominal fault prepared))
       faults prepared
   in
-  (* The Newton solves a primed chunk runs on its session share the
-     chunk's symbolic analysis: each is a factorisation, or a reuse of
+  (* The Newton solves a chunk runs on its session share the chunk's
+     primed symbolic analysis: each is a factorisation, or a reuse of
      the factors when the matrix has not changed since the last one. *)
   let shared = Sim.Engine.Session.newton_iterations sess - before in
-  if primed && shared > 0 then Obs.count config.obs "batch.shared_factorisations" shared;
+  if shared > 0 then Obs.count config.obs "batch.shared_factorisations" shared;
   results
 
 (* --- Campaign fingerprint --------------------------------------------- *)

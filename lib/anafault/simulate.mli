@@ -40,9 +40,9 @@ type config = {
   domains : int;  (** scheduler width for {!Parsim.execute}; 1 = serial *)
   batch : int;
       (** chunk width for {!run_chunk}: how many faults share one primed
-          sparse pattern and run with early stopping.  0 (the default)
-          resolves automatically via {!effective_batch}; 1 forces
-          full-length runs without priming *)
+          sparse pattern.  0 (the default) resolves automatically via
+          {!effective_batch}.  The width is pure schedule: every width
+          gives the same results *)
   obs : Obs.sink;  (** telemetry sink threaded through the kernel, the
                        sessions and the per-fault loop *)
 }
@@ -50,7 +50,7 @@ type config = {
 (** The chunk width actually used for a campaign of [total] faults: an
     explicit [config.batch] verbatim, otherwise an automatic width that
     keeps at least four chunks per domain available for work stealing,
-    clamps at 16, and degenerates to 1 (full-length runs) for small
+    clamps at 16, and degenerates to 1 (one fault a chunk) for small
     campaigns. *)
 val effective_batch : config -> total:int -> int
 
@@ -126,7 +126,7 @@ val session : config -> Netlist.Circuit.t -> Sim.Engine.Session.t
     [Sim_failed (Crashed _)] result instead of aborting the chunk. *)
 val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
 
-(** [detector config ~times ~nom ~stop] is the comparison of one fault
+(** [detector config ~times ~nom] is the comparison of one fault
     attempt: an engine probe on the nominal grid [times] that feeds each
     observed value of the run to a fresh {!Detect.Incremental} detector
     against [nom], and a reader of the attempt's outcome once the run
@@ -134,15 +134,14 @@ val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
     where the detector fires, [Undetected] when its verdict is clear, and
     [Sim_failed (Crashed "detect: faulty response contains non-finite
     samples")] when a non-finite value arrives before the verdict is
-    final; a detection that is final first stands.  Feeding never stops
-    the run except on a detection with [stop]; a poisoned run goes on to
-    tstop, so a later kernel failure still raises.  A degenerate nominal
+    final; a detection that is final first stands.  Only a detection
+    stops the run; a poisoned or cleared run goes on to tstop, so a later
+    kernel failure still raises.  A degenerate nominal
     grid gives [Sim_failed (Crashed "detect: <reason>")]. *)
 val detector :
   config ->
   times:float array ->
   nom:float array ->
-  stop:bool ->
   Sim.Engine.Session.probe * (unit -> outcome)
 
 (** [run_chunk config session ~nominal faults] is the fault cycle - inject,
@@ -150,29 +149,26 @@ val detector :
     order:
     + every fault is injected and compiled as a patch of [session]
       ({!Sim.Engine.Session.patch});
-    + with two or more faults, the session's sparse pattern is primed
-      with the union of those patches once
-      ({!Sim.Engine.Session.prime});
+    + the session's sparse pattern is primed with the union of those
+      patches once ({!Sim.Engine.Session.prime});
     + each fault runs its retry ladder in turn, every attempt one
       {!Sim.Engine.Session.transient} of its patch judged by its
       {!detector} on the nominal grid: the probe's verdict is the
-      attempt's outcome.  With two or more faults the run stops the
-      moment the fault is detected (counted as ["batch.drops"]), and the
-      Newton iterations the chunk runs on its primed session, failed
-      attempts included, count as ["batch.shared_factorisations"].  A
-      stopped run never reaches a
-      kernel failure its full-length run would hit later.  A
-      single-fault chunk - every chunk at width 1 - runs full length
-      without priming;
+      attempt's outcome.  The run stops the moment the fault is
+      detected (counted as ["batch.drops"]), and the Newton iterations
+      the chunk runs on its primed session, failed attempts included,
+      count as ["batch.shared_factorisations"].  A stopped run never
+      reaches a kernel failure or a budget limit that a run to tstop
+      would hit later;
     + a patch that exceeds the session's overlay reserve runs the same
       attempt on a session opened on the faulty circuit (counted once
       per fault as ["session.rebuild"]).
 
     Each fault emits one ["anafault.fault"] span tagged with the fault,
-    its path ([batch], [session] or [rebuild]), outcome, failure class,
-    attempt count and winning strategy.  A fault whose simulation raises
-    an exception outside the failure taxonomy becomes a [Crashed]
-    result ({!guard}). *)
+    [path=rebuild] when it ran on a session of its own, its outcome,
+    failure class, attempt count and winning strategy.  A fault whose
+    simulation raises an exception outside the failure taxonomy becomes
+    a [Crashed] result ({!guard}). *)
 val run_chunk :
   config ->
   Sim.Engine.Session.t ->

@@ -425,8 +425,7 @@ let key (run : Anafault.Simulate.run) =
     run.Anafault.Simulate.results
 
 (* The serial reference: the campaign loop at one domain and width-1
-   chunks, i.e. one full-length fault cycle after another in fault
-   order. *)
+   chunks, i.e. one fault cycle after another in fault order. *)
 let run_serial ?progress ?journal config circuit faults =
   fst
     (Anafault.Parsim.execute ?progress ?journal
@@ -772,7 +771,9 @@ let expect_budget_exceeded what budget =
 (* A budget campaign: same inverter, 1000x longer transient.  The step
    size is capped at tstep, so every full simulation needs >= 400k
    accepted steps - far beyond any 50 ms wall-clock deadline - while the
-   unbudgeted nominal run still completes. *)
+   unbudgeted nominal run still completes.  It observes the supply node,
+   which its ideal source holds whatever the fault, so no detection
+   stops a run before the deadline. *)
 let tran_slow = { Netlist.Parser.tstep = 10e-9; tstop = 4e-3; uic = true }
 
 let deadline_options =
@@ -780,6 +781,15 @@ let deadline_options =
     Sim.Engine.default_options with
     Sim.Engine.budget =
       { Sim.Engine.unlimited with Sim.Engine.deadline_seconds = Some 0.05 };
+  }
+
+let deadline_config =
+  {
+    config with
+    tran = tran_slow;
+    observed = "vdd";
+    sim_options = deadline_options;
+    retries = [];
   }
 
 let check_all_budget_exceeded (run : Anafault.Simulate.run) =
@@ -806,25 +816,15 @@ let budget_tests =
     Alcotest.test_case "unlimited budget never trips" `Quick (fun () ->
         run_budgeted Sim.Engine.unlimited);
     Alcotest.test_case "50 ms deadline bounds every fault, serial" `Slow (fun () ->
-        let config =
-          { config with tran = tran_slow; sim_options = deadline_options; retries = [] }
-        in
         let t0 = Unix.gettimeofday () in
-        let run = run_serial config inverter faults in
+        let run = run_serial deadline_config inverter faults in
         check_all_budget_exceeded run;
         check_bool "terminated promptly" true (Unix.gettimeofday () -. t0 < 60.0));
     Alcotest.test_case "50 ms deadline bounds every fault, 4 domains" `Slow (fun () ->
-        let config =
-          {
-            config with
-            tran = tran_slow;
-            sim_options = deadline_options;
-            retries = [];
-            domains = 4;
-          }
-        in
         let t0 = Unix.gettimeofday () in
-        let run, _ = Anafault.Parsim.execute config inverter faults in
+        let run, _ =
+          Anafault.Parsim.execute { deadline_config with domains = 4 } inverter faults
+        in
         check_all_budget_exceeded run;
         check_bool "terminated promptly" true (Unix.gettimeofday () -. t0 < 60.0));
     Alcotest.test_case "the nominal run is exempt from the fault budget" `Quick
@@ -1027,11 +1027,10 @@ let robust_tests =
 
 (* Drive [Simulate.detector] the way the engine does: one value per grid
    time, until a [`Stop].  Returns the outcome and the samples fed. *)
-let judge ?(stop = true) values =
+let judge values =
   let probe, outcome =
     Anafault.Simulate.detector config ~times:grid
       ~nom:(Sim.Waveform.samples nominal "out")
-      ~stop
   in
   let rec go i =
     if i >= Array.length grid then i
@@ -1065,9 +1064,10 @@ let detector_tests =
         check_bool "stopped early" true (fed < Array.length grid / 2));
     Alcotest.test_case "an unstopped detector feeds the whole grid" `Quick
       (fun () ->
-        let got, fed = judge ~stop:false (fun _ -> 0.0) in
-        check_bool "detected" true
-          (match got with Anafault.Simulate.Detected _ -> true | _ -> false);
+        (* Only a detection stops the run: a clear verdict, reached
+           early on a nominal response, still runs to tstop. *)
+        let got, fed = judge nominal_at in
+        Alcotest.check outcome_t "undetected" Anafault.Simulate.Undetected got;
         check_int "every grid time fed" (Array.length grid) fed);
     Alcotest.test_case "a clear verdict is undetected" `Quick (fun () ->
         let got, _ = judge nominal_at in
@@ -1089,9 +1089,14 @@ let detector_tests =
         let values i = if i >= fed then Float.nan else 0.0 in
         let expected = Anafault.Simulate.Detected (Option.get (detect (fun _ -> 0.0))) in
         let stopped, _ = judge values in
-        Alcotest.check outcome_t "primed chunk" expected stopped;
-        let full, _ = judge ~stop:false values in
-        Alcotest.check outcome_t "full-length run" expected full;
+        Alcotest.check outcome_t "detected" expected stopped;
+        (* An engine feeding past the stop still keeps the verdict. *)
+        let probe, outcome =
+          Anafault.Simulate.detector config ~times:grid
+            ~nom:(Sim.Waveform.samples nominal "out")
+        in
+        Array.iteri (fun i _ -> ignore (probe.Sim.Engine.Session.feed i (values i))) grid;
+        Alcotest.check outcome_t "poison after the stop" expected (outcome ());
         (* The whole-waveform oracle sees the poison anywhere in the
            waveform: it is the stricter, superseded rule. *)
         let wave_of_values =
@@ -1106,7 +1111,7 @@ let detector_tests =
       (fun () ->
         let probe, outcome =
           Anafault.Simulate.detector config ~times:[| 1.0; 1.0; 1.0 |]
-            ~nom:[| 0.0; 0.0; 0.0 |] ~stop:true
+            ~nom:[| 0.0; 0.0; 0.0 |]
         in
         Array.iteri
           (fun i _ ->
@@ -1212,15 +1217,23 @@ let batch_tests =
         in
         let events = Obs.drain obs in
         check_bool "drops counted" true (counter_total events "batch.drops" >= 1);
-        (* The hard bridge is detected early in the window, so its batch
-           variant must stop stepping well before the serial one. *)
+        (* The hard bridge is detected early in the window, so its run
+           must stop stepping well before an unprobed run of the injected
+           circuit reaches tstop. *)
         let b = find_result batched "#1" and s = find_result serial "#1" in
         (match (b.outcome, s.outcome) with
         | Anafault.Simulate.Detected tb, Anafault.Simulate.Detected ts ->
           Alcotest.(check (float 0.0)) "same detection time" ts tb
         | _ -> Alcotest.fail "expected the bridge detected in both runs");
+        let { Netlist.Parser.tstep; tstop; uic } = tran in
+        let full =
+          Sim.Engine.run ~options:config.sim_options
+            (Faults.Inject.apply ~model:config.model inverter bridge_out_vdd)
+            (Sim.Engine.Analysis.Tran { tstep; tstop; uic })
+          |> Sim.Engine.Analysis.stats
+        in
         check_bool "fewer accepted steps for the dropped variant" true
-          (b.stats.Sim.Engine.accepted_steps < s.stats.Sim.Engine.accepted_steps));
+          (b.stats.Sim.Engine.accepted_steps < full.Sim.Engine.accepted_steps));
     Alcotest.test_case "a failed baseline rung is simulated once" `Quick
       (fun () ->
         (* One chunk of three: the singular bridge fails its baseline and
@@ -1564,14 +1577,26 @@ let synth_config circuit tol_v =
     tolerance = { Anafault.Detect.tol_v; tol_t = 0.2e-6 };
   }
 
+(* A per-fault step budget: none, or fewer steps than a run to tstop
+   takes, so an attempt trips it unless a detection stops the run first. *)
+let synth_budget =
+  QCheck.make
+    ~print:(function None -> "no budget" | Some n -> Printf.sprintf "%d steps" n)
+    QCheck.Gen.(oneof [ return None; map Option.some (int_range 5 40) ])
+
 (* Generated width parity: widths 3 and 16 must give width 1's detection
-   table byte for byte. *)
+   table byte for byte, with or without a step budget. *)
 let width_qcheck =
   let open QCheck in
   [
-    Test.make ~name:"widths 1, 3 and 16 give one table" ~count:20 synth_campaign
-      (fun (circuit, faults, tol_v) ->
+    Test.make ~name:"widths 1, 3 and 16 give one table" ~count:20
+      (pair synth_campaign synth_budget)
+      (fun ((circuit, faults, tol_v), max_steps) ->
         let config = synth_config circuit tol_v in
+        let budget = { Sim.Engine.unlimited with Sim.Engine.max_steps } in
+        let config =
+          { config with sim_options = { config.sim_options with Sim.Engine.budget } }
+        in
         let csv_at batch =
           let run, _ = Anafault.Parsim.execute { config with batch } circuit faults in
           Anafault.Report.csv_of_results run.Anafault.Simulate.results
@@ -1581,10 +1606,9 @@ let width_qcheck =
   ]
   |> List.map Prop.to_alcotest
 
-(* The moved counter: the factorisations sharing a primed chunk's
-   symbolic analysis are counted by the fault loop, so an unprimed
-   campaign counts none, and a primed one counts exactly its faults'
-   Newton iterations. *)
+(* The moved counter: the factorisations sharing a chunk's primed
+   symbolic analysis are counted by the fault loop, so a campaign counts
+   exactly its faults' Newton iterations at every width. *)
 let counter_tests =
   [
     Alcotest.test_case "shared factorisations are counted for primed chunks only"
@@ -1594,17 +1618,20 @@ let counter_tests =
           let run, _ = Anafault.Parsim.execute { config with batch; obs } inverter faults in
           (run, counter_total (Obs.drain obs) "batch.shared_factorisations")
         in
-        let _, unprimed = at 1 in
-        check_int "width 1 counts none" 0 unprimed;
-        let run, primed = at 3 in
-        let iterations =
-          List.fold_left
-            (fun acc (r : Anafault.Simulate.fault_result) ->
-              acc + r.stats.Sim.Engine.newton_iterations)
-            0 run.Anafault.Simulate.results
-        in
-        check_bool "the faults did Newton work" true (iterations > 0);
-        check_int "width 3 counts its faults' iterations" iterations primed);
+        List.iter
+          (fun width ->
+            let run, shared = at width in
+            let iterations =
+              List.fold_left
+                (fun acc (r : Anafault.Simulate.fault_result) ->
+                  acc + r.stats.Sim.Engine.newton_iterations)
+                0 run.Anafault.Simulate.results
+            in
+            check_bool "the faults did Newton work" true (iterations > 0);
+            check_int
+              (Printf.sprintf "width %d counts its faults' iterations" width)
+              iterations shared)
+          [ 1; 3 ]);
   ]
 
 (* Generated oracle: a random synthesized circuit and a random subset of
