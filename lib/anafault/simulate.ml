@@ -202,8 +202,8 @@ let guard fault thunk =
 
 (* --- The fault cycle ---------------------------------------------------- *)
 
-let compile sess faulty =
-  match Sim.Engine.Session.patch sess faulty with
+let compile sess delta =
+  match Sim.Engine.Session.patch sess delta with
   | patch -> Some patch
   | exception Sim.Engine.Patch_overflow _ -> None
 
@@ -246,10 +246,11 @@ let detector config ~times ~nom =
   in
   ({ Sim.Engine.Session.observe = config.observed; grid = times; feed }, outcome)
 
-(* One attempt: one transient of [faulty] - as [patch] on the session, or,
-   past the overlay reserve, on a session opened on [faulty] - judged by
-   its detector.  A detection ends the run, counted as a drop. *)
-let simulate_attempt config cfg sess ~nominal faulty patch =
+(* One attempt: one transient of the fault's [delta] - as [patch] on the
+   session, or, past the overlay reserve, on a session opened on the
+   materialised faulty circuit - judged by its detector.  A detection
+   ends the run, counted as a drop. *)
+let simulate_attempt config cfg sess ~nominal delta patch =
   let probe, outcome =
     detector config ~times:(Sim.Waveform.times nominal)
       ~nom:(Sim.Waveform.samples nominal config.observed)
@@ -261,7 +262,9 @@ let simulate_attempt config cfg sess ~nominal faulty patch =
   let _, stats =
     match patch with
     | Some patch -> Sim.Engine.Session.with_patch sess patch run
-    | None -> run (Sim.Engine.Session.create ~obs:config.obs faulty)
+    | None ->
+      let faulty = Netlist.Circuit.materialise (Sim.Engine.Session.circuit sess) delta in
+      run (Sim.Engine.Session.create ~obs:config.obs faulty)
   in
   let outcome = outcome () in
   (match outcome with
@@ -280,37 +283,38 @@ let run_fault config sess ~nominal fault prepared =
       let finish ~attempts outcome stats =
         { fault; outcome; attempts; stats; cpu_seconds = Sys.time () -. t0 }
       in
-      let base = Sim.Engine.Session.circuit sess in
       let rebuilt = ref false in
       let pending = ref prepared in
       let attempt cfg =
-        let faulty, patch =
+        let delta, patch =
           match !pending with
           | Some prepared ->
             pending := None;
             prepared
           | None ->
-            let faulty = Faults.Inject.apply ~model:cfg.model base fault in
-            (faulty, if !rebuilt then None else compile sess faulty)
+            let delta =
+              Faults.Inject.delta ~model:cfg.model (Sim.Engine.Session.index sess) fault
+            in
+            (delta, if !rebuilt then None else compile sess delta)
         in
         if Option.is_none patch && not !rebuilt then begin
           rebuilt := true;
           Obs.set sp "path" (Obs.Str "rebuild");
           Obs.count config.obs "session.rebuild" 1
         end;
-        simulate_attempt config cfg sess ~nominal faulty patch
+        simulate_attempt config cfg sess ~nominal delta patch
       in
       run_ladder config ~sp ~finish attempt)
 
 (* The fault cycle of one chunk (see the interface). *)
 let run_chunk config sess ~nominal faults =
-  let base = Sim.Engine.Session.circuit sess in
+  let index = Sim.Engine.Session.index sess in
   let prepared =
     List.map
       (fun fault ->
         match
-          let faulty = Faults.Inject.apply ~model:config.model base fault in
-          (faulty, compile sess faulty)
+          let delta = Faults.Inject.delta ~model:config.model index fault in
+          (delta, compile sess delta)
         with
         | prepared -> Some prepared
         | exception _ -> None)

@@ -147,7 +147,8 @@ val detector :
 (** [run_chunk config session ~nominal faults] is the fault cycle - inject,
     simulate, compare - for one chunk of faults, with results in input
     order:
-    + every fault is injected and compiled as a patch of [session]
+    + every fault is injected as a delta of the session's base circuit
+      ({!Faults.Inject.delta}) and compiled as a patch of [session]
       ({!Sim.Engine.Session.patch});
     + the session's sparse pattern is primed with the union of those
       patches once ({!Sim.Engine.Session.prime});
@@ -161,8 +162,8 @@ val detector :
       reaches a kernel failure or a budget limit that a run to tstop
       would hit later;
     + a patch that exceeds the session's overlay reserve runs the same
-      attempt on a session opened on the faulty circuit (counted once
-      per fault as ["session.rebuild"]).
+      attempt on a session opened on the materialised faulty circuit
+      (counted once per fault as ["session.rebuild"]).
 
     Each fault emits one ["anafault.fault"] span tagged with the fault,
     [path=rebuild] when it ran on a session of its own, its outcome,

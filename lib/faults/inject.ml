@@ -11,64 +11,74 @@ let break_node_name (f : Fault.t) =
   in
   "brk" ^ clean
 
-let apply_bridge ~model circuit ~net_a ~net_b =
-  if String.equal net_a net_b then circuit
-  else begin
-    match model with
-    | Resistor { r_short; _ } ->
-      Netlist.Circuit.add circuit
-        (Netlist.Device.R
-           { name = Netlist.Circuit.fresh_name circuit "F_BRI";
-             n1 = net_a; n2 = net_b; value = r_short })
-    | Source ->
-      Netlist.Circuit.add circuit
-        (Netlist.Device.V
-           { name = Netlist.Circuit.fresh_name circuit "VF_BRI";
-             np = net_a; nn = net_b; wave = Netlist.Wave.Dc 0.0 })
-  end
+let bridge ~model index ~net_a ~net_b =
+  if String.equal net_a net_b then Netlist.Circuit.unchanged
+  else
+    let dev =
+      match model with
+      | Resistor { r_short; _ } ->
+        Netlist.Device.R
+          { name = Netlist.Circuit.fresh_name_in index "F_BRI";
+            n1 = net_a; n2 = net_b; value = r_short }
+      | Source ->
+        Netlist.Device.V
+          { name = Netlist.Circuit.fresh_name_in index "VF_BRI";
+            np = net_a; nn = net_b; wave = Netlist.Wave.Dc 0.0 }
+    in
+    { Netlist.Circuit.replaced = []; added = [ dev ] }
 
-let apply_break ~model circuit fault ~net ~moved =
-  let fresh = Netlist.Circuit.fresh_node circuit (break_node_name fault) in
-  let circuit =
+(* Each moved terminal goes to the fresh node; a device with several
+   moved terminals is rewritten once per terminal, each time from its
+   previous rewrite. *)
+let break ~model index fault ~net ~moved =
+  let fresh = Netlist.Circuit.fresh_node_in index (break_node_name fault) in
+  let replaced =
     List.fold_left
-      (fun c ({ Fault.device; port } : Fault.terminal) ->
-        match Netlist.Circuit.find c device with
-        | None -> raise Not_found
-        | Some dev ->
-          let nodes = Netlist.Device.nodes dev in
-          (match List.nth_opt nodes port with
-          | Some n when String.equal n net -> ()
-          | Some _ | None -> raise Not_found);
-          Netlist.Circuit.replace c (Netlist.Device.rename_port port fresh dev))
-      circuit moved
+      (fun acc ({ Fault.device; port } : Fault.terminal) ->
+        let pos, dev =
+          match Netlist.Circuit.lookup index device with
+          | None -> raise Not_found
+          | Some (pos, dev) -> (pos, Option.value ~default:dev (List.assoc_opt pos acc))
+        in
+        (match List.nth_opt (Netlist.Device.nodes dev) port with
+        | Some n when String.equal n net -> ()
+        | Some _ | None -> raise Not_found);
+        (pos, Netlist.Device.rename_port port fresh dev) :: List.remove_assoc pos acc)
+      [] moved
   in
-  match model with
-  | Resistor { r_open; _ } ->
-    Netlist.Circuit.add circuit
-      (Netlist.Device.R
-         { name = Netlist.Circuit.fresh_name circuit "F_OPEN";
-           n1 = net; n2 = fresh; value = r_open })
-  | Source ->
-    Netlist.Circuit.add circuit
-      (Netlist.Device.I
-         { name = Netlist.Circuit.fresh_name circuit "IF_OPEN";
-           np = net; nn = fresh; wave = Netlist.Wave.Dc 0.0 })
+  let dev =
+    match model with
+    | Resistor { r_open; _ } ->
+      Netlist.Device.R
+        { name = Netlist.Circuit.fresh_name_in index "F_OPEN";
+          n1 = net; n2 = fresh; value = r_open }
+    | Source ->
+      Netlist.Device.I
+        { name = Netlist.Circuit.fresh_name_in index "IF_OPEN";
+          np = net; nn = fresh; wave = Netlist.Wave.Dc 0.0 }
+  in
+  { Netlist.Circuit.replaced = List.sort (fun (a, _) (b, _) -> Int.compare a b) replaced;
+    added = [ dev ] }
 
-let apply_stuck_open circuit ~device =
-  match Netlist.Circuit.find circuit device with
-  | Some (Netlist.Device.M m) ->
+let stuck_open index ~device =
+  match Netlist.Circuit.lookup index device with
+  | Some (pos, Netlist.Device.M m) ->
     let dead =
       { m.model with Netlist.Device.mname = m.model.Netlist.Device.mname ^ "_SOPEN";
         kp = 0.0 }
     in
-    Netlist.Circuit.replace circuit (Netlist.Device.M { m with model = dead })
-  | Some (Netlist.Device.R _ | Netlist.Device.C _ | Netlist.Device.L _
-         | Netlist.Device.V _ | Netlist.Device.I _ | Netlist.Device.D _)
+    { Netlist.Circuit.replaced = [ (pos, Netlist.Device.M { m with model = dead }) ];
+      added = [] }
+  | Some (_, (Netlist.Device.R _ | Netlist.Device.C _ | Netlist.Device.L _
+             | Netlist.Device.V _ | Netlist.Device.I _ | Netlist.Device.D _))
   | None ->
     raise Not_found
 
-let apply ~model circuit (fault : Fault.t) =
+let delta ~model index (fault : Fault.t) =
   match fault.kind with
-  | Fault.Bridge { net_a; net_b } -> apply_bridge ~model circuit ~net_a ~net_b
-  | Fault.Break { net; moved } -> apply_break ~model circuit fault ~net ~moved
-  | Fault.Stuck_open { device } -> apply_stuck_open circuit ~device
+  | Fault.Bridge { net_a; net_b } -> bridge ~model index ~net_a ~net_b
+  | Fault.Break { net; moved } -> break ~model index fault ~net ~moved
+  | Fault.Stuck_open { device } -> stuck_open index ~device
+
+let apply ~model circuit fault =
+  Netlist.Circuit.materialise circuit (delta ~model (Netlist.Circuit.index circuit) fault)

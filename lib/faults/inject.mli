@@ -19,11 +19,22 @@ type model =
 (** The paper's resistor-model values: 0.01 ohm short, 100 Mohm open. *)
 val default_resistor : model
 
-(** [apply ~model circuit fault] returns the faulty circuit.  Injected
-    devices are named [F_<kind><n>].  A bridge between two nets that are
-    already the same net returns the circuit unchanged (the fault has no
-    electrical effect).  Raises [Not_found] if the fault references
-    devices or ports absent from [circuit]. *)
+(** [delta ~model (Netlist.Circuit.index base) fault] is the faulty
+    circuit as a difference from [base]: a bridge appends one device, an
+    open rewires the moved terminals of their devices in place onto one
+    fresh node and appends one device, a stuck-open replaces its
+    transistor in place.  Injected devices are named [F_<kind><n>]
+    ([VF_BRI], [IF_OPEN] under the source model), the fresh node
+    {!break_node_name}[ fault] (or its first free numbered variant).
+    A bridge between two nets that are already the same net is
+    {!Netlist.Circuit.unchanged} (the fault has no electrical effect).
+    Raises [Not_found] if the fault references devices or ports absent
+    from [base]. *)
+val delta : model:model -> Netlist.Circuit.index -> Fault.t -> Netlist.Circuit.delta
+
+(** [apply ~model circuit fault] is the faulty circuit itself:
+    [Netlist.Circuit.materialise circuit] of {!delta}.  Raises as
+    {!delta} does. *)
 val apply : model:model -> Netlist.Circuit.t -> Fault.t -> Netlist.Circuit.t
 
 (** The name of the node created for the detached side of a [Break]

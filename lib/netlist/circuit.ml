@@ -4,12 +4,21 @@ let empty title = { title; devices = [] }
 
 let find t name = List.find_opt (fun d -> Device.name d = name) t.devices
 
+let duplicate name = invalid_arg ("Circuit.add: duplicate device " ^ name)
+
 let add t dev =
   let n = Device.name dev in
-  if find t n <> None then invalid_arg ("Circuit.add: duplicate device " ^ n)
-  else { t with devices = t.devices @ [ dev ] }
+  if find t n <> None then duplicate n else { t with devices = t.devices @ [ dev ] }
 
-let of_devices title devices = List.fold_left add (empty title) devices
+let of_devices title devices =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun d ->
+      let n = Device.name d in
+      if Hashtbl.mem seen n then duplicate n;
+      Hashtbl.add seen n ())
+    devices;
+  { title; devices }
 
 let devices t = t.devices
 
@@ -35,16 +44,56 @@ let rename_node t ~from_ ~to_ =
 let devices_on t node =
   List.filter (fun d -> List.exists (String.equal node) (Device.nodes d)) t.devices
 
+(* --- Deltas ------------------------------------------------------------ *)
+
+type delta = { replaced : (int * Device.t) list; added : Device.t list }
+
+let unchanged = { replaced = []; added = [] }
+
+let materialise t { replaced; added } =
+  let devices = Array.of_list t.devices in
+  ignore
+    (List.fold_left
+       (fun last (p, dev) ->
+         if p <= last || p >= Array.length devices then
+           invalid_arg "Circuit.materialise: replaced positions must ascend within the base";
+         devices.(p) <- dev;
+         p)
+       (-1) replaced);
+  { t with devices = Array.to_list devices @ added }
+
+type index = {
+  positions : (string, int * Device.t) Hashtbl.t;
+  node_set : (string, unit) Hashtbl.t;
+}
+
+let index t =
+  let positions = Hashtbl.create 64 and node_set = Hashtbl.create 64 in
+  List.iteri
+    (fun p d ->
+      let name = Device.name d in
+      if not (Hashtbl.mem positions name) then Hashtbl.add positions name (p, d);
+      List.iter (fun n -> Hashtbl.replace node_set n ()) (Device.nodes d))
+    t.devices;
+  { positions; node_set }
+
+let lookup ix name = Hashtbl.find_opt ix.positions name
+
+(* The first of [base], [base1], [base2], ... that [used] does not hold. *)
 let fresh_in used base =
   let rec go i =
     let cand = Printf.sprintf "%s%d" base i in
-    if List.exists (String.equal cand) used then go (i + 1) else cand
+    if used cand then go (i + 1) else cand
   in
-  if List.exists (String.equal base) used then go 1 else base
+  if used base then go 1 else base
 
-let fresh_node t base = fresh_in (nodes t) base
+let fresh_node_in ix base = fresh_in (Hashtbl.mem ix.node_set) base
 
-let fresh_name t base = fresh_in (List.map Device.name t.devices) base
+let fresh_name_in ix base = fresh_in (Hashtbl.mem ix.positions) base
+
+let fresh_node t base = fresh_node_in (index t) base
+
+let fresh_name t base = fresh_name_in (index t) base
 
 let mos_models t =
   List.filter_map

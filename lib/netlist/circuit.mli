@@ -11,6 +11,8 @@ val empty : string -> t
     the same name is already present. *)
 val add : t -> Device.t -> t
 
+(** [of_devices title devices] keeps [devices] in order, in linear time.
+    Raises [Invalid_argument] on a repeated name, as {!add} does. *)
 val of_devices : string -> Device.t list -> t
 
 val devices : t -> Device.t list
@@ -37,11 +39,52 @@ val rename_node : t -> from_:Device.node -> to_:Device.node -> t
 (** [devices_on t node] lists devices with a terminal on [node]. *)
 val devices_on : t -> Device.node -> Device.t list
 
-(** [fresh_node t base] is a node name starting with [base] not yet used. *)
+(** [fresh_node t base] is a node name starting with [base] not yet used:
+    [base] itself, else the first free of [base1], [base2], ... *)
 val fresh_node : t -> string -> Device.node
 
-(** [fresh_name t base] is a device name starting with [base] not yet used. *)
+(** [fresh_name t base] is a device name starting with [base] not yet
+    used, chosen as {!fresh_node} chooses. *)
 val fresh_name : t -> string -> string
+
+(** {1 Deltas}
+
+    A fault changes a circuit locally, so fault injection describes the
+    faulty circuit as a difference from its base: devices replaced in
+    place, by position, and devices appended after the base's.  The
+    kernel compiles a delta onto the base's compiled form
+    ([Sim.Engine.Session.patch]) without materialising the circuit. *)
+
+(** [replaced] holds [(position, device)] pairs, positions (indices into
+    {!devices} of the base) strictly ascending; each device takes the
+    place of the base device at its position and should keep its name.
+    [added] follows the base devices, in order, under names the base
+    does not use. *)
+type delta = { replaced : (int * Device.t) list; added : Device.t list }
+
+(** The empty delta: the base circuit itself. *)
+val unchanged : delta
+
+(** [materialise t delta] is the circuit [delta] describes against the
+    base [t].  Raises [Invalid_argument] when a position is out of range
+    or the positions do not ascend. *)
+val materialise : t -> delta -> t
+
+(** A lookup structure over one base circuit, built in linear time: the
+    position of every device name, and the set of node names. *)
+type index
+
+val index : t -> index
+
+(** [lookup ix name] is the position and the device called [name]. *)
+val lookup : index -> string -> (int * Device.t) option
+
+(** [fresh_node_in (index t) base] is [fresh_node t base], in expected
+    constant time per candidate. *)
+val fresh_node_in : index -> string -> Device.node
+
+(** [fresh_name_in (index t) base] is [fresh_name t base]. *)
+val fresh_name_in : index -> string -> string
 
 (** Distinct MOS models (by model name) used in the circuit, for .model
     cards. *)

@@ -273,7 +273,9 @@ let parse text =
       in
       Hashtbl.replace defs name { sc with body })
     defs;
-  let circuit = ref (Circuit.empty title) in
+  (* Devices newest first, and their names: one set lookup per device,
+     one reversal at the end. *)
+  let devices = ref [] and names = Hashtbl.create 64 in
   let tran = ref None in
   List.iter
     (fun (ln, line) ->
@@ -300,10 +302,12 @@ let parse text =
         | _ ->
           List.iter
             (fun dev ->
-              circuit :=
-                (try Circuit.add !circuit dev
-                 with Invalid_argument m -> err ln "%s" m))
+              let name = Device.name dev in
+              if Hashtbl.mem names name then
+                err ln "Circuit.add: duplicate device %s" name;
+              Hashtbl.add names name ();
+              devices := dev :: !devices)
             (expand_card ~depth:0 ~defs ~models ~prefix:"" ~map_node:Fun.id (ln, line))
       end)
     top;
-  { circuit = !circuit; tran = !tran }
+  { circuit = { Circuit.title; devices = List.rev !devices }; tran = !tran }

@@ -191,11 +191,10 @@ let rhs_entries = function
   | CC _ | CI _ | CD _ -> 2
   | CM _ -> 6
 
-let make_plan sv devices ~pins =
-  let count f = Array.fold_left (fun n d -> n + f d) 0 devices in
-  let keys = Array.make (count matrix_entries + Array.length pins) 0 in
-  let rhs = Array.make (count rhs_entries) 0 in
-  let km = ref 0 and kr = ref 0 and ground = Sparse.capacity sv in
+(* Writes [dev]'s matrix keys into [keys] from [!km] and its RHS rows
+   into [rhs] from [!kr], advancing both cursors. *)
+let emit_device sv keys km rhs kr dev =
+  let ground = Sparse.capacity sv in
   let m ?(tran = false) i j =
     keys.(!km) <- Sparse.key sv ~tran i j;
     incr km
@@ -210,51 +209,57 @@ let make_plan sv devices ~pins =
     rhs.(!kr) <- (if i < 0 then ground else i);
     incr kr
   in
-  Array.iter
-    (fun dev ->
-      match dev with
-      | CR { i; j; _ } -> g i j
-      | CC { i; j; _ } ->
-        g ~tran:true i j;
-        r i;
-        r j
-      | CL { i; j; br; _ } ->
-        m i br;
-        m j br;
-        m br i;
-        m br j;
-        m ~tran:true br br;
-        r br
-      | CV { i; j; br; _ } ->
-        m i br;
-        m j br;
-        m br i;
-        m br j;
-        r br
-      | CI { i; j; _ } ->
-        r i;
-        r j
-      | CD { i; j; _ } ->
-        g i j;
-        r i;
-        r j
-      | CM { d; g = gate; s; _ } ->
-        g ~tran:true gate s;
-        g ~tran:true gate d;
-        r gate;
-        r s;
-        r gate;
-        r d;
-        m d d;
-        m d gate;
-        m d s;
-        m s d;
-        m s gate;
-        m s s;
-        r d;
-        r s)
-    devices;
-  Array.iter (fun i -> m i i) pins;
+  match dev with
+  | CR { i; j; _ } -> g i j
+  | CC { i; j; _ } ->
+    g ~tran:true i j;
+    r i;
+    r j
+  | CL { i; j; br; _ } ->
+    m i br;
+    m j br;
+    m br i;
+    m br j;
+    m ~tran:true br br;
+    r br
+  | CV { i; j; br; _ } ->
+    m i br;
+    m j br;
+    m br i;
+    m br j;
+    r br
+  | CI { i; j; _ } ->
+    r i;
+    r j
+  | CD { i; j; _ } ->
+    g i j;
+    r i;
+    r j
+  | CM { d; g = gate; s; _ } ->
+    g ~tran:true gate s;
+    g ~tran:true gate d;
+    r gate;
+    r s;
+    r gate;
+    r d;
+    m d d;
+    m d gate;
+    m d s;
+    m s d;
+    m s gate;
+    m s s;
+    r d;
+    r s
+
+let pin_key sv i = Sparse.key sv i i
+
+let make_plan sv devices ~pins =
+  let count f = Array.fold_left (fun n d -> n + f d) 0 devices in
+  let keys = Array.make (count matrix_entries + Array.length pins) 0 in
+  let rhs = Array.make (count rhs_entries) 0 in
+  let km = ref 0 and kr = ref 0 in
+  Array.iter (emit_device sv keys km rhs kr) devices;
+  Array.iteri (fun p i -> keys.(!km + p) <- pin_key sv i) pins;
   { targets = Sparse.targets keys; rhs; pins }
 
 (* The adders of the device loop.  Top-level and inlined, so the float
@@ -464,7 +469,7 @@ let[@inline] node_dv ctx x v =
    each solve reports its iteration count, the time spent stamping and
    in factor+solve, and how often the dv clamp fired; the [traced] flag
    keeps the telemetry arithmetic entirely off the null-sink path. *)
-let newton ~max_iter ~gmin ~mode ctx v0 =
+let newton ?into ~max_iter ~gmin ~mode ctx v0 =
   let opts = ctx.opts in
   let size = ctx.size in
   let sv = ctx.sv in
@@ -484,7 +489,15 @@ let newton ~max_iter ~gmin ~mode ctx v0 =
     end;
     result
   in
-  let v = Array.copy v0 in
+  (* The iterate: a copy of [v0], in [into] when the caller recycles a
+     buffer of the same length. *)
+  let v =
+    match into with
+    | Some buf ->
+      Array.blit v0 0 buf 0 (Array.length v0);
+      buf
+    | None -> Array.copy v0
+  in
   (* Traced, the stamp's end is the factorisation's start: one clock
      read serves both. *)
   let assemble_and_solve () =
@@ -663,15 +676,14 @@ let update_device_states ~opts ~h devices v =
       | CR _ | CV _ | CI _ | CD _ -> ())
     devices
 
-let breakpoints circuit ~tstop =
-  Netlist.Circuit.devices circuit
-  |> List.concat_map (fun d ->
-         match d with
-         | Netlist.Device.V { wave; _ } | Netlist.Device.I { wave; _ } ->
-           Netlist.Wave.breakpoints wave ~tstop
-         | Netlist.Device.R _ | Netlist.Device.C _ | Netlist.Device.L _
-         | Netlist.Device.D _ | Netlist.Device.M _ ->
-           [])
+(* The breakpoints of a compiled view's independent sources. *)
+let breakpoints devices ~tstop =
+  Array.fold_right
+    (fun dev acc ->
+      match dev with
+      | CV { wave; _ } | CI { wave; _ } -> Netlist.Wave.breakpoints wave ~tstop @ acc
+      | CR _ | CC _ | CL _ | CD _ | CM _ -> acc)
+    devices []
   |> List.filter (fun t -> t > 0.0 && t < tstop)
   |> List.sort_uniq compare
 
@@ -685,6 +697,7 @@ type stepper = {
   hmin : float;
   eps : float;
   mutable v : float array;
+  mutable spare : float array; (* Newton's iterate buffer, swapped with [v] on acceptance *)
   vnode_prev : float array;
   record : int; (* the one unknown a probed run records, or -1: every one *)
   mutable samples : (float * float array) list; (* newest first *)
@@ -707,7 +720,7 @@ type stepper = {
    unknown [record]. *)
 let recorded record v = if record < 0 then Array.copy v else [| v.(record) |]
 
-let stepper_start ~record ctx ~circuit ~tstep ~tstop ~uic =
+let stepper_start ~record ctx ~tstep ~tstop ~uic =
   (* Written positively so a NaN or infinite value fails it too: an
      infinite tstop would step forever. *)
   if not (0.0 < tstep && tstep <= tstop && Float.is_finite tstop) then
@@ -722,9 +735,10 @@ let stepper_start ~record ctx ~circuit ~tstep ~tstop ~uic =
     eps = tstop *. 1e-12;
     v;
     vnode_prev = Array.copy v;
+    spare = Array.copy v;
     record;
     samples = [ (0.0, recorded record v) ];
-    bps = breakpoints circuit ~tstop;
+    bps = breakpoints ctx.devices ~tstop;
     h = tstep /. 10.0;
     t = 0.0;
     at_edge = true;
@@ -818,12 +832,13 @@ let stepper_step st =
      it, so these steps get the DC limit.  Every other step gets the
      transient one. *)
   let max_iter = if st.at_edge || to_edge then opts.max_iter else tran_max_iter in
-  match newton ~max_iter ~gmin:opts.gmin ~mode ctx st.v with
+  match newton ~into:st.spare ~max_iter ~gmin:opts.gmin ~mode ctx st.v with
   | Ok (v', iters) ->
     st.total_iters <- st.total_iters + iters;
     st.accepted <- st.accepted + 1;
     update_device_states ~opts ~h:h_try ctx.devices v';
     Array.blit v' 0 st.vnode_prev 0 ctx.size;
+    st.spare <- st.v;
     st.v <- v';
     st.t <- st.t +. h_try;
     st.at_edge <- to_edge;
@@ -896,9 +911,9 @@ let signal_index names observe =
    never steers it, so an unstopped probed run takes the unprobed run's
    steps.  [tally] receives the run's Newton iterations, also when the
    run fails. *)
-let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
+let transient_core ?probe ctx ~tally ~tstep ~tstop ~uic =
   let record = match probe with Some p -> signal_index ctx.names p.observe | None -> -1 in
-  let st = stepper_start ~record ctx ~circuit ~tstep ~tstop ~uic in
+  let st = stepper_start ~record ctx ~tstep ~tstop ~uic in
   Fun.protect ~finally:(fun () ->
       stepper_emit_counters st;
       tally st.total_iters)
@@ -930,13 +945,14 @@ let transient_core ?probe ctx ~tally ~circuit ~tstep ~tstop ~uic =
 (* --- Sessions: batch solving of one circuit topology ------------------ *)
 
 (* One fault differs from the nominal circuit by a device or two, so the
-   batch loop keeps the node map, the compiled device array and the
-   solver buffers alive across the whole fault list and re-derives only
-   what a patch touches.  The buffers reserve two overlay rows - fault
-   injection adds at most one node (a split-net open) and one branch (a
-   bridge modelled as a 0 V source) - so a patched system solves in the
-   same storage.  Sessions are single-threaded; parallel callers create
-   one session per domain. *)
+   batch loop keeps the node map, the compiled device array, its stamp
+   plan and the solver buffers alive across the whole fault list, and a
+   fault arrives as a delta ([Netlist.Circuit.delta]) that is compiled
+   onto them.  The buffers reserve two overlay rows - fault injection
+   adds at most one node (a split-net open) and one branch (a bridge
+   modelled as a 0 V source) - so a patched system solves in the same
+   storage.  Sessions are single-threaded; parallel callers create one
+   session per domain. *)
 module Session = struct
   (* Reserve: one overlay node row at [base_size], one overlay branch row
      at [base_size + 1]. *)
@@ -946,7 +962,6 @@ module Session = struct
      it, reified as a value so a caller can compile a whole chunk of
      patches, prime their union pattern, and only then solve them. *)
   type patch = {
-    pv_circuit : Netlist.Circuit.t;
     pv_devices : cdev array;
     pv_plan : plan;
     pv_size : int;
@@ -963,10 +978,16 @@ module Session = struct
     opts : options;
     obs : Obs.sink;
     circuit : Netlist.Circuit.t;
+    index : Netlist.Circuit.index Lazy.t;
     mna : Mna.t;
     base : patch;
     base_size : int;
     base_node_count : int;
+    (* Where each base device's matrix keys and RHS rows start in the
+       base plan (one entry past the last device too), so a patch copies
+       the ranges between the devices it replaces. *)
+    key_offset : int array;
+    rhs_offset : int array;
     (* The solver spans the base system plus the overlay reserve; every
        fault patch stamps into the same accumulated pattern, so the whole
        fault list shares one symbolic analysis. *)
@@ -977,6 +998,11 @@ module Session = struct
     mutable newton_iterations : int;
   }
 
+  let offsets entries devices =
+    let o = Array.make (Array.length devices + 1) 0 in
+    Array.iteri (fun i d -> o.(i + 1) <- o.(i) + entries d) devices;
+    o
+
   let create ?(options = default_options) ?(obs = Obs.null) circuit =
     let mna = Mna.make circuit in
     let base_size = Mna.size mna in
@@ -985,7 +1011,6 @@ module Session = struct
     let devices = compile mna circuit in
     let base =
       {
-        pv_circuit = circuit;
         pv_devices = devices;
         pv_plan =
           make_plan sv devices ~pins:(pinned_rows ~node_count:base_node_count ~extra_node:None);
@@ -997,10 +1022,13 @@ module Session = struct
       opts = options;
       obs;
       circuit;
+      index = lazy (Netlist.Circuit.index circuit);
       mna;
       base;
       base_size;
       base_node_count;
+      key_offset = offsets matrix_entries devices;
+      rhs_offset = offsets rhs_entries devices;
       sv;
       ev = Mosfet.make_scratch ();
       view = base;
@@ -1008,6 +1036,8 @@ module Session = struct
     }
 
   let circuit s = s.circuit
+
+  let index s = Lazy.force s.index
 
   let options s = s.opts
 
@@ -1033,18 +1063,21 @@ module Session = struct
   let transient ?options ?probe s ~tstep ~tstop ~uic =
     transient_core ?probe (ctx ?options s)
       ~tally:(fun n -> s.newton_iterations <- s.newton_iterations + n)
-      ~circuit:s.view.pv_circuit ~tstep ~tstop ~uic
+      ~tstep ~tstop ~uic
 
   let newton_iterations s = s.newton_iterations
 
-  (* Recompile only what [patched] changed relative to the base circuit.
-     Fault injection rewrites circuits with Circuit.replace (same name,
-     same position) and Circuit.add (appended), so a positional walk
-     recognises untouched devices by physical equality and reuses their
-     compiled form.  Anything structurally different raises
-     Patch_overflow and the caller opens a session on [patched]
-     instead. *)
-  let patch s patched =
+  (* Compile only what [delta] changes.  A replaced device keeps its
+     stamp position and layout, and appended devices go after the base
+     devices, so the patch's plan is the base plan with the replaced
+     devices' entries rewritten in place and the appended ones (and an
+     overlay pin) inserted before the pins - exactly the plan of the
+     materialised circuit.  Only those entries are the patch's own; the
+     rest share the base plan's keys and slots.  A delta that names a
+     second new node or branch, or whose replacement changes a device's
+     stamp layout, raises Patch_overflow, and the caller opens a session
+     on the materialised circuit instead. *)
+  let patch s (delta : Netlist.Circuit.delta) =
     (* Overlay rows are allocated in order of first use, so a patch that
        adds only a node (break/split) or only a branch (bridging V
        source) costs exactly one extra row - the same system size a full
@@ -1065,8 +1098,6 @@ module Session = struct
         | Some _ -> raise (Patch_overflow ("second new node " ^ name))
         | None ->
           let row = alloc_row () in
-          if row >= s.base_size + reserve then
-            raise (Patch_overflow ("new node " ^ name ^ " exceeds overlay"));
           extra_node := Some (name, row);
           row
       end
@@ -1080,32 +1111,27 @@ module Session = struct
         | Some _ -> raise (Patch_overflow ("second new branch " ^ name))
         | None ->
           let row = alloc_row () in
-          if row >= s.base_size + reserve then
-            raise (Patch_overflow ("new branch " ^ name ^ " exceeds overlay"));
           extra_branch := Some (name, row);
           row
       end
     in
-    let rec zip i base patch acc =
-      match (base, patch) with
-      | [], rest ->
-        List.rev_append acc (List.map (compile_device ~nid ~bid) rest)
-      | _ :: _, [] -> raise (Patch_overflow "patch removed a device")
-      | b :: bs, p :: ps ->
-        let cd =
-          if b == p then s.base.pv_devices.(i)
-          else if String.equal (Netlist.Device.name b) (Netlist.Device.name p)
-          then compile_device ~nid ~bid p
-          else raise (Patch_overflow "patch reordered devices")
-        in
-        zip (i + 1) bs ps (cd :: acc)
-    in
-    let compiled =
+    let base = s.base and ko = s.key_offset and ro = s.rhs_offset in
+    let ndev = Array.length base.pv_devices in
+    let replaced, added =
       match
-        zip 0
-          (Netlist.Circuit.devices s.circuit)
-          (Netlist.Circuit.devices patched)
-          []
+        let replaced =
+          List.map (fun (p, d) -> (p, compile_device ~nid ~bid d)) delta.replaced
+        in
+        ignore
+          (List.fold_left
+             (fun last (p, cd) ->
+               if p <= last || p >= ndev then
+                 invalid_arg "Session.patch: replaced positions must ascend within the base";
+               if matrix_entries cd <> ko.(p + 1) - ko.(p) || rhs_entries cd <> ro.(p + 1) - ro.(p)
+               then raise (Patch_overflow "a replacement changes the stamp layout");
+               p)
+             (-1) replaced);
+        (replaced, List.map (compile_device ~nid ~bid) delta.added)
       with
       | compiled -> compiled
       | exception Patch_overflow msg ->
@@ -1118,32 +1144,74 @@ module Session = struct
       Obs.sample s.obs "session.overlay_rows"
         (float_of_int (!next_row - s.base_size))
     end;
-    let row_name = function
-      | None -> []
-      | Some (n, row) -> [ (row, n) ]
+    let devices = Array.append base.pv_devices (Array.of_list added) in
+    List.iter (fun (p, cd) -> devices.(p) <- cd) replaced;
+    let sum f = List.fold_left (fun n cd -> n + f cd) 0 in
+    let appended = sum matrix_entries added in
+    let rhs = Array.append base.pv_plan.rhs (Array.make (sum rhs_entries added) 0) in
+    let n_own =
+      sum matrix_entries (List.map snd replaced) + appended
+      + Option.fold ~none:0 ~some:(fun _ -> 1) !extra_node
+    in
+    let own_keys = Array.make n_own 0 and own = Array.make n_own 0 in
+    let nk = ref 0 in
+    (* The device's keys go to [own_keys], at plan positions from [km]. *)
+    let emit km kr cd =
+      let first = !nk in
+      emit_device s.sv own_keys nk rhs (ref kr) cd;
+      for i = first to !nk - 1 do
+        own.(i) <- km + i - first
+      done
+    in
+    List.iter (fun (p, cd) -> emit ko.(p) ro.(p) cd) replaced;
+    ignore
+      (List.fold_left
+         (fun (km, kr) cd ->
+           emit km kr cd;
+           (km + matrix_entries cd, kr + rhs_entries cd))
+         (ko.(ndev), ro.(ndev)) added);
+    Option.iter
+      (fun (_, row) ->
+        own_keys.(!nk) <- pin_key s.sv row;
+        own.(!nk) <- ko.(ndev) + appended + s.base_node_count)
+      !extra_node;
+    (* Shared: the base devices' entries around the replaced ones, then
+       the base pins, after the appended devices. *)
+    let copied, next =
+      List.fold_left
+        (fun (acc, from) (p, _) -> ((from, from, ko.(p) - from) :: acc, ko.(p + 1)))
+        ([], 0) replaced
+    in
+    let copied =
+      List.rev
+        ((ko.(ndev) + appended, ko.(ndev), s.base_node_count)
+        :: (next, next, ko.(ndev) - next)
+        :: copied)
+    in
+    let pins =
+      match !extra_node with
+      | None -> base.pv_plan.pins
+      | Some (_, row) -> Array.append base.pv_plan.pins [| row |]
     in
     let extra_names =
-      row_name !extra_node
-      @ (match !extra_branch with
-        | None -> []
-        | Some (b, row) -> [ (row, "I(" ^ b ^ ")") ])
+      (match !extra_node with None -> [] | Some (n, row) -> [ (row, n) ])
+      @ (match !extra_branch with None -> [] | Some (b, row) -> [ (row, "I(" ^ b ^ ")") ])
       |> List.sort compare |> List.map snd
     in
-    let devices = Array.of_list compiled in
     {
-      pv_circuit = patched;
       pv_devices = devices;
       pv_plan =
-        make_plan s.sv devices
-          ~pins:
-            (pinned_rows ~node_count:s.base_node_count
-               ~extra_node:(Option.map snd !extra_node));
+        { targets = Sparse.derive base.pv_plan.targets ~copied ~own own_keys; rhs; pins };
       pv_size = !next_row;
-      pv_names = Array.append s.base.pv_names (Array.of_list extra_names);
+      pv_names =
+        (if extra_names = [] then base.pv_names
+         else Array.append base.pv_names (Array.of_list extra_names));
     }
 
   (* Transient stamps are a superset of DC stamps, so priming the
-     transient targets covers every solve that follows. *)
+     transient targets covers every solve that follows.  A patch's
+     targets derive from the base plan's, so once the base's keys are in
+     the pattern each patch reserves only its own. *)
   let prime s patches =
     Sparse.prime s.sv (List.map (fun pv -> (pv.pv_size, pv.pv_plan.targets)) patches)
 
@@ -1157,23 +1225,27 @@ end
 (* Each point re-solves the operating point with the swept source pinned
    to the next value, warm-starting Newton from the previous solution -
    the standard continuation that keeps multi-stable circuits on one
-   branch.  The sweep is a natural session batch: only the swept source's
-   wave changes between points, so the node map and solver buffers are
-   shared across the whole sweep. *)
+   branch.  The sweep is a natural session batch: each point is a delta
+   replacing the swept source's wave, so the node map and solver buffers
+   are shared across the whole sweep. *)
 let dc_sweep_impl ~options ~obs circuit ~source ~values =
-  (match Netlist.Circuit.find circuit source with
-  | Some (Netlist.Device.V _) | Some (Netlist.Device.I _) -> ()
-  | Some _ | None ->
-    invalid_arg ("Engine.dc_sweep: no independent source named " ^ source));
+  let pos, dev =
+    match Netlist.Circuit.lookup (Netlist.Circuit.index circuit) source with
+    | Some ((_, (Netlist.Device.V _ | Netlist.Device.I _)) as found) -> found
+    | Some _ | None ->
+      invalid_arg ("Engine.dc_sweep: no independent source named " ^ source)
+  in
   let at value =
-    match Netlist.Circuit.find circuit source with
-    | Some (Netlist.Device.V v) ->
-      Netlist.Circuit.replace circuit
-        (Netlist.Device.V { v with wave = Netlist.Wave.Dc value })
-    | Some (Netlist.Device.I i) ->
-      Netlist.Circuit.replace circuit
-        (Netlist.Device.I { i with wave = Netlist.Wave.Dc value })
-    | Some _ | None -> assert false
+    let wave = Netlist.Wave.Dc value in
+    let dev =
+      match dev with
+      | Netlist.Device.V v -> Netlist.Device.V { v with wave }
+      | Netlist.Device.I i -> Netlist.Device.I { i with wave }
+      | Netlist.Device.R _ | Netlist.Device.C _ | Netlist.Device.L _
+      | Netlist.Device.D _ | Netlist.Device.M _ ->
+        assert false
+    in
+    { Netlist.Circuit.replaced = [ (pos, dev) ]; added = [] }
   in
   let session = Session.create ~options ~obs circuit in
   let prev = ref None in
@@ -1206,6 +1278,12 @@ module Private = struct
   }
 
   let unknowns s = (Session.ctx s).names
+
+  let plan s =
+    let p = (Session.ctx s).plan in
+    (Sparse.all_keys p.targets, p.rhs, p.pins)
+
+  let solver s = (Session.ctx s).sv
 
   let assemble s ~mode ~prev v =
     let ctx = Session.ctx s in

@@ -94,9 +94,11 @@ exception Sim_error of error * string
     human-readable elaboration (where, at which time point). *)
 
 exception Patch_overflow of string
-(** A session patch needed more than the reserved overlay capacity (one
-    new node, one new branch) or changed the circuit structurally; the
-    caller simulates the faulty circuit on a session of its own. *)
+(** A session patch needed more than the reserved overlay capacity: its
+    devices name a second node, or a second branch, that the base
+    circuit lacks (a bridge between two nets the deck does not have).
+    The caller simulates the materialised faulty circuit on a session
+    of its own. *)
 
 type solution
 
@@ -185,10 +187,14 @@ val run :
     number of solves.  This is the paper's cost model made cheap: a fault
     simulation campaign is one nominal run plus one run per fault, where
     each faulty circuit differs from the nominal one by a device or two.
-    [patch] and [with_patch] swap in those few devices without re-deriving the node
-    map; the buffers reserve one overlay node row (a split-net open adds
-    at most one node) and one overlay branch row (a bridge modelled as a
-    0 V source adds one branch current).
+    A fault arrives as a {!Netlist.Circuit.delta} of the base circuit,
+    and [patch] compiles only the delta: the base plan's keys, RHS rows
+    and resolved slots are copied, and only the replaced and appended
+    devices are compiled, planned and resolved.  [with_patch] swaps the
+    result in without re-deriving the node map.  The buffers reserve
+    one overlay node row (a split-net open adds at most one node) and
+    one overlay branch row (a bridge modelled as a 0 V source adds one
+    branch current).
 
     Sessions are single-threaded: parallel fault simulation creates one
     session per domain. *)
@@ -203,6 +209,11 @@ module Session : sig
 
   (** The base (nominal) circuit the session was built from. *)
   val circuit : t -> Netlist.Circuit.t
+
+  (** The index of the base circuit that fault deltas are built against
+      ({!Netlist.Circuit.index}), built on first use and kept for the
+      session's life. *)
+  val index : t -> Netlist.Circuit.index
 
   val options : t -> options
 
@@ -254,18 +265,27 @@ module Session : sig
   (** A compiled patch of the session's base circuit. *)
   type patch
 
-  (** [patch t patched] compiles [patched], which must be the base
-      circuit rewritten through [Circuit.replace] / [Circuit.add] - the
-      shapes fault injection produces - introducing at most one new node
-      and one new branch; anything else raises {!Patch_overflow}.
-      Devices untouched by the patch keep their compiled form; only
-      replaced and appended devices are recompiled, and the patch gets
-      its own stamp plan.  Counted as ["session.patch"]. *)
-  val patch : t -> Netlist.Circuit.t -> patch
+  (** [patch t delta] compiles the circuit [delta] describes against the
+      base.  Untouched devices keep their compiled form, their stamp
+      plan ranges and their resolved slots; only the replaced and
+      appended devices are compiled and planned, and only their keys
+      are resolved.  Replaced devices keep their stamp positions and
+      appended ones go last, so the patch's plan, and every float a
+      solve on it computes, equal those of a session opened on
+      [Netlist.Circuit.materialise (circuit t) delta].  The devices may
+      name at most one node and one branch the base lacks (they take
+      the overlay rows, in order of first use); a second raises
+      {!Patch_overflow}, counted as ["session.patch_overflow"].  Raises
+      [Invalid_argument] when a replaced position is out of range or
+      the positions do not ascend.  Counted as ["session.patch"]. *)
+  val patch : t -> Netlist.Circuit.delta -> patch
 
   (** [prime t patches] compiles the union of the patches' stamp
       patterns into the session's solver once, so none of their later
-      solves pays a symbolic analysis: a chunk of faults shares one. *)
+      solves pays a symbolic analysis: a chunk of faults shares one.
+      The base plan's coordinates join the pattern at the first prime
+      (or the first base solve) and stay; after that a patch reserves
+      only its own devices' coordinates. *)
   val prime : t -> patch list -> unit
 
   (** [with_patch t p f] runs [f] with the session's active circuit
@@ -293,6 +313,15 @@ module Private : sig
 
   (** The unknown of each row of the session's active view. *)
   val unknowns : Session.t -> string array
+
+  (** The stamp plan of the session's active view: its matrix keys
+      ({!Sparse.key} of {!solver}; the devices' entries in device order,
+      then one diagonal per pinned row), the RHS row of each RHS entry
+      ({!Sparse.capacity} for ground), and the pinned node rows. *)
+  val plan : Session.t -> int array * int array * int array
+
+  (** The session's solver. *)
+  val solver : Session.t -> Sparse.t
 
   (** [assemble s ~mode ~prev v] sets the active view's integration
       state from the solution [prev] as a transient start does, then

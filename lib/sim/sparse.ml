@@ -260,24 +260,6 @@ let reserve t ~extras keys =
       keys
   end
 
-let resolve t keys slots =
-  if not t.compiled then invalid_arg "Sparse.resolve: pattern not compiled";
-  let dump = Array.length t.rowind and complete = ref true in
-  Array.iteri
-    (fun p c ->
-      let k = decode ~extras:true c in
-      slots.(p) <-
-        (if k < 0 then dump
-         else
-           match find_slot t (k / t.cap) (k mod t.cap) with
-           | -1 ->
-             if c >= 0 then invalid_arg "Sparse.resolve: key outside the pattern";
-             complete := false;
-             dump
-           | slot -> slot))
-    keys;
-  !complete
-
 let get t i j =
   if t.compiled && i >= 0 && j >= 0 then
     match find_slot t i j with -1 -> None | p -> Some t.vals.(p)
@@ -337,32 +319,30 @@ let compile t =
     let key = (r * t.cap) + r in
     if not (Hashtbl.mem t.building key) then Hashtbl.add t.building key 0.0
   done;
-  let entries =
-    Hashtbl.fold (fun key v acc -> (key / t.cap, key mod t.cap, v) :: acc) t.building []
-  in
-  let entries =
-    List.sort
-      (fun (i1, j1, _) (i2, j2, _) ->
-        match Int.compare j1 j2 with 0 -> Int.compare i1 i2 | c -> c)
-      entries
-  in
-  let nz = List.length entries in
+  (* CSC: the keys in ascending order (row-major), scattered into their
+     columns, which leaves each column's rows ascending. *)
+  let keys = Array.make (Hashtbl.length t.building) 0 in
+  ignore (Hashtbl.fold (fun key _ p -> keys.(p) <- key; p + 1) t.building 0);
+  Array.sort Int.compare keys;
+  let nz = Array.length keys in
   let colptr = Array.make (m + 1) 0 in
-  let rowind = Array.make nz 0 in
-  let vals = Array.make (nz + 1) 0.0 in
-  let diag_slot = Array.make m (-1) in
-  let p = ref 0 in
-  List.iter
-    (fun (i, j, v) ->
-      colptr.(j + 1) <- colptr.(j + 1) + 1;
-      rowind.(!p) <- i;
-      vals.(!p) <- v;
-      if i = j then diag_slot.(i) <- !p;
-      incr p)
-    entries;
+  Array.iter (fun key -> colptr.((key mod t.cap) + 1) <- colptr.((key mod t.cap) + 1) + 1) keys;
   for j = 0 to m - 1 do
     colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
   done;
+  let fill = Array.sub colptr 0 m in
+  let rowind = Array.make nz 0 in
+  let vals = Array.make (nz + 1) 0.0 in
+  let diag_slot = Array.make m (-1) in
+  Array.iter
+    (fun key ->
+      let i = key / t.cap and j = key mod t.cap in
+      let p = fill.(j) in
+      rowind.(p) <- i;
+      vals.(p) <- Hashtbl.find t.building key;
+      if i = j then diag_slot.(i) <- p;
+      fill.(j) <- p + 1)
+    keys;
   t.colptr <- colptr;
   t.rowind <- rowind;
   t.vals <- vals;
@@ -371,7 +351,7 @@ let compile t =
   t.compiled <- true;
   t.gen <- t.gen + 1;
   t.have_factor <- false;
-  Hashtbl.reset t.building;
+  Hashtbl.clear t.building;
   t.q <- min_degree_order m colptr rowind;
   t.stat_symbolic <- t.stat_symbolic + 1
 
@@ -383,16 +363,93 @@ let finish t = if not t.compiled then compile t
    each resolves to.  Slots move whenever the pattern recompiles, which
    the generation stamp detects; the keys of entries only a transient
    stamps are marked, so a DC pass discovers exactly the coordinates it
-   stamps. *)
+   stamps.  Targets derived from a parent ([derive]: a fault patch of a
+   session's base plan) hold only their own keys and copy the parent's
+   slots over the ranges they share with it. *)
 type targets = {
-  keys : int array;
-  slots : int array;
+  keys : int array; (* every key; of derived targets, their own keys *)
+  own : int array; (* derived: the position of each own key *)
+  parent : targets option;
+  copied : (int * int * int) list; (* (dst, src, len) ranges shared with the parent *)
+  slots : int array; (* one per position *)
   mutable tgen : int; (* generation the slots belong to *)
   mutable complete : bool; (* the transient-only keys resolved too *)
 }
 
 let targets keys =
-  { keys; slots = Array.make (Array.length keys) 0; tgen = -1; complete = false }
+  {
+    keys;
+    own = [||];
+    parent = None;
+    copied = [];
+    slots = Array.make (Array.length keys) 0;
+    tgen = -1;
+    complete = false;
+  }
+
+let derive parent ~copied ~own keys =
+  if parent.parent <> None then invalid_arg "Sparse.derive: the parent is derived";
+  let length = List.fold_left (fun n (_, _, len) -> n + len) (Array.length own) copied in
+  { (targets keys) with own; parent = Some parent; copied; slots = Array.make length 0 }
+
+let all_keys tg =
+  match tg.parent with
+  | None -> Array.copy tg.keys
+  | Some parent ->
+    let keys = Array.make (Array.length tg.slots) 0 in
+    List.iter (fun (dst, src, len) -> Array.blit parent.keys src keys dst len) tg.copied;
+    Array.iteri (fun i p -> keys.(p) <- tg.keys.(i)) tg.own;
+    keys
+
+(* Whether derived targets can lean on their parent: every parent key,
+   the transient-only ones included, is in the pattern.  Once that holds
+   it holds for good (the pattern only grows), and the parent's
+   [complete] records it.  Until then a fault patch must not reserve the
+   coordinates of a device it replaced, so it reserves and resolves all
+   of its keys, as a plain plan does. *)
+let leans t tg =
+  match tg.parent with
+  | None -> false
+  | Some parent ->
+    let inside c =
+      let k = decode ~extras:true c in
+      k < 0
+      || (if t.compiled then find_slot t (k / t.cap) (k mod t.cap) >= 0
+          else Hashtbl.mem t.building k)
+    in
+    if not parent.complete then parent.complete <- Array.for_all inside parent.keys;
+    parent.complete
+
+(* Resolves [keys.(i)] into the slot at position [at i]; false when a
+   transient-only key is outside the pattern (it gets the dump slot). *)
+let resolve t tg keys at =
+  let dump = Array.length t.rowind and ok = ref true in
+  Array.iteri
+    (fun i c ->
+      let k = decode ~extras:true c in
+      let slot = if k < 0 then dump else find_slot t (k / t.cap) (k mod t.cap) in
+      if slot < 0 && c >= 0 then invalid_arg "Sparse.resolve: key outside the pattern";
+      if slot < 0 then ok := false;
+      tg.slots.(at i) <- (if slot < 0 then dump else slot))
+    keys;
+  !ok
+
+let rec refresh t tg =
+  if not t.compiled then invalid_arg "Sparse.resolve: pattern not compiled";
+  (tg.complete <-
+     match tg.parent with
+     | Some parent when leans t tg ->
+       if parent.tgen <> t.gen then refresh t parent;
+       List.iter
+         (fun (dst, src, len) -> Array.blit parent.slots src tg.slots dst len)
+         tg.copied;
+       resolve t tg tg.keys (Array.get tg.own)
+     | Some _ -> resolve t tg (all_keys tg) Fun.id
+     | None -> resolve t tg tg.keys Fun.id);
+  tg.tgen <- t.gen
+
+let reserve_targets t ~extras tg =
+  reserve t ~extras (if tg.parent = None || leans t tg then tg.keys else all_keys tg)
 
 (* Pattern discovery matches stamping coordinate by coordinate:
    coordinates outside the compiled pattern return the matrix to
@@ -402,10 +459,9 @@ let targets keys =
 let begin_stamp t ~n ~tran tg =
   open_pass t ~n;
   if tg.tgen <> t.gen || (tran && not tg.complete) then begin
-    reserve t ~extras:tran tg.keys;
+    reserve_targets t ~extras:tran tg;
     finish t;
-    tg.complete <- resolve t tg.keys tg.slots;
-    tg.tgen <- t.gen
+    refresh t tg
   end;
   tg.slots
 
@@ -417,7 +473,7 @@ let prime t passes =
   List.iter
     (fun (n, tg) ->
       open_pass t ~n;
-      reserve t ~extras:true tg.keys)
+      reserve_targets t ~extras:true tg)
     passes;
   finish t
 

@@ -61,6 +61,21 @@ type targets
     with that solver alone. *)
 val targets : int array -> targets
 
+(** [derive parent ~copied ~own keys] declares the targets of a plan
+    that shares most entries with the plain targets [parent]: each
+    [(dst, src, len)] of [copied] (ascending, disjoint) says that the
+    entries from [dst] are [parent]'s from [src], for [len] entries, and
+    [keys.(i)] is the entry at position [own.(i)]; together they cover
+    every position once.  Shared entries take [parent]'s slots, which
+    are resolved once per pattern generation for every plan derived
+    from it; only the own keys are resolved, and, once every [parent]
+    key is in the pattern, reserved, on their own.  Raises
+    [Invalid_argument] when [parent] is itself derived. *)
+val derive : targets -> copied:(int * int * int) list -> own:int array -> int array -> targets
+
+(** Every key of the targets, in stamp order. *)
+val all_keys : targets -> int array
+
 (** [begin_stamp t ~n ~tran tg] opens a stamping pass for an [n]-unknown
     system, zeroing the values (keeping the accumulated pattern) and the
     leading right-hand side, and returns the slot of every entry of [tg]
