@@ -1211,8 +1211,10 @@ module Session = struct
   (* Transient stamps are a superset of DC stamps, so priming the
      transient targets covers every solve that follows.  A patch's
      targets derive from the base plan's, so once the base's keys are in
-     the pattern each patch reserves only its own. *)
+     the pattern each patch reserves only its own.  The first prime fixes
+     the column order over the base pattern, so no chunk reorders. *)
   let prime s patches =
+    Sparse.order s.sv ~n:s.base_size s.base.pv_plan.targets;
     Sparse.prime s.sv (List.map (fun pv -> (pv.pv_size, pv.pv_plan.targets)) patches)
 
   let with_patch s pv f =

@@ -37,7 +37,11 @@
 
    Columns are pre-ordered by a greedy minimum-degree pass over the
    symmetrised pattern (static fill reduction); rows are permuted by
-   pivoting only.
+   pivoting only.  A batch session fixes the order once, over its base
+   circuit's pattern ([order]): later compilations of the grown pattern
+   keep it and place the overlay columns after it, so no chunk of
+   faults reorders and the order does not depend on which faults
+   shared the session.
 
    Batch sessions solve at several active sizes (the nominal topology,
    then +1/+2 overlay rows per fault patch).  Rather than re-running the
@@ -84,6 +88,7 @@ type t = {
   building : (int, float) Hashtbl.t; (* key = row * cap + col *)
   (* --- factorisation --- *)
   mutable q : int array; (* column order: factor col k holds A(:, q.(k)) *)
+  mutable order : int array; (* the fixed order of the leading columns, if any *)
   mutable pinv : int array; (* row -> pivot position *)
   mutable lp : int array; (* L column pointers, length cap + 1 *)
   mutable li : int array;
@@ -133,6 +138,7 @@ let create ~capacity =
     gen = 0;
     building = Hashtbl.create 256;
     q = [||];
+    order = [||];
     pinv = Array.make cap (-1);
     lp = Array.make (cap + 1) 0;
     li = [||];
@@ -310,6 +316,29 @@ let min_degree_order m colptr rowind =
   done;
   order
 
+(* The CSC structure of [keys] (row-major keys, ascending) over [m]
+   columns: column pointers, row indices, and the slot of each key.  The
+   keys are scattered in order, which leaves each column's rows
+   ascending. *)
+let csc ~cap m keys =
+  let colptr = Array.make (m + 1) 0 in
+  Array.iter (fun key -> colptr.((key mod cap) + 1) <- colptr.((key mod cap) + 1) + 1) keys;
+  for j = 0 to m - 1 do
+    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+  done;
+  let fill = Array.sub colptr 0 m and rowind = Array.make (Array.length keys) 0 in
+  let slot =
+    Array.map
+      (fun key ->
+        let j = key mod cap in
+        let p = fill.(j) in
+        rowind.(p) <- key / cap;
+        fill.(j) <- p + 1;
+        p)
+      keys
+  in
+  (colptr, rowind, slot)
+
 let compile t =
   let m = t.pat_n in
   (* Every row keeps a diagonal slot: branch rows get one even when no
@@ -319,29 +348,17 @@ let compile t =
     let key = (r * t.cap) + r in
     if not (Hashtbl.mem t.building key) then Hashtbl.add t.building key 0.0
   done;
-  (* CSC: the keys in ascending order (row-major), scattered into their
-     columns, which leaves each column's rows ascending. *)
   let keys = Array.make (Hashtbl.length t.building) 0 in
   ignore (Hashtbl.fold (fun key _ p -> keys.(p) <- key; p + 1) t.building 0);
   Array.sort Int.compare keys;
+  let colptr, rowind, slot = csc ~cap:t.cap m keys in
   let nz = Array.length keys in
-  let colptr = Array.make (m + 1) 0 in
-  Array.iter (fun key -> colptr.((key mod t.cap) + 1) <- colptr.((key mod t.cap) + 1) + 1) keys;
-  for j = 0 to m - 1 do
-    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
-  done;
-  let fill = Array.sub colptr 0 m in
-  let rowind = Array.make nz 0 in
   let vals = Array.make (nz + 1) 0.0 in
   let diag_slot = Array.make m (-1) in
-  Array.iter
-    (fun key ->
-      let i = key / t.cap and j = key mod t.cap in
-      let p = fill.(j) in
-      rowind.(p) <- i;
-      vals.(p) <- Hashtbl.find t.building key;
-      if i = j then diag_slot.(i) <- p;
-      fill.(j) <- p + 1)
+  Array.iteri
+    (fun q key ->
+      vals.(slot.(q)) <- Hashtbl.find t.building key;
+      if key / t.cap = key mod t.cap then diag_slot.(key mod t.cap) <- slot.(q))
     keys;
   t.colptr <- colptr;
   t.rowind <- rowind;
@@ -352,7 +369,10 @@ let compile t =
   t.gen <- t.gen + 1;
   t.have_factor <- false;
   Hashtbl.clear t.building;
-  t.q <- min_degree_order m colptr rowind;
+  t.q <-
+    (let o = t.order in
+     if o = [||] then min_degree_order m colptr rowind
+     else Array.init m (fun k -> if k < Array.length o then o.(k) else k));
   t.stat_symbolic <- t.stat_symbolic + 1
 
 let finish t = if not t.compiled then compile t
@@ -476,6 +496,27 @@ let prime t passes =
       reserve_targets t ~extras:true tg)
     passes;
   finish t
+
+(* Fixes the column order of the leading [n] columns: minimum degree
+   over [tg]'s pattern, transient entries and the [n] diagonals
+   included.  Later pattern growth (fault coordinates, overlay rows)
+   recompiles without reordering. *)
+let order t ~n tg =
+  if t.order = [||] then begin
+    let set = Hashtbl.create 64 in
+    Array.iter
+      (fun c ->
+        let k = decode ~extras:true c in
+        if k >= 0 then Hashtbl.replace set k ())
+      (all_keys tg);
+    for r = 0 to n - 1 do
+      Hashtbl.replace set ((r * t.cap) + r) ()
+    done;
+    let keys = Array.of_seq (Hashtbl.to_seq_keys set) in
+    Array.sort Int.compare keys;
+    let colptr, rowind, _ = csc ~cap:t.cap n keys in
+    t.order <- min_degree_order n colptr rowind
+  end
 
 (* --- factorisation ----------------------------------------------------- *)
 

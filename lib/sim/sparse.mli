@@ -108,6 +108,14 @@ val get : t -> int -> int -> float option
     per fault patch before solving any of them. *)
 val prime : t -> (int * targets) list -> unit
 
+(** [order t ~n tg] fixes the column order of the first [n] unknowns
+    once, as the minimum-degree order of [tg]'s pattern (transient
+    entries included); every later compilation keeps it, whatever
+    coordinates the pattern gains, and orders any further columns after
+    it by index.  A no-op once an order is fixed.  Batch sessions fix
+    their base circuit's order before the first chunk of faults. *)
+val order : t -> n:int -> targets -> unit
+
 (** Factors the stamped system and overwrites the leading [n] entries of
     {!rhs} with the solution.  Reuses the stored factors when they came
     from a refactorisation of exactly these values (compared bit for
