@@ -52,6 +52,6 @@ let find_bridge nets =
 let inject_resistor circuit a b r =
   Netlist.Circuit.add circuit
     (Netlist.Device.R
-       { name = Netlist.Circuit.fresh_name circuit "FB"; n1 = a; n2 = b; value = r })
+       { name = Netlist.Circuit.fresh_name (Netlist.Circuit.index circuit) "FB"; n1 = a; n2 = b; value = r })
 
 let row fmt = Printf.printf fmt

@@ -18,11 +18,11 @@ let bridge ~model index ~net_a ~net_b =
       match model with
       | Resistor { r_short; _ } ->
         Netlist.Device.R
-          { name = Netlist.Circuit.fresh_name_in index "F_BRI";
+          { name = Netlist.Circuit.fresh_name index "F_BRI";
             n1 = net_a; n2 = net_b; value = r_short }
       | Source ->
         Netlist.Device.V
-          { name = Netlist.Circuit.fresh_name_in index "VF_BRI";
+          { name = Netlist.Circuit.fresh_name index "VF_BRI";
             np = net_a; nn = net_b; wave = Netlist.Wave.Dc 0.0 }
     in
     { Netlist.Circuit.replaced = []; added = [ dev ] }
@@ -31,7 +31,7 @@ let bridge ~model index ~net_a ~net_b =
    moved terminals is rewritten once per terminal, each time from its
    previous rewrite. *)
 let break ~model index fault ~net ~moved =
-  let fresh = Netlist.Circuit.fresh_node_in index (break_node_name fault) in
+  let fresh = Netlist.Circuit.fresh_node index (break_node_name fault) in
   let replaced =
     List.fold_left
       (fun acc ({ Fault.device; port } : Fault.terminal) ->
@@ -50,11 +50,11 @@ let break ~model index fault ~net ~moved =
     match model with
     | Resistor { r_open; _ } ->
       Netlist.Device.R
-        { name = Netlist.Circuit.fresh_name_in index "F_OPEN";
+        { name = Netlist.Circuit.fresh_name index "F_OPEN";
           n1 = net; n2 = fresh; value = r_open }
     | Source ->
       Netlist.Device.I
-        { name = Netlist.Circuit.fresh_name_in index "IF_OPEN";
+        { name = Netlist.Circuit.fresh_name index "IF_OPEN";
           np = net; nn = fresh; wave = Netlist.Wave.Dc 0.0 }
   in
   { Netlist.Circuit.replaced = List.sort (fun (a, _) (b, _) -> Int.compare a b) replaced;

@@ -87,13 +87,9 @@ let fresh_in used base =
   in
   if used base then go 1 else base
 
-let fresh_node_in ix base = fresh_in (Hashtbl.mem ix.node_set) base
+let fresh_node ix base = fresh_in (Hashtbl.mem ix.node_set) base
 
-let fresh_name_in ix base = fresh_in (Hashtbl.mem ix.positions) base
-
-let fresh_node t base = fresh_node_in (index t) base
-
-let fresh_name t base = fresh_name_in (index t) base
+let fresh_name ix base = fresh_in (Hashtbl.mem ix.positions) base
 
 let mos_models t =
   List.filter_map

@@ -39,14 +39,6 @@ val rename_node : t -> from_:Device.node -> to_:Device.node -> t
 (** [devices_on t node] lists devices with a terminal on [node]. *)
 val devices_on : t -> Device.node -> Device.t list
 
-(** [fresh_node t base] is a node name starting with [base] not yet used:
-    [base] itself, else the first free of [base1], [base2], ... *)
-val fresh_node : t -> string -> Device.node
-
-(** [fresh_name t base] is a device name starting with [base] not yet
-    used, chosen as {!fresh_node} chooses. *)
-val fresh_name : t -> string -> string
-
 (** {1 Deltas}
 
     A fault changes a circuit locally, so fault injection describes the
@@ -57,7 +49,8 @@ val fresh_name : t -> string -> string
 
 (** [replaced] holds [(position, device)] pairs, positions (indices into
     {!devices} of the base) strictly ascending; each device takes the
-    place of the base device at its position and should keep its name.
+    place of the base device at its position and must keep its name
+    and kind.
     [added] follows the base devices, in order, under names the base
     does not use. *)
 type delta = { replaced : (int * Device.t) list; added : Device.t list }
@@ -79,12 +72,14 @@ val index : t -> index
 (** [lookup ix name] is the position and the device called [name]. *)
 val lookup : index -> string -> (int * Device.t) option
 
-(** [fresh_node_in (index t) base] is [fresh_node t base], in expected
-    constant time per candidate. *)
-val fresh_node_in : index -> string -> Device.node
+(** [fresh_node (index t) base] is a node name starting with [base] that
+    [t] does not use: [base] itself, else the first free of [base1],
+    [base2], ... *)
+val fresh_node : index -> string -> Device.node
 
-(** [fresh_name_in (index t) base] is [fresh_name t base]. *)
-val fresh_name_in : index -> string -> string
+(** [fresh_name (index t) base] is a device name starting with [base]
+    that [t] does not use, chosen as {!fresh_node} chooses. *)
+val fresh_name : index -> string -> string
 
 (** Distinct MOS models (by model name) used in the circuit, for .model
     cards. *)

@@ -94,11 +94,12 @@ exception Sim_error of error * string
     human-readable elaboration (where, at which time point). *)
 
 exception Patch_overflow of string
-(** A session patch needed more than the reserved overlay capacity: its
+(** A session patch needed more than the reserved overlay capacity - its
     devices name a second node, or a second branch, that the base
-    circuit lacks (a bridge between two nets the deck does not have).
-    The caller simulates the materialised faulty circuit on a session
-    of its own. *)
+    circuit lacks (a bridge between two nets the deck does not have) -
+    or replaced a device by one of another stamp layout.  The caller
+    simulates the materialised faulty circuit on a session of its
+    own. *)
 
 type solution
 
@@ -188,9 +189,9 @@ val run :
     simulation campaign is one nominal run plus one run per fault, where
     each faulty circuit differs from the nominal one by a device or two.
     A fault arrives as a {!Netlist.Circuit.delta} of the base circuit,
-    and [patch] compiles only the delta: the base plan's keys, RHS rows
-    and resolved slots are copied, and only the replaced and appended
-    devices are compiled, planned and resolved.  [with_patch] swaps the
+    and [patch] compiles only the delta: the patch shares the base
+    plan's keys and resolved slots and copies its RHS rows, and only the
+    replaced and appended devices are compiled, planned and resolved.  [with_patch] swaps the
     result in without re-deriving the node map.  The buffers reserve
     one overlay node row (a split-net open adds at most one node) and
     one overlay branch row (a bridge modelled as a 0 V source adds one
@@ -270,22 +271,26 @@ module Session : sig
       plan ranges and their resolved slots; only the replaced and
       appended devices are compiled and planned, and only their keys
       are resolved.  Replaced devices keep their stamp positions and
-      appended ones go last, so the patch's plan, and every float a
-      solve on it computes, equal those of a session opened on
-      [Netlist.Circuit.materialise (circuit t) delta].  The devices may
-      name at most one node and one branch the base lacks (they take
-      the overlay rows, in order of first use); a second raises
-      {!Patch_overflow}, counted as ["session.patch_overflow"].  Raises
-      [Invalid_argument] when a replaced position is out of range or
-      the positions do not ascend.  Counted as ["session.patch"]. *)
+      appended ones go last, so the patch's plan equals that of a
+      session opened on [Netlist.Circuit.materialise (circuit t)
+      delta].  The devices may name at most one node and one branch the
+      base lacks (they take the overlay rows, in order of first use),
+      and a replacement must keep its device's stamp layout (its kind);
+      otherwise {!Patch_overflow}, counted as
+      ["session.patch_overflow"].  Raises [Invalid_argument] when a
+      replaced position is out of range or the positions do not
+      ascend.  Counted as ["session.patch"]. *)
   val patch : t -> Netlist.Circuit.delta -> patch
 
   (** [prime t patches] compiles the union of the patches' stamp
       patterns into the session's solver once, so none of their later
       solves pays a symbolic analysis: a chunk of faults shares one.
-      The base plan's coordinates join the pattern at the first prime
-      (or the first base solve) and stay; after that a patch reserves
-      only its own devices' coordinates. *)
+      Once every coordinate of the base plan is in the pattern (after a
+      base solve, or once the patches primed so far cover it), a patch
+      reserves only its own devices' coordinates.  The first prime also fixes
+      the solver's column order, once, as the minimum-degree order of
+      the base circuit's transient pattern ({!Sparse.order}); later
+      growth of the pattern recompiles without reordering. *)
   val prime : t -> patch list -> unit
 
   (** [with_patch t p f] runs [f] with the session's active circuit

@@ -371,7 +371,7 @@ let compile t =
   Hashtbl.clear t.building;
   t.q <-
     (let o = t.order in
-     if o = [||] then min_degree_order m colptr rowind
+     if Array.length o = 0 then min_degree_order m colptr rowind
      else Array.init m (fun k -> if k < Array.length o then o.(k) else k));
   t.stat_symbolic <- t.stat_symbolic + 1
 
@@ -502,7 +502,7 @@ let prime t passes =
    included.  Later pattern growth (fault coordinates, overlay rows)
    recompiles without reordering. *)
 let order t ~n tg =
-  if t.order = [||] then begin
+  if Array.length t.order = 0 then begin
     let set = Hashtbl.create 64 in
     Array.iter
       (fun c ->

@@ -28,7 +28,9 @@
     Batch sessions keep one instance per topology and stamp fault
     patches into a pattern superset (the pattern only grows, and
     {!prime} compiles a whole batch's union up front), so consecutive
-    faults share the symbolic work.  Inactive overlay rows are padded
+    faults share the symbolic work; a session fixes its column ordering
+    once ({!order}), so a recompilation of the grown pattern runs no
+    ordering pass.  Inactive overlay rows are padded
     with a unit diagonal, which keeps one pivot sequence valid across
     active-size changes without perturbing the active unknowns. *)
 

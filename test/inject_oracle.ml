@@ -1,3 +1,15 @@
+(* The first of [base], [base1], [base2], ... not in [used]. *)
+let fresh_in used base =
+  let rec go i =
+    let cand = Printf.sprintf "%s%d" base i in
+    if List.mem cand used then go (i + 1) else cand
+  in
+  if List.mem base used then go 1 else base
+
+let fresh_name circuit = fresh_in (List.map Netlist.Device.name (Netlist.Circuit.devices circuit))
+
+let fresh_node circuit = fresh_in (Netlist.Circuit.nodes circuit)
+
 let apply_bridge ~model circuit ~net_a ~net_b =
   if String.equal net_a net_b then circuit
   else begin
@@ -5,18 +17,18 @@ let apply_bridge ~model circuit ~net_a ~net_b =
     | Faults.Inject.Resistor { r_short; _ } ->
       Netlist.Circuit.add circuit
         (Netlist.Device.R
-           { name = Netlist.Circuit.fresh_name circuit "F_BRI";
+           { name = fresh_name circuit "F_BRI";
              n1 = net_a; n2 = net_b; value = r_short })
     | Faults.Inject.Source ->
       Netlist.Circuit.add circuit
         (Netlist.Device.V
-           { name = Netlist.Circuit.fresh_name circuit "VF_BRI";
+           { name = fresh_name circuit "VF_BRI";
              np = net_a; nn = net_b; wave = Netlist.Wave.Dc 0.0 })
   end
 
 let apply_break ~model circuit fault ~net ~moved =
   let fresh =
-    Netlist.Circuit.fresh_node circuit (Faults.Inject.break_node_name fault)
+    fresh_node circuit (Faults.Inject.break_node_name fault)
   in
   let circuit =
     List.fold_left
@@ -34,12 +46,12 @@ let apply_break ~model circuit fault ~net ~moved =
   | Faults.Inject.Resistor { r_open; _ } ->
     Netlist.Circuit.add circuit
       (Netlist.Device.R
-         { name = Netlist.Circuit.fresh_name circuit "F_OPEN";
+         { name = fresh_name circuit "F_OPEN";
            n1 = net; n2 = fresh; value = r_open })
   | Faults.Inject.Source ->
     Netlist.Circuit.add circuit
       (Netlist.Device.I
-         { name = Netlist.Circuit.fresh_name circuit "IF_OPEN";
+         { name = fresh_name circuit "IF_OPEN";
            np = net; nn = fresh; wave = Netlist.Wave.Dc 0.0 })
 
 let apply_stuck_open circuit ~device =

@@ -110,8 +110,8 @@ let circuit_tests =
         check_int "on a" 1 (List.length (Circuit.devices_on c "a")));
     Alcotest.test_case "fresh names avoid collisions" `Quick (fun () ->
         let c = Circuit.of_devices "t" [ r "R1" "a" "b" 1.0 ] in
-        check_bool "node" true (Circuit.fresh_node c "a" <> "a");
-        check_bool "dev" true (Circuit.fresh_name c "R1" <> "R1"));
+        check_bool "node" true (Circuit.fresh_node (Circuit.index c) "a" <> "a");
+        check_bool "dev" true (Circuit.fresh_name (Circuit.index c) "R1" <> "R1"));
     Alcotest.test_case "replace" `Quick (fun () ->
         let c = Circuit.of_devices "t" [ r "R1" "a" "b" 1.0 ] in
         let c = Circuit.replace c (r "R1" "a" "b" 9.0) in
