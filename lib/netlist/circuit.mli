@@ -59,8 +59,8 @@ type delta = { replaced : (int * Device.t) list; added : Device.t list }
 val unchanged : delta
 
 (** [materialise t delta] is the circuit [delta] describes against the
-    base [t].  Raises [Invalid_argument] when a position is out of range
-    or the positions do not ascend. *)
+    base [t].  Raises [Invalid_argument] when a position is out of
+    range. *)
 val materialise : t -> delta -> t
 
 (** A lookup structure over one base circuit, built in linear time: the

@@ -321,12 +321,6 @@ let unknown_label ctx row =
   if row >= 0 && row < Array.length ctx.names then ctx.names.(row)
   else Printf.sprintf "unknown #%d" row
 
-(* Node rows pinned to ground by gmin (and cmin in a transient): every
-   base node row, then the overlay node row of a patch. *)
-let pinned_rows ~node_count ~extra_node =
-  Array.append (Array.init node_count Fun.id)
-    (match extra_node with Some i -> [| i |] | None -> [||])
-
 (* One pass of the device loop: assemble the Jacobian and right-hand side
    at iterate [v] into the solver's storage.  Every cell receives the
    same additions in the same order as stamping entry by entry would. *)
@@ -1012,8 +1006,9 @@ module Session = struct
     let base =
       {
         pv_devices = devices;
-        pv_plan =
-          make_plan sv devices ~pins:(pinned_rows ~node_count:base_node_count ~extra_node:None);
+        (* Every node row is pinned to ground by gmin (and cmin in a
+           transient); a patch pins its overlay node row too. *)
+        pv_plan = make_plan sv devices ~pins:(Array.init base_node_count Fun.id);
         pv_size = base_size;
         pv_names = output_names mna;
       }
@@ -1284,8 +1279,6 @@ module Private = struct
   let plan s =
     let p = (Session.ctx s).plan in
     (Sparse.all_keys p.targets, p.rhs, p.pins)
-
-  let solver s = (Session.ctx s).sv
 
   let assemble s ~mode ~prev v =
     let ctx = Session.ctx s in

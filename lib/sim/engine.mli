@@ -320,13 +320,11 @@ module Private : sig
   val unknowns : Session.t -> string array
 
   (** The stamp plan of the session's active view: its matrix keys
-      ({!Sparse.key} of {!solver}; the devices' entries in device order,
+      ({!Sparse.key} of a solver whose capacity is the base's unknowns
+      plus the two overlay rows; the devices' entries in device order,
       then one diagonal per pinned row), the RHS row of each RHS entry
-      ({!Sparse.capacity} for ground), and the pinned node rows. *)
+      (that capacity for ground), and the pinned node rows. *)
   val plan : Session.t -> int array * int array * int array
-
-  (** The session's solver. *)
-  val solver : Session.t -> Sparse.t
 
   (** [assemble s ~mode ~prev v] sets the active view's integration
       state from the solution [prev] as a transient start does, then

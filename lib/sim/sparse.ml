@@ -414,7 +414,7 @@ let derive parent ~copied ~own keys =
 
 let all_keys tg =
   match tg.parent with
-  | None -> Array.copy tg.keys
+  | None -> tg.keys
   | Some parent ->
     let keys = Array.make (Array.length tg.slots) 0 in
     List.iter (fun (dst, src, len) -> Array.blit parent.keys src keys dst len) tg.copied;

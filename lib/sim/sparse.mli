@@ -75,7 +75,7 @@ val targets : int array -> targets
     [Invalid_argument] when [parent] is itself derived. *)
 val derive : targets -> copied:(int * int * int) list -> own:int array -> int array -> targets
 
-(** Every key of the targets, in stamp order. *)
+(** Every key of the targets, in stamp order (not to be modified). *)
 val all_keys : targets -> int array
 
 (** [begin_stamp t ~n ~tran tg] opens a stamping pass for an [n]-unknown

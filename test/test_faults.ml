@@ -434,7 +434,9 @@ let delta_case c source seed =
             let names = Sim.Engine.Private.unknowns s in
             let keys, rhs, pins = Sim.Engine.Private.plan s in
             let want_keys, want_rhs, want_pins =
-              reference_plan (Sim.Engine.Private.solver s) names (Netlist.Circuit.devices got)
+              reference_plan
+                (Sim.Sparse.create ~capacity:(nb + 2))
+                names (Netlist.Circuit.devices got)
             in
             Array.sub names 0 nb = base_names
             && List.sort compare (Array.to_list (Array.sub names nb (Array.length names - nb)))
